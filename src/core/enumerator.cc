@@ -19,6 +19,7 @@ Result<std::vector<Package>> EnumerateViaSolver(
   if (bounds.infeasible) return std::vector<Package>{};
   TranslateOptions topts;
   topts.bounds = &bounds;
+  topts.candidates = &candidates;
   PB_ASSIGN_OR_RETURN(IlpTranslation translation, TranslateToIlp(aq, topts));
 
   std::vector<Package> out;

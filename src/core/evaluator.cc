@@ -20,14 +20,18 @@ const char* StrategyToString(Strategy s) {
 
 namespace {
 
+/// `candidates` are the WHERE survivors `bounds` came from; the translation
+/// takes them over.
 Result<EvaluationResult> RunIlp(const paql::AnalyzedQuery& aq,
                                 const EvaluationOptions& options,
-                                const CardinalityBounds& bounds) {
+                                const CardinalityBounds& bounds,
+                                std::vector<size_t>* candidates) {
   EvaluationResult out;
   out.strategy_used = Strategy::kIlpSolver;
   out.bounds = bounds;
   TranslateOptions topts;
   if (options.use_pruning) topts.bounds = &bounds;
+  topts.candidates = candidates;
   PB_ASSIGN_OR_RETURN(IlpTranslation translation, TranslateToIlp(aq, topts));
   out.num_candidates = translation.candidates.size();
   PB_ASSIGN_OR_RETURN(solver::MilpResult r,
@@ -116,17 +120,19 @@ Result<EvaluationResult> QueryEvaluator::Evaluate(
         "cardinality pruning proves no package can satisfy the constraints");
   }
 
+  // RunIlp takes the candidate list over; every decision below uses n.
+  const size_t n = candidates.size();
   auto finish = [&](Result<EvaluationResult> r) -> Result<EvaluationResult> {
     if (r.ok()) {
       r->seconds = timer.ElapsedSeconds();
-      if (r->num_candidates == 0) r->num_candidates = candidates.size();
+      if (r->num_candidates == 0) r->num_candidates = n;
     }
     return r;
   };
 
   switch (options.strategy) {
     case Strategy::kIlpSolver:
-      return finish(RunIlp(aq, options, bounds));
+      return finish(RunIlp(aq, options, bounds, &candidates));
     case Strategy::kBruteForce:
       return finish(RunBruteForce(aq, options, bounds));
     case Strategy::kLocalSearch:
@@ -141,7 +147,7 @@ Result<EvaluationResult> QueryEvaluator::Evaluate(
       aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
 
   if (!translatable) {
-    if (candidates.size() <= options.brute_force_threshold) {
+    if (n <= options.brute_force_threshold) {
       return finish(RunBruteForce(aq, options, bounds));
     }
     auto ls = RunLocalSearch(aq, options, bounds);
@@ -162,15 +168,15 @@ Result<EvaluationResult> QueryEvaluator::Evaluate(
     quick.local_search.max_restarts = 3;
     auto ls = RunLocalSearch(aq, quick, bounds);
     if (ls.ok()) return finish(std::move(ls));
-    return finish(RunIlp(aq, options, bounds));
+    return finish(RunIlp(aq, options, bounds, &candidates));
   }
 
   // Optimization query: the solver is exact; tiny inputs go exhaustive
   // (cheaper than the LP machinery and exact for any shape).
-  if (candidates.size() <= 12 && aq.max_multiplicity <= 2) {
+  if (n <= 12 && aq.max_multiplicity <= 2) {
     return finish(RunBruteForce(aq, options, bounds));
   }
-  return finish(RunIlp(aq, options, bounds));
+  return finish(RunIlp(aq, options, bounds, &candidates));
 }
 
 Result<std::vector<Package>> QueryEvaluator::EvaluateAll(

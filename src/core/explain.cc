@@ -78,6 +78,7 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
   if (translatable) {
     TranslateOptions topts;
     if (options.use_pruning) topts.bounds = &plan.bounds;
+    topts.candidates = &candidates;
     auto translation = TranslateToIlp(aq, topts);
     if (translation.ok()) {
       plan.model_variables = translation->model.num_variables();

@@ -12,6 +12,14 @@ namespace pb::core {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
+
+/// A rounded, nonnegative cardinality quotient as a count, saturated at
+/// `cap`. A quotient such as 1e308 / w is beyond INT64_MAX, where the cast
+/// is undefined (x86 yields INT64_MIN, which "proves" lo > hi).
+int64_t SaturatedCount(double q, int64_t cap) {
+  if (!(q < static_cast<double>(cap))) return cap;
+  return std::min(cap, static_cast<int64_t>(q));
+}
 }  // namespace
 
 std::string CardinalityBounds::ToString() const {
@@ -254,23 +262,27 @@ Result<CardinalityBounds> DeriveCardinalityBounds(
     }
 
     // A package with c occurrences has weighted sum in [c*wmin, c*wmax];
-    // feasible c must satisfy  c*wmin <= hi  and  c*wmax >= lo.
+    // feasible c must satisfy  c*wmin <= hi  and  c*wmax >= lo. Quotients
+    // saturate just past max_occurrences: a larger lower bound is exactly
+    // as infeasible, and a larger upper bound is exactly as loose.
     int64_t c_lo = 0, c_hi = max_occurrences;
+    const int64_t lo_cap =
+        max_occurrences < INT64_MAX ? max_occurrences + 1 : max_occurrences;
 
     // c * wmax >= lo  (lower cardinality bound; the paper's l).
     if (lc.lo != -kInf) {
       if (wmax > kEps) {
         if (lc.lo > 0) {
           c_lo = std::max(
-              c_lo, static_cast<int64_t>(std::ceil(lc.lo / wmax - kEps)));
+              c_lo, SaturatedCount(std::ceil(lc.lo / wmax - kEps), lo_cap));
         }
       } else if (wmax < -kEps) {
         // All weights negative: the sum only decreases with c.
         if (lc.lo > 0) {
           out.infeasible = true;  // positive lower bound unreachable
         } else {
-          c_hi = std::min(
-              c_hi, static_cast<int64_t>(std::floor(lc.lo / wmax + kEps)));
+          c_hi = std::min(c_hi, SaturatedCount(std::floor(lc.lo / wmax + kEps),
+                                               max_occurrences));
         }
       } else {  // wmax ~ 0
         if (lc.lo > kEps) out.infeasible = true;
@@ -283,13 +295,13 @@ Result<CardinalityBounds> DeriveCardinalityBounds(
         if (lc.hi < 0) {
           out.infeasible = true;  // positive-weight sum cannot be negative
         } else {
-          c_hi = std::min(
-              c_hi, static_cast<int64_t>(std::floor(lc.hi / wmin + kEps)));
+          c_hi = std::min(c_hi, SaturatedCount(std::floor(lc.hi / wmin + kEps),
+                                               max_occurrences));
         }
       } else if (wmin < -kEps) {
         if (lc.hi < 0) {
           c_lo = std::max(
-              c_lo, static_cast<int64_t>(std::ceil(lc.hi / wmin - kEps)));
+              c_lo, SaturatedCount(std::ceil(lc.hi / wmin - kEps), lo_cap));
         }
       } else {  // wmin ~ 0
         if (lc.hi < -kEps) out.infeasible = true;

@@ -392,8 +392,12 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   };
 
   // ---- Candidates, weights, rows.
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
+  std::vector<size_t> filtered;
+  if (options.candidates == nullptr) {
+    PB_ASSIGN_OR_RETURN(filtered, db::FilterIndices(*aq.table, aq.query.where));
+  }
+  const std::vector<size_t>& candidates =
+      options.candidates != nullptr ? *options.candidates : filtered;
   const size_t n = candidates.size();
   if (n == 0) {
     // Only the empty package is possible.

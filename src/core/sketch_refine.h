@@ -178,6 +178,11 @@ struct SketchRefineOptions {
   /// result, only the schedule.
   int node_threads = 1;
   solver::MilpOptions milp;
+  /// The rows of aq.table that pass the WHERE clause (ascending, as
+  /// FilterIndices returns them), when the caller already filtered
+  /// (borrowed, read-only). Null = filter here. The result is identical
+  /// either way.
+  const std::vector<size_t>* candidates = nullptr;
 
   // ----- Incremental maintenance (HTAP) ------------------------------------
 

@@ -1,6 +1,7 @@
 #include "core/translator.h"
 
 #include <cmath>
+#include <utility>
 
 #include "db/ops.h"
 
@@ -35,8 +36,12 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
   }
 
   IlpTranslation out;
-  PB_ASSIGN_OR_RETURN(out.candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
+  if (options.candidates != nullptr) {
+    out.candidates = std::move(*options.candidates);
+  } else {
+    PB_ASSIGN_OR_RETURN(out.candidates,
+                        db::FilterIndices(*aq.table, aq.query.where));
+  }
   const size_t n = out.candidates.size();
 
   // Per-tuple weights of each canonical aggregate.

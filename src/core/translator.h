@@ -26,6 +26,13 @@ struct TranslateOptions {
   /// redundant-but-tightening constraint (the §4.1 bounds applied to the
   /// solver path). Ignored when `bounds` is null.
   const CardinalityBounds* bounds = nullptr;
+  /// The rows of aq.table that pass the WHERE clause (ascending, as
+  /// FilterIndices returns them), when the caller already filtered: the
+  /// candidates `bounds` came from. TranslateToIlp moves them into
+  /// IlpTranslation::candidates (leaving *candidates moved-from) instead
+  /// of filtering again. Null = filter here. The translation is identical
+  /// either way.
+  std::vector<size_t>* candidates = nullptr;
 };
 
 /// The translated model plus the variable <-> base-row mapping.

@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/logging.h"
+#include "db/filter.h"
 
 namespace pb::db {
 
@@ -40,13 +41,10 @@ Result<Table> Select(const Table& table, const ExprPtr& pred,
     for (size_t c = 0; c < all.size(); ++c) all[c] = c;
     return table.SelectColumns(all, result_name);
   }
+  PB_ASSIGN_OR_RETURN(std::vector<size_t> rows, FilterIndices(table, pred));
   Table out(result_name, table.schema());
-  ExprPtr bound = pred->Clone();
-  PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
-    if (keep) out.AppendRowFrom(table, i);
-  }
+  out.Reserve(rows.size());
+  for (size_t i : rows) out.AppendRowFrom(table, i);
   return out;
 }
 
@@ -60,6 +58,12 @@ Result<std::vector<size_t>> FilterIndices(const Table& table,
   }
   ExprPtr bound = pred->Clone();
   PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
+  // The predicate's shape picks the path: column-versus-literal trees run
+  // block-at-a-time (db/filter.h); anything else is evaluated row by row.
+  if (std::optional<CompiledFilter> kernel =
+          CompiledFilter::Compile(table, *bound)) {
+    return kernel->Run();
+  }
   for (size_t i = 0; i < table.num_rows(); ++i) {
     PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
     if (keep) out.push_back(i);

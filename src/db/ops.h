@@ -23,8 +23,12 @@ namespace pb::db {
 Result<Table> Select(const Table& table, const ExprPtr& pred,
                      const std::string& result_name = "select");
 
-/// Indices of rows satisfying `pred` (null = all rows). This is the form the
-/// package engine uses: packages reference base tuples by index.
+/// Indices of rows satisfying `pred` (null = all rows), ascending. This is
+/// the form the package engine uses: packages reference base tuples by
+/// index. Column-versus-literal predicates run block-at-a-time with one pin
+/// per spilled block (see db/filter.h), charged to the calling thread's
+/// StorageBudget; other shapes are evaluated row by row. Both paths return
+/// the same rows, and a failed block read is an error, never a non-match.
 Result<std::vector<size_t>> FilterIndices(const Table& table,
                                           const ExprPtr& pred);
 

@@ -414,9 +414,11 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
       std::min(eo.brute_force.time_limit_s, deadline.SecondsRemaining());
 
   // Storage budget: bulk block pins on this thread charge it; 0 means
-  // count-only. Per-cell compatibility reads bypass it by design, so a
-  // tight budget degrades to ResourceExhausted on bulk scans, never to
-  // wrong answers.
+  // count-only. The WHERE scan and the translator's gathers are bulk
+  // reads, so a tight budget degrades to ResourceExhausted, never to a
+  // wrong answer. Only per-cell compatibility reads bypass it, such as
+  // the row-at-a-time filter for predicate shapes the block kernel does
+  // not cover.
   storage::StorageBudget storage_budget =
       storage::StorageBudget::Limited(budget.max_pinned_bytes);
   storage::StorageBudgetScope storage_scope(storage_budget);
@@ -449,9 +451,10 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
           // The maintained HTAP route. Extreme constraints are out of
           // SketchRefine's scope, and spilled tables are append-frozen —
           // both keep the exact path.
-          RunSketchRefinePath(aq, eo, *bounds_or, normalized, &resp);
+          RunSketchRefinePath(aq, eo, *bounds_or, &*candidates_or,
+                              normalized, &resp);
         } else {
-          RunIlpPath(aq, eo, *bounds_or, &resp);
+          RunIlpPath(aq, eo, *bounds_or, &*candidates_or, &resp);
         }
       }
     }
@@ -485,6 +488,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
 void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                                  const core::EvaluationOptions& eo,
                                  const core::CardinalityBounds& bounds,
+                                 std::vector<size_t>* candidates,
                                  const std::string& query_key,
                                  QueryResponse* resp) {
   std::shared_ptr<MaintenanceEntry> entry = GetMaintenanceEntry(query_key);
@@ -494,6 +498,7 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   sro.compute = eo.milp.compute;
   sro.milp = eo.milp;
   sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
+  sro.candidates = candidates;
 
   Stopwatch maintenance_timer;
   const uint64_t generation = catalog_generation_;
@@ -513,7 +518,7 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   }();
   if (!r_or.ok()) {
     if (r_or.status().code() == StatusCode::kUnimplemented) {
-      RunIlpPath(aq, eo, bounds, resp);
+      RunIlpPath(aq, eo, bounds, candidates, resp);
       return;
     }
     resp->strategy = "SketchRefine";
@@ -539,7 +544,7 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     }
     // Approximation came back empty-handed (e.g. backtracking exhausted):
     // fall back to the exact route rather than reporting infeasible.
-    RunIlpPath(aq, eo, bounds, resp);
+    RunIlpPath(aq, eo, bounds, candidates, resp);
     return;
   }
   resp->package = r.package;
@@ -550,9 +555,11 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
 void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
                         const core::EvaluationOptions& eo,
                         const core::CardinalityBounds& bounds,
+                        std::vector<size_t>* candidates,
                         QueryResponse* resp) {
   core::TranslateOptions topts;
   if (eo.use_pruning) topts.bounds = &bounds;
+  topts.candidates = candidates;
   auto translation_or = core::TranslateToIlp(aq, topts);
   if (!translation_or.ok()) {
     if (translation_or.status().code() == StatusCode::kUnimplemented) {

@@ -325,17 +325,22 @@ class Engine {
   QueryResponse Run(const std::string& paql, const QueryBudget& budget,
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
   /// ILP route with warm-start cache; `translatable` already verified.
+  /// `candidates` are the WHERE survivors `bounds` came from; the
+  /// translation takes them over (see core::TranslateOptions).
   void RunIlpPath(const paql::AnalyzedQuery& aq,
                   const core::EvaluationOptions& eo,
-                  const core::CardinalityBounds& bounds, QueryResponse* resp)
+                  const core::CardinalityBounds& bounds,
+                  std::vector<size_t>* candidates, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through the per-query partition state so repeat queries after appends
-  /// re-solve only dirty groups. Falls back to RunIlpPath when the solve
-  /// comes back empty-handed un-cancelled.
+  /// re-solve only dirty groups. Reads `candidates`, and falls back to
+  /// RunIlpPath with them when the solve comes back empty-handed
+  /// un-cancelled.
   void RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                            const core::EvaluationOptions& eo,
                            const core::CardinalityBounds& bounds,
+                           std::vector<size_t>* candidates,
                            const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Fallback route through the QueryEvaluator hybrid.

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -147,6 +148,11 @@ void Server::AcceptLoop() {
       ::close(fd);
       continue;
     }
+    // Replies are small and one per request line. With Nagle on, every
+    // reply after the first of a pipelined batch waits for the client's
+    // delayed ACK (~40 ms on Linux).
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_unique<Connection>();
     conn->fd = fd;
     Connection* raw = conn.get();

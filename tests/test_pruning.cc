@@ -112,6 +112,62 @@ TEST_F(PruningTest, NegativeWeightsGiveUpperBoundFromLo) {
   EXPECT_EQ(b->hi, 2);  // n clamp; the -3/-1 bound would allow 3
 }
 
+// Quotients such as 1e308 / w overflow int64_t; they must saturate at the
+// occurrence count instead of wrapping to a negative bound that "proves"
+// a satisfiable query infeasible.
+TEST_F(PruningTest, HugeFiniteUpperBoundIsNoBound) {
+  CardinalityBounds b = Derive("SUM(calories) <= 1e308");
+  EXPECT_FALSE(b.infeasible);
+  EXPECT_EQ(b.lo, 0);
+  EXPECT_EQ(b.hi, 5);
+}
+
+TEST_F(PruningTest, UpperBoundPastInt64IsNoBound) {
+  // 1e19 / 0.5 = 2e19 > INT64_MAX.
+  db::Table small("small", db::Schema({{"w", db::ValueType::kDouble}}));
+  ASSERT_TRUE(small.Append({db::Value::Double(0.5)}).ok());
+  ASSERT_TRUE(small.Append({db::Value::Double(2)}).ok());
+  db::Catalog c;
+  c.RegisterOrReplace(std::move(small));
+  auto aq = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(S) FROM small S SUCH THAT SUM(w) <= 1e19", c);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  auto b = DeriveCardinalityBounds(*aq, {0, 1});
+  ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(b->infeasible);
+  EXPECT_EQ(b->lo, 0);
+  EXPECT_EQ(b->hi, 2);
+}
+
+TEST_F(PruningTest, HugeNegativeBoundsWithNegativeWeights) {
+  db::Table neg("neg", db::Schema({{"w", db::ValueType::kDouble}}));
+  ASSERT_TRUE(neg.Append({db::Value::Double(-2)}).ok());
+  ASSERT_TRUE(neg.Append({db::Value::Double(-1)}).ok());
+  db::Catalog c;
+  c.RegisterOrReplace(std::move(neg));
+  // c * (-1) >= -1e308 allows 1e308 occurrences: no bound.
+  auto loose = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(N) FROM neg N SUCH THAT SUM(w) >= -1e308", c);
+  ASSERT_TRUE(loose.ok()) << loose.status().ToString();
+  auto b = DeriveCardinalityBounds(*loose, {0, 1});
+  ASSERT_TRUE(b.ok());
+  EXPECT_FALSE(b->infeasible);
+  EXPECT_EQ(b->lo, 0);
+  EXPECT_EQ(b->hi, 2);
+  // c * (-2) <= -1e308 needs 5e307 occurrences: still infeasible.
+  auto unreachable = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(N) FROM neg N SUCH THAT SUM(w) <= -1e308", c);
+  ASSERT_TRUE(unreachable.ok()) << unreachable.status().ToString();
+  auto u = DeriveCardinalityBounds(*unreachable, {0, 1});
+  ASSERT_TRUE(u.ok());
+  EXPECT_TRUE(u->infeasible);
+}
+
+TEST_F(PruningTest, HugeFiniteLowerBoundStaysInfeasible) {
+  // ceil(1e308 / 500) occurrences exceed the 5 available.
+  EXPECT_TRUE(Derive("SUM(calories) >= 1e308").infeasible);
+}
+
 TEST_F(PruningTest, MixedSignWeightsGiveNoBounds) {
   // delta spans [-5, 8]: a bounded SUM(delta) window prunes nothing.
   CardinalityBounds b = Derive("SUM(delta) BETWEEN -100 AND 100");

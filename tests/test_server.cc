@@ -14,7 +14,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <set>
 #include <string>
@@ -241,6 +243,25 @@ class LineClient {
     }
   }
 
+  /// Reads `n` envelopes with bulk reads ({} on EOF): cheaper than `n`
+  /// RecvLine calls when timing matters.
+  std::vector<std::string> RecvLines(int n) {
+    std::vector<std::string> lines;
+    std::string pending;
+    char buf[4096];
+    while (static_cast<int>(lines.size()) < n) {
+      const ssize_t got = ::recv(fd_, buf, sizeof(buf), 0);
+      if (got <= 0) return {};
+      pending.append(buf, static_cast<size_t>(got));
+      for (size_t nl = pending.find('\n'); nl != std::string::npos;
+           nl = pending.find('\n')) {
+        lines.push_back(pending.substr(0, nl));
+        pending.erase(0, nl + 1);
+      }
+    }
+    return lines;
+  }
+
   json::Value Roundtrip(const std::string& line) {
     if (!SendLine(line)) return json::Value::Null();
     auto v = json::Parse(RecvLine());
@@ -271,6 +292,59 @@ TEST(ServerTest, ServesQueriesOverLoopback) {
   json::Value bad = client.Roundtrip("garbage");
   EXPECT_FALSE(bad.GetBool("ok"));
   EXPECT_EQ(ErrorCode(bad), "ParseError");
+  server.Stop();
+}
+
+TEST(ServerTest, PipelinedRepliesAreNotHeldForDelayedAcks) {
+  // Eight cached queries in one write; the server answers each request
+  // line with its own small reply. With Nagle on, every reply after the
+  // first waits for the client's delayed ACK, so a round takes 40 ms or
+  // more, while the same eight queries sent one at a time take well under
+  // a millisecond (more under sanitizers, hence the comparison).
+  auto engine = MakeEngine();
+  Server server(engine.get(), {});
+  ASSERT_TRUE(server.Start().ok());
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string query =
+      R"js({"op":"query","paql":"SELECT PACKAGE(R) FROM recipes R SUCH )js"
+      R"js(THAT COUNT(*) = 3 AND SUM(calories) BETWEEN 2000 AND 2500 )js"
+      R"js(MAXIMIZE SUM(protein)"})js";
+  ASSERT_TRUE(client.Roundtrip(query).GetBool("ok"));  // now cached
+
+  constexpr int kPipelined = 8;
+  std::string batch = query;
+  for (int i = 1; i < kPipelined; ++i) batch += "\n" + query;
+  auto ms_since = [](std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  std::vector<double> pipelined_ms, sequential_ms;
+  for (int round = 0; round < 7; ++round) {
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < kPipelined; ++i) {
+      ASSERT_TRUE(client.Roundtrip(query).GetBool("ok"));
+    }
+    sequential_ms.push_back(ms_since(start));
+
+    start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.SendLine(batch));
+    const std::vector<std::string> replies = client.RecvLines(kPipelined);
+    ASSERT_EQ(replies.size(), static_cast<size_t>(kPipelined));
+    pipelined_ms.push_back(ms_since(start));
+    for (const std::string& line : replies) {
+      auto reply = json::Parse(line);
+      ASSERT_TRUE(reply.ok() && reply->GetBool("ok"));
+    }
+  }
+  // Medians, so one slow round on a loaded host cannot decide it.
+  std::sort(sequential_ms.begin(), sequential_ms.end());
+  std::sort(pipelined_ms.begin(), pipelined_ms.end());
+  EXPECT_LT(pipelined_ms[3], sequential_ms[3] + 20.0)
+      << "pipelined rounds " << pipelined_ms.front() << "-"
+      << pipelined_ms.back() << " ms, sequential "
+      << sequential_ms.front() << "-" << sequential_ms.back() << " ms";
   server.Stop();
 }
 

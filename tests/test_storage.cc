@@ -1,8 +1,10 @@
 // Tests for the out-of-core storage subsystem: zone maps, segment-file
 // round trips, spilled-column bit-identity, block-cache eviction, storage
-// budgets, and the end-to-end out-of-core engine acceptance scenario
+// budgets, the end-to-end out-of-core engine acceptance scenario
 // (spilled lineitem under a cache smaller than the data solves
-// bit-identically to the resident baseline, with zone-map skips observed).
+// bit-identically to the resident baseline, with zone-map skips observed),
+// and the WHERE scan over spilled tables: a corrupt block is an error, the
+// scan is charged to the query budget, and every route scans once.
 
 #include <gtest/gtest.h>
 
@@ -12,10 +14,18 @@
 #include <string>
 #include <vector>
 
+#include "core/enumerator.h"
+#include "core/evaluator.h"
+#include "core/explain.h"
+#include "core/sketch_refine.h"
+#include "core/translator.h"
 #include "datagen/lineitem.h"
+#include "db/catalog.h"
 #include "db/column.h"
+#include "db/ops.h"
 #include "db/table.h"
 #include "engine/engine.h"
+#include "paql/analyzer.h"
 #include "storage/block.h"
 #include "storage/block_cache.h"
 #include "storage/segment_file.h"
@@ -522,6 +532,183 @@ TEST(OutOfCoreEngineTest, QueryBudgetLimitsPinnedBytes) {
   engine::QueryResponse solved = engine.ExecuteQuery(0, paql, roomy);
   ASSERT_TRUE(solved.ok()) << solved.status.ToString();
   EXPECT_GT(solved.storage_peak_pinned_bytes, 0);
+}
+
+// ----- The WHERE scan over spilled tables ------------------------------------
+
+TEST(OutOfCoreEngineTest, CorruptWhereBlockIsAnErrorNotInfeasible) {
+  // 64 rows spilled at block size 64: one block per column, column a's
+  // first. Flip one payload byte of it.
+  const std::string path = TempPath("where_corrupt.seg");
+  db::Table table("items", db::Schema({{"a", db::ValueType::kInt},
+                                       {"b", db::ValueType::kInt}}));
+  for (int r = 0; r < 64; ++r) {
+    table.AppendUnchecked({db::Value::Int(r % 8), db::Value::Int(r)});
+  }
+  storage::BlockCache cache(0);
+  ASSERT_TRUE(table.SpillToDisk(path, /*block_size=*/64, &cache).ok());
+  {
+    // A 16-byte file header, then the block's 72-byte header.
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, 16 + 72, SEEK_SET), 0);
+    const char x = 0x5A;
+    ASSERT_EQ(std::fwrite(&x, 1, 1, f), 1u);
+    std::fclose(f);
+  }
+  engine::Engine engine;
+  ASSERT_TRUE(engine.RegisterTable(std::move(table)).ok());
+  engine::QueryResponse r = engine.ExecuteQuery(
+      0, "SELECT PACKAGE(I) FROM items I WHERE I.a <= 4 SUCH THAT COUNT(*) = 3");
+  // The unreadable block must not read as "no row matches".
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+}
+
+TEST(OutOfCoreEngineTest, WhereScanIsChargedToTheQueryBudget) {
+  engine::Engine engine;
+  db::Table table = datagen::GenerateLineitems(200, 3);
+  storage::BlockCache cache(0);
+  ASSERT_TRUE(
+      table.SpillToDisk(TempPath("lineitem_where_budget.seg"), 32, &cache)
+          .ok());
+  ASSERT_TRUE(engine.RegisterTable(std::move(table)).ok());
+  // Only the WHERE clause reads a column: COUNT(*) needs no weights.
+  const std::string paql =
+      "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 "
+      "SUCH THAT COUNT(*) = 3";
+
+  engine::QueryBudget tight;
+  tight.max_pinned_bytes = 1;  // below one block
+  engine::QueryResponse refused = engine.ExecuteQuery(0, paql, tight);
+  EXPECT_EQ(refused.status.code(), StatusCode::kResourceExhausted)
+      << refused.status.ToString();
+  EXPECT_TRUE(refused.package.rows.empty());
+
+  engine::QueryBudget roomy;
+  roomy.max_pinned_bytes = 64 << 20;
+  engine::QueryResponse solved = engine.ExecuteQuery(0, paql, roomy);
+  ASSERT_TRUE(solved.ok()) << solved.status.ToString();
+  EXPECT_GT(solved.storage_peak_pinned_bytes, 0);
+}
+
+/// Block pins `fn` takes through `cache` (hits + misses).
+template <typename Fn>
+uint64_t PinsOf(const storage::BlockCache& cache, Fn&& fn) {
+  const storage::BlockCacheStats before = cache.stats();
+  fn();
+  const storage::BlockCacheStats after = cache.stats();
+  return (after.hits + after.misses) - (before.hits + before.misses);
+}
+
+TEST(OutOfCoreEngineTest, EveryRouteScansTheWhereClauseOnce) {
+  // Nothing but the WHERE clause reads a column (COUNT(*) weighs 1), so a
+  // route that filters once pins exactly what one FilterIndices pins.
+  const std::string paql =
+      "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 AND "
+      "L.quantity >= 10 SUCH THAT COUNT(*) <= 3 MAXIMIZE COUNT(*)";
+  storage::BlockCache cache(0);
+  db::Catalog catalog;
+  {
+    db::Table table = datagen::GenerateLineitems(300, 5);
+    ASSERT_TRUE(
+        table.SpillToDisk(TempPath("lineitem_once.seg"), 32, &cache).ok());
+    catalog.RegisterOrReplace(std::move(table));
+  }
+  auto aq = paql::ParseAndAnalyze(paql, catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  const uint64_t scan = PinsOf(cache, [&] {
+    ASSERT_TRUE(db::FilterIndices(*aq->table, aq->query.where).ok());
+  });
+  ASSERT_GT(scan, 0u);
+
+  EXPECT_EQ(PinsOf(cache,
+                   [&] {
+                     core::QueryEvaluator evaluator(&catalog);
+                     auto r = evaluator.Evaluate(*aq);
+                     ASSERT_TRUE(r.ok()) << r.status().ToString();
+                     EXPECT_EQ(r->strategy_used, core::Strategy::kIlpSolver);
+                   }),
+            scan);
+  EXPECT_EQ(PinsOf(cache, [&] { ASSERT_TRUE(core::ExplainQuery(*aq).ok()); }),
+            scan);
+  EXPECT_EQ(PinsOf(cache,
+                   [&] {
+                     core::EnumerateOptions opts;
+                     opts.max_packages = 2;
+                     ASSERT_TRUE(core::EnumerateViaSolver(*aq, opts).ok());
+                   }),
+            scan);
+
+  // The engine's ILP route (spilled tables never take the maintained one).
+  engine::Engine engine;
+  {
+    db::Table table = datagen::GenerateLineitems(300, 5);
+    ASSERT_TRUE(
+        table.SpillToDisk(TempPath("lineitem_once_engine.seg"), 32, &cache)
+            .ok());
+    ASSERT_TRUE(engine.RegisterTable(std::move(table)).ok());
+  }
+  EXPECT_EQ(PinsOf(cache,
+                   [&] {
+                     engine::QueryResponse r = engine.ExecuteQuery(0, paql);
+                     ASSERT_TRUE(r.ok()) << r.status.ToString();
+                     EXPECT_EQ(r.strategy, "IlpSolver");
+                   }),
+            scan);
+}
+
+TEST(OutOfCoreEngineTest, BorrowedCandidatesSkipTheScan) {
+  // TranslateToIlp and SketchRefine given the candidates save exactly one
+  // scan and build the same answer.
+  const std::string paql =
+      "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 "
+      "SUCH THAT COUNT(*) = 4 AND SUM(quantity) <= 100 MAXIMIZE SUM(revenue)";
+  storage::BlockCache cache(0);
+  db::Catalog catalog;
+  {
+    db::Table table = datagen::GenerateLineitems(300, 9);
+    ASSERT_TRUE(
+        table.SpillToDisk(TempPath("lineitem_borrow.seg"), 32, &cache).ok());
+    catalog.RegisterOrReplace(std::move(table));
+  }
+  auto aq = paql::ParseAndAnalyze(paql, catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  auto filtered = db::FilterIndices(*aq->table, aq->query.where);
+  ASSERT_TRUE(filtered.ok());
+  const uint64_t scan = PinsOf(cache, [&] {
+    ASSERT_TRUE(db::FilterIndices(*aq->table, aq->query.where).ok());
+  });
+
+  Result<core::IlpTranslation> own = Status::Internal("not run");
+  Result<core::IlpTranslation> given = Status::Internal("not run");
+  const uint64_t own_pins =
+      PinsOf(cache, [&] { own = core::TranslateToIlp(*aq); });
+  std::vector<size_t> candidates = *filtered;
+  core::TranslateOptions topts;
+  topts.candidates = &candidates;
+  const uint64_t given_pins =
+      PinsOf(cache, [&] { given = core::TranslateToIlp(*aq, topts); });
+  ASSERT_TRUE(own.ok() && given.ok());
+  EXPECT_EQ(given_pins + scan, own_pins);
+  EXPECT_EQ(given->candidates, own->candidates);
+  EXPECT_EQ(given->model.StructuralSignature(),
+            own->model.StructuralSignature());
+
+  Result<core::SketchRefineResult> sr_own = Status::Internal("not run");
+  Result<core::SketchRefineResult> sr_given = Status::Internal("not run");
+  core::SketchRefineOptions sro;
+  sro.partition_size = 16;
+  const uint64_t sr_own_pins =
+      PinsOf(cache, [&] { sr_own = core::SketchRefine(*aq, sro); });
+  sro.candidates = &*filtered;
+  const uint64_t sr_given_pins =
+      PinsOf(cache, [&] { sr_given = core::SketchRefine(*aq, sro); });
+  ASSERT_TRUE(sr_own.ok() && sr_given.ok());
+  EXPECT_EQ(sr_given_pins + scan, sr_own_pins);
+  EXPECT_EQ(sr_given->package.rows, sr_own->package.rows);
+  EXPECT_EQ(sr_given->package.multiplicity, sr_own->package.multiplicity);
+  EXPECT_EQ(sr_given->objective, sr_own->objective);
 }
 
 }  // namespace
