@@ -201,10 +201,12 @@ RowActivityBounds RowActivityUnder(const LpModel& model, int row,
 /// way fixes every remaining binary to 0 at once. Returns false when a
 /// row's activity range can no longer meet its bounds: the child is
 /// infeasible and needs no LP at all. `tightened` counts bound changes
-/// beyond the branched one.
-bool PropagateBranchedBound(const LpModel& model, int changed_var,
-                            double old_lb, double old_ub, double int_tol,
-                            Bounds* bounds,
+/// beyond the branched one. `row_move[r]` is row r's largest single-term
+/// move over the root bounds (see SolveMilp).
+bool PropagateBranchedBound(const LpModel& model,
+                            const std::vector<double>& row_move,
+                            int changed_var, double old_lb, double old_ub,
+                            double int_tol, Bounds* bounds,
                             std::vector<RowActivityBounds>* acts,
                             int64_t* tightened) {
   constexpr double kFeasEps = 1e-7;
@@ -269,6 +271,16 @@ bool PropagateBranchedBound(const LpModel& model, int changed_var,
       return false;  // the row cannot be satisfied: infeasible child
     }
     if (--row_budget < 0) continue;
+    // A term tightens its bound only when one of the row's slacks is
+    // smaller than the term's own move |a| * (ub - lb) under the bounds
+    // `acts` reflects, and those widths never exceed the root's. The
+    // relative margin keeps the skip clear of rounding in the scan below,
+    // and a skipped row is still charged to the budget above, so
+    // skipping changes nothing.
+    const double move = row_move[r];
+    const double margin =
+        move + 1e-9 * (std::abs(ra.min) + std::abs(ra.max) + move);
+    if (con.hi - ra.min > margin && ra.max - con.lo > margin) continue;
 
     for (const LinearTerm& t : con.terms) {
       if (!model.variable(t.var).is_integer) continue;
@@ -474,6 +486,20 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       }
     }
   }
+  // Each row's largest single-term move, max |a_ij| * (ub_j - lb_j) over
+  // its integer columns at the root. Bounds only narrow down the tree, so
+  // this caps every term's move at every node (PropagateBranchedBound).
+  std::vector<double> row_move;
+  if (presolve_enabled) {
+    row_move.assign(model.num_constraints(), 0.0);
+    for (int i = 0; i < model.num_constraints(); ++i) {
+      for (const LinearTerm& t : model.constraint(i).terms) {
+        if (!model.variable(t.var).is_integer) continue;
+        const auto& [lo, hi] = root_bounds[t.var];
+        row_move[i] = std::max(row_move[i], std::abs(t.coeff) * (hi - lo));
+      }
+    }
+  }
 
   // ---- Speculative parallelism (see MilpOptions::num_threads). The open
   // heap and every commit stay on this thread; helpers only pre-solve LPs
@@ -563,11 +589,20 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     if (frontier_scratch.size() > frontier_width) {
       frontier_scratch.resize(frontier_width);
     }
+    // Wake one helper per node still up for grabs, not every helper: a
+    // node LP takes about as long as a wake-up, and helpers woken for no
+    // work only contend with this thread for the lock and the cores.
+    int idle = 0;
     {
       MutexLock lock(&spec.mu);
       spec.frontier = frontier_scratch;
+      for (const OpenNodePtr& cand : spec.frontier) {
+        if (cand->spec == OpenNode::Spec::kIdle && !cand->dead) ++idle;
+      }
     }
-    spec.work_cv.NotifyAll();
+    for (int k = std::min(idle, num_threads - 1); k > 0; --k) {
+      spec.work_cv.NotifyOne();
+    }
   };
 
   {
@@ -799,9 +834,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     bool push_down = down->node.bounds[branch_var].first <=
                      down->node.bounds[branch_var].second;
     if (push_down && presolve_enabled &&
-        !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &down->node.bounds,
-                                &down->node.acts,
+        !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
+                                parent_ub, options.int_tol,
+                                &down->node.bounds, &down->node.acts,
                                 &result.presolve_fixed_bounds)) {
       ++result.presolve_infeasible_children;
       push_down = false;
@@ -820,9 +855,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     bool push_up =
         up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
     if (push_up && presolve_enabled &&
-        !PropagateBranchedBound(model, branch_var, parent_lb, parent_ub,
-                                options.int_tol, &up->node.bounds,
-                                &up->node.acts,
+        !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
+                                parent_ub, options.int_tol,
+                                &up->node.bounds, &up->node.acts,
                                 &result.presolve_fixed_bounds)) {
       ++result.presolve_infeasible_children;
       push_up = false;

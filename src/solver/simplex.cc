@@ -323,6 +323,14 @@ class Simplex {
     return true;
   }
 
+  /// Nonbasic with room to move. A fixed column (lb == ub, e.g. a binary
+  /// that node presolve fixed or an equality row's slack) can take no step
+  /// in either direction, so it is dual feasible at any reduced cost and is
+  /// never priced in, never a dual ratio-test candidate, and never flipped.
+  bool CanMove(int j) const {
+    return stat_[j] != VarStat::kBasic && lb_[j] < ub_[j];
+  }
+
   double Violation(int j) const {
     if (x_[j] < lb_[j]) return lb_[j] - x_[j];
     if (x_[j] > ub_[j]) return x_[j] - ub_[j];
@@ -505,7 +513,7 @@ class Simplex {
         enter_dir = 0;
         double best_score = 0.0;
         for (int j = 0; j < total_; ++j) {
-          if (stat_[j] == VarStat::kBasic) continue;
+          if (!CanMove(j)) continue;
           double d = d_[j];
           int dir = 0;
           if (stat_[j] == VarStat::kAtLower && d < -opts_.opt_tol) {
@@ -669,6 +677,22 @@ class Simplex {
     }
   }
 
+  /// A dual ratio-test breakpoint.
+  struct Cand {
+    int j;
+    double a;      // priced pivot-row coefficient
+    double ratio;  // dual ratio d_j / (s * a_j), clamped >= 0
+  };
+
+  /// Heap order of the breakpoints: true when x is walked after y. The walk
+  /// goes by ratio, then larger |a| (pivot stability), then lower index;
+  /// the index makes this a strict total order.
+  static bool BreaksAfter(const Cand& x, const Cand& y) {
+    if (x.ratio != y.ratio) return x.ratio > y.ratio;
+    if (std::abs(x.a) != std::abs(y.a)) return std::abs(x.a) < std::abs(y.a);
+    return x.j > y.j;
+  }
+
   /// How a dual-simplex run ended.
   enum class DualOutcome {
     kPrimalFeasible,  ///< all basics back in bounds: optimal up to tolerance
@@ -679,7 +703,8 @@ class Simplex {
 
   /// True when the current basis satisfies the phase-2 optimality (= dual
   /// feasibility) conditions: nonbasic-at-lower reduced costs nonnegative,
-  /// at-upper nonpositive, free near zero. The entry gate for the dual
+  /// at-upper nonpositive, free near zero; a fixed column is dual feasible
+  /// at any reduced cost (see CanMove). The entry gate for the dual
   /// simplex; the tolerance is looser than opt_tol because the inherited
   /// basis was refactorized from scratch. Leaves d_ freshly computed for
   /// the dual loop.
@@ -687,7 +712,7 @@ class Simplex {
     RecomputeReducedCosts(/*phase1=*/false);
     const double tol = 100.0 * opts_.opt_tol;
     for (int j = 0; j < total_; ++j) {
-      if (stat_[j] == VarStat::kBasic) continue;
+      if (!CanMove(j)) continue;
       double d = d_[j];
       switch (stat_[j]) {
         case VarStat::kAtLower:
@@ -753,17 +778,12 @@ class Simplex {
       // then only the columns the row actually touches (z_pattern_) are
       // candidates — the old dense scan priced every nonbasic column.
       // Eligibility keeps the basic moving toward its violated bound;
-      // walking the ratio-sorted candidates keeps every reduced cost on
+      // walking the candidates in ratio order keeps every reduced cost on
       // its feasible side after the step.
       ComputePivotRow(leave_row);
-      struct Cand {
-        int j;
-        double a;      // priced pivot-row coefficient
-        double ratio;  // dual ratio d_j / (s * a_j), clamped >= 0
-      };
-      std::vector<Cand> cands;
+      cands_.clear();
       for (int j : z_pattern_) {
-        if (stat_[j] == VarStat::kBasic) continue;
+        if (!CanMove(j)) continue;
         double a = z_[j];
         double sa = s * a;
         bool eligible;
@@ -780,20 +800,19 @@ class Simplex {
         // at-upper: d <= 0, sa < 0; free: d ~ 0); clamp entry-tolerance
         // slack so degenerate steps stay degenerate.
         double ratio = stat_[j] == VarStat::kFree ? std::abs(d / sa) : d / sa;
-        cands.push_back({j, a, std::max(ratio, 0.0)});
+        cands_.push_back({j, a, std::max(ratio, 0.0)});
       }
 
       // The signed excursion the step must absorb.
       double delta = x_[leave] - target;
       int enter = -1;
-      // Bound flips collected by the ratio test: (column, signed step).
-      std::vector<std::pair<int, double>> flips;
+      flips_.clear();
       if (bland) {
         // Anti-cycling: plain min-ratio with lowest index on ties, no
         // flips (the termination argument wants one pivot per iteration).
         // z_pattern_ is not index-sorted, so the tie-break is explicit.
         double best_ratio = kInf;
-        for (const Cand& c : cands) {
+        for (const Cand& c : cands_) {
           if (c.ratio < best_ratio - 1e-12 ||
               (c.ratio < best_ratio + 1e-12 && enter >= 0 && c.j < enter)) {
             best_ratio = std::min(best_ratio, c.ratio);
@@ -809,15 +828,14 @@ class Simplex {
         // and the first candidate that can absorb the rest becomes the
         // pivot column. On 0/1 package models this replaces strings of
         // single-bound dual pivots with one pivot plus cheap flips.
-        std::sort(cands.begin(), cands.end(),
-                  [](const Cand& x, const Cand& y) {
-                    if (x.ratio != y.ratio) return x.ratio < y.ratio;
-                    if (std::abs(x.a) != std::abs(y.a)) {
-                      return std::abs(x.a) > std::abs(y.a);
-                    }
-                    return x.j < y.j;
-                  });
-        for (const Cand& c : cands) {
+        // The walk usually stops after a few breakpoints, so they are
+        // popped off a heap rather than fully sorted; BreaksAfter is a
+        // strict total order, so the pops follow exactly the order a full
+        // sort would give.
+        std::make_heap(cands_.begin(), cands_.end(), BreaksAfter);
+        for (auto end = cands_.end(); end != cands_.begin(); --end) {
+          std::pop_heap(cands_.begin(), end, BreaksAfter);
+          const Cand& c = *(end - 1);
           double dx = delta / c.a;
           double range = ub_[c.j] - lb_[c.j];
           if (stat_[c.j] == VarStat::kFree ||
@@ -826,7 +844,7 @@ class Simplex {
             break;
           }
           double t = dx > 0 ? range : -range;
-          flips.push_back({c.j, t});
+          flips_.push_back({c.j, t});
           // |a * t| < |delta|: the excursion shrinks but keeps its sign.
           delta -= c.a * t;
         }
@@ -863,7 +881,7 @@ class Simplex {
       // opposite bound and shifts every basic accordingly (an Ftran per
       // flip, but no pricing pass and no basis change — far cheaper than
       // the dual pivots they replace).
-      for (const auto& [fj, t] : flips) {
+      for (const auto& [fj, t] : flips_) {
         FtranColumn(fj, &fcol_);
         for (int i = 0; i < m_; ++i) x_[basis_[i]] -= fcol_[i] * t;
         x_[fj] = t > 0 ? ub_[fj] : lb_[fj];
@@ -926,6 +944,9 @@ class Simplex {
   std::vector<int> z_mark_;     ///< stamp per column: z_[j] valid this row
   std::vector<int> z_pattern_;  ///< columns touched by the current row
   int z_stamp_ = 0;
+  std::vector<Cand> cands_;     ///< dual ratio-test breakpoints (heap)
+  /// Bound flips chosen by the dual ratio test: (column, signed step).
+  std::vector<std::pair<int, double>> flips_;
 
  public:
   void set_bland_threshold(int64_t t) { bland_threshold_ = t; }

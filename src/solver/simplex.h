@@ -34,6 +34,15 @@
 // feasibility (= optimality) is maintained throughout, so the follow-up
 // primal phases exit immediately. A dual run that hits numerical trouble
 // falls back to the cold primal path before ever concluding infeasible.
+//
+// Only columns that can move cost work. A fixed column (lb == ub: a binary
+// that branching or node presolve pinned, an equality row's slack) is dual
+// feasible at any reduced cost, so primal pricing never enters it, the
+// dual ratio test never lists it, the dual entry check ignores it, and it
+// is never flipped. The bound-flipping ratio test pops its breakpoints off
+// a heap ordered by (ratio, larger |a|, lower index). That is a strict
+// total order, so the walk meets them in exactly the order a full sort
+// would give, and it stops at the first one that can pivot.
 
 #ifndef PB_SOLVER_SIMPLEX_H_
 #define PB_SOLVER_SIMPLEX_H_
@@ -82,6 +91,12 @@ struct LpSolution {
   std::vector<double> x;
   /// Objective under the model's sense; valid when kOptimal.
   double objective = 0.0;
+  /// Primal pivots and bound flips plus dual pivots. A fixed column never
+  /// costs one: it is never priced in or flipped. On package models, where
+  /// node presolve fixes most binaries of a child, zero-length flips of
+  /// fixed columns would otherwise be about 10 of every 11 iterations, so
+  /// lp_iterations totals built from this counter read about 11x lower for
+  /// the same search.
   int64_t iterations = 0;
   /// Subset of `iterations` spent in the dual simplex (0 for cold solves
   /// and for warm starts repaired by the primal phase 1).

@@ -129,6 +129,44 @@ TEST(DualSimplexTest, KnobOffReproducesPrimalRepairExactly) {
   EXPECT_LE(dual->iterations, primal->iterations);
 }
 
+TEST(DualSimplexTest, FixedColumnsCostNoIterations) {
+  // The child node presolve hands the LP after a COUNT row saturates: one
+  // fractional column branched up, and every zero-valued nonbasic column
+  // fixed at 0. A fixed column can never move, so the dual re-solve must
+  // spend every iteration on a dual pivot: no zero-length bound flips, and
+  // no primal iterations afterwards to undo them.
+  for (uint64_t seed : {11u, 31u}) {
+    LpModel m = PackageModel(200, seed, /*integer=*/false);
+    auto parent = SolveLp(m);
+    ASSERT_TRUE(parent.ok());
+    ASSERT_EQ(parent->status, LpStatus::kOptimal);
+    int pick = FractionalVariable(m, parent->x);
+    ASSERT_GE(pick, 0) << "seed " << seed;
+    auto bounds = ChildBounds(m, pick, 1.0, 1.0);
+    for (int j = 0; j < m.num_variables(); ++j) {
+      if (j != pick && parent->basis.stat[j] != VarStat::kBasic &&
+          parent->x[j] == 0.0) {
+        bounds[j] = {0.0, 0.0};
+      }
+    }
+
+    auto cold = SolveLp(m, {}, &bounds);
+    auto warm = SolveLp(m, {}, &bounds, &parent->basis);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(cold->status, LpStatus::kOptimal) << "seed " << seed;
+    ASSERT_EQ(warm->status, LpStatus::kOptimal) << "seed " << seed;
+    EXPECT_GT(warm->dual_iterations, 0) << "seed " << seed;
+    EXPECT_EQ(warm->iterations, warm->dual_iterations)
+        << "seed " << seed << ": fixed columns must cost no iteration";
+    EXPECT_NEAR(warm->objective, cold->objective, 1e-7) << "seed " << seed;
+    for (size_t j = 0; j < warm->x.size(); ++j) {
+      EXPECT_NEAR(warm->x[j], cold->x[j], 1e-7)
+          << "seed " << seed << " x[" << j << "]";
+    }
+  }
+}
+
 TEST(DualSimplexTest, InfeasibleChildIsProvenNotFaked) {
   // Fix all but three variables to zero: COUNT(*) = 5 becomes impossible,
   // and the dual simplex must prove it (matching the cold verdict) rather
