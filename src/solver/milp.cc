@@ -126,8 +126,11 @@ struct SpecPool {
 
 /// Helper-thread body: repeatedly claim the best idle frontier node that
 /// still beats the published incumbent, solve its LP, and post the result
-/// into the node's slot.
+/// into the node's slot. Each helper owns its LP workspace; a node LP is a
+/// pure function of the node's inputs, so which workspace solves it never
+/// shows in the result.
 void SpeculationLoop(SpecPool* pool) {
+  LpSolver lp_solver(*pool->model, pool->base_lp);
   MutexLock lock(&pool->mu);
   for (;;) {
     if (pool->stop) return;
@@ -151,16 +154,12 @@ void SpeculationLoop(SpecPool* pool) {
     pick->spec = OpenNode::Spec::kClaimed;
     lock.Unlock();
 
-    SimplexOptions lp_opts = pool->base_lp;
-    if (pick->node.lp_limit_boost > 0) {
-      lp_opts.max_iterations = pool->base_lp_limit
-                               << pick->node.lp_limit_boost;
-    }
     const LpBasis* start = pool->warm_enabled && !pick->node.basis.empty()
                                ? &pick->node.basis
                                : nullptr;
     Result<LpSolution> r =
-        SolveLp(*pool->model, lp_opts, &pick->node.bounds, start);
+        lp_solver.Solve(&pick->node.bounds, start,
+                        pool->base_lp_limit << pick->node.lp_limit_boost);
     pool->speculative_lps.fetch_add(1, std::memory_order_relaxed);
 
     lock.Lock();
@@ -174,20 +173,36 @@ void SpeculationLoop(SpecPool* pool) {
   }
 }
 
-/// Recomputes one row's activity range from scratch under `bounds` (the
-/// fallback when infinite contributions make the incremental form
-/// ill-defined).
+/// Recomputes one row's activity range from scratch under the bounds
+/// `bounds_of(v)` gives each variable (the fallback when infinite
+/// contributions make the incremental form ill-defined).
+template <typename BoundsOf>
 RowActivityBounds RowActivityUnder(const LpModel& model, int row,
-                                   const Bounds& bounds) {
+                                   const BoundsOf& bounds_of) {
   double lo = 0.0, hi = 0.0;
   for (const LinearTerm& t : model.constraint(row).terms) {
-    RowActivityBounds r =
-        TermActivityRange(t.coeff, bounds[t.var].first, bounds[t.var].second);
+    const auto& [lb, ub] = bounds_of(t.var);
+    RowActivityBounds r = TermActivityRange(t.coeff, lb, ub);
     lo += r.min;
     hi += r.max;
   }
   return {lo, hi};
 }
+
+/// Node presolve's scratch, sized once per solve and reused by every
+/// PropagateBranchedBound call. Between calls every flag is zero and both
+/// queues are empty.
+struct PresolveScratch {
+  PresolveScratch() = default;
+  PresolveScratch(int num_vars, int num_rows)
+      : var_queued(num_vars, 0), row_queued(num_rows, 0), saved(num_vars) {}
+
+  std::vector<int> var_queue, row_queue;
+  std::vector<char> var_queued, row_queued;
+  /// saved[v], while v is queued: the bounds `acts` still reflects for v
+  /// (its bounds before the tightening that queued it).
+  Bounds saved;
+};
 
 /// Node presolve: propagates a branched bound through the row activity
 /// ranges. On entry `bounds` holds the child's bounds with `changed_var`
@@ -202,27 +217,44 @@ RowActivityBounds RowActivityUnder(const LpModel& model, int row,
 /// row's activity range can no longer meet its bounds: the child is
 /// infeasible and needs no LP at all. `tightened` counts bound changes
 /// beyond the branched one. `row_move[r]` is row r's largest single-term
-/// move over the root bounds (see SolveMilp).
+/// move over the root bounds (see SolveMilp). `scratch` is borrowed and
+/// left as found.
 bool PropagateBranchedBound(const LpModel& model,
                             const std::vector<double>& row_move,
                             int changed_var, double old_lb, double old_ub,
                             double int_tol, Bounds* bounds,
                             std::vector<RowActivityBounds>* acts,
-                            int64_t* tightened) {
+                            int64_t* tightened, PresolveScratch* scratch) {
   constexpr double kFeasEps = 1e-7;
   const auto& vrows = model.variable_rows();
   const int m = model.num_constraints();
+  std::vector<int>& var_queue = scratch->var_queue;
+  std::vector<int>& row_queue = scratch->row_queue;
+  std::vector<char>& var_queued = scratch->var_queued;
+  std::vector<char>& row_queued = scratch->row_queued;
 
-  // Per-variable bounds currently folded into `acts`. A tightened variable
-  // goes onto the queue; popping it folds the delta into its rows.
-  Bounds reflected = *bounds;
-  reflected[changed_var] = {old_lb, old_ub};
-
-  std::vector<int> var_queue = {changed_var};
-  std::vector<char> var_queued(bounds->size(), 0);
-  var_queued[changed_var] = 1;
-  std::vector<int> row_queue;
-  std::vector<char> row_queued(m, 0);
+  // A tightened variable goes onto the queue with the bounds `acts` still
+  // reflects for it; popping it folds the delta into its rows. Only queued
+  // variables lag `bounds`: for every other variable, `acts` reflects its
+  // current bounds.
+  auto queue_var = [&](int v, std::pair<double, double> folded) {
+    var_queued[v] = 1;
+    scratch->saved[v] = folded;
+    var_queue.push_back(v);
+  };
+  auto reflected = [&](int v) -> const std::pair<double, double>& {
+    return var_queued[v] ? scratch->saved[v] : (*bounds)[v];
+  };
+  // Every exit leaves the scratch as the next call expects it; a feasible
+  // one has drained both queues already.
+  auto infeasible = [&] {
+    for (int v : var_queue) var_queued[v] = 0;
+    for (int r : row_queue) row_queued[r] = 0;
+    var_queue.clear();
+    row_queue.clear();
+    return false;
+  };
+  queue_var(changed_var, {old_lb, old_ub});
 
   // Tightening budget (row visits). Float drift on dense package rows
   // could otherwise re-tighten forever; once spent, rows still drain for
@@ -237,10 +269,9 @@ bool PropagateBranchedBound(const LpModel& model,
       // (children inherit it).
       int v = var_queue.back();
       var_queue.pop_back();
-      var_queued[v] = 0;
-      auto [olb, oub] = reflected[v];
+      auto [olb, oub] = scratch->saved[v];
+      var_queued[v] = 0;  // from here on `acts` reflects v's bounds
       auto [nlb, nub] = (*bounds)[v];
-      reflected[v] = (*bounds)[v];
       for (const RowTerm& rt : vrows[v]) {
         RowActivityBounds& ra = (*acts)[rt.row];
         RowActivityBounds was = TermActivityRange(rt.coeff, olb, oub);
@@ -268,7 +299,7 @@ bool PropagateBranchedBound(const LpModel& model,
     const Constraint& con = model.constraint(r);
     const RowActivityBounds& ra = (*acts)[r];
     if (ra.min > con.hi + kFeasEps || ra.max < con.lo - kFeasEps) {
-      return false;  // the row cannot be satisfied: infeasible child
+      return infeasible();  // the row cannot be satisfied
     }
     if (--row_budget < 0) continue;
     // A term tightens its bound only when one of the row's slacks is
@@ -289,7 +320,7 @@ bool PropagateBranchedBound(const LpModel& model,
       // Residual row range without this term, against the bounds `acts`
       // reflects for it (which may lag `bounds` while the var is queued).
       RowActivityBounds self = TermActivityRange(
-          t.coeff, reflected[t.var].first, reflected[t.var].second);
+          t.coeff, reflected(t.var).first, reflected(t.var).second);
       double rest_min = ra.min - self.min;
       double rest_max = ra.max - self.max;
       double new_l = l, new_u = u;
@@ -311,13 +342,10 @@ bool PropagateBranchedBound(const LpModel& model,
       if (std::isfinite(new_l)) new_l = std::ceil(new_l - int_tol);
       if (std::isfinite(new_u)) new_u = std::floor(new_u + int_tol);
       if (new_l <= l && new_u >= u) continue;  // no improvement
-      if (new_l > new_u) return false;         // empty domain
+      if (new_l > new_u) return infeasible();  // empty domain
+      if (!var_queued[t.var]) queue_var(t.var, {l, u});
       (*bounds)[t.var] = {new_l, new_u};
       ++*tightened;
-      if (!var_queued[t.var]) {
-        var_queued[t.var] = 1;
-        var_queue.push_back(t.var);
-      }
     }
   }
   return true;
@@ -382,11 +410,13 @@ bool TryRound(const LpModel& model, const Bounds& bounds,
 /// the solver finds its first incumbent without exploring the tree. When
 /// `seed` is non-null the caller's basis starts the chain (the first dive
 /// LP is exactly the caller's LP, so it prices out immediately) and each
-/// step's basis warm-starts the next.
+/// step's basis warm-starts the next. The dive's LPs run through the
+/// caller's workspace with the node LPs' iteration budget `lp_limit`.
 /// Returns true with an integer-feasible point in *out on success.
-bool TryDive(const LpModel& model, Bounds bounds, const SimplexOptions& lp_opts,
-             double int_tol, const LpBasis* seed, const CancelToken& cancel,
-             MilpResult* tallies, std::vector<double>* out) {
+bool TryDive(const LpModel& model, Bounds bounds, LpSolver* lp_solver,
+             int64_t lp_limit, double int_tol, const LpBasis* seed,
+             const CancelToken& cancel, MilpResult* tallies,
+             std::vector<double>* out) {
   constexpr int kMaxDepth = 400;
   const bool warm = seed != nullptr;
   LpBasis chain;
@@ -395,7 +425,7 @@ bool TryDive(const LpModel& model, Bounds bounds, const SimplexOptions& lp_opts,
     // The dive is a chain of up to kMaxDepth LP solves; without this check
     // a cancel issued mid-dive would only take effect at the next node pop.
     if (cancel.cancel_requested()) return false;
-    auto lp = SolveLp(model, lp_opts, &bounds, warm ? &chain : nullptr);
+    auto lp = lp_solver->Solve(&bounds, warm ? &chain : nullptr, lp_limit);
     if (!lp.ok()) return false;
     tallies->lp_iterations += lp->iterations;
     tallies->lp_dual_iterations += lp->dual_iterations;
@@ -438,6 +468,10 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // bases can enter the dual, so warm_start_lps=false makes it moot).
   SimplexOptions base_lp = options.lp;
   base_lp.use_dual_simplex = options.use_dual_simplex;
+  const int64_t base_lp_limit = EffectiveIterationLimit(model, base_lp);
+  // This thread's LP workspace: every node LP it solves and every dive LP
+  // (the model was validated above).
+  LpSolver lp_solver(model, base_lp);
   const bool presolve_enabled =
       options.node_presolve && model.num_constraints() > 0;
 
@@ -482,7 +516,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     }
     if (!bounds_match_model) {
       for (int i = 0; i < model.num_constraints(); ++i) {
-        root_acts[i] = RowActivityUnder(model, i, root_bounds);
+        root_acts[i] = RowActivityUnder(
+            model, i, [&](int v) -> const auto& { return root_bounds[v]; });
       }
     }
   }
@@ -490,7 +525,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // its integer columns at the root. Bounds only narrow down the tree, so
   // this caps every term's move at every node (PropagateBranchedBound).
   std::vector<double> row_move;
+  PresolveScratch presolve_scratch;
   if (presolve_enabled) {
+    presolve_scratch = PresolveScratch(n, model.num_constraints());
     row_move.assign(model.num_constraints(), 0.0);
     for (int i = 0; i < model.num_constraints(); ++i) {
       for (const LinearTerm& t : model.constraint(i).terms) {
@@ -514,14 +551,13 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   std::unique_ptr<ThreadPool> helper_pool;
   std::unique_ptr<TaskGroup> helper_group;
   if (parallel) {
-    // Materialize the model's lazy structural caches before any helper can
-    // read the model concurrently: SolveLp reads csc() on every solve, and
-    // a cold cache fill racing a reader is a data race.
-    model.csc();
-    if (presolve_enabled) model.variable_rows();
+    // Helpers read the model concurrently: each helper's LpSolver reads
+    // csc() once, when it is built. `lp_solver` above already filled that
+    // lazy cache on this thread, so no helper pays for (or waits on) the
+    // fill. Node presolve's variable_rows() stays on this thread.
     spec.model = &model;
     spec.base_lp = base_lp;
-    spec.base_lp_limit = EffectiveIterationLimit(model, base_lp);
+    spec.base_lp_limit = base_lp_limit;
     spec.warm_enabled = warm_enabled;
     spec.maximize = maximize;
     spec.gap_abs = options.gap_abs;
@@ -672,22 +708,20 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     if (parallel) publish_frontier();
     LpSolution lp;
     if (slot != OpenNode::Spec::kIdle) {
-      // Committed speculation: identical to solving here (SolveLp is a
-      // pure function of inputs the node has owned since push), so every
-      // counter below stays bit-identical to the serial solver's.
+      // Committed speculation: identical to solving here (a node LP is a
+      // pure function of inputs the node has owned since push, whichever
+      // workspace runs it), so every counter below stays bit-identical to
+      // the serial solver's.
       MutexLock lock(&spec.mu);
       while (cur->spec != OpenNode::Spec::kDone) spec.done_cv.Wait(&spec.mu);
       PB_RETURN_IF_ERROR(cur->lp_status);
       lp = std::move(cur->lp);
     } else {
-      SimplexOptions lp_opts = base_lp;
-      if (node.lp_limit_boost > 0) {
-        lp_opts.max_iterations = EffectiveIterationLimit(model, base_lp)
-                                 << node.lp_limit_boost;
-      }
       const LpBasis* start =
           warm_enabled && !node.basis.empty() ? &node.basis : nullptr;
-      PB_ASSIGN_OR_RETURN(lp, SolveLp(model, lp_opts, &node.bounds, start));
+      PB_ASSIGN_OR_RETURN(
+          lp, lp_solver.Solve(&node.bounds, start,
+                              base_lp_limit << node.lp_limit_boost));
     }
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
@@ -794,9 +828,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       // was re-queued after an LP iteration limit).
       if (!have_incumbent && node.branch_var < 0) {
         std::vector<double> dived;
-        if (TryDive(model, node.bounds, base_lp, options.int_tol,
-                    warm_enabled ? &lp.basis : nullptr, options.cancel,
-                    &result, &dived)) {
+        if (TryDive(model, node.bounds, &lp_solver, base_lp_limit,
+                    options.int_tol, warm_enabled ? &lp.basis : nullptr,
+                    options.cancel, &result, &dived)) {
           have_incumbent = true;
           incumbent_obj = model.ObjectiveValue(dived);
           incumbent = std::move(dived);
@@ -837,7 +871,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
                                 parent_ub, options.int_tol,
                                 &down->node.bounds, &down->node.acts,
-                                &result.presolve_fixed_bounds)) {
+                                &result.presolve_fixed_bounds,
+                                &presolve_scratch)) {
       ++result.presolve_infeasible_children;
       push_down = false;
     }
@@ -858,7 +893,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
                                 parent_ub, options.int_tol,
                                 &up->node.bounds, &up->node.acts,
-                                &result.presolve_fixed_bounds)) {
+                                &result.presolve_fixed_bounds,
+                                &presolve_scratch)) {
       ++result.presolve_infeasible_children;
       push_up = false;
     }

@@ -124,7 +124,10 @@ struct MilpOptions {
   /// serial solver, unchanged. N > 1 spawns N-1 helper threads that
   /// speculatively solve the LP relaxations of nodes near the top of the
   /// open heap — a node's LP is a pure function of its bounds, inherited
-  /// basis, and iteration budget — while the main thread pops, prunes, and
+  /// basis, and iteration budget, whichever thread solves it: each helper
+  /// owns its own LpSolver workspace, as the main thread does, and a
+  /// workspace's solves never depend on what it solved before — while the
+  /// main thread pops, prunes, and
   /// commits results (incumbent, pseudocosts, branching, presolve) in the
   /// exact serial best-first order. Helpers skip nodes already cut off by
   /// the atomically published incumbent bound. The committed tree is

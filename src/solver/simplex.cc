@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 #include "solver/factorization.h"
@@ -19,10 +20,9 @@ const char* LpStatusToString(LpStatus s) {
   return "?";
 }
 
-namespace {
-
-/// The working state of one simplex solve. Variables 0..n-1 are structural;
-/// n..n+m-1 are row slacks (column -e_i, bounds = row range).
+/// The working state of the simplex: one per LpSolver, reused by every
+/// Solve. Variables 0..n-1 are structural; n..n+m-1 are row slacks
+/// (column -e_i, bounds = row range).
 ///
 /// Linear algebra goes through the BasisFactorization layer; candidate
 /// selection through the Pricing layer. Reduced costs d_ are maintained
@@ -32,12 +32,16 @@ namespace {
 /// do per iteration. d_ is rebuilt from fresh duals after every
 /// refactorization, on phase entry, whenever the phase-1 composite cost
 /// vector changes segment, and always before optimality is declared.
-class Simplex {
+///
+/// What depends only on the model and the options (costs, slack bounds,
+/// the Bland threshold, the CSC view) is set once. Solve() resets the rest;
+/// every other array is fully written before it is read within a solve.
+class LpSolver::Simplex {
  public:
-  Simplex(const LpModel& model, const SimplexOptions& options,
-          const std::vector<std::pair<double, double>>* bound_override)
+  Simplex(const LpModel& model, const SimplexOptions& options)
       : opts_(options),
         model_(model),
+        a_(model.csc()),
         m_(model.num_constraints()),
         n_(model.num_variables()),
         total_(n_ + m_),
@@ -49,10 +53,7 @@ class Simplex {
     ub_.resize(total_);
     cost_.assign(total_, 0.0);
     for (int j = 0; j < n_; ++j) {
-      const Variable& v = model.variable(j);
-      lb_[j] = bound_override ? (*bound_override)[j].first : v.lb;
-      ub_[j] = bound_override ? (*bound_override)[j].second : v.ub;
-      cost_[j] = sign_ * v.objective;
+      cost_[j] = sign_ * model.variable(j).objective;
     }
     for (int i = 0; i < m_; ++i) {
       const Constraint& c = model.constraint(i);
@@ -61,7 +62,7 @@ class Simplex {
       ub_[slack] = c.hi;
     }
 
-    fact_ = MakeFactorization(options.factorization, model.csc(), n_, m_,
+    fact_ = MakeFactorization(options.factorization, a_, n_, m_,
                               options.pivot_tol);
 
     d_.assign(total_, 0.0);
@@ -69,9 +70,46 @@ class Simplex {
     z_mark_.assign(total_, 0);
     c1_.assign(total_, 0);
 
-    max_iter_ = EffectiveIterationLimit(model, options);
+    // Switch to Bland's rule after a generous pricing budget (immediately
+    // when the ablation knob asks for it).
+    bland_threshold_ =
+        options.always_bland ? -1 : 50LL * (m_ + 1) + 2LL * total_ + 500;
   }
 
+  int num_variables() const { return n_; }
+
+  /// One solve under `bounds` (null: the model's own). Resets every piece
+  /// of state a solve reads before writing, then runs the solve loops.
+  LpSolution Solve(const std::vector<std::pair<double, double>>* bounds,
+                   const LpBasis* warm_start, int64_t max_iterations) {
+    for (int j = 0; j < n_ && bounds == nullptr; ++j) {
+      lb_[j] = model_.variable(j).lb;
+      ub_[j] = model_.variable(j).ub;
+    }
+    for (int j = 0; j < n_ && bounds != nullptr; ++j) {
+      const auto& [lo, hi] = (*bounds)[j];
+      if (lo > hi) {
+        LpSolution empty;
+        empty.status = LpStatus::kInfeasible;
+        return empty;
+      }
+      lb_[j] = lo;
+      ub_[j] = hi;
+    }
+    max_iter_ = max_iterations;
+    iterations_ = 0;
+    dual_iterations_ = 0;
+    numerical_trouble_ = false;
+    d_valid_ = false;
+    d_phase1_ = false;
+    for (int j : c1_nonzero_) c1_[j] = 0;
+    c1_nonzero_.clear();
+    // The factorization's counters run across solves; report this one's.
+    stats_base_ = fact_->stats();
+    return Run(warm_start);
+  }
+
+ private:
   LpSolution Run(const LpBasis* warm_start) {
     bool warm_loaded = warm_start != nullptr && !warm_start->empty() &&
                        LoadBasis(*warm_start);
@@ -102,7 +140,6 @@ class Simplex {
     }
   }
 
- private:
   /// How one phase of the solve ended.
   enum class PhaseResult {
     kConverged,    ///< no improving direction remains (optimal / stalled)
@@ -119,8 +156,9 @@ class Simplex {
     out.status = status;
     out.iterations = iterations_;
     out.dual_iterations = dual_iterations_;
-    out.refactorizations = fact_->stats().refactorizations;
-    out.basis_updates = fact_->stats().updates;
+    out.refactorizations =
+        fact_->stats().refactorizations - stats_base_.refactorizations;
+    out.basis_updates = fact_->stats().updates - stats_base_.updates;
     if (status == LpStatus::kOptimal) {
       out.x.assign(x_.begin(), x_.begin() + n_);
       double obj = 0.0;
@@ -189,10 +227,9 @@ class Simplex {
   /// the synthesized single entry (j - n, -1) for slacks.
   template <typename Fn>
   void ForEachCol(int j, Fn&& fn) const {
-    const CscMatrix& a = model_.csc();
     if (j < n_) {
-      for (int64_t k = a.col_start[j]; k < a.col_start[j + 1]; ++k) {
-        fn(static_cast<int>(a.row[k]), a.value[k]);
+      for (int64_t k = a_.col_start[j]; k < a_.col_start[j + 1]; ++k) {
+        fn(static_cast<int>(a_.row[k]), a_.value[k]);
       }
     } else {
       fn(j - n_, -1.0);
@@ -411,6 +448,12 @@ class Simplex {
   /// columns; z_ values outside it are stale.
   void ComputePivotRow(int leave_row) {
     fact_->BtranUnit(leave_row, &rho_);
+    if (z_stamp_ == std::numeric_limits<int>::max()) {
+      // One workspace prices rows for a whole branch-and-bound search,
+      // which can outlast the stamp: restart it rather than wrap.
+      std::fill(z_mark_.begin(), z_mark_.end(), 0);
+      z_stamp_ = 0;
+    }
     ++z_stamp_;
     z_pattern_.clear();
     for (int i = 0; i < m_; ++i) {
@@ -910,6 +953,7 @@ class Simplex {
 
   SimplexOptions opts_;
   const LpModel& model_;
+  const CscMatrix& a_;  ///< model_.csc(), fetched once
   int m_, n_, total_;
   double sign_ = 1.0;
   int64_t max_iter_ = 0;
@@ -927,6 +971,7 @@ class Simplex {
   std::vector<double> x_;
 
   std::unique_ptr<BasisFactorization> fact_;
+  FactorizationStats stats_base_;  ///< fact_->stats() when this solve began
   Pricing pricing_;
 
   /// Incrementally maintained reduced costs (see class comment).
@@ -947,12 +992,7 @@ class Simplex {
   std::vector<Cand> cands_;     ///< dual ratio-test breakpoints (heap)
   /// Bound flips chosen by the dual ratio test: (column, signed step).
   std::vector<std::pair<int, double>> flips_;
-
- public:
-  void set_bland_threshold(int64_t t) { bland_threshold_ = t; }
 };
-
-}  // namespace
 
 int64_t EffectiveIterationLimit(const LpModel& model,
                                 const SimplexOptions& options) {
@@ -962,33 +1002,30 @@ int64_t EffectiveIterationLimit(const LpModel& model,
   return 200LL * (m + 1) + 20LL * (n + m) + 2000;
 }
 
+LpSolver::LpSolver(const LpModel& model, const SimplexOptions& options)
+    : simplex_(std::make_unique<Simplex>(model, options)) {}
+
+LpSolver::~LpSolver() = default;
+
+Result<LpSolution> LpSolver::Solve(
+    const std::vector<std::pair<double, double>>* bounds,
+    const LpBasis* warm_start, int64_t max_iterations) {
+  if (bounds != nullptr &&
+      static_cast<int>(bounds->size()) != simplex_->num_variables()) {
+    return Status::InvalidArgument(
+        "bound_override size does not match variable count");
+  }
+  return simplex_->Solve(bounds, warm_start, max_iterations);
+}
+
 Result<LpSolution> SolveLp(
     const LpModel& model, const SimplexOptions& options,
     const std::vector<std::pair<double, double>>* bound_override,
     const LpBasis* warm_start) {
   PB_RETURN_IF_ERROR(model.Validate());
-  if (bound_override) {
-    if (static_cast<int>(bound_override->size()) != model.num_variables()) {
-      return Status::InvalidArgument(
-          "bound_override size does not match variable count");
-    }
-    for (const auto& [lo, hi] : *bound_override) {
-      if (lo > hi) {
-        LpSolution s;
-        s.status = LpStatus::kInfeasible;
-        return s;
-      }
-    }
-  }
-  Simplex solver(model, options, bound_override);
-  // Switch to Bland's rule after a generous pricing budget (immediately
-  // when the ablation knob asks for it).
-  solver.set_bland_threshold(
-      options.always_bland
-          ? -1
-          : 50LL * (model.num_constraints() + 1) +
-                2LL * (model.num_variables() + model.num_constraints()) + 500);
-  return solver.Run(warm_start);
+  return LpSolver(model, options)
+      .Solve(bound_override, warm_start,
+             EffectiveIterationLimit(model, options));
 }
 
 }  // namespace pb::solver

@@ -1,6 +1,15 @@
 // Bounded-variable revised simplex: two-phase primal plus a dual simplex
 // for warm re-solves.
 //
+//   SolveMilp ── validates the model once; one LpSolver per search thread
+//     LpSolver ─ reusable workspace (arrays, factorization, pricing
+//                weights); Solve() resets per-solve state, runs the loops
+//   SolveLp ──── validate, then one Solve through a fresh LpSolver
+//
+// A branch-and-bound node LP therefore validates nothing and allocates no
+// simplex state, yet performs the same floating-point operations in the
+// same order as a fresh workspace would.
+//
 // This is the LP engine underneath the MILP branch-and-bound. It handles
 // ranged constraints (lo <= ax <= hi) by introducing one slack per row
 // (ax - s = 0, s in [lo, hi]) and runs a two-phase primal simplex:
@@ -48,7 +57,9 @@
 #define PB_SOLVER_SIMPLEX_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -142,7 +153,43 @@ struct SimplexOptions {
 int64_t EffectiveIterationLimit(const LpModel& model,
                                 const SimplexOptions& options);
 
-/// Solves the LP relaxation of `model` (integrality is ignored).
+/// A reusable LP workspace: everything a simplex solve of one model
+/// allocates (bound, cost and reduced-cost arrays, the pivot-row scatter,
+/// the factorization, the pricing weights), built once and reset by every
+/// Solve. A branch-and-bound thread owns one and runs all of its node LPs
+/// through it.
+///
+/// Contract: `model` must already pass LpModel::Validate() (the workspace
+/// does not check), must outlive the workspace, and must not change while
+/// it exists. One workspace serves one thread at a time.
+///
+/// Each Solve is a pure function of its arguments: it performs the same
+/// floating-point operations in the same order as a fresh workspace would,
+/// so reuse never changes a result, and every counter in the returned
+/// LpSolution covers that one solve.
+class LpSolver {
+ public:
+  LpSolver(const LpModel& model, const SimplexOptions& options);
+  ~LpSolver();
+  LpSolver(const LpSolver&) = delete;
+  LpSolver& operator=(const LpSolver&) = delete;
+
+  /// Solves the LP relaxation (integrality is ignored). `bounds`, when
+  /// non-null, replaces the variable bounds (one (lb, ub) pair per
+  /// variable; any lb > ub is reported infeasible without a pivot).
+  /// `warm_start` is as for SolveLp. `max_iterations` is the iteration
+  /// budget; EffectiveIterationLimit gives the one SolveLp would use.
+  [[nodiscard]] Result<LpSolution> Solve(
+      const std::vector<std::pair<double, double>>* bounds,
+      const LpBasis* warm_start, int64_t max_iterations);
+
+ private:
+  class Simplex;
+  std::unique_ptr<Simplex> simplex_;
+};
+
+/// Solves the LP relaxation of `model` (integrality is ignored): validates
+/// the model, then runs one solve through a fresh LpSolver.
 /// `bound_override`, when non-null, replaces variable bounds (used by
 /// branch-and-bound nodes); it must have one (lb, ub) pair per variable.
 /// `warm_start`, when non-null and non-empty, seeds the solve from a prior

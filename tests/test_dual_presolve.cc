@@ -11,8 +11,11 @@
 
 #include "common/random.h"
 #include "core/sketch_refine.h"
+#include "core/translator.h"
 #include "datagen/lineitem.h"
 #include "datagen/recipes.h"
+#include "datagen/stocks.h"
+#include "datagen/travel.h"
 #include "db/catalog.h"
 #include "paql/analyzer.h"
 #include "solver/milp.h"
@@ -413,6 +416,95 @@ TEST(SketchRefineDualPresolveTest, QuerySuitePackagesBitIdentical) {
     EXPECT_EQ(old_r->lp_dual_iterations, 0) << qc.name;
     EXPECT_LE(new_r->lp_iterations, old_r->lp_iterations)
         << qc.name << ": the dual+presolve path must not cost iterations";
+  }
+}
+
+// ----- Search shape on the paper's scenarios -----------------------------------
+
+struct ScenarioCase {
+  const char* name;
+  const char* text;
+  int64_t nodes;
+  int64_t presolve_fixed_bounds;
+  int64_t presolve_infeasible_children;
+  double objective;
+  const char* package;  ///< Package::Fingerprint()
+};
+
+TEST(ScenarioSearchShapeTest, NodePresolveKeepsTheRecordedSearch) {
+  // Meal, portfolio and vacation ILPs shaped like the end-to-end
+  // benchmark's, over its generated tables. The constants were recorded
+  // from the serial solver. Node presolve state that leaks from one
+  // propagation into the next (a queue flag left set, a stale saved bound)
+  // changes which bounds later children tighten: every answer stays
+  // optimal, so only these search-shape counters notice. lp_iterations is
+  // deliberately not pinned; a legitimate LP change may lower it.
+  db::Catalog c;
+  c.RegisterOrReplace(datagen::GenerateRecipes(1000, 2014));
+  c.RegisterOrReplace(datagen::GenerateStocks(500, 2015));
+  c.RegisterOrReplace(datagen::GenerateTravelItems(2000, 2016));
+  const ScenarioCase cases[] = {
+      {"meal-1",
+       "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
+       "R.protein >= 22.5 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
+       "BETWEEN 1650.25 AND 1950.75 MAXIMIZE SUM(R.protein)",
+       107, 8446, 6, 0x1.8p+7, "91x1,315x1,602x1"},
+      {"meal-2",
+       "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
+       "R.protein >= 27.0 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
+       "BETWEEN 1480.00 AND 1690.50 MAXIMIZE SUM(R.protein)",
+       27, 1770, 2, 0x1.4dp+7, "91x1,428x1,895x1"},
+      {"meal-3",
+       "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
+       "R.protein >= 24.0 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
+       "BETWEEN 2010.40 AND 2420.10 MAXIMIZE SUM(R.protein)",
+       47, 3005, 2, 0x1.defffffffffffp+7, "189x1,219x1,428x1"},
+      {"portfolio-1",
+       "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 4200.00 SUCH THAT "
+       "SUM(S.risk) <= 2.1005 AND SUM(S.is_tech) >= 2 AND COUNT(*) BETWEEN "
+       "4 AND 8 MAXIMIZE SUM(S.expected_gain)",
+       53, 137, 0, 0x1.0fdc7ae147ae2p+12,
+       "9x1,13x1,179x1,210x1,281x1,393x1,421x1,479x1"},
+      {"portfolio-2",
+       "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 6800.00 SUCH THAT "
+       "SUM(S.risk) <= 1.6505 AND SUM(S.is_tech) >= 3 AND COUNT(*) BETWEEN "
+       "3 AND 7 MAXIMIZE SUM(S.expected_gain)",
+       411, 27656, 8, 0x1.4e55eb851eb86p+12,
+       "68x1,82x1,85x1,210x1,281x1,312x1,446x1"},
+      {"portfolio-3",
+       "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 7500.00 SUCH THAT "
+       "SUM(S.risk) <= 2.8005 AND SUM(S.is_tech) >= 1 AND COUNT(*) BETWEEN "
+       "6 AND 10 MAXIMIZE SUM(S.expected_gain)",
+       311, 621, 0, 0x1.0dca28f5c28f6p+13,
+       "68x1,82x1,85x1,255x1,263x1,312x1,457x1,493x1,495x1,496x1"},
+      {"vacation-1",
+       "SELECT PACKAGE(T) FROM travel_items T WHERE T.dest = 'maui' SUCH "
+       "THAT SUM(T.is_flight) = 2 AND SUM(T.is_hotel) = 1 AND "
+       "SUM(T.is_car) <= 1 AND SUM(T.price) <= 1420.00 "
+       "MAXIMIZE SUM(T.comfort)",
+       25, 1247, 0, 0x1.2ccccccccccccp+4, "946x1,1026x1,1597x1,1838x1"},
+      {"vacation-2",
+       "SELECT PACKAGE(T) FROM travel_items T WHERE T.dest = 'cancun' SUCH "
+       "THAT SUM(T.is_flight) = 2 AND SUM(T.is_hotel) = 1 AND "
+       "SUM(T.is_car) <= 1 AND SUM(T.price) <= 1650.00 "
+       "MAXIMIZE SUM(T.comfort)",
+       7, 296, 0, 0x1.34ccccccccccdp+4, "1061x1,1174x1,1607x1,1783x1"},
+  };
+  for (const ScenarioCase& sc : cases) {
+    auto aq = paql::ParseAndAnalyze(sc.text, c);
+    ASSERT_TRUE(aq.ok()) << sc.name << ": " << aq.status().ToString();
+    auto t = TranslateToIlp(*aq);
+    ASSERT_TRUE(t.ok()) << sc.name << ": " << t.status().ToString();
+    auto r = solver::SolveMilp(t->model);
+    ASSERT_TRUE(r.ok()) << sc.name << ": " << r.status().ToString();
+    ASSERT_EQ(r->status, solver::MilpStatus::kOptimal) << sc.name;
+    EXPECT_EQ(r->nodes, sc.nodes) << sc.name;
+    EXPECT_EQ(r->presolve_fixed_bounds, sc.presolve_fixed_bounds) << sc.name;
+    EXPECT_EQ(r->presolve_infeasible_children,
+              sc.presolve_infeasible_children)
+        << sc.name;
+    EXPECT_EQ(r->objective, sc.objective) << sc.name;
+    EXPECT_EQ(DecodeSolution(*t, r->x).Fingerprint(), sc.package) << sc.name;
   }
 }
 

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -152,6 +155,103 @@ TEST(SimplexBackendsTest, BadWarmBasesFallBackToColdIdenticallyPerBackend) {
       EXPECT_EQ(warm->iterations, cold->iterations)
           << FactorizationKindToString(fact);
       EXPECT_EQ(warm->x, cold->x) << FactorizationKindToString(fact);
+    }
+  }
+}
+
+/// Bit patterns, so -0.0 vs 0.0 or a last-bit difference fails the test.
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<uint64_t>(d));
+  return out;
+}
+
+/// Everything a solve reports must match a fresh SolveLp exactly.
+void ExpectSameSolve(const LpSolution& got, const LpSolution& want,
+                     const std::string& what) {
+  EXPECT_EQ(got.status, want.status) << what;
+  EXPECT_EQ(Bits(got.x), Bits(want.x)) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.objective),
+            std::bit_cast<uint64_t>(want.objective))
+      << what;
+  EXPECT_EQ(got.iterations, want.iterations) << what;
+  EXPECT_EQ(got.dual_iterations, want.dual_iterations) << what;
+  EXPECT_EQ(got.refactorizations, want.refactorizations) << what;
+  EXPECT_EQ(got.basis_updates, want.basis_updates) << what;
+  EXPECT_EQ(got.basis.basic, want.basis.basic) << what;
+  EXPECT_EQ(got.basis.stat, want.basis.stat) << what;
+}
+
+TEST(SimplexBackendsTest, ReusedWorkspaceMatchesFreshSolveLp) {
+  // One LpSolver runs the sequence a branch-and-bound thread puts it
+  // through; after each step, a fresh SolveLp of the same inputs must
+  // report the same thing bit for bit, counters and basis included.
+  LpModel m = PackageModel(120, 37, /*integer=*/false);
+  using Bounds = std::vector<std::pair<double, double>>;
+  Bounds root_bounds;
+  for (int j = 0; j < m.num_variables(); ++j) {
+    root_bounds.emplace_back(m.variable(j).lb, m.variable(j).ub);
+  }
+  LpBasis wrong_shape;
+  wrong_shape.basic = {0};
+  wrong_shape.stat.assign(4, VarStat::kAtLower);
+
+  for (FactorizationKind fact : kBackends) {
+    for (PricingRule rule : kRules) {
+      const std::string engine = std::string(FactorizationKindToString(fact)) +
+                                 "/" + PricingRuleToString(rule);
+      SimplexOptions opts;
+      opts.factorization = fact;
+      opts.pricing = rule;
+      const int64_t limit = EffectiveIterationLimit(m, opts);
+      LpSolver workspace(m, opts);
+      auto step = [&](const std::string& what, const Bounds* bounds,
+                      const LpBasis* warm, int64_t max_iterations) {
+        SimplexOptions fresh_opts = opts;
+        fresh_opts.max_iterations = max_iterations;
+        auto got = workspace.Solve(bounds, warm, max_iterations);
+        auto want = SolveLp(m, fresh_opts, bounds, warm);
+        EXPECT_TRUE(got.ok() && want.ok()) << engine << " " << what;
+        if (!got.ok() || !want.ok()) return LpSolution{};
+        ExpectSameSolve(*got, *want, engine + " " + what);
+        return std::move(got).value();
+      };
+
+      LpSolution root = step("cold root", nullptr, nullptr, limit);
+      ASSERT_EQ(root.status, LpStatus::kOptimal) << engine;
+      int pick = -1;
+      for (int j = 0; j < m.num_variables() && pick < 0; ++j) {
+        if (root.x[j] > 0.1 && root.x[j] < 0.9) pick = j;
+      }
+      ASSERT_GE(pick, 0) << engine;
+
+      Bounds branched = root_bounds;
+      branched[pick] = {0.0, 0.0};
+      LpSolution child = step("branched child", &branched, &root.basis, limit);
+      EXPECT_GT(child.dual_iterations, 0) << engine;
+
+      Bounds fixed = root_bounds;  // the up child after node presolve
+      fixed[pick] = {1.0, 1.0};
+      for (int j = 0; j < m.num_variables(); ++j) {
+        if (j != pick && root.basis.stat[j] != VarStat::kBasic &&
+            root.x[j] == 0.0) {
+          fixed[j] = {0.0, 0.0};
+        }
+      }
+      step("presolve-fixed child", &fixed, &root.basis, limit);
+
+      Bounds empty = root_bounds;
+      empty[pick] = {1.0, 0.0};
+      EXPECT_EQ(step("lo > hi", &empty, &root.basis, limit).status,
+                LpStatus::kInfeasible)
+          << engine;
+
+      EXPECT_EQ(step("iteration-limited", &branched, nullptr, 3).status,
+                LpStatus::kIterationLimit)
+          << engine;
+      step("after the limited solve", &branched, &root.basis, limit);
+
+      step("wrong-shape warm basis", nullptr, &wrong_shape, limit);
     }
   }
 }
