@@ -132,7 +132,8 @@ anything else ending in ';' is evaluated as a PaQL query.
     if (r.has_objective) {
       objective = ", objective " + pb::FormatDouble(r.objective, 6);
     }
-    std::printf("[%s, %.2f ms%s%s%s]\n", r.strategy.c_str(),
+    std::printf("[%s, %.2f ms%s%s%s]\n",
+                pb::core::StrategyToString(r.strategy),
                 r.total_seconds * 1e3, objective.c_str(),
                 r.proven_optimal ? ", proven optimal" : "",
                 r.result_cache_hit ? ", cached" : "");

@@ -260,6 +260,13 @@ Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
                       db::FilterIndices(*aq.table, aq.query.where));
   PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
                       DeriveCardinalityBounds(aq, candidates));
+  return BruteForceSearch(aq, std::move(candidates), bounds, options);
+}
+
+Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
+                                          std::vector<size_t> candidates,
+                                          const CardinalityBounds& bounds,
+                                          const BruteForceOptions& options) {
   Enumerator e(aq, options, std::move(candidates), bounds);
   PB_RETURN_IF_ERROR(e.Prepare());
   return e.Run();

@@ -54,6 +54,13 @@ struct BruteForceResult {
 Result<BruteForceResult> BruteForceSearch(
     const paql::AnalyzedQuery& aq, const BruteForceOptions& options = {});
 
+/// The same search over a caller's FilterIndices result `candidates` and
+/// the `bounds` DeriveCardinalityBounds derived from them.
+Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
+                                          std::vector<size_t> candidates,
+                                          const CardinalityBounds& bounds,
+                                          const BruteForceOptions& options);
+
 }  // namespace pb::core
 
 #endif  // PB_CORE_BRUTE_FORCE_H_

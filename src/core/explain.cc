@@ -26,7 +26,7 @@ std::string QueryPlan::ToString() const {
     out += "\n";
   }
   out += "cardinality bounds:   " + bounds.ToString() + "\n";
-  if (proven_infeasible) {
+  if (chosen_strategy == Strategy::kPruning) {
     out += "VERDICT:              infeasible (proved by pruning, no search "
            "needed)\n";
     return out;
@@ -43,11 +43,17 @@ std::string QueryPlan::ToString() const {
   out += "strategy:             " +
          std::string(StrategyToString(chosen_strategy)) + " -- " + rationale +
          "\n";
+  if (fallback) {
+    out += "fallback:             " + std::string(StrategyToString(*fallback)) +
+           " (when " + StrategyToString(chosen_strategy) +
+           " finds no package)\n";
+  }
   return out;
 }
 
 Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
-                               const EvaluationOptions& options) {
+                               const EvaluationOptions& options,
+                               bool maintained_partitions) {
   QueryPlan plan;
   plan.table_rows = aq.table->num_rows();
   PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
@@ -66,16 +72,15 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
   plan.objective_linear = aq.objective_linear;
 
   PB_ASSIGN_OR_RETURN(plan.bounds, DeriveCardinalityBounds(aq, candidates));
-  if (options.use_pruning && plan.bounds.infeasible) {
-    plan.proven_infeasible = true;
-    plan.chosen_strategy = Strategy::kAuto;
-    plan.rationale = "pruning proves infeasibility";
-    return plan;
-  }
+  PB_ASSIGN_OR_RETURN(const QueryRoute route,
+                      PlanQuery(aq, plan.bounds, plan.candidates, options,
+                                maintained_partitions));
+  plan.chosen_strategy = route.strategy;
+  plan.fallback = route.fallback;
+  plan.rationale = route.rationale;
+  if (route.strategy == Strategy::kPruning) return plan;
 
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  if (translatable) {
+  if (aq.TranslatesToIlp()) {
     TranslateOptions topts;
     if (options.use_pruning) topts.bounds = &plan.bounds;
     topts.candidates = &candidates;
@@ -85,45 +90,16 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
       plan.model_rows = translation->model.num_constraints();
     }
   }
-
-  // Mirror the Auto policy's decision tree (evaluator.cc).
-  if (options.strategy != Strategy::kAuto) {
-    plan.chosen_strategy = options.strategy;
-    plan.rationale = "forced by options";
-  } else if (!translatable) {
-    if (plan.candidates <= options.brute_force_threshold) {
-      plan.chosen_strategy = Strategy::kBruteForce;
-      plan.rationale = "disjunctive/non-linear constraints on a small "
-                       "candidate set: exhaustive search is exact and cheap";
-    } else {
-      plan.chosen_strategy = Strategy::kLocalSearch;
-      plan.rationale = "disjunctive/non-linear constraints: the solver "
-                       "cannot express them; falling back to heuristic "
-                       "search (incomplete)";
-    }
-  } else if (!aq.has_objective) {
-    plan.chosen_strategy = Strategy::kLocalSearch;
-    plan.rationale = "feasibility-only query: a short heuristic burst "
-                     "usually answers before the solver is needed "
-                     "(solver fallback on failure)";
-  } else if (plan.candidates <= 12 && aq.max_multiplicity <= 2) {
-    plan.chosen_strategy = Strategy::kBruteForce;
-    plan.rationale = "tiny candidate set: exhaustive search beats the LP "
-                     "machinery and is exact";
-  } else {
-    plan.chosen_strategy = Strategy::kIlpSolver;
-    plan.rationale = "conjunctive linear optimization query: "
-                     "branch-and-bound is exact";
-  }
   return plan;
 }
 
 Result<QueryPlan> ExplainQuery(const std::string& paql,
                                const db::Catalog& catalog,
-                               const EvaluationOptions& options) {
+                               const EvaluationOptions& options,
+                               bool maintained_partitions) {
   PB_ASSIGN_OR_RETURN(paql::AnalyzedQuery aq,
                       paql::ParseAndAnalyze(paql, catalog));
-  return ExplainQuery(aq, options);
+  return ExplainQuery(aq, options, maintained_partitions);
 }
 
 }  // namespace pb::core

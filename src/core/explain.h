@@ -2,14 +2,16 @@
 // "a more principled approach to package query optimization could add
 // several benefits to the query engine."
 //
-// ExplainQuery performs the analysis the hybrid evaluator would do — base
-// selectivity, linear structure, cardinality bounds, search-space size,
-// translated model dimensions — and reports which strategy the Auto policy
-// would choose and why, without running the (possibly expensive) search.
+// ExplainQuery performs the analysis the evaluator does — base selectivity,
+// linear structure, cardinality bounds, search-space size, translated model
+// dimensions — and reports the route core::PlanQuery picks (strategy,
+// fallback and why), the one the QueryEvaluator and the Engine run, without
+// running the (possibly expensive) search.
 
 #ifndef PB_CORE_EXPLAIN_H_
 #define PB_CORE_EXPLAIN_H_
 
+#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -36,28 +38,32 @@ struct QueryPlan {
 
   // §4.1 pruning.
   CardinalityBounds bounds;
-  bool proven_infeasible = false;
 
   // Translated model dimensions (when translatable).
   int model_variables = 0;
   int model_rows = 0;
 
-  // The Auto policy's verdict.
+  // PlanQuery's route.
   Strategy chosen_strategy = Strategy::kAuto;
+  /// Runs when chosen_strategy ends kInfeasible (see core/evaluator.h).
+  std::optional<Strategy> fallback;
   std::string rationale;
 
   /// Multi-line human-readable plan (EXPLAIN output).
   std::string ToString() const;
 };
 
-/// Plans (without executing) the query under the given options.
+/// Plans (without executing) the query under the given options;
+/// `maintained_partitions` as for PlanQuery.
 Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
-                               const EvaluationOptions& options = {});
+                               const EvaluationOptions& options = {},
+                               bool maintained_partitions = false);
 
 /// Convenience: parse + analyze + explain.
 Result<QueryPlan> ExplainQuery(const std::string& paql,
                                const db::Catalog& catalog,
-                               const EvaluationOptions& options = {});
+                               const EvaluationOptions& options = {},
+                               bool maintained_partitions = false);
 
 }  // namespace pb::core
 

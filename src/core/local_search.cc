@@ -149,11 +149,19 @@ class SearchState {
 
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
                                       const LocalSearchOptions& options) {
-  Stopwatch timer;
-  LocalSearchResult out;
-
   PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
                       db::FilterIndices(*aq.table, aq.query.where));
+  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
+                      DeriveCardinalityBounds(aq, candidates));
+  return LocalSearch(aq, std::move(candidates), bounds, options);
+}
+
+Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
+                                      std::vector<size_t> candidates,
+                                      const CardinalityBounds& bounds,
+                                      const LocalSearchOptions& options) {
+  Stopwatch timer;
+  LocalSearchResult out;
   if (candidates.empty()) {
     // Only the empty package is possible.
     SearchState probe;
@@ -163,8 +171,6 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
     out.seconds = timer.ElapsedSeconds();
     return out;
   }
-  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
-                      DeriveCardinalityBounds(aq, candidates));
   if (bounds.infeasible) {
     out.seconds = timer.ElapsedSeconds();
     return out;  // pruning already proves there is nothing to find

@@ -16,6 +16,7 @@
 #define PB_CORE_LOCAL_SEARCH_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "common/status.h"
 #include "core/package.h"
@@ -56,6 +57,13 @@ struct LocalSearchResult {
 /// !found does not prove infeasibility.
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
                                       const LocalSearchOptions& options = {});
+
+/// The same search over a caller's FilterIndices result `candidates` and
+/// the `bounds` DeriveCardinalityBounds derived from them.
+Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
+                                      std::vector<size_t> candidates,
+                                      const CardinalityBounds& bounds,
+                                      const LocalSearchOptions& options);
 
 /// The paper's literal replacement finder: builds P0 and R as engine tables
 /// and evaluates the single-tuple-swap validity predicate as one

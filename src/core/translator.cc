@@ -22,12 +22,8 @@ Result<std::vector<std::optional<double>>> EvalExtremeArg(
 
 Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
                                       const TranslateOptions& options) {
-  if (!aq.ilp_translatable) {
+  if (!aq.TranslatesToIlp()) {
     return Status::Unimplemented("query is not ILP-translatable: " +
-                                 aq.not_translatable_reason);
-  }
-  if (aq.has_objective && !aq.objective_linear) {
-    return Status::Unimplemented("objective is not linear: " +
                                  aq.not_translatable_reason);
   }
   if (options.bounds && options.bounds->infeasible) {

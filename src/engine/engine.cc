@@ -20,7 +20,11 @@
 
 namespace pb::engine {
 
-Engine::Engine(EngineOptions options) : options_(std::move(options)) {
+Engine::Engine(EngineOptions options)
+    : options_(std::move(options)),
+      result_cache_(options_.result_cache_capacity),
+      warm_cache_(options_.warm_cache_capacity),
+      maint_cache_(options_.maintenance_cache_capacity) {
   num_threads_ = options_.num_threads > 0
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
@@ -205,12 +209,14 @@ std::shared_ptr<Engine::Session> Engine::FindSession(uint64_t id) {
 
 bool Engine::LookupResultCache(const std::string& key, QueryResponse* out) {
   MutexLock lock(&result_mu_);
-  auto it = result_map_.find(key);
-  if (it == result_map_.end()) return false;
-  result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
-  *out = it->second->second;
+  const QueryResponse* hit = result_cache_.Find(key);
+  if (hit == nullptr) return false;
+  *out = *hit;
   out->result_cache_hit = true;
-  // Timings describe THIS call, not the original solve.
+  // Timings and maintenance describe THIS call, not the one that stored
+  // the entry: a hit on a refreshed entry is not a revalidation.
+  out->revalidated = false;
+  out->maintenance_ms = 0.0;
   out->parse_seconds = 0.0;
   out->solve_seconds = 0.0;
   out->total_seconds = 0.0;
@@ -219,59 +225,22 @@ bool Engine::LookupResultCache(const std::string& key, QueryResponse* out) {
 
 void Engine::StoreResultCache(const std::string& key,
                               const QueryResponse& resp) {
-  if (options_.result_cache_capacity == 0) return;
   MutexLock lock(&result_mu_);
-  auto it = result_map_.find(key);
-  if (it != result_map_.end()) {
-    result_lru_.splice(result_lru_.begin(), result_lru_, it->second);
-    it->second->second = resp;
-    return;
-  }
-  result_lru_.emplace_front(key, resp);
-  result_map_[key] = result_lru_.begin();
-  while (result_map_.size() > options_.result_cache_capacity) {
-    result_map_.erase(result_lru_.back().first);
-    result_lru_.pop_back();
-  }
+  result_cache_.Put(key, resp);
 }
 
 std::shared_ptr<Engine::WarmEntry> Engine::GetWarmEntry(uint64_t signature) {
   MutexLock lock(&warm_mu_);
-  auto it = warm_map_.find(signature);
-  if (it != warm_map_.end()) {
-    warm_lru_.splice(warm_lru_.begin(), warm_lru_, it->second.lru);
-    return it->second.entry;
-  }
-  warm_lru_.push_front(signature);
-  auto entry = std::make_shared<WarmEntry>();
-  warm_map_[signature] = {warm_lru_.begin(), entry};
-  while (warm_map_.size() > std::max<size_t>(1, options_.warm_cache_capacity)) {
-    // In-flight solves keep their shared_ptr; eviction only drops the
-    // cache's reference.
-    warm_map_.erase(warm_lru_.back());
-    warm_lru_.pop_back();
-  }
+  std::shared_ptr<WarmEntry>& entry = warm_cache_[signature];
+  if (!entry) entry = std::make_shared<WarmEntry>();
   return entry;
 }
 
 std::shared_ptr<Engine::MaintenanceEntry> Engine::GetMaintenanceEntry(
     const std::string& query_key) {
   MutexLock lock(&maint_mu_);
-  auto it = maint_map_.find(query_key);
-  if (it != maint_map_.end()) {
-    maint_lru_.splice(maint_lru_.begin(), maint_lru_, it->second.lru);
-    return it->second.entry;
-  }
-  maint_lru_.push_front(query_key);
-  auto entry = std::make_shared<MaintenanceEntry>();
-  maint_map_[query_key] = {maint_lru_.begin(), entry};
-  while (maint_map_.size() >
-         std::max<size_t>(1, options_.maintenance_cache_capacity)) {
-    // In-flight solves keep their shared_ptr; eviction only drops the
-    // cache's reference.
-    maint_map_.erase(maint_lru_.back());
-    maint_lru_.pop_back();
-  }
+  std::shared_ptr<MaintenanceEntry>& entry = maint_cache_[query_key];
+  if (!entry) entry = std::make_shared<MaintenanceEntry>();
   return entry;
 }
 
@@ -401,7 +370,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
                            ? budget.time_limit_s
                            : options_.defaults.milp.time_limit_s;
   const Deadline deadline = Deadline::AfterSeconds(limit);
-  const int claimed = AcquireThreads(ResolveThreads(budget.compute.threads, 1));
+  const int claimed = AcquireThreads(budget.compute.threads);
 
   core::EvaluationOptions eo = options_.defaults;
   eo.milp.cancel = token;
@@ -424,41 +393,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
   storage::StorageBudgetScope storage_scope(storage_budget);
 
   Stopwatch solve_timer;
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  const bool force_search = eo.strategy == core::Strategy::kBruteForce ||
-                            eo.strategy == core::Strategy::kLocalSearch;
-  if (force_search || !translatable) {
-    RunEvaluatorPath(aq, eo, &resp);
-  } else {
-    auto candidates_or = db::FilterIndices(*aq.table, aq.query.where);
-    if (!candidates_or.ok()) {
-      resp.status = candidates_or.status();
-    } else {
-      resp.num_candidates = candidates_or->size();
-      auto bounds_or = core::DeriveCardinalityBounds(aq, *candidates_or);
-      if (!bounds_or.ok()) {
-        resp.status = bounds_or.status();
-      } else {
-        resp.zone_map_skipped_blocks = bounds_or->zone_map_skipped_blocks;
-        if (eo.use_pruning && bounds_or->infeasible) {
-          resp.strategy = "Pruning";
-          resp.status = Status::Infeasible(
-              "cardinality pruning proves no package can satisfy the "
-              "constraints");
-        } else if (options_.incremental_maintenance &&
-                   aq.extreme_constraints.empty() && !aq.table->spilled()) {
-          // The maintained HTAP route. Extreme constraints are out of
-          // SketchRefine's scope, and spilled tables are append-frozen —
-          // both keep the exact path.
-          RunSketchRefinePath(aq, eo, *bounds_or, &*candidates_or,
-                              normalized, &resp);
-        } else {
-          RunIlpPath(aq, eo, *bounds_or, &*candidates_or, &resp);
-        }
-      }
-    }
-  }
+  resp.status = Evaluate(aq, eo, normalized, &resp);
   resp.solve_seconds = solve_timer.ElapsedSeconds();
   resp.storage_peak_pinned_bytes = storage_budget.peak_pinned_bytes();
   ReleaseThreads(claimed);
@@ -478,19 +413,61 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
   // legally differ on a re-run, so they must not be replayed.
   const bool cacheable =
       (resp.status.ok() && resp.proven_optimal && !resp.cancelled) ||
-      resp.strategy == "Pruning" ||
+      resp.strategy == core::Strategy::kPruning ||
       (resp.status.ok() && !resp.cancelled &&
-       resp.strategy == "SketchRefine");
+       resp.strategy == core::Strategy::kSketchRefine);
   if (cacheable) StoreResultCache(key, resp);
   return resp;
 }
 
-void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                                 const core::EvaluationOptions& eo,
-                                 const core::CardinalityBounds& bounds,
-                                 std::vector<size_t>* candidates,
-                                 const std::string& query_key,
-                                 QueryResponse* resp) {
+Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
+                        const core::EvaluationOptions& eo,
+                        const std::string& query_key, QueryResponse* resp) {
+  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
+                      db::FilterIndices(*aq.table, aq.query.where));
+  resp->num_candidates = candidates.size();
+  PB_ASSIGN_OR_RETURN(const core::CardinalityBounds bounds,
+                      core::DeriveCardinalityBounds(aq, candidates));
+  resp->zone_map_skipped_blocks = bounds.zone_map_skipped_blocks;
+  PB_ASSIGN_OR_RETURN(
+      const core::QueryRoute route,
+      core::PlanQuery(aq, bounds, candidates.size(), eo,
+                      options_.incremental_maintenance));
+  Status s = RunStep(route.strategy, route, aq, eo, bounds, &candidates,
+                     query_key, resp);
+  if (route.fallback && s.code() == StatusCode::kInfeasible) {
+    s = RunStep(*route.fallback, route, aq, eo, bounds, &candidates,
+                query_key, resp);
+  }
+  return s;
+}
+
+Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
+                       const paql::AnalyzedQuery& aq,
+                       const core::EvaluationOptions& eo,
+                       const core::CardinalityBounds& bounds,
+                       std::vector<size_t>* candidates,
+                       const std::string& query_key, QueryResponse* resp) {
+  resp->strategy = step;
+  if (step == core::Strategy::kSketchRefine) {
+    return RunSketchRefinePath(aq, eo, *candidates, query_key, resp);
+  }
+  if (step == core::Strategy::kIlpSolver) {
+    return RunIlpPath(aq, eo, bounds, candidates, resp);
+  }
+  PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
+                      core::RunStep(step, route, aq, eo, bounds, candidates));
+  resp->package = std::move(r.package);
+  resp->objective = r.objective;
+  resp->proven_optimal = r.proven_optimal;
+  return Status::OK();
+}
+
+Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
+                                   const core::EvaluationOptions& eo,
+                                   const std::vector<size_t>& candidates,
+                                   const std::string& query_key,
+                                   QueryResponse* resp) {
   std::shared_ptr<MaintenanceEntry> entry = GetMaintenanceEntry(query_key);
 
   core::SketchRefineOptions sro;
@@ -498,7 +475,7 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   sro.compute = eo.milp.compute;
   sro.milp = eo.milp;
   sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
-  sro.candidates = candidates;
+  sro.candidates = &candidates;
 
   Stopwatch maintenance_timer;
   const uint64_t generation = catalog_generation_;
@@ -516,17 +493,8 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     sro.state = &entry->state;
     return core::SketchRefine(aq, sro);
   }();
-  if (!r_or.ok()) {
-    if (r_or.status().code() == StatusCode::kUnimplemented) {
-      RunIlpPath(aq, eo, bounds, candidates, resp);
-      return;
-    }
-    resp->strategy = "SketchRefine";
-    resp->status = r_or.status();
-    return;
-  }
+  PB_RETURN_IF_ERROR(r_or.status());
   const core::SketchRefineResult& r = *r_or;
-  resp->strategy = "SketchRefine";
   resp->cancelled = r.cancelled;
   resp->lp_iterations = r.lp_iterations;
   resp->zone_map_skipped_blocks += r.zone_map_skipped_blocks;
@@ -538,41 +506,28 @@ void Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   }
   if (!r.found) {
     if (r.cancelled) {
-      resp->status = Status::ResourceExhausted(
+      return Status::ResourceExhausted(
           "query cancelled before a package was found");
-      return;
     }
-    // Approximation came back empty-handed (e.g. backtracking exhausted):
-    // fall back to the exact route rather than reporting infeasible.
-    RunIlpPath(aq, eo, bounds, candidates, resp);
-    return;
+    // Backtracking exhausted, say: the approximation proves nothing.
+    return Status::Infeasible("SketchRefine found no package");
   }
   resp->package = r.package;
   resp->objective = aq.has_objective ? r.objective : 0.0;
   resp->proven_optimal = false;
+  return Status::OK();
 }
 
-void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo,
-                        const core::CardinalityBounds& bounds,
-                        std::vector<size_t>* candidates,
-                        QueryResponse* resp) {
+Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
+                          const core::EvaluationOptions& eo,
+                          const core::CardinalityBounds& bounds,
+                          std::vector<size_t>* candidates,
+                          QueryResponse* resp) {
   core::TranslateOptions topts;
   if (eo.use_pruning) topts.bounds = &bounds;
   topts.candidates = candidates;
-  auto translation_or = core::TranslateToIlp(aq, topts);
-  if (!translation_or.ok()) {
-    if (translation_or.status().code() == StatusCode::kUnimplemented) {
-      RunEvaluatorPath(aq, eo, resp);
-      return;
-    }
-    resp->strategy = "IlpSolver";
-    resp->status = translation_or.status();
-    return;
-  }
-  const core::IlpTranslation& translation = *translation_or;
-  resp->strategy = "IlpSolver";
-  resp->num_candidates = translation.candidates.size();
+  PB_ASSIGN_OR_RETURN(const core::IlpTranslation translation,
+                      core::TranslateToIlp(aq, topts));
   const uint64_t signature = translation.model.StructuralSignature();
   resp->model_signature = signature;
 
@@ -586,12 +541,7 @@ void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
     resp->warm_start_hit =
         entry->used && entry->warm.model_signature == signature;
     milp.warm = &entry->warm;
-    auto result_or = solver::SolveMilp(translation.model, milp);
-    if (!result_or.ok()) {
-      resp->status = result_or.status();
-      return;
-    }
-    r = *std::move(result_or);
+    PB_ASSIGN_OR_RETURN(r, solver::SolveMilp(translation.model, milp));
     entry->used = true;
   }
   {
@@ -603,62 +553,19 @@ void Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
   resp->cancelled = r.cancelled;
   resp->nodes = r.nodes;
   resp->lp_iterations = r.lp_iterations;
-  switch (r.status) {
-    case solver::MilpStatus::kOptimal:
-    case solver::MilpStatus::kFeasible:
-      resp->package = core::DecodeSolution(translation, r.x);
-      resp->objective = aq.has_objective ? r.objective : 0.0;
-      resp->proven_optimal = r.status == solver::MilpStatus::kOptimal;
-      return;
-    case solver::MilpStatus::kInfeasible:
-      resp->status =
-          Status::Infeasible("no package satisfies the constraints");
-      return;
-    case solver::MilpStatus::kUnbounded:
-      resp->status = Status::Unbounded(
-          "the objective is unbounded (add COUNT/SUM limits)");
-      return;
-    case solver::MilpStatus::kNoSolution:
-      resp->status = Status::ResourceExhausted(
-          r.cancelled ? "query cancelled before a package was found"
-                      : "query budget exhausted before a package was found");
-      return;
-  }
-  resp->status = Status::Internal("unknown solver status");
-}
-
-void Engine::RunEvaluatorPath(const paql::AnalyzedQuery& aq,
-                              const core::EvaluationOptions& eo,
-                              QueryResponse* resp) {
-  core::QueryEvaluator evaluator(&catalog_);
-  auto result_or = evaluator.Evaluate(aq, eo);
-  if (!result_or.ok()) {
-    resp->status = result_or.status();
-    if (result_or.status().code() == StatusCode::kResourceExhausted &&
-        eo.milp.cancel.cancel_requested()) {
-      resp->cancelled = true;
-    }
-    return;
-  }
-  const core::EvaluationResult& r = *result_or;
-  resp->strategy = core::StrategyToString(r.strategy_used);
-  resp->package = r.package;
-  resp->objective = r.objective;
-  resp->proven_optimal = r.proven_optimal;
-  resp->num_candidates = r.num_candidates;
-  resp->zone_map_skipped_blocks = r.bounds.zone_map_skipped_blocks;
-  if (r.milp) {
-    resp->nodes = r.milp->nodes;
-    resp->lp_iterations = r.milp->lp_iterations;
-    resp->cancelled = r.milp->cancelled;
-  }
+  PB_RETURN_IF_ERROR(core::MilpResultStatus(r));
+  resp->package = core::DecodeSolution(translation, r.x);
+  resp->objective = aq.has_objective ? r.objective : 0.0;
+  resp->proven_optimal = r.status == solver::MilpStatus::kOptimal;
+  return Status::OK();
 }
 
 // --------------------------------------------------------- facade wrappers
 
 Result<core::QueryPlan> Engine::Explain(const std::string& paql) const {
   ReaderMutexLock lock(&catalog_mu_);
-  return core::ExplainQuery(paql, catalog_, options_.defaults);
+  return core::ExplainQuery(paql, catalog_, options_.defaults,
+                            options_.incremental_maintenance);
 }
 
 Result<std::vector<core::Package>> Engine::Enumerate(const std::string& paql,
@@ -668,9 +575,7 @@ Result<std::vector<core::Package>> Engine::Enumerate(const std::string& paql,
   PB_ASSIGN_OR_RETURN(paql::AnalyzedQuery aq,
                       paql::ParseAndAnalyze(paql, catalog_));
   if (diverse) return core::EnumerateDiverse(aq, k);
-  const bool translatable =
-      aq.ilp_translatable && (!aq.has_objective || aq.objective_linear);
-  if (translatable && aq.max_multiplicity == 1) {
+  if (aq.TranslatesToIlp() && aq.max_multiplicity == 1) {
     core::EnumerateOptions opts;
     opts.max_packages = k;
     opts.milp = options_.defaults.milp;

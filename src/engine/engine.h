@@ -30,15 +30,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/budget.h"
+#include "common/lru_cache.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/evaluator.h"
@@ -80,7 +79,8 @@ struct EngineOptions {
   int num_threads = 0;
   /// Result-cache capacity in entries (LRU beyond this).
   size_t result_cache_capacity = 64;
-  /// Warm-start cache capacity in entries (LRU beyond this).
+  /// Warm-start cache capacity in entries (LRU beyond this; at least one
+  /// entry is kept).
   size_t warm_cache_capacity = 64;
   /// Bounded admission: SubmitQuery() rejects (returns false) when this
   /// many queries are already queued or running — the server's overload
@@ -95,18 +95,18 @@ struct EngineOptions {
   // ----- Incremental maintenance (HTAP) ------------------------------------
 
   /// Route eligible ILP-translatable queries through SketchRefine with a
-  /// per-query maintained partition (see core::SketchRefineState). With
-  /// this on, AppendRows turns repeat queries into dirty-group re-solves
-  /// instead of from-scratch solves, and appended-but-compatible cached
-  /// results are revalidated rather than invalidated. Off (the default) =
-  /// the classic exact pipeline only.
+  /// per-query maintained partition (see core::SketchRefineState and rule
+  /// 4 of core::PlanQuery). With this on, AppendRows turns repeat queries
+  /// into dirty-group re-solves instead of from-scratch solves, and
+  /// appended-but-compatible cached results are revalidated rather than
+  /// invalidated. Off (the default) = the classic exact pipeline only.
   bool incremental_maintenance = false;
   /// Reuse cached per-group sub-solutions of clean groups (the ablation
   /// knob the incremental bench flips off for its cold baseline; results
   /// are bit-identical either way, only the solver work differs).
   bool maintenance_reuse_solutions = true;
   /// Maintained partition states kept, one per distinct query text (LRU
-  /// beyond this).
+  /// beyond this; at least one is kept).
   size_t maintenance_cache_capacity = 16;
   /// Partition size (tau) for the maintained SketchRefine path.
   size_t sketch_partition_size = 64;
@@ -150,7 +150,9 @@ struct QueryResponse {
   bool has_objective = false;  ///< the query has MAXIMIZE/MINIMIZE
   double objective = 0.0;   ///< objective value (0 without an objective)
   bool proven_optimal = false;
-  std::string strategy;     ///< "Cache", "IlpSolver", "BruteForce", ...
+  /// The plan's strategy or its fallback, whichever answered; a result-cache
+  /// hit reports the call that stored the entry.
+  core::Strategy strategy = core::Strategy::kAuto;
   std::string table;        ///< base table the package indexes into
   std::string rendered;     ///< package-template screen (opt-in)
   // -- counters -----------------------------------------------------------
@@ -258,7 +260,8 @@ class Engine {
   Status CancelSession(uint64_t session);
 
   // -- queries ------------------------------------------------------------
-  /// Parses, plans, and evaluates one PaQL query under the budget.
+  /// Parses, plans (core::PlanQuery), and evaluates one PaQL query under
+  /// the budget.
   /// Re-entrant: any number of threads may call this concurrently.
   QueryResponse ExecuteQuery(uint64_t session, const std::string& paql,
                              const QueryBudget& budget = {});
@@ -269,7 +272,8 @@ class Engine {
   bool SubmitQuery(uint64_t session, std::string paql, QueryBudget budget,
                    std::function<void(QueryResponse)> done);
 
-  /// Plans a query without executing it (EXPLAIN).
+  /// Plans a query without executing it (EXPLAIN): the route ExecuteQuery
+  /// takes, fallback included.
   Result<core::QueryPlan> Explain(const std::string& paql) const;
 
   /// Enumerates up to `k` packages, best first; `diverse` trades objective
@@ -324,29 +328,38 @@ class Engine {
   /// The synchronous query pipeline body (takes the catalog read lock).
   QueryResponse Run(const std::string& paql, const QueryBudget& budget,
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
-  /// ILP route with warm-start cache; `translatable` already verified.
-  /// `candidates` are the WHERE survivors `bounds` came from; the
-  /// translation takes them over (see core::TranslateOptions).
-  void RunIlpPath(const paql::AnalyzedQuery& aq,
+  /// Filters once, plans with core::PlanQuery, and runs the plan's
+  /// strategy, then its fallback when the strategy ends kInfeasible.
+  Status Evaluate(const paql::AnalyzedQuery& aq,
                   const core::EvaluationOptions& eo,
-                  const core::CardinalityBounds& bounds,
-                  std::vector<size_t>* candidates, QueryResponse* resp)
+                  const std::string& query_key, QueryResponse* resp)
+      PB_REQUIRES_SHARED(catalog_mu_);
+  /// Runs one step of `route` (see core::RunStep) into `resp`. `candidates`
+  /// are the WHERE survivors `bounds` came from; an ILP step takes them
+  /// over (see core::TranslateOptions).
+  Status RunStep(core::Strategy step, const core::QueryRoute& route,
+                 const paql::AnalyzedQuery& aq,
+                 const core::EvaluationOptions& eo,
+                 const core::CardinalityBounds& bounds,
+                 std::vector<size_t>* candidates,
+                 const std::string& query_key, QueryResponse* resp)
+      PB_REQUIRES_SHARED(catalog_mu_);
+  /// ILP route with the warm-start cache.
+  Status RunIlpPath(const paql::AnalyzedQuery& aq,
+                    const core::EvaluationOptions& eo,
+                    const core::CardinalityBounds& bounds,
+                    std::vector<size_t>* candidates, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through the per-query partition state so repeat queries after appends
-  /// re-solve only dirty groups. Reads `candidates`, and falls back to
-  /// RunIlpPath with them when the solve comes back empty-handed
-  /// un-cancelled.
-  void RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                           const core::EvaluationOptions& eo,
-                           const core::CardinalityBounds& bounds,
-                           std::vector<size_t>* candidates,
-                           const std::string& query_key, QueryResponse* resp)
+  /// re-solve only dirty groups. kInfeasible when it comes back
+  /// empty-handed un-cancelled, which proves nothing.
+  Status RunSketchRefinePath(const paql::AnalyzedQuery& aq,
+                             const core::EvaluationOptions& eo,
+                             const std::vector<size_t>& candidates,
+                             const std::string& query_key,
+                             QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// Fallback route through the QueryEvaluator hybrid.
-  void RunEvaluatorPath(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo,
-                        QueryResponse* resp) PB_REQUIRES_SHARED(catalog_mu_);
 
   std::shared_ptr<Session> FindSession(uint64_t id);
   std::shared_ptr<WarmEntry> GetWarmEntry(uint64_t signature);
@@ -379,28 +392,16 @@ class Engine {
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_
       PB_GUARDED_BY(sessions_mu_);
 
+  // Eviction drops only a cache's shared_ptr; in-flight solves keep theirs.
   Mutex result_mu_;
-  std::list<std::pair<std::string, QueryResponse>> result_lru_
-      PB_GUARDED_BY(result_mu_);
-  std::unordered_map<std::string,
-                     std::list<std::pair<std::string, QueryResponse>>::iterator>
-      result_map_ PB_GUARDED_BY(result_mu_);
+  LruCache<std::string, QueryResponse> result_cache_ PB_GUARDED_BY(result_mu_);
 
   Mutex warm_mu_;
-  std::list<uint64_t> warm_lru_ PB_GUARDED_BY(warm_mu_);
-  struct WarmSlot {
-    std::list<uint64_t>::iterator lru;
-    std::shared_ptr<WarmEntry> entry;
-  };
-  std::unordered_map<uint64_t, WarmSlot> warm_map_ PB_GUARDED_BY(warm_mu_);
+  LruCache<uint64_t, std::shared_ptr<WarmEntry>> warm_cache_
+      PB_GUARDED_BY(warm_mu_);
 
   Mutex maint_mu_;
-  std::list<std::string> maint_lru_ PB_GUARDED_BY(maint_mu_);
-  struct MaintSlot {
-    std::list<std::string>::iterator lru;
-    std::shared_ptr<MaintenanceEntry> entry;
-  };
-  std::unordered_map<std::string, MaintSlot> maint_map_
+  LruCache<std::string, std::shared_ptr<MaintenanceEntry>> maint_cache_
       PB_GUARDED_BY(maint_mu_);
 
   std::atomic<int> unclaimed_threads_{1};

@@ -44,7 +44,8 @@ json::Value QueryResponseToJson(const engine::QueryResponse& resp) {
   out.Set("package", std::move(pkg));
   out.Set("objective", json::Value::Number(resp.objective));
   out.Set("proven_optimal", json::Value::Bool(resp.proven_optimal));
-  out.Set("strategy", json::Value::Str(resp.strategy));
+  out.Set("strategy",
+          json::Value::Str(core::StrategyToString(resp.strategy)));
   out.Set("cancelled", json::Value::Bool(resp.cancelled));
 
   json::Value counters = json::Value::Object();

@@ -1,13 +1,17 @@
-// Unit tests for the common substrate: Status/Result, strings, math, random.
+// Unit tests for the common substrate: Status/Result, strings, math, random,
+// the thread pool and the LRU cache.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 
+#include "common/lru_cache.h"
 #include "common/math.h"
 #include "common/random.h"
 #include "common/status.h"
@@ -369,6 +373,55 @@ TEST(TaskGroupTest, ReusableAcrossBatches) {
   for (int i = 0; i < 10; ++i) group.Spawn([&calls] { ++calls; });
   group.Wait();
   EXPECT_EQ(calls.load(), 11);
+}
+
+// ----- LruCache --------------------------------------------------------------
+
+TEST(LruCacheTest, PutWithCapacityZeroStoresNothing) {
+  LruCache<std::string, int> cache(0);
+  cache.Put("a", 1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+}
+
+TEST(LruCacheTest, FindOrInsertKeepsAtLeastOneEntry) {
+  LruCache<std::string, int> cache(0);
+  cache["a"] = 1;
+  cache["b"] = 2;
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+  ASSERT_NE(cache.Find("b"), nullptr);
+  EXPECT_EQ(*cache.Find("b"), 2);
+}
+
+TEST(LruCacheTest, EvictionDropsOnlyTheCachesReference) {
+  LruCache<uint64_t, std::shared_ptr<int>> cache(1);
+  std::shared_ptr<int> held = cache[1] = std::make_shared<int>(7);
+  EXPECT_EQ(held.use_count(), 2);
+  cache[2] = std::make_shared<int>(8);
+  EXPECT_EQ(cache.Find(1), nullptr);
+  EXPECT_EQ(held.use_count(), 1);
+  EXPECT_EQ(*held, 7);
+}
+
+TEST(LruCacheTest, HitsAndOverwritesMarkMostRecentlyUsed) {
+  LruCache<std::string, int> cache(2);
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  ASSERT_NE(cache.Find("a"), nullptr);  // a hit: b is now least recent
+  cache.Put("c", 3);
+  EXPECT_EQ(cache.Find("b"), nullptr);
+  cache.Put("a", 4);  // an overwrite: c is now least recent
+  cache["d"];
+  EXPECT_EQ(cache.Find("c"), nullptr);
+  ASSERT_NE(cache.Find("a"), nullptr);
+  EXPECT_EQ(*cache.Find("a"), 4);
+  cache["d"] = 5;  // a hit through operator[]: a is now least recent
+  cache.Put("e", 6);
+  EXPECT_EQ(cache.Find("a"), nullptr);
+  ASSERT_NE(cache.Find("d"), nullptr);
+  EXPECT_EQ(*cache.Find("d"), 5);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

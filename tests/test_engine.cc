@@ -40,7 +40,7 @@ TEST(EngineTest, ExecutesAnOptimizationQuery) {
   auto engine = MakeRecipesEngine();
   QueryResponse r = engine->ExecuteQuery(0, kOptQuery);
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_EQ(r.strategy, "IlpSolver");
+  EXPECT_EQ(r.strategy, core::Strategy::kIlpSolver);
   EXPECT_EQ(r.table, "recipes");
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_TRUE(r.has_objective);
@@ -104,7 +104,7 @@ TEST(EngineTest, NonTranslatableQueryDelegatesToSearch) {
       "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 2 OR "
       "COUNT(*) = 3");
   ASSERT_TRUE(r.ok()) << r.status.ToString();
-  EXPECT_NE(r.strategy, "IlpSolver");
+  EXPECT_NE(r.strategy, core::Strategy::kIlpSolver);
   EXPECT_GE(r.package.TotalCount(), 2);
 }
 

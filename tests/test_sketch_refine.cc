@@ -176,7 +176,7 @@ TEST_F(SketchRefineTest, PartitionSizeSweepStaysValid) {
 }
 
 TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
-  // The meal-plan workload: any num_threads must produce a bit-identical
+  // The meal-plan workload: any thread budget must produce a bit-identical
   // package and objective (parallel refine merges deterministically and the
   // repair pass depends only on deterministic sub-solutions).
   db::Catalog c;
@@ -189,7 +189,7 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
                      "MAXIMIZE SUM(protein)");
   SketchRefineOptions seq;
   seq.partition_size = 50;
-  seq.num_threads = 1;
+  seq.compute.threads = 1;
   auto r1 = SketchRefine(aq, seq);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   ASSERT_TRUE(r1->found);
@@ -208,8 +208,8 @@ TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
                           {pb::EnvInt("PB_TEST_THREADS", 8), 2}};
   for (const Split& s : splits) {
     SketchRefineOptions par = seq;
-    par.num_threads = s.num_threads;
-    par.node_threads = s.node_threads;
+    par.compute.threads = s.num_threads;
+    par.compute.node_threads = s.node_threads;
     auto r4 = SketchRefine(aq, par);
     ASSERT_TRUE(r4.ok()) << r4.status().ToString();
     ASSERT_TRUE(r4->found);

@@ -1,5 +1,5 @@
 // Parallel branch-and-bound: the speculative tree search must be
-// bit-identical to the serial solver for every MilpOptions::num_threads —
+// bit-identical to the serial solver for every MilpOptions::compute.threads —
 // same package, same bounds, same deterministic counters — including under
 // incumbent races on models with many equal-objective optima.
 //
@@ -22,7 +22,7 @@ namespace {
 
 MilpOptions Opts(int threads) {
   MilpOptions o;
-  o.num_threads = threads;
+  o.compute.threads = threads;
   o.time_limit_s = 120.0;
   return o;
 }
@@ -185,7 +185,7 @@ TEST(ParallelMilpTest, NodeBudgetStopsAtTheSameNode) {
   tight.max_nodes = 25;  // stop mid-search: bounds must still agree
   auto serial = SolveMilp(m, tight);
   ASSERT_TRUE(serial.ok());
-  tight.num_threads = 8;
+  tight.compute.threads = 8;
   auto par = SolveMilp(m, tight);
   ASSERT_TRUE(par.ok());
   ExpectSameSolve(*serial, *par, "node_budget");

@@ -630,6 +630,21 @@ TEST(OutOfCoreEngineTest, EveryRouteScansTheWhereClauseOnce) {
                      EXPECT_EQ(r->strategy_used, core::Strategy::kIlpSolver);
                    }),
             scan);
+  // The search routes run on the candidates the evaluator filtered.
+  for (core::Strategy forced :
+       {core::Strategy::kBruteForce, core::Strategy::kLocalSearch}) {
+    SCOPED_TRACE(core::StrategyToString(forced));
+    core::EvaluationOptions opts;
+    opts.strategy = forced;
+    EXPECT_EQ(PinsOf(cache,
+                     [&] {
+                       core::QueryEvaluator evaluator(&catalog);
+                       auto r = evaluator.Evaluate(*aq, opts);
+                       ASSERT_TRUE(r.ok()) << r.status().ToString();
+                       EXPECT_EQ(r->strategy_used, forced);
+                     }),
+              scan);
+  }
   EXPECT_EQ(PinsOf(cache, [&] { ASSERT_TRUE(core::ExplainQuery(*aq).ok()); }),
             scan);
   EXPECT_EQ(PinsOf(cache,
@@ -653,7 +668,7 @@ TEST(OutOfCoreEngineTest, EveryRouteScansTheWhereClauseOnce) {
                    [&] {
                      engine::QueryResponse r = engine.ExecuteQuery(0, paql);
                      ASSERT_TRUE(r.ok()) << r.status.ToString();
-                     EXPECT_EQ(r.strategy, "IlpSolver");
+                     EXPECT_EQ(r.strategy, core::Strategy::kIlpSolver);
                    }),
             scan);
 }

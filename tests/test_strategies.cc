@@ -353,6 +353,8 @@ TEST_F(StrategiesTest, StrategyNamesStable) {
   EXPECT_STREQ(StrategyToString(Strategy::kIlpSolver), "IlpSolver");
   EXPECT_STREQ(StrategyToString(Strategy::kBruteForce), "BruteForce");
   EXPECT_STREQ(StrategyToString(Strategy::kLocalSearch), "LocalSearch");
+  EXPECT_STREQ(StrategyToString(Strategy::kPruning), "Pruning");
+  EXPECT_STREQ(StrategyToString(Strategy::kSketchRefine), "SketchRefine");
 }
 
 }  // namespace
