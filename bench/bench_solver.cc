@@ -281,18 +281,19 @@ void BM_MilpWarmStartAblation(benchmark::State& state) {
 BENCHMARK(BM_MilpWarmStartAblation)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Child re-solve engine ablation, all arms warm-started: warm_primal is
-// the PR 3 baseline (every child repaired by the composite phase 1),
-// warm_dual re-optimizes children with the dual simplex, and
+// Child re-solve engine ablation, all arms warm-started and tightened by
+// reduced cost: warm_primal repairs every child with the composite phase
+// 1, warm_dual re-optimizes children with the dual simplex, and
 // warm_dual_presolve adds bound propagation before each child LP (the
 // default path). Optima are bit-identical across arms; lp_iterations /
-// lp_dual_iterations and the presolve counters are the comparison — the
-// acceptance bar is >= 2x fewer simplex iterations than warm_primal.
+// lp_dual_iterations and the presolve and reduced-cost counters are the
+// comparison — the acceptance bar is >= 2x fewer simplex iterations than
+// warm_primal.
 void BM_MilpChildResolveAblation(benchmark::State& state) {
   const int mode = static_cast<int>(state.range(0));
   LpModel m = TightWindowPackageIlp();
   double iters = 0, dual_iters = 0, nodes = 0, objective = 0;
-  double fixed = 0, pruned = 0;
+  double fixed = 0, pruned = 0, rc_tightened = 0;
   for (auto _ : state) {
     MilpOptions opts;
     opts.use_dual_simplex = mode >= 1;
@@ -310,6 +311,7 @@ void BM_MilpChildResolveAblation(benchmark::State& state) {
     objective = r->objective;
     fixed = static_cast<double>(r->presolve_fixed_bounds);
     pruned = static_cast<double>(r->presolve_infeasible_children);
+    rc_tightened = static_cast<double>(r->reduced_cost_tightenings);
   }
   state.SetLabel(mode == 0   ? "warm_primal"
                  : mode == 1 ? "warm_dual"
@@ -320,6 +322,7 @@ void BM_MilpChildResolveAblation(benchmark::State& state) {
   state.counters["objective"] = objective;
   state.counters["presolve_fixed_bounds"] = fixed;
   state.counters["presolve_infeasible_children"] = pruned;
+  state.counters["reduced_cost_tightenings"] = rc_tightened;
 }
 BENCHMARK(BM_MilpChildResolveAblation)->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMillisecond);
@@ -344,6 +347,7 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
   m.AddConstraint("weight", weight, 800.5, 801.0);
   m.SetSense(ObjectiveSense::kMaximize);
   double iters = 0, nodes = 0, fixed = 0, pruned = 0, objective = 0;
+  double rc_tightened = 0;
   for (auto _ : state) {
     MilpOptions opts;
     opts.node_presolve = presolve;
@@ -357,6 +361,7 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
     nodes = static_cast<double>(r->nodes);
     fixed = static_cast<double>(r->presolve_fixed_bounds);
     pruned = static_cast<double>(r->presolve_infeasible_children);
+    rc_tightened = static_cast<double>(r->reduced_cost_tightenings);
     objective = r->objective;
   }
   state.SetLabel(presolve ? "presolve_on" : "presolve_off");
@@ -364,6 +369,7 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
   state.counters["bnb_nodes"] = nodes;
   state.counters["presolve_fixed_bounds"] = fixed;
   state.counters["presolve_infeasible_children"] = pruned;
+  state.counters["reduced_cost_tightenings"] = rc_tightened;
   state.counters["objective"] = objective;
 }
 BENCHMARK(BM_MilpNodePresolveAblation)->Arg(0)->Arg(1)

@@ -60,7 +60,9 @@ Status Table::AppendRows(std::vector<Tuple> rows) {
   for (const Tuple& row : rows) {
     PB_RETURN_IF_ERROR(CheckRow(row));
   }
-  Reserve(num_rows_ + rows.size());
+  // No Reserve(num_rows_ + rows.size()) here: reserving exactly the new
+  // size defeats the columns' geometric growth, so every small append
+  // would reallocate and move every column.
   for (Tuple& row : rows) AppendUnchecked(std::move(row));
   return Status::OK();
 }

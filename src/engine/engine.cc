@@ -453,7 +453,7 @@ Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
     return RunSketchRefinePath(aq, eo, *candidates, query_key, resp);
   }
   if (step == core::Strategy::kIlpSolver) {
-    return RunIlpPath(aq, eo, bounds, candidates, resp);
+    return RunIlpPath(aq, eo, bounds, candidates, query_key, resp);
   }
   PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
                       core::RunStep(step, route, aq, eo, bounds, candidates));
@@ -522,6 +522,7 @@ Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
                           const core::EvaluationOptions& eo,
                           const core::CardinalityBounds& bounds,
                           std::vector<size_t>* candidates,
+                          const std::string& query_key,
                           QueryResponse* resp) {
   core::TranslateOptions topts;
   if (eo.use_pruning) topts.bounds = &bounds;
@@ -534,15 +535,28 @@ Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
   std::shared_ptr<WarmEntry> entry = GetWarmEntry(signature);
   solver::MilpOptions milp = eo.milp;
   solver::MilpResult r;
+  // Generation, table rows and query text determine the model.
+  const std::string solved_query = std::to_string(catalog_generation_) +
+                                   "\n" +
+                                   std::to_string(aq.table->num_rows()) +
+                                   "\n" + query_key;
   {
     // MilpWarmStart is not thread-safe; the entry mutex serializes the
     // solves that share this structural signature.
     MutexLock lock(&entry->mu);
     resp->warm_start_hit =
         entry->used && entry->warm.model_signature == signature;
-    milp.warm = &entry->warm;
-    PB_ASSIGN_OR_RETURN(r, solver::SolveMilp(translation.model, milp));
-    entry->used = true;
+    if (entry->solved_query == solved_query) {
+      r = entry->solved;
+    } else {
+      milp.warm = &entry->warm;
+      PB_ASSIGN_OR_RETURN(r, solver::SolveMilp(translation.model, milp));
+      entry->used = true;
+      if (r.status == solver::MilpStatus::kOptimal && !r.cancelled) {
+        entry->solved_query = solved_query;
+        entry->solved = r;
+      }
+    }
   }
   {
     MutexLock lock(&stats_mu_);

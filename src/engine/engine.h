@@ -312,6 +312,14 @@ class Engine {
     solver::MilpWarmStart warm PB_GUARDED_BY(mu);
     /// A solve has completed against this entry.
     bool used PB_GUARDED_BY(mu) = false;
+    /// The last proven-optimal solve through this entry, and the query it
+    /// answered (catalog generation, table rows, normalized text). Copies
+    /// of one query that race past the result cache solve here in turn,
+    /// each warm-started by the one before; where several packages tie at
+    /// the optimum, a warm re-solve may end on another of them. Replaying
+    /// this result to an identical query keeps the copies identical.
+    std::string solved_query PB_GUARDED_BY(mu);
+    solver::MilpResult solved PB_GUARDED_BY(mu);
   };
   /// One maintained-partition slot, keyed on normalized query text. The
   /// entry mutex serializes the solves that share the state
@@ -348,7 +356,8 @@ class Engine {
   Status RunIlpPath(const paql::AnalyzedQuery& aq,
                     const core::EvaluationOptions& eo,
                     const core::CardinalityBounds& bounds,
-                    std::vector<size_t>* candidates, QueryResponse* resp)
+                    std::vector<size_t>* candidates,
+                    const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through the per-query partition state so repeat queries after appends

@@ -190,12 +190,21 @@ RowActivityBounds RowActivityUnder(const LpModel& model, int row,
 }
 
 /// Node presolve's scratch, sized once per solve and reused by every
-/// PropagateBranchedBound call. Between calls every flag is zero and both
-/// queues are empty.
+/// PropagateBoundChanges call. Between calls every flag is zero and both
+/// queues are empty, except for the variables a caller has just queued.
 struct PresolveScratch {
   PresolveScratch() = default;
   PresolveScratch(int num_vars, int num_rows)
       : var_queued(num_vars, 0), row_queued(num_rows, 0), saved(num_vars) {}
+
+  /// Queues v for propagation once: `folded` is the pair of bounds the row
+  /// activity ranges still reflect for v, from before its tightening.
+  void QueueVar(int v, std::pair<double, double> folded) {
+    if (var_queued[v]) return;
+    var_queued[v] = 1;
+    saved[v] = folded;
+    var_queue.push_back(v);
+  }
 
   std::vector<int> var_queue, row_queue;
   std::vector<char> var_queued, row_queued;
@@ -204,27 +213,27 @@ struct PresolveScratch {
   Bounds saved;
 };
 
-/// Node presolve: propagates a branched bound through the row activity
-/// ranges. On entry `bounds` holds the child's bounds with `changed_var`
-/// already tightened while `acts` still reflects that variable's old
-/// [old_lb, old_ub]; both are updated in place. Tightening is applied to
+/// Node presolve: propagates tightened bounds through the row activity
+/// ranges. On entry `bounds` holds the node's bounds with every variable
+/// queued in `scratch` (a branched bound, reduced-cost tightenings)
+/// already tightened, while `acts` still reflects the bounds each was
+/// queued with; both are updated in place. Tightening is applied to
 /// integer variables only, and the ceil/floor step may cut LP-fractional
-/// points of the child's relaxation (e.g. 2x <= 1 rounds x's bound from
-/// 0.5 to 0) — what is preserved exactly is the child's INTEGER feasible
+/// points of the node's relaxation (e.g. 2x <= 1 rounds x's bound from
+/// 0.5 to 0) — what is preserved exactly is the node's INTEGER feasible
 /// set, so the MILP answer never changes, only the relaxation bounds and
 /// the search path. A COUNT = k row whose minimum activity reaches k this
 /// way fixes every remaining binary to 0 at once. Returns false when a
-/// row's activity range can no longer meet its bounds: the child is
+/// row's activity range can no longer meet its bounds: the node is
 /// infeasible and needs no LP at all. `tightened` counts bound changes
-/// beyond the branched one. `row_move[r]` is row r's largest single-term
+/// beyond the queued ones. `row_move[r]` is row r's largest single-term
 /// move over the root bounds (see SolveMilp). `scratch` is borrowed and
-/// left as found.
-bool PropagateBranchedBound(const LpModel& model,
-                            const std::vector<double>& row_move,
-                            int changed_var, double old_lb, double old_ub,
-                            double int_tol, Bounds* bounds,
-                            std::vector<RowActivityBounds>* acts,
-                            int64_t* tightened, PresolveScratch* scratch) {
+/// left with every flag zero and both queues empty.
+bool PropagateBoundChanges(const LpModel& model,
+                           const std::vector<double>& row_move,
+                           double int_tol, Bounds* bounds,
+                           std::vector<RowActivityBounds>* acts,
+                           int64_t* tightened, PresolveScratch* scratch) {
   constexpr double kFeasEps = 1e-7;
   const auto& vrows = model.variable_rows();
   const int m = model.num_constraints();
@@ -237,11 +246,6 @@ bool PropagateBranchedBound(const LpModel& model,
   // reflects for it; popping it folds the delta into its rows. Only queued
   // variables lag `bounds`: for every other variable, `acts` reflects its
   // current bounds.
-  auto queue_var = [&](int v, std::pair<double, double> folded) {
-    var_queued[v] = 1;
-    scratch->saved[v] = folded;
-    var_queue.push_back(v);
-  };
   auto reflected = [&](int v) -> const std::pair<double, double>& {
     return var_queued[v] ? scratch->saved[v] : (*bounds)[v];
   };
@@ -254,7 +258,6 @@ bool PropagateBranchedBound(const LpModel& model,
     row_queue.clear();
     return false;
   };
-  queue_var(changed_var, {old_lb, old_ub});
 
   // Tightening budget (row visits). Float drift on dense package rows
   // could otherwise re-tighten forever; once spent, rows still drain for
@@ -343,12 +346,104 @@ bool PropagateBranchedBound(const LpModel& model,
       if (std::isfinite(new_u)) new_u = std::floor(new_u + int_tol);
       if (new_l <= l && new_u >= u) continue;  // no improvement
       if (new_l > new_u) return infeasible();  // empty domain
-      if (!var_queued[t.var]) queue_var(t.var, {l, u});
+      scratch->QueueVar(t.var, {l, u});
       (*bounds)[t.var] = {new_l, new_u};
       ++*tightened;
     }
   }
   return true;
+}
+
+/// Reduced-cost tightening of a node whose LP `lp` solved to optimality,
+/// against the incumbent objective `incumbent_obj`. In the minimization
+/// form, every point v of the node's relaxation satisfies
+///   c.v - z = sum over nonbasic k of d_k * (v_k - x_k)
+/// (z, x, d: the LP's objective, point and reduced costs), with d_k >= 0
+/// at a lower bound and d_k <= 0 at an upper one. A package that beats the
+/// incumbent has c.v - z < gap = incumbent - z, so an integer column j at
+/// its lower bound with d_j > 0 rises by at most floor((gap + margin) /
+/// d_j) in it; a column at its upper bound likewise falls by at most
+/// floor((gap + margin) / -d_j). Only packages that cannot beat the
+/// incumbent are cut, so the optimum never changes.
+///
+/// The margin covers the LP's tolerances: each movable nonbasic variable
+/// whose reduced cost sits on the wrong side (as far as opt_tol allows)
+/// could pay back |d_k| times its range — a column's bound range, or for a
+/// row slack the row's activity range at the node within the row's bounds
+/// — plus 1e-6 * max(1, |z|, |incumbent|) for rounding in z and d.
+///
+/// Tightens `bounds` in place. With node presolve on (`acts` non-empty),
+/// the tightened columns are folded through PropagateBoundChanges, so the
+/// row activity ranges stay in step and implied fixings follow; false then
+/// means propagation proved the node empty. Counts into `tallies`.
+bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
+                           double incumbent_obj, double int_tol,
+                           const std::vector<double>& row_move, Bounds* bounds,
+                           std::vector<RowActivityBounds>* acts,
+                           MilpResult* tallies, PresolveScratch* scratch) {
+  const int n = model.num_variables();
+  const int m = model.num_constraints();
+  const double sign = model.sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
+  const std::vector<VarStat>& stat = lp.basis.stat;
+  auto bound_of = [&](int v) -> const std::pair<double, double>& {
+    return (*bounds)[v];
+  };
+
+  double margin = 1e-6 * std::max({1.0, std::abs(lp.objective),
+                                   std::abs(incumbent_obj)});
+  for (int k = 0; k < n + m; ++k) {
+    const double d = sign * lp.reduced_costs[k];
+    double wrong = 0.0;
+    switch (stat[k]) {
+      case VarStat::kBasic:   continue;
+      case VarStat::kAtLower: wrong = -d; break;
+      case VarStat::kAtUpper: wrong = d; break;
+      case VarStat::kFree:    wrong = std::abs(d); break;
+    }
+    if (wrong <= 0.0) continue;
+    double range;
+    if (k < n) {
+      range = (*bounds)[k].second - (*bounds)[k].first;
+    } else {
+      const Constraint& con = model.constraint(k - n);
+      RowActivityBounds act = acts->empty()
+                                  ? RowActivityUnder(model, k - n, bound_of)
+                                  : (*acts)[k - n];
+      range = std::min(con.hi, act.max) - std::max(con.lo, act.min);
+    }
+    if (!(range <= 0.0)) margin += wrong * range;  // NaN poisons the budget
+  }
+  const double budget = sign * (incumbent_obj - lp.objective) + margin;
+  // An unbounded range (or NaN from one) leaves nothing to conclude.
+  if (!std::isfinite(budget) || budget < 0.0) return true;
+
+  const int64_t before = tallies->reduced_cost_tightenings;
+  for (int j = 0; j < n; ++j) {
+    if (!model.variable(j).is_integer) continue;
+    const auto [l, u] = (*bounds)[j];
+    if (l == u) continue;
+    const double d = sign * lp.reduced_costs[j];
+    double new_l = l, new_u = u;
+    if (stat[j] == VarStat::kAtLower && d > 0.0) {
+      const double steps = budget / d;
+      if (!(steps < u - l)) continue;
+      new_u = l + std::floor(steps);
+    } else if (stat[j] == VarStat::kAtUpper && d < 0.0) {
+      const double steps = budget / -d;
+      if (!(steps < u - l)) continue;
+      new_l = u - std::floor(steps);
+    } else {
+      continue;
+    }
+    if (!acts->empty()) scratch->QueueVar(j, {l, u});
+    (*bounds)[j] = {new_l, new_u};
+    ++tallies->reduced_cost_tightenings;
+  }
+  if (acts->empty() || tallies->reduced_cost_tightenings == before) {
+    return true;
+  }
+  return PropagateBoundChanges(model, row_move, int_tol, bounds, acts,
+                               &tallies->presolve_fixed_bounds, scratch);
 }
 
 /// Branch-variable selection: pseudocost scoring once any history exists,
@@ -836,6 +931,17 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       }
     }
 
+    // Reduced-cost tightening, after the heuristics (which may have
+    // improved the incumbent) and before the children copy the node's
+    // bounds, so both inherit it. It runs here on the committing thread,
+    // so the tree stays identical for every thread count.
+    if (have_incumbent &&
+        !TightenByReducedCosts(model, lp, incumbent_obj, options.int_tol,
+                               row_move, &node.bounds, &node.acts, &result,
+                               &presolve_scratch)) {
+      continue;  // propagation proved the node empty
+    }
+
     // Branch: floor side and ceil side, both warm-started from this node's
     // optimal basis (they differ from it by one variable bound). Node
     // presolve then propagates that one bound through the row activity
@@ -864,14 +970,15 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         std::min(down->node.bounds[branch_var].second, std::floor(xv));
     bool push_down = down->node.bounds[branch_var].first <=
                      down->node.bounds[branch_var].second;
-    if (push_down && presolve_enabled &&
-        !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
-                                parent_ub, options.int_tol,
-                                &down->node.bounds, &down->node.acts,
-                                &result.presolve_fixed_bounds,
-                                &presolve_scratch)) {
-      ++result.presolve_infeasible_children;
-      push_down = false;
+    if (push_down && presolve_enabled) {
+      presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
+      if (!PropagateBoundChanges(model, row_move, options.int_tol,
+                                 &down->node.bounds, &down->node.acts,
+                                 &result.presolve_fixed_bounds,
+                                 &presolve_scratch)) {
+        ++result.presolve_infeasible_children;
+        push_down = false;
+      }
     }
     if (push_down) push_open(std::move(down));
     auto up = std::make_shared<OpenNode>();
@@ -886,14 +993,15 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         std::max(up->node.bounds[branch_var].first, std::ceil(xv));
     bool push_up =
         up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
-    if (push_up && presolve_enabled &&
-        !PropagateBranchedBound(model, row_move, branch_var, parent_lb,
-                                parent_ub, options.int_tol,
-                                &up->node.bounds, &up->node.acts,
-                                &result.presolve_fixed_bounds,
-                                &presolve_scratch)) {
-      ++result.presolve_infeasible_children;
-      push_up = false;
+    if (push_up && presolve_enabled) {
+      presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
+      if (!PropagateBoundChanges(model, row_move, options.int_tol,
+                                 &up->node.bounds, &up->node.acts,
+                                 &result.presolve_fixed_bounds,
+                                 &presolve_scratch)) {
+        ++result.presolve_infeasible_children;
+        push_up = false;
+      }
     }
     if (push_up) push_open(std::move(up));
   }

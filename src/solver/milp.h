@@ -2,13 +2,28 @@
 //
 // This stands in for the "state-of-the-art constraint optimization solvers"
 // the paper hands its translated package queries to (CPLEX in the authors'
-// deployment). Best-first search on the LP relaxation bound, branching on
-// the most fractional integer variable, with an LP-rounding primal
-// heuristic to obtain incumbents early. With MilpOptions::compute.threads
-// > 1 the tree search runs in parallel: helper threads speculatively solve
-// the LPs of frontier nodes against a shared incumbent bound while the main
-// thread commits results in the exact serial order, so every solve is
-// bit-identical for any thread count (see MilpOptions::compute).
+// deployment). The search, node by node in best-first order of the parent's
+// LP bound:
+//
+//   1. Solve the node's LP, warm from the parent's optimal basis (the dual
+//      simplex re-optimizes after the branched bound moved).
+//   2. Prune against the incumbent; accept an integral LP point as one.
+//   3. Primal heuristics: LP rounding at every node, and one LP dive from
+//      the root while no incumbent exists.
+//   4. Reduced-cost tightening, once an incumbent exists: a nonbasic
+//      integer column may move off its bound only as far as its reduced
+//      cost allows before the LP bound falls behind the incumbent.
+//   5. Branch on the fractional variable with the best pseudocost score
+//      (the most fractional one until branching history exists), and
+//      propagate each child's branched bound through the row activity
+//      ranges (node presolve): implied integer fixings ride into the
+//      child, and a child whose rows cannot be met is dropped unsolved.
+//
+// With MilpOptions::compute.threads > 1 the tree search runs in parallel:
+// helper threads speculatively solve the LPs of frontier nodes against a
+// shared incumbent bound while the main thread commits results (steps 2-5)
+// in the exact serial order, so every solve is bit-identical for any
+// thread count (see MilpOptions::compute).
 
 #ifndef PB_SOLVER_MILP_H_
 #define PB_SOLVER_MILP_H_
@@ -83,25 +98,27 @@ struct MilpOptions {
   bool rounding_heuristic = true;
   /// Re-solve each branch-and-bound child from its parent's optimal basis
   /// (phase-1 repair handles the tightened bound), chain bases through the
-  /// dive heuristic, and branch on pseudocost history. Off = the faithful
-  /// pre-warm-start solver — cold slack-basis solves, most-fractional
-  /// branching, and `warm` ignored — kept as an ablation/benchmark knob.
+  /// dive heuristic, and branch on pseudocost history. Off = cold slack-
+  /// basis solves, most-fractional branching, and `warm` ignored (ablation
+  /// knob; reduced-cost tightening still runs).
   bool warm_start_lps = true;
   /// Re-optimize warm child LPs with the dual simplex (the parent basis is
   /// dual-feasible after a branch tightens one bound, so a few dual pivots
   /// replace the phase-1 primal repair). Governs every LP this solve runs
   /// (overrides lp.use_dual_simplex); no effect without warm_start_lps,
-  /// since only warm bases can enter the dual. Off = PR 3's warm-primal
-  /// re-solve path exactly (ablation knob).
+  /// since only warm bases can enter the dual. Off = every warm child is
+  /// repaired by the primal phase 1 (ablation knob; reduced-cost
+  /// tightening still runs).
   bool use_dual_simplex = true;
-  /// Propagate each branched bound through per-node row activity ranges
-  /// before solving the child's LP: tighten implied integer bounds (COUNT
-  /// = k rows fix many binaries at once) and discard children whose rows
-  /// can no longer be satisfied without any LP work. Preserves the
-  /// integer feasible set exactly (the MILP answer never changes); the
-  /// ceil/floor tightening may trim LP-fractional corners of a child's
-  /// relaxation, so only the bounds and the search path move. Off = every
-  /// child pays a full LP (ablation knob).
+  /// Propagate each branched bound (and each reduced-cost tightening)
+  /// through per-node row activity ranges before solving the child's LP:
+  /// tighten implied integer bounds (COUNT = k rows fix many binaries at
+  /// once) and discard children whose rows can no longer be satisfied
+  /// without any LP work. Preserves the integer feasible set exactly (the
+  /// MILP answer never changes); the ceil/floor tightening may trim
+  /// LP-fractional corners of a child's relaxation, so only the bounds and
+  /// the search path move. Off = every child pays a full LP and reduced-
+  /// cost tightenings are not propagated (ablation knob).
   bool node_presolve = true;
   /// Optional cross-solve state (borrowed, in/out); see MilpWarmStart.
   MilpWarmStart* warm = nullptr;
@@ -114,11 +131,12 @@ struct MilpOptions {
   /// owns its own LpSolver workspace, as the main thread does, and a
   /// workspace's solves never depend on what it solved before — while the
   /// main thread pops, prunes, and commits results (incumbent, pseudocosts,
-  /// branching, presolve) in the exact serial best-first order. Helpers
-  /// skip nodes already cut off by the atomically published incumbent
-  /// bound. The committed tree is therefore bit-identical for EVERY thread
-  /// count: same package, same bounds, same nodes/lp_iterations/presolve
-  /// counters; only wall-clock and MilpResult::speculative_lps vary. (As
+  /// reduced-cost tightening, branching, presolve) in the exact serial
+  /// best-first order. Helpers skip nodes already cut off by the atomically
+  /// published incumbent bound. The committed tree is therefore
+  /// bit-identical for EVERY thread count: same package, same bounds, same
+  /// nodes/lp_iterations/presolve/tightening counters; only wall-clock and
+  /// MilpResult::speculative_lps vary. (As
   /// with the Refine fan-out, determinism additionally requires a
   /// deterministic stopping rule — a solve that hits time_limit_s
   /// mid-search stops at a wall-clock-dependent node; prefer max_nodes
@@ -159,6 +177,10 @@ struct MilpResult {
   /// Children proven infeasible by bound propagation alone (no LP solved,
   /// not counted in `nodes`).
   int64_t presolve_infeasible_children = 0;
+  /// Integer column bounds tightened by reduced cost across the whole tree
+  /// (see the file comment). Bounds that propagation then implies count in
+  /// presolve_fixed_bounds.
+  int64_t reduced_cost_tightenings = 0;
   /// LPs solved by helper threads when compute.threads > 1 — speculation
   /// hits and wasted guesses alike. Diagnostic only and timing-dependent:
   /// the ONE nondeterministic counter in this struct (everything else is

@@ -164,6 +164,10 @@ class LpSolver::Simplex {
       double obj = 0.0;
       for (int j = 0; j < n_; ++j) obj += cost_[j] * x_[j];
       out.objective = sign_ * obj;
+      // Phase 2 converges only on freshly recomputed reduced costs.
+      PB_DCHECK(d_valid_ && !d_phase1_);
+      out.reduced_costs.resize(total_);
+      for (int j = 0; j < total_; ++j) out.reduced_costs[j] = sign_ * d_[j];
     }
     if (status == LpStatus::kOptimal || status == LpStatus::kIterationLimit) {
       ExportBasis(&out.basis);

@@ -121,6 +121,13 @@ struct LpSolution {
   /// solves) and when kIterationLimit (so a re-solve with a raised limit
   /// resumes instead of restarting).
   LpBasis basis;
+  /// Reduced costs in the model's objective sense, structural then slack
+  /// (basis.stat's layout): the objective's rate of change per unit rise
+  /// of a nonbasic variable, 0 for basic ones. Populated when kOptimal,
+  /// with the freshly recomputed values optimality was declared from, so
+  /// every movable nonbasic entry has the optimal sign up to
+  /// SimplexOptions::opt_tol (a fixed column's may have either sign).
+  std::vector<double> reduced_costs;
 };
 
 struct SimplexOptions {

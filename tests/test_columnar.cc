@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "datagen/lineitem.h"
 #include "db/csv.h"
 #include "db/expr.h"
 #include "db/ops.h"
@@ -273,6 +274,27 @@ TEST(AppendTest, AppendRowFromCopiesColumnWise) {
   EXPECT_EQ(dst.row(0), src.row(2));
   EXPECT_EQ(dst.row(1), src.row(0));
   EXPECT_EQ(dst.stats(1).null_count, 1);
+}
+
+TEST(AppendTest, SingleRowAppendsGrowColumnsGeometrically) {
+  // The served append path adds one row per AppendRows call, under the
+  // catalog writer lock. Reserving exactly the new size on each call
+  // would move every column buffer on every append (64 times here).
+  Table t = datagen::GenerateLineitems(2000, 5);
+  auto col = t.schema().IndexOf("extendedprice");
+  ASSERT_TRUE(col.ok());
+  ASSERT_EQ(t.column_data(*col).storage_type(), ValueType::kDouble);
+  const double* data = t.column_data(*col).doubles().data();
+  int moves = 0;
+  for (size_t i = 0; i < 64; ++i) {
+    ASSERT_TRUE(t.AppendRows({t.row(i)}).ok());
+    const double* now = t.column_data(*col).doubles().data();
+    if (now != data) ++moves;
+    data = now;
+  }
+  EXPECT_LE(moves, 8);
+  ASSERT_EQ(t.num_rows(), 2064u);
+  EXPECT_EQ(t.row(2063), t.row(63));
 }
 
 // ----- Columnar fast paths match the generic path ----------------------------

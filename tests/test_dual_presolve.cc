@@ -279,8 +279,9 @@ TEST(MilpNodePresolveTest, InfeasibleChildrenPrunedWithZeroLpWork) {
   EXPECT_EQ(r->nodes, 1) << "only the root LP may be solved";
 }
 
-/// Exhaustive integer oracle (the solver trust anchor for small models).
-double IntegerOracle(const LpModel& m, int hi, bool* feasible) {
+/// Exhaustive integer oracle (the solver trust anchor for small models):
+/// tries every integer point within the variables' (finite) bounds.
+double IntegerOracle(const LpModel& m, bool* feasible) {
   const bool maximize = m.sense() == ObjectiveSense::kMaximize;
   double best = maximize ? -kInfinity : kInfinity;
   *feasible = false;
@@ -294,7 +295,7 @@ double IntegerOracle(const LpModel& m, int hi, bool* feasible) {
       best = maximize ? std::max(best, obj) : std::min(best, obj);
       return;
     }
-    for (int v = 0; v <= hi; ++v) {
+    for (double v = m.variable(j).lb; v <= m.variable(j).ub; ++v) {
       x[j] = v;
       rec(j + 1);
     }
@@ -330,7 +331,7 @@ TEST(MilpNodePresolveTest, RandomizedAgainstOracleWithRangedRows) {
     m.SetSense(rng.Bernoulli(0.5) ? ObjectiveSense::kMaximize
                                   : ObjectiveSense::kMinimize);
     bool oracle_feasible = false;
-    double oracle = IntegerOracle(m, hi, &oracle_feasible);
+    double oracle = IntegerOracle(m, &oracle_feasible);
 
     MilpOptions off;
     off.node_presolve = false;
@@ -352,6 +353,67 @@ TEST(MilpNodePresolveTest, RandomizedAgainstOracleWithRangedRows) {
     }
   }
   EXPECT_GE(checked, 20);
+
+  // Package-shaped trials for reduced-cost tightening: a COUNT row and a
+  // weight window over 10-14 columns, the first few general-integer, with
+  // objectives on a few coarse levels nudged apart by at most 3e-6. Near
+  // ties keep the gap to the incumbent small, so the tightening fires
+  // often and its margin is what separates a cut package from the
+  // optimum. The ablation arm tightens without propagating (node presolve
+  // off).
+  constexpr int kPackageTrials = 40;
+  int tightened_trials = 0;
+  int package_checked = 0;
+  for (int trial = 0; trial < kPackageTrials; ++trial) {
+    LpModel m;
+    int n = static_cast<int>(rng.UniformInt(10, 14));
+    int general = static_cast<int>(rng.UniformInt(1, 3));
+    std::vector<LinearTerm> count, weight;
+    for (int j = 0; j < n; ++j) {
+      double obj = 10.0 + static_cast<double>(rng.UniformInt(0, 3)) +
+                   1e-6 * static_cast<double>(rng.UniformInt(0, 3));
+      m.AddVariable("x" + std::to_string(j), 0, j < general ? 2 : 1, obj,
+                    true);
+      count.push_back({j, 1.0});
+      weight.push_back({j, static_cast<double>(rng.UniformInt(1, 9))});
+    }
+    int k = static_cast<int>(rng.UniformInt(3, 5));
+    m.AddConstraint("count", count, k, k);
+    double lo = 5.0 * k - static_cast<double>(rng.UniformInt(0, 6));
+    m.AddConstraint("weight", weight, lo,
+                    lo + static_cast<double>(rng.UniformInt(0, 4)));
+    m.SetSense(rng.Bernoulli(0.5) ? ObjectiveSense::kMaximize
+                                  : ObjectiveSense::kMinimize);
+    bool oracle_feasible = false;
+    double oracle = IntegerOracle(m, &oracle_feasible);
+
+    MilpOptions off;
+    off.node_presolve = false;
+    off.use_dual_simplex = false;
+    auto base = SolveMilp(m, off);
+    auto full = SolveMilp(m);
+    ASSERT_TRUE(base.ok()) << "package trial " << trial;
+    ASSERT_TRUE(full.ok()) << "package trial " << trial;
+    if (full->reduced_cost_tightenings > 0) ++tightened_trials;
+    if (oracle_feasible) {
+      const std::string where = "package trial " + std::to_string(trial);
+      ASSERT_EQ(full->status, MilpStatus::kOptimal) << where;
+      ASSERT_EQ(base->status, MilpStatus::kOptimal) << where;
+      EXPECT_NEAR(full->objective, oracle, 1e-9) << where;
+      EXPECT_NEAR(base->objective, oracle, 1e-9) << where;
+      EXPECT_TRUE(m.IsFeasible(full->x, 1e-9)) << where;
+      EXPECT_TRUE(m.IsFeasible(base->x, 1e-9)) << where;
+      ++package_checked;
+    } else {
+      EXPECT_EQ(full->status, MilpStatus::kInfeasible)
+          << "package trial " << trial;
+      EXPECT_EQ(base->status, MilpStatus::kInfeasible)
+          << "package trial " << trial;
+    }
+  }
+  EXPECT_GE(package_checked, kPackageTrials / 2);
+  EXPECT_GE(tightened_trials, kPackageTrials / 4)
+      << "the package trials must exercise reduced-cost tightening";
 }
 
 }  // namespace
@@ -427,6 +489,7 @@ struct ScenarioCase {
   int64_t nodes;
   int64_t presolve_fixed_bounds;
   int64_t presolve_infeasible_children;
+  int64_t reduced_cost_tightenings;
   double objective;
   const char* package;  ///< Package::Fingerprint()
 };
@@ -436,8 +499,9 @@ TEST(ScenarioSearchShapeTest, NodePresolveKeepsTheRecordedSearch) {
   // benchmark's, over its generated tables. The constants were recorded
   // from the serial solver. Node presolve state that leaks from one
   // propagation into the next (a queue flag left set, a stale saved bound)
-  // changes which bounds later children tighten: every answer stays
-  // optimal, so only these search-shape counters notice. lp_iterations is
+  // changes which bounds later children tighten, and so does a change to
+  // the reduced-cost tightening's margin: every answer stays optimal, so
+  // only these search-shape counters notice. lp_iterations is
   // deliberately not pinned; a legitimate LP change may lower it.
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateRecipes(1000, 2014));
@@ -448,47 +512,47 @@ TEST(ScenarioSearchShapeTest, NodePresolveKeepsTheRecordedSearch) {
        "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
        "R.protein >= 22.5 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
        "BETWEEN 1650.25 AND 1950.75 MAXIMIZE SUM(R.protein)",
-       107, 8446, 6, 0x1.8p+7, "91x1,315x1,602x1"},
+       50, 143, 2, 465, 0x1.8p+7, "91x1,315x1,602x1"},
       {"meal-2",
        "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
        "R.protein >= 27.0 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
        "BETWEEN 1480.00 AND 1690.50 MAXIMIZE SUM(R.protein)",
-       27, 1770, 2, 0x1.4dp+7, "91x1,428x1,895x1"},
+       9, 64, 1, 285, 0x1.4dp+7, "91x1,428x1,895x1"},
       {"meal-3",
        "SELECT PACKAGE(R) FROM recipes R WHERE R.gluten = 'free' AND "
        "R.protein >= 24.0 SUCH THAT COUNT(*) = 3 AND SUM(R.calories) "
        "BETWEEN 2010.40 AND 2420.10 MAXIMIZE SUM(R.protein)",
-       47, 3005, 2, 0x1.defffffffffffp+7, "189x1,219x1,428x1"},
+       25, 166, 0, 1125, 0x1.defffffffffffp+7, "189x1,219x1,428x1"},
       {"portfolio-1",
        "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 4200.00 SUCH THAT "
        "SUM(S.risk) <= 2.1005 AND SUM(S.is_tech) >= 2 AND COUNT(*) BETWEEN "
        "4 AND 8 MAXIMIZE SUM(S.expected_gain)",
-       53, 137, 0, 0x1.0fdc7ae147ae2p+12,
+       3, 3, 0, 399, 0x1.0fdc7ae147ae2p+12,
        "9x1,13x1,179x1,210x1,281x1,393x1,421x1,479x1"},
       {"portfolio-2",
        "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 6800.00 SUCH THAT "
        "SUM(S.risk) <= 1.6505 AND SUM(S.is_tech) >= 3 AND COUNT(*) BETWEEN "
        "3 AND 7 MAXIMIZE SUM(S.expected_gain)",
-       411, 27656, 8, 0x1.4e55eb851eb86p+12,
+       38, 23, 1, 490, 0x1.4e55eb851eb86p+12,
        "68x1,82x1,85x1,210x1,281x1,312x1,446x1"},
       {"portfolio-3",
        "SELECT PACKAGE(S) FROM stocks S WHERE S.price <= 7500.00 SUCH THAT "
        "SUM(S.risk) <= 2.8005 AND SUM(S.is_tech) >= 1 AND COUNT(*) BETWEEN "
        "6 AND 10 MAXIMIZE SUM(S.expected_gain)",
-       311, 621, 0, 0x1.0dca28f5c28f6p+13,
+       106, 30, 0, 4372, 0x1.0dca28f5c28f6p+13,
        "68x1,82x1,85x1,255x1,263x1,312x1,457x1,493x1,495x1,496x1"},
       {"vacation-1",
        "SELECT PACKAGE(T) FROM travel_items T WHERE T.dest = 'maui' SUCH "
        "THAT SUM(T.is_flight) = 2 AND SUM(T.is_hotel) = 1 AND "
        "SUM(T.is_car) <= 1 AND SUM(T.price) <= 1420.00 "
        "MAXIMIZE SUM(T.comfort)",
-       25, 1247, 0, 0x1.2ccccccccccccp+4, "946x1,1026x1,1597x1,1838x1"},
+       5, 11, 1, 312, 0x1.2ccccccccccccp+4, "946x1,1026x1,1597x1,1838x1"},
       {"vacation-2",
        "SELECT PACKAGE(T) FROM travel_items T WHERE T.dest = 'cancun' SUCH "
        "THAT SUM(T.is_flight) = 2 AND SUM(T.is_hotel) = 1 AND "
        "SUM(T.is_car) <= 1 AND SUM(T.price) <= 1650.00 "
        "MAXIMIZE SUM(T.comfort)",
-       7, 296, 0, 0x1.34ccccccccccdp+4, "1061x1,1174x1,1607x1,1783x1"},
+       5, 5, 0, 304, 0x1.34ccccccccccdp+4, "1061x1,1174x1,1607x1,1783x1"},
   };
   for (const ScenarioCase& sc : cases) {
     auto aq = paql::ParseAndAnalyze(sc.text, c);
@@ -502,6 +566,8 @@ TEST(ScenarioSearchShapeTest, NodePresolveKeepsTheRecordedSearch) {
     EXPECT_EQ(r->presolve_fixed_bounds, sc.presolve_fixed_bounds) << sc.name;
     EXPECT_EQ(r->presolve_infeasible_children,
               sc.presolve_infeasible_children)
+        << sc.name;
+    EXPECT_EQ(r->reduced_cost_tightenings, sc.reduced_cost_tightenings)
         << sc.name;
     EXPECT_EQ(r->objective, sc.objective) << sc.name;
     EXPECT_EQ(DecodeSolution(*t, r->x).Fingerprint(), sc.package) << sc.name;

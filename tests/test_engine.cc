@@ -253,6 +253,34 @@ TEST(EngineTest, ConcurrentSessionsRepeatQueriesBitIdentically) {
   EXPECT_GT(stats.result_cache_hits, 0);
 }
 
+TEST(EngineTest, RepeatsPastTheResultCacheReplayTheSolve) {
+  // With the result cache off, every repeat reaches the ILP route, whose
+  // warm-start entry the earlier solves have trained. Several packages tie
+  // at this query's optimum, and a warm re-solve can end on another of
+  // them than the cold solve did, so the entry replays its last
+  // proven-optimal answer to an identical query instead.
+  EngineOptions options;
+  options.num_threads = 1;
+  options.result_cache_capacity = 0;
+  Engine engine(options);
+  ASSERT_TRUE(engine.GenerateDataset("recipes", 150, 42).ok());
+  const std::string query =
+      "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) BETWEEN 2 AND "
+      "4 AND SUM(protein) >= 100 MINIMIZE SUM(fat)";
+  QueryResponse first = engine.ExecuteQuery(0, query);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  ASSERT_TRUE(first.proven_optimal);
+  for (int rep = 0; rep < 3; ++rep) {
+    QueryResponse again = engine.ExecuteQuery(0, query);
+    ASSERT_TRUE(again.ok()) << again.status.ToString();
+    EXPECT_FALSE(again.result_cache_hit);
+    EXPECT_TRUE(again.warm_start_hit);
+    EXPECT_EQ(again.package.Fingerprint(), first.package.Fingerprint())
+        << "repeat " << rep;
+    EXPECT_EQ(again.objective, first.objective) << "repeat " << rep;
+  }
+}
+
 TEST(EngineTest, SubmitQueryRunsOnThePoolAndHonorsAdmission) {
   EngineOptions options;
   options.num_threads = 2;

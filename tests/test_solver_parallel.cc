@@ -109,6 +109,8 @@ void ExpectSameSolve(const MilpResult& want, const MilpResult& got,
   EXPECT_EQ(want.presolve_infeasible_children,
             got.presolve_infeasible_children)
       << label;
+  EXPECT_EQ(want.reduced_cost_tightenings, got.reduced_cost_tightenings)
+      << label;
 }
 
 TEST(ParallelMilpTest, BitIdenticalAcrossThreadCounts) {

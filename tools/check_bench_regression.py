@@ -22,9 +22,10 @@ Verdicts per benchmark present in both files:
     than baseline by more than the threshold  -> FAIL (a regression);
     lower by more than the threshold          -> note ("improvement —
     refresh the baseline"), not a failure.
-  * presolve counters drifting more than the threshold either way -> FAIL
-    (they are determinism canaries: any drift means the search changed and
-    the checked-in baseline must be refreshed consciously).
+  * presolve and reduced-cost tightening counters drifting more than the
+    threshold either way -> FAIL (they are determinism canaries: any drift
+    means the search changed and the checked-in baseline must be refreshed
+    consciously).
   * objective drifting beyond 1e-6 relative -> FAIL (a different optimum
     is a correctness signal, not a perf one).
 Benchmarks present in only one file are reported but never fail the gate
@@ -57,6 +58,10 @@ WORK_COUNTERS = ("lp_iterations", "lp_dual_iterations", "bnb_nodes",
 # the same zone maps as spilled ones), so any drift means the pruner's
 # zone path changed, not that the data moved.
 CANARY_COUNTERS = ("presolve_fixed_bounds", "presolve_infeasible_children",
+                   # Bounds tightened by reduced cost: a function of every
+                   # node LP and incumbent, so any drift means the search
+                   # took another path.
+                   "reduced_cost_tightenings",
                    "zone_map_skipped_blocks",
                    # Incremental-maintenance partition counters: reuse and
                    # dirtiness are deterministic functions of the append

@@ -102,6 +102,19 @@ class CheckerTest(unittest.TestCase):
             self.assert_fails_cleanly(proc, "BM_Incr/1", "groups_reused",
                                       "canary")
 
+    def test_reduced_cost_canary_drift_fails_both_ways(self):
+        # Fewer tightenings is no improvement to wave through: like the
+        # presolve counters, any drift means the search changed.
+        for drifted in (300, 700):
+            base = bench_file([entry("BM_MilpNodePresolveAblation/1",
+                                     reduced_cost_tightenings=500)])
+            new = bench_file([entry("BM_MilpNodePresolveAblation/1",
+                                    reduced_cost_tightenings=drifted)])
+            proc = self.run_checker(self.path("base.json", base),
+                                    self.path("new.json", new))
+            self.assert_fails_cleanly(proc, "BM_MilpNodePresolveAblation/1",
+                                      "reduced_cost_tightenings", "canary")
+
     def test_objective_drift_fails(self):
         base = bench_file([entry("BM_X/0", objective=100.0)])
         new = bench_file([entry("BM_X/0", objective=100.1)])
