@@ -4,8 +4,8 @@
 // enough that the strategy comparison (E3) measures the algorithms, not the
 // substrate. Reported: simplex time/iterations vs variable count on
 // package-shaped LPs (few rows, many columns), branch-and-bound node counts
-// on knapsack-style ILPs, and the engine ablations (factorization backend,
-// pricing rule, anti-cycling fallback).
+// on knapsack-style ILPs, the dense reference backend against the sparse
+// LU, and devex pricing against the Bland anti-cycling fallback.
 
 #include <benchmark/benchmark.h>
 
@@ -87,27 +87,22 @@ void BM_SimplexPricingAblation(benchmark::State& state) {
     }
     iters = r->iterations;
   }
-  state.SetLabel(bland ? "bland"
-                       : pb::solver::PricingRuleToString(opts.pricing));
+  state.SetLabel(bland ? "bland" : "devex");
   state.counters["lp_iterations"] = static_cast<double>(iters);
 }
 BENCHMARK(BM_SimplexPricingAblation)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Engine ablation: factorization backend x pricing rule on one mid-size
-// package LP. All four arms land on the same vertex (same objective
-// counter); lp_iterations shows devex vs Dantzig path lengths and
-// refactorizations/basis_updates show the factorization-layer work the
-// regression gate tracks.
+// Factorization backend on one mid-size package LP: the dense reference
+// inverse against the sparse LU. Both arms land on the same vertex (same
+// objective and lp_iterations); refactorizations/basis_updates show the
+// factorization-layer work the regression gate tracks.
 void BM_SimplexEngineAblation(benchmark::State& state) {
   const bool sparse = state.range(0) != 0;
-  const bool devex = state.range(1) != 0;
   LpModel m = PackageShapedLp(5000, 7);
   SimplexOptions opts;
   opts.factorization = sparse ? pb::solver::FactorizationKind::kSparseLu
                               : pb::solver::FactorizationKind::kDense;
-  opts.pricing = devex ? pb::solver::PricingRule::kDevex
-                       : pb::solver::PricingRule::kDantzig;
   double iters = 0, refactors = 0, updates = 0, objective = 0;
   for (auto _ : state) {
     auto r = pb::solver::SolveLp(m, opts);
@@ -120,15 +115,13 @@ void BM_SimplexEngineAblation(benchmark::State& state) {
     updates = static_cast<double>(r->basis_updates);
     objective = r->objective;
   }
-  state.SetLabel(std::string(sparse ? "sparse_lu" : "dense") + "/" +
-                 (devex ? "devex" : "dantzig"));
+  state.SetLabel(sparse ? "sparse_lu" : "dense");
   state.counters["lp_iterations"] = iters;
   state.counters["refactorizations"] = refactors;
   state.counters["basis_updates"] = updates;
   state.counters["objective"] = objective;
 }
-BENCHMARK(BM_SimplexEngineAblation)
-    ->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1})
+BENCHMARK(BM_SimplexEngineAblation)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 /// The scale workload (mirrored by tests/slow/test_sparse_scale.cc): n
@@ -225,9 +218,12 @@ void BM_MilpKnapsack(benchmark::State& state) {
 BENCHMARK(BM_MilpKnapsack)->Arg(20)->Arg(50)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
-/// The tight-window package ILP the warm-start and child-resolve
-/// ablations share (two-sided ranges: real branch-and-bound work).
-LpModel TightWindowPackageIlp() {
+// A package-shaped ILP with tight two-sided windows (real branch-and-bound
+// work): every child LP re-solved from its parent's basis by the dual
+// simplex, after node presolve and reduced-cost tightening. lp_iterations
+// and lp_dual_iterations are the child re-solve cost; the presolve and
+// reduced-cost counters are determinism canaries.
+void BM_MilpTightWindow(benchmark::State& state) {
   pb::Rng rng(17);
   LpModel m;
   std::vector<LinearTerm> count, weight, price;
@@ -242,62 +238,10 @@ LpModel TightWindowPackageIlp() {
   m.AddConstraint("weight", weight, 3600, 3700);
   m.AddConstraint("price", price, 120, 160);
   m.SetSense(ObjectiveSense::kMaximize);
-  return m;
-}
-
-// Warm-vs-cold ablation on a package-shaped ILP. Warm is the full default
-// path (basis inheritance, pseudocost branching, dual child re-solves,
-// node presolve); cold pins every knob off — the faithful pre-warm-start
-// solver, kept bit-comparable with the PR 3 baseline JSON. Same model,
-// same optimum (asserted); the iterations counter is the comparison.
-void BM_MilpWarmStartAblation(benchmark::State& state) {
-  const bool warm = state.range(0) != 0;
-  LpModel m = TightWindowPackageIlp();
-  double iters = 0, nodes = 0, objective = 0;
-  for (auto _ : state) {
-    MilpOptions opts;
-    opts.warm_start_lps = warm;
-    if (!warm) {
-      // The faithful old cold path: no propagation either.
-      opts.use_dual_simplex = false;
-      opts.node_presolve = false;
-    }
-    opts.max_nodes = 20000;
-    opts.time_limit_s = 60.0;
-    auto r = pb::solver::SolveMilp(m, opts);
-    if (!r.ok() || !r->has_solution()) {
-      state.SkipWithError("MILP failed");
-      return;
-    }
-    iters = static_cast<double>(r->lp_iterations);
-    nodes = static_cast<double>(r->nodes);
-    objective = r->objective;
-  }
-  state.SetLabel(warm ? "warm" : "cold");
-  state.counters["lp_iterations"] = iters;
-  state.counters["bnb_nodes"] = nodes;
-  state.counters["objective"] = objective;
-}
-BENCHMARK(BM_MilpWarmStartAblation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Child re-solve engine ablation, all arms warm-started and tightened by
-// reduced cost: warm_primal repairs every child with the composite phase
-// 1, warm_dual re-optimizes children with the dual simplex, and
-// warm_dual_presolve adds bound propagation before each child LP (the
-// default path). Optima are bit-identical across arms; lp_iterations /
-// lp_dual_iterations and the presolve and reduced-cost counters are the
-// comparison — the acceptance bar is >= 2x fewer simplex iterations than
-// warm_primal.
-void BM_MilpChildResolveAblation(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
-  LpModel m = TightWindowPackageIlp();
   double iters = 0, dual_iters = 0, nodes = 0, objective = 0;
   double fixed = 0, pruned = 0, rc_tightened = 0;
   for (auto _ : state) {
     MilpOptions opts;
-    opts.use_dual_simplex = mode >= 1;
-    opts.node_presolve = mode >= 2;
     opts.max_nodes = 20000;
     opts.time_limit_s = 60.0;
     auto r = pb::solver::SolveMilp(m, opts);
@@ -313,9 +257,6 @@ void BM_MilpChildResolveAblation(benchmark::State& state) {
     pruned = static_cast<double>(r->presolve_infeasible_children);
     rc_tightened = static_cast<double>(r->reduced_cost_tightenings);
   }
-  state.SetLabel(mode == 0   ? "warm_primal"
-                 : mode == 1 ? "warm_dual"
-                             : "warm_dual_presolve");
   state.counters["lp_iterations"] = iters;
   state.counters["lp_dual_iterations"] = dual_iters;
   state.counters["bnb_nodes"] = nodes;
@@ -324,16 +265,14 @@ void BM_MilpChildResolveAblation(benchmark::State& state) {
   state.counters["presolve_infeasible_children"] = pruned;
   state.counters["reduced_cost_tightenings"] = rc_tightened;
 }
-BENCHMARK(BM_MilpChildResolveAblation)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MilpTightWindow)->Unit(benchmark::kMillisecond);
 
-// Node-presolve ablation on a propagation-heavy shape: small COUNT = k
-// over integer weights with a half-open SUM window, so branched children
-// frequently become infeasible by bound propagation alone and COUNT
-// saturation fixes implied binaries. Same optimum both ways (asserted);
-// presolve cuts both the node count and the LP iterations.
-void BM_MilpNodePresolveAblation(benchmark::State& state) {
-  const bool presolve = state.range(0) != 0;
+// Node presolve on a propagation-heavy shape: small COUNT = k over integer
+// weights with a half-open SUM window, so branched children frequently
+// become infeasible by bound propagation alone and COUNT saturation fixes
+// implied binaries. presolve_fixed_bounds and presolve_infeasible_children
+// are the canaries.
+void BM_MilpNodePresolve(benchmark::State& state) {
   pb::Rng rng(21);
   LpModel m;
   std::vector<LinearTerm> count, weight;
@@ -350,7 +289,6 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
   double rc_tightened = 0;
   for (auto _ : state) {
     MilpOptions opts;
-    opts.node_presolve = presolve;
     opts.time_limit_s = 60.0;
     auto r = pb::solver::SolveMilp(m, opts);
     if (!r.ok() || !r->has_solution()) {
@@ -364,7 +302,6 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
     rc_tightened = static_cast<double>(r->reduced_cost_tightenings);
     objective = r->objective;
   }
-  state.SetLabel(presolve ? "presolve_on" : "presolve_off");
   state.counters["lp_iterations"] = iters;
   state.counters["bnb_nodes"] = nodes;
   state.counters["presolve_fixed_bounds"] = fixed;
@@ -372,8 +309,7 @@ void BM_MilpNodePresolveAblation(benchmark::State& state) {
   state.counters["reduced_cost_tightenings"] = rc_tightened;
   state.counters["objective"] = objective;
 }
-BENCHMARK(BM_MilpNodePresolveAblation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MilpNodePresolve)->Unit(benchmark::kMillisecond);
 
 // Cross-solve reuse: one MilpWarmStart threaded through a sequence of
 // structurally identical solves whose constraint ranges drift (the
@@ -409,7 +345,7 @@ BENCHMARK(BM_MilpCrossSolveReuse)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // Parallel tree search on the branchy COUNT-window family (the node-
-// presolve ablation's shape scaled up to ~1.7k nodes): helper threads
+// presolve bench's shape scaled up to ~1.7k nodes): helper threads
 // speculatively solve frontier LPs while the main thread commits in serial
 // order. The deterministic counters (bnb_nodes, lp_iterations, objective)
 // are bit-identical across thread counts BY CONSTRUCTION — the regression

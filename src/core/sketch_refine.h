@@ -218,8 +218,7 @@ struct SketchRefineResult {
   /// Total simplex iterations across every MILP solved (sketch, refine,
   /// repair) — the substrate-cost metric the warm-start benchmarks compare.
   int64_t lp_iterations = 0;
-  /// Subset of lp_iterations spent in dual-simplex child re-solves
-  /// (0 when milp.use_dual_simplex or milp.warm_start_lps is off).
+  /// Subset of lp_iterations spent in dual-simplex child re-solves.
   int64_t lp_dual_iterations = 0;
   /// Basis refactorizations across every MILP solved — the factorization-
   /// layer cost metric the engine benchmarks gate alongside iterations.

@@ -18,7 +18,8 @@
 //              Gauss-Jordan refactorization and product-form row updates.
 //              O(m^2) per solve, O(m^3) per refactorization — fine for the
 //              handful of global constraints in a classic package query,
-//              hopeless at scale. Kept as the ablation baseline.
+//              hopeless at scale. Kept as the reference backend tests
+//              compare the sparse LU against.
 //
 //   kSparseLu  sparse LU in the spirit of Suhl & Suhl: a left-looking
 //              Gilbert-Peierls factorization with a static minimum-count

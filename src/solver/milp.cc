@@ -49,7 +49,7 @@ struct Node {
   double bound;      // parent LP objective (optimistic bound for this node)
   LpBasis basis;     // parent's optimal basis (empty = cold start)
   /// Per-row activity ranges under `bounds`, maintained incrementally down
-  /// the tree by node presolve (empty when node_presolve is off).
+  /// the tree by node presolve.
   std::vector<RowActivityBounds> acts;
   int branch_var = -1;      // variable branched on to create this node
   double branch_frac = 0.0; // fractional part of the parent's LP value
@@ -99,7 +99,6 @@ struct SpecPool {
   const LpModel* model = nullptr;
   SimplexOptions base_lp;
   int64_t base_lp_limit = 0;  // EffectiveIterationLimit(model, base_lp)
-  bool warm_enabled = false;
   bool maximize = false;
   double gap_abs = 0.0;
 
@@ -154,9 +153,8 @@ void SpeculationLoop(SpecPool* pool) {
     pick->spec = OpenNode::Spec::kClaimed;
     lock.Unlock();
 
-    const LpBasis* start = pool->warm_enabled && !pick->node.basis.empty()
-                               ? &pick->node.basis
-                               : nullptr;
+    const LpBasis* start =
+        pick->node.basis.empty() ? nullptr : &pick->node.basis;
     Result<LpSolution> r =
         lp_solver.Solve(&pick->node.bounds, start,
                         pool->base_lp_limit << pick->node.lp_limit_boost);
@@ -372,10 +370,10 @@ bool PropagateBoundChanges(const LpModel& model,
 /// row slack the row's activity range at the node within the row's bounds
 /// — plus 1e-6 * max(1, |z|, |incumbent|) for rounding in z and d.
 ///
-/// Tightens `bounds` in place. With node presolve on (`acts` non-empty),
-/// the tightened columns are folded through PropagateBoundChanges, so the
-/// row activity ranges stay in step and implied fixings follow; false then
-/// means propagation proved the node empty. Counts into `tallies`.
+/// Tightens `bounds` in place and folds the tightened columns through
+/// PropagateBoundChanges, so the row activity ranges `acts` stay in step
+/// and implied fixings follow; false means propagation proved the node
+/// empty. Counts into `tallies`.
 bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
                            double incumbent_obj, double int_tol,
                            const std::vector<double>& row_move, Bounds* bounds,
@@ -385,9 +383,6 @@ bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
   const int m = model.num_constraints();
   const double sign = model.sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
   const std::vector<VarStat>& stat = lp.basis.stat;
-  auto bound_of = [&](int v) -> const std::pair<double, double>& {
-    return (*bounds)[v];
-  };
 
   double margin = 1e-6 * std::max({1.0, std::abs(lp.objective),
                                    std::abs(incumbent_obj)});
@@ -406,9 +401,7 @@ bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
       range = (*bounds)[k].second - (*bounds)[k].first;
     } else {
       const Constraint& con = model.constraint(k - n);
-      RowActivityBounds act = acts->empty()
-                                  ? RowActivityUnder(model, k - n, bound_of)
-                                  : (*acts)[k - n];
+      const RowActivityBounds& act = (*acts)[k - n];
       range = std::min(con.hi, act.max) - std::max(con.lo, act.min);
     }
     if (!(range <= 0.0)) margin += wrong * range;  // NaN poisons the budget
@@ -435,13 +428,11 @@ bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
     } else {
       continue;
     }
-    if (!acts->empty()) scratch->QueueVar(j, {l, u});
+    scratch->QueueVar(j, {l, u});
     (*bounds)[j] = {new_l, new_u};
     ++tallies->reduced_cost_tightenings;
   }
-  if (acts->empty() || tallies->reduced_cost_tightenings == before) {
-    return true;
-  }
+  if (tallies->reduced_cost_tightenings == before) return true;
   return PropagateBoundChanges(model, row_move, int_tol, bounds, acts,
                                &tallies->presolve_fixed_bounds, scratch);
 }
@@ -502,32 +493,30 @@ bool TryRound(const LpModel& model, const Bounds& bounds,
 /// Diving heuristic: repeatedly fixes the most fractional integer variable
 /// to its nearest integer and re-solves the LP. Package models (equality
 /// COUNT rows) rarely round feasibly, but they dive very well — this is how
-/// the solver finds its first incumbent without exploring the tree. When
-/// `seed` is non-null the caller's basis starts the chain (the first dive
-/// LP is exactly the caller's LP, so it prices out immediately) and each
-/// step's basis warm-starts the next. The dive's LPs run through the
-/// caller's workspace with the node LPs' iteration budget `lp_limit`.
-/// Returns true with an integer-feasible point in *out on success.
+/// the solver finds its first incumbent without exploring the tree. The
+/// caller's basis `seed` starts the chain (the first dive LP is exactly the
+/// caller's LP, so it prices out immediately) and each step's basis
+/// warm-starts the next. The dive's LPs run through the caller's workspace
+/// with the node LPs' iteration budget `lp_limit`. Returns true with an
+/// integer-feasible point in *out on success.
 bool TryDive(const LpModel& model, Bounds bounds, LpSolver* lp_solver,
-             int64_t lp_limit, double int_tol, const LpBasis* seed,
+             int64_t lp_limit, double int_tol, const LpBasis& seed,
              const CancelToken& cancel, MilpResult* tallies,
              std::vector<double>* out) {
   constexpr int kMaxDepth = 400;
-  const bool warm = seed != nullptr;
-  LpBasis chain;
-  if (warm) chain = *seed;
+  LpBasis chain = seed;
   for (int depth = 0; depth < kMaxDepth; ++depth) {
     // The dive is a chain of up to kMaxDepth LP solves; without this check
     // a cancel issued mid-dive would only take effect at the next node pop.
     if (cancel.cancel_requested()) return false;
-    auto lp = lp_solver->Solve(&bounds, warm ? &chain : nullptr, lp_limit);
+    auto lp = lp_solver->Solve(&bounds, &chain, lp_limit);
     if (!lp.ok()) return false;
     tallies->lp_iterations += lp->iterations;
     tallies->lp_dual_iterations += lp->dual_iterations;
     tallies->lp_refactorizations += lp->refactorizations;
     tallies->lp_basis_updates += lp->basis_updates;
     if (lp->status != LpStatus::kOptimal) return false;
-    if (warm) chain = std::move(lp->basis);
+    chain = std::move(lp->basis);
     int j = MostFractionalVariable(model, lp->x, int_tol);
     if (j < 0) {
       *out = lp->x;
@@ -556,23 +545,14 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   MilpResult result;
   const int n = model.num_variables();
 
-  // warm_start_lps=false is the faithful pre-warm-start ablation: cold LP
-  // solves, most-fractional branching, and no cross-solve state at all.
-  const bool warm_enabled = options.warm_start_lps;
-  // The MilpOptions knob governs every LP this solve runs (only warm
-  // bases can enter the dual, so warm_start_lps=false makes it moot).
-  SimplexOptions base_lp = options.lp;
-  base_lp.use_dual_simplex = options.use_dual_simplex;
-  const int64_t base_lp_limit = EffectiveIterationLimit(model, base_lp);
+  const int64_t base_lp_limit = EffectiveIterationLimit(model, options.lp);
   // This thread's LP workspace: every node LP it solves and every dive LP
   // (the model was validated above).
-  LpSolver lp_solver(model, base_lp);
-  const bool presolve_enabled =
-      options.node_presolve && model.num_constraints() > 0;
+  LpSolver lp_solver(model, options.lp);
 
   // Cross-solve warm-start state: usable only while the model's structure
   // matches what the state was learned on; reset otherwise.
-  MilpWarmStart* warm = warm_enabled ? options.warm : nullptr;
+  MilpWarmStart* warm = options.warm;
   if (warm != nullptr) {
     uint64_t sig = model.StructuralSignature();
     if (warm->model_signature != sig) {
@@ -600,38 +580,31 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // Root activity ranges for node presolve: the model-level cache when the
   // integer tightening above changed nothing (the common case — package
   // binaries already have integral bounds), a fresh per-row pass otherwise.
-  std::vector<RowActivityBounds> root_acts;
-  if (presolve_enabled) {
-    root_acts = model.row_activity_bounds();
-    bool bounds_match_model = true;
-    for (int j = 0; j < n && bounds_match_model; ++j) {
-      const Variable& v = model.variable(j);
-      bounds_match_model =
-          root_bounds[j].first == v.lb && root_bounds[j].second == v.ub;
-    }
-    if (!bounds_match_model) {
-      for (int i = 0; i < model.num_constraints(); ++i) {
-        root_acts[i] = RowActivityUnder(
-            model, i, [&](int v) -> const auto& { return root_bounds[v]; });
-      }
+  std::vector<RowActivityBounds> root_acts = model.row_activity_bounds();
+  bool bounds_match_model = true;
+  for (int j = 0; j < n && bounds_match_model; ++j) {
+    const Variable& v = model.variable(j);
+    bounds_match_model =
+        root_bounds[j].first == v.lb && root_bounds[j].second == v.ub;
+  }
+  if (!bounds_match_model) {
+    for (int i = 0; i < model.num_constraints(); ++i) {
+      root_acts[i] = RowActivityUnder(
+          model, i, [&](int v) -> const auto& { return root_bounds[v]; });
     }
   }
   // Each row's largest single-term move, max |a_ij| * (ub_j - lb_j) over
   // its integer columns at the root. Bounds only narrow down the tree, so
-  // this caps every term's move at every node (PropagateBranchedBound).
-  std::vector<double> row_move;
-  PresolveScratch presolve_scratch;
-  if (presolve_enabled) {
-    presolve_scratch = PresolveScratch(n, model.num_constraints());
-    row_move.assign(model.num_constraints(), 0.0);
-    for (int i = 0; i < model.num_constraints(); ++i) {
-      for (const LinearTerm& t : model.constraint(i).terms) {
-        if (!model.variable(t.var).is_integer) continue;
-        const auto& [lo, hi] = root_bounds[t.var];
-        row_move[i] = std::max(row_move[i], std::abs(t.coeff) * (hi - lo));
-      }
+  // this caps every term's move at every node (PropagateBoundChanges).
+  std::vector<double> row_move(model.num_constraints(), 0.0);
+  for (int i = 0; i < model.num_constraints(); ++i) {
+    for (const LinearTerm& t : model.constraint(i).terms) {
+      if (!model.variable(t.var).is_integer) continue;
+      const auto& [lo, hi] = root_bounds[t.var];
+      row_move[i] = std::max(row_move[i], std::abs(t.coeff) * (hi - lo));
     }
   }
+  PresolveScratch presolve_scratch(n, model.num_constraints());
 
   // ---- Speculative parallelism (see MilpOptions::compute). The open
   // heap and every commit stay on this thread; helpers only pre-solve LPs
@@ -648,9 +621,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // lazy cache on this thread, so no helper pays for (or waits on) the
     // fill. Node presolve's variable_rows() stays on this thread.
     spec.model = &model;
-    spec.base_lp = base_lp;
+    spec.base_lp = options.lp;
     spec.base_lp_limit = base_lp_limit;
-    spec.warm_enabled = warm_enabled;
     spec.maximize = maximize;
     spec.gap_abs = options.gap_abs;
   }
@@ -809,8 +781,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       PB_RETURN_IF_ERROR(cur->lp_status);
       lp = std::move(cur->lp);
     } else {
-      const LpBasis* start =
-          warm_enabled && !node.basis.empty() ? &node.basis : nullptr;
+      const LpBasis* start = node.basis.empty() ? nullptr : &node.basis;
       PB_ASSIGN_OR_RETURN(
           lp, lp_solver.Solve(&node.bounds, start,
                               base_lp_limit << node.lp_limit_boost));
@@ -839,7 +810,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         auto retry = std::make_shared<OpenNode>();
         retry->node = std::move(node);
         ++retry->node.lp_limit_boost;
-        if (warm_enabled) retry->node.basis = std::move(lp.basis);
+        retry->node.basis = std::move(lp.basis);
         push_open(std::move(retry));
       } else {
         abandoned_any = true;
@@ -861,7 +832,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // bound, normalized by the branching distance. Commits happen in the
     // serial pop order, so the history every later branch decision sees is
     // identical for any thread count.
-    if (warm_enabled && node.branch_var >= 0 && std::isfinite(node.bound)) {
+    if (node.branch_var >= 0 && std::isfinite(node.bound)) {
       double degradation = maximize ? node.bound - node_bound
                                     : node_bound - node.bound;
       degradation = std::max(degradation, 0.0);
@@ -921,8 +892,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       if (!have_incumbent && node.branch_var < 0) {
         std::vector<double> dived;
         if (TryDive(model, node.bounds, &lp_solver, base_lp_limit,
-                    options.int_tol, warm_enabled ? &lp.basis : nullptr,
-                    options.cancel, &result, &dived)) {
+                    options.int_tol, lp.basis, options.cancel, &result,
+                    &dived)) {
           have_incumbent = true;
           incumbent_obj = model.ObjectiveValue(dived);
           incumbent = std::move(dived);
@@ -948,10 +919,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // ranges: children whose rows become unsatisfiable are discarded with
     // zero LP work, and implied integer fixings ride into the child's
     // bound set, which the dual re-solve picks up directly.
-    int branch_var = warm_enabled
-                         ? SelectBranchVariable(model, lp.x, options.int_tol,
-                                                pc, frac_var)
-                         : frac_var;
+    int branch_var =
+        SelectBranchVariable(model, lp.x, options.int_tol, pc, frac_var);
     if (branch_var < 0) branch_var = frac_var;
     double xv = lp.x[branch_var];
     double frac = xv - std::floor(xv);
@@ -961,7 +930,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     auto down = std::make_shared<OpenNode>();
     down->node = node;
     down->node.bound = node_bound;
-    if (warm_enabled) down->node.basis = lp.basis;
+    down->node.basis = lp.basis;
     down->node.branch_var = branch_var;
     down->node.branch_frac = frac;
     down->node.branch_up = false;
@@ -970,7 +939,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         std::min(down->node.bounds[branch_var].second, std::floor(xv));
     bool push_down = down->node.bounds[branch_var].first <=
                      down->node.bounds[branch_var].second;
-    if (push_down && presolve_enabled) {
+    if (push_down) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
       if (!PropagateBoundChanges(model, row_move, options.int_tol,
                                  &down->node.bounds, &down->node.acts,
@@ -984,7 +953,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     auto up = std::make_shared<OpenNode>();
     up->node = std::move(node);
     up->node.bound = node_bound;
-    if (warm_enabled) up->node.basis = std::move(lp.basis);
+    up->node.basis = std::move(lp.basis);
     up->node.branch_var = branch_var;
     up->node.branch_frac = frac;
     up->node.branch_up = true;
@@ -993,7 +962,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         std::max(up->node.bounds[branch_var].first, std::ceil(xv));
     bool push_up =
         up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
-    if (push_up && presolve_enabled) {
+    if (push_up) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
       if (!PropagateBoundChanges(model, row_move, options.int_tol,
                                  &up->node.bounds, &up->node.acts,

@@ -96,30 +96,6 @@ struct MilpOptions {
   int64_t max_nodes = 2'000'000;
   double time_limit_s = 300.0;   ///< wall-clock budget
   bool rounding_heuristic = true;
-  /// Re-solve each branch-and-bound child from its parent's optimal basis
-  /// (phase-1 repair handles the tightened bound), chain bases through the
-  /// dive heuristic, and branch on pseudocost history. Off = cold slack-
-  /// basis solves, most-fractional branching, and `warm` ignored (ablation
-  /// knob; reduced-cost tightening still runs).
-  bool warm_start_lps = true;
-  /// Re-optimize warm child LPs with the dual simplex (the parent basis is
-  /// dual-feasible after a branch tightens one bound, so a few dual pivots
-  /// replace the phase-1 primal repair). Governs every LP this solve runs
-  /// (overrides lp.use_dual_simplex); no effect without warm_start_lps,
-  /// since only warm bases can enter the dual. Off = every warm child is
-  /// repaired by the primal phase 1 (ablation knob; reduced-cost
-  /// tightening still runs).
-  bool use_dual_simplex = true;
-  /// Propagate each branched bound (and each reduced-cost tightening)
-  /// through per-node row activity ranges before solving the child's LP:
-  /// tighten implied integer bounds (COUNT = k rows fix many binaries at
-  /// once) and discard children whose rows can no longer be satisfied
-  /// without any LP work. Preserves the integer feasible set exactly (the
-  /// MILP answer never changes); the ceil/floor tightening may trim
-  /// LP-fractional corners of a child's relaxation, so only the bounds and
-  /// the search path move. Off = every child pays a full LP and reduced-
-  /// cost tightenings are not propagated (ablation knob).
-  bool node_presolve = true;
   /// Optional cross-solve state (borrowed, in/out); see MilpWarmStart.
   MilpWarmStart* warm = nullptr;
   /// Thread budget (see common/budget.h). `compute.threads` is the
@@ -151,8 +127,8 @@ struct MilpOptions {
   /// tell interruption from budget exhaustion.
   CancelToken cancel;
   /// Per-LP options, inherited by every node solve — including the
-  /// factorization backend and pricing rule, so an engine ablation flips
-  /// one field here and the whole tree follows.
+  /// factorization backend, so a test that compares the sparse LU against
+  /// the dense reference sets one field here and the whole tree follows.
   SimplexOptions lp;
 };
 

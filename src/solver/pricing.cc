@@ -12,18 +12,10 @@ namespace {
 constexpr double kFrameResetThreshold = 1e10;
 }  // namespace
 
-const char* PricingRuleToString(PricingRule r) {
-  switch (r) {
-    case PricingRule::kDantzig: return "dantzig";
-    case PricingRule::kDevex:   return "devex";
-  }
-  return "?";
-}
-
 void Pricing::PrimalUpdate(const std::vector<int>& pattern,
                            const std::vector<double>& z, int enter, int leave,
                            double z_enter) {
-  if (rule_ != PricingRule::kDevex || z_enter == 0.0) return;
+  if (z_enter == 0.0) return;
   // w_j <- max(w_j, (z_j / z_e)^2 w_e); the leaving variable re-enters the
   // nonbasic pool with the entering column's transformed weight.
   const double we = primal_w_[enter];
@@ -44,7 +36,6 @@ void Pricing::PrimalUpdate(const std::vector<int>& pattern,
 }
 
 void Pricing::DualUpdate(const std::vector<double>& alpha, int leave_row) {
-  if (rule_ != PricingRule::kDevex) return;
   const double ar = alpha[leave_row];
   if (ar == 0.0) return;
   const double wr = dual_w_[leave_row];

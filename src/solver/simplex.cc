@@ -44,8 +44,7 @@ class LpSolver::Simplex {
         a_(model.csc()),
         m_(model.num_constraints()),
         n_(model.num_variables()),
-        total_(n_ + m_),
-        pricing_(options.pricing) {
+        total_(n_ + m_) {
     // Internally we always minimize; flip sign for maximize.
     sign_ = model.sense() == ObjectiveSense::kMaximize ? -1.0 : 1.0;
 
@@ -71,7 +70,7 @@ class LpSolver::Simplex {
     c1_.assign(total_, 0);
 
     // Switch to Bland's rule after a generous pricing budget (immediately
-    // when the ablation knob asks for it).
+    // under always_bland).
     bland_threshold_ =
         options.always_bland ? -1 : 50LL * (m_ + 1) + 2LL * total_ + 500;
   }
@@ -114,12 +113,8 @@ class LpSolver::Simplex {
     bool warm_loaded = warm_start != nullptr && !warm_start->empty() &&
                        LoadBasis(*warm_start);
     if (!warm_loaded) InitBasis();
-    // The dual simplex is only ever entered on a warm basis: a cold slack
-    // basis is not dual-feasible in general, and the primal phases are the
-    // right engine for it anyway.
-    bool allow_dual = warm_loaded && opts_.use_dual_simplex;
     for (;;) {
-      LpSolution out = RunFromCurrentBasis(allow_dual);
+      LpSolution out = RunFromCurrentBasis(warm_loaded);
       // Never conclude infeasible/unbounded from a warm start that hit
       // numerical trouble (a singular refactorization aborts a phase
       // early and can fake either verdict on an ill-conditioned inherited
@@ -131,7 +126,6 @@ class LpSolver::Simplex {
           (out.status == LpStatus::kInfeasible ||
            out.status == LpStatus::kUnbounded)) {
         warm_loaded = false;
-        allow_dual = false;
         numerical_trouble_ = false;
         InitBasis();
         continue;
@@ -176,13 +170,16 @@ class LpSolver::Simplex {
   }
 
   /// Solve from whatever basis is currently loaded: dual re-optimization
-  /// when the basis qualifies (allow_dual), then the primal phases.
-  LpSolution RunFromCurrentBasis(bool allow_dual) {
+  /// when the basis qualifies, then the primal phases. The dual simplex is
+  /// only ever entered on a warm basis: a cold slack basis is not
+  /// dual-feasible in general, and the primal phases are the right engine
+  /// for it anyway.
+  LpSolution RunFromCurrentBasis(bool warm) {
     // ---- Dual simplex: a warm basis whose bounds moved is bound-
     // infeasible but (coming from a parent's optimum) still dual-feasible;
     // restore primal feasibility in a few dual pivots instead of a phase-1
     // repair. On success the primal phases below exit immediately.
-    if (allow_dual && TotalInfeasibility() > opts_.feas_tol && DualFeasible()) {
+    if (warm && TotalInfeasibility() > opts_.feas_tol && DualFeasible()) {
       switch (SolveDual()) {
         case DualOutcome::kPrimalFeasible:
           break;  // optimal up to tolerances; the primal phases confirm
@@ -780,12 +777,12 @@ class LpSolver::Simplex {
 
   /// Bounded-variable dual simplex. Precondition: the basis is
   /// dual-feasible (DualFeasible()). Each iteration picks the leaving row
-  /// by dual pricing (devex row weights or plain most-violated; lowest
-  /// basic index under Bland's fallback), prices the pivot row through the
-  /// factorization, runs the dual ratio test over the row's nonzero
-  /// columns to preserve dual feasibility, and pivots through the shared
-  /// commit path. Terminates with primal feasibility (= optimality), a
-  /// proven-infeasible row, the iteration limit, or numerical trouble.
+  /// by dual pricing (devex row weights; lowest basic index under Bland's
+  /// fallback), prices the pivot row through the factorization, runs the
+  /// dual ratio test over the row's nonzero columns to preserve dual
+  /// feasibility, and pivots through the shared commit path. Terminates
+  /// with primal feasibility (= optimality), a proven-infeasible row, the
+  /// iteration limit, or numerical trouble.
   DualOutcome SolveDual() {
     pricing_.ResetDual(m_);
     int since_refactor = 0;

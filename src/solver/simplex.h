@@ -20,17 +20,17 @@
 //   block the ratio test at the bound where their cost segment changes).
 //
 //   Phase 2 is the standard bounded-variable primal simplex with devex
-//   pricing (Dantzig as an ablation knob) and a Bland's-rule fallback for
-//   anti-cycling after a stall threshold.
+//   pricing and a Bland's-rule fallback for anti-cycling after a stall
+//   threshold.
 //
 // The linear algebra lives behind two layers (see factorization.h and
 // pricing.h): a BasisFactorization — sparse LU with eta updates by
-// default, the historical dense inverse as the ablation baseline — and a
-// Pricing object scoring entering columns / leaving rows. Reduced costs
-// are maintained incrementally from the priced pivot row (a sparse BTRAN
-// per pivot) instead of being recomputed by a dense scan each iteration,
-// and are rebuilt from fresh duals on every refactorization and before
-// any claim of optimality.
+// default, the historical dense inverse as the reference backend tests
+// compare against — and a devex Pricing object scoring entering columns /
+// leaving rows. Reduced costs are maintained incrementally from the priced
+// pivot row (a sparse BTRAN per pivot) instead of being recomputed by a
+// dense scan each iteration, and are rebuilt from fresh duals on every
+// refactorization and before any claim of optimality.
 //
 // When a warm-start basis arrives that is bound-infeasible but still
 // dual-feasible — exactly what a branch-and-bound child inherits after the
@@ -65,7 +65,6 @@
 #include "common/status.h"
 #include "solver/factorization.h"
 #include "solver/model.h"
-#include "solver/pricing.h"
 
 namespace pb::solver {
 
@@ -137,20 +136,13 @@ struct SimplexOptions {
   int64_t max_iterations = 0; ///< 0 = automatic (scaled to model size)
   int refactor_every = 64;    ///< basis refactorization period (pivots)
   /// Linear-algebra backend (see factorization.h). The sparse LU is the
-  /// default engine; the dense inverse is the ablation baseline.
+  /// default engine; the dense inverse is the reference backend tests
+  /// compare against.
   FactorizationKind factorization = FactorizationKind::kSparseLu;
-  /// Entering-column / leaving-row selection rule (see pricing.h). Devex
-  /// by default; Dantzig restores the historical candidate ordering.
-  PricingRule pricing = PricingRule::kDevex;
-  /// Use Bland's rule from the first iteration (ablation knob; the default
-  /// prices by `pricing` and falls back to Bland only on suspected
-  /// cycling).
+  /// Use Bland's rule from the first iteration (the default prices by
+  /// devex and falls back to Bland only on suspected cycling; tests use
+  /// this to reach the fallback).
   bool always_bland = false;
-  /// Enter the dual simplex when a warm basis is bound-infeasible but
-  /// dual-feasible (the branch-and-bound child re-solve). Off restores the
-  /// pre-dual behavior exactly: every warm repair goes through the
-  /// composite primal phase 1 (ablation knob).
-  bool use_dual_simplex = true;
 };
 
 /// The iteration budget SolveLp will use for `model` under `options`:
@@ -202,10 +194,9 @@ class LpSolver {
 /// `warm_start`, when non-null and non-empty, seeds the solve from a prior
 /// basis of a dimensionally identical model: nonbasic variables snap to
 /// their (possibly changed) bounds, a bound-infeasible basis is
-/// re-optimized by the dual simplex when it is still dual-feasible
-/// (options.use_dual_simplex) and repaired by the composite phase 1
-/// otherwise, and a singular or ill-sized snapshot silently falls back to
-/// the cold slack basis.
+/// re-optimized by the dual simplex when it is still dual-feasible and
+/// repaired by the composite phase 1 otherwise, and a singular or ill-sized
+/// snapshot silently falls back to the cold slack basis.
 [[nodiscard]] Result<LpSolution> SolveLp(
     const LpModel& model, const SimplexOptions& options = {},
     const std::vector<std::pair<double, double>>* bound_override = nullptr,

@@ -1,9 +1,8 @@
-// Cross-backend solver tests: every combination of factorization backend
-// (dense inverse vs sparse LU) and pricing rule (Dantzig vs devex) must
-// agree on the answer — LP vertex, MILP package, SketchRefine result — and
-// bases snapshotted under one backend must warm-start the other. The
-// engine ablation knobs change the path and the counters, never the
-// result.
+// Cross-backend solver tests: the sparse LU must agree with the dense
+// inverse, the reference backend, on the answer — LP vertex, MILP package,
+// SketchRefine result — and bases snapshotted under one backend must
+// warm-start the other. The backend changes the path and the counters,
+// never the result.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +26,6 @@ namespace {
 
 constexpr FactorizationKind kBackends[] = {FactorizationKind::kDense,
                                            FactorizationKind::kSparseLu};
-constexpr PricingRule kRules[] = {PricingRule::kDantzig, PricingRule::kDevex};
 
 /// Package-shaped model with continuous random coefficients: the optimum is
 /// unique with probability one, so backends must land on the same vertex
@@ -62,31 +60,25 @@ TEST(SimplexBackendsTest, AllEngineCombinationsFindTheSameVertex) {
     LpSolution reference;
     bool have_reference = false;
     for (FactorizationKind fact : kBackends) {
-      for (PricingRule rule : kRules) {
-        SimplexOptions opts;
-        opts.factorization = fact;
-        opts.pricing = rule;
-        auto r = SolveLp(m, opts);
-        ASSERT_TRUE(r.ok());
-        ASSERT_EQ(r->status, LpStatus::kOptimal)
-            << FactorizationKindToString(fact) << "/"
-            << PricingRuleToString(rule) << " seed " << seed;
-        EXPECT_GT(r->refactorizations, 0);
-        if (!have_reference) {
-          reference = std::move(r).value();
-          have_reference = true;
-          continue;
-        }
-        EXPECT_NEAR(r->objective, reference.objective, 1e-7)
-            << FactorizationKindToString(fact) << "/"
-            << PricingRuleToString(rule) << " seed " << seed;
-        ASSERT_EQ(r->x.size(), reference.x.size());
-        for (size_t j = 0; j < r->x.size(); ++j) {
-          EXPECT_NEAR(r->x[j], reference.x[j], 1e-7)
-              << FactorizationKindToString(fact) << "/"
-              << PricingRuleToString(rule) << " seed " << seed << " x[" << j
-              << "]";
-        }
+      SimplexOptions opts;
+      opts.factorization = fact;
+      auto r = SolveLp(m, opts);
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(r->status, LpStatus::kOptimal)
+          << FactorizationKindToString(fact) << " seed " << seed;
+      EXPECT_GT(r->refactorizations, 0);
+      if (!have_reference) {
+        reference = std::move(r).value();
+        have_reference = true;
+        continue;
+      }
+      EXPECT_NEAR(r->objective, reference.objective, 1e-7)
+          << FactorizationKindToString(fact) << " seed " << seed;
+      ASSERT_EQ(r->x.size(), reference.x.size());
+      for (size_t j = 0; j < r->x.size(); ++j) {
+        EXPECT_NEAR(r->x[j], reference.x[j], 1e-7)
+            << FactorizationKindToString(fact) << " seed " << seed << " x["
+            << j << "]";
       }
     }
   }
@@ -197,62 +189,58 @@ TEST(SimplexBackendsTest, ReusedWorkspaceMatchesFreshSolveLp) {
   wrong_shape.stat.assign(4, VarStat::kAtLower);
 
   for (FactorizationKind fact : kBackends) {
-    for (PricingRule rule : kRules) {
-      const std::string engine = std::string(FactorizationKindToString(fact)) +
-                                 "/" + PricingRuleToString(rule);
-      SimplexOptions opts;
-      opts.factorization = fact;
-      opts.pricing = rule;
-      const int64_t limit = EffectiveIterationLimit(m, opts);
-      LpSolver workspace(m, opts);
-      auto step = [&](const std::string& what, const Bounds* bounds,
-                      const LpBasis* warm, int64_t max_iterations) {
-        SimplexOptions fresh_opts = opts;
-        fresh_opts.max_iterations = max_iterations;
-        auto got = workspace.Solve(bounds, warm, max_iterations);
-        auto want = SolveLp(m, fresh_opts, bounds, warm);
-        EXPECT_TRUE(got.ok() && want.ok()) << engine << " " << what;
-        if (!got.ok() || !want.ok()) return LpSolution{};
-        ExpectSameSolve(*got, *want, engine + " " + what);
-        return std::move(got).value();
-      };
+    const std::string engine = FactorizationKindToString(fact);
+    SimplexOptions opts;
+    opts.factorization = fact;
+    const int64_t limit = EffectiveIterationLimit(m, opts);
+    LpSolver workspace(m, opts);
+    auto step = [&](const std::string& what, const Bounds* bounds,
+                    const LpBasis* warm, int64_t max_iterations) {
+      SimplexOptions fresh_opts = opts;
+      fresh_opts.max_iterations = max_iterations;
+      auto got = workspace.Solve(bounds, warm, max_iterations);
+      auto want = SolveLp(m, fresh_opts, bounds, warm);
+      EXPECT_TRUE(got.ok() && want.ok()) << engine << " " << what;
+      if (!got.ok() || !want.ok()) return LpSolution{};
+      ExpectSameSolve(*got, *want, engine + " " + what);
+      return std::move(got).value();
+    };
 
-      LpSolution root = step("cold root", nullptr, nullptr, limit);
-      ASSERT_EQ(root.status, LpStatus::kOptimal) << engine;
-      int pick = -1;
-      for (int j = 0; j < m.num_variables() && pick < 0; ++j) {
-        if (root.x[j] > 0.1 && root.x[j] < 0.9) pick = j;
-      }
-      ASSERT_GE(pick, 0) << engine;
-
-      Bounds branched = root_bounds;
-      branched[pick] = {0.0, 0.0};
-      LpSolution child = step("branched child", &branched, &root.basis, limit);
-      EXPECT_GT(child.dual_iterations, 0) << engine;
-
-      Bounds fixed = root_bounds;  // the up child after node presolve
-      fixed[pick] = {1.0, 1.0};
-      for (int j = 0; j < m.num_variables(); ++j) {
-        if (j != pick && root.basis.stat[j] != VarStat::kBasic &&
-            root.x[j] == 0.0) {
-          fixed[j] = {0.0, 0.0};
-        }
-      }
-      step("presolve-fixed child", &fixed, &root.basis, limit);
-
-      Bounds empty = root_bounds;
-      empty[pick] = {1.0, 0.0};
-      EXPECT_EQ(step("lo > hi", &empty, &root.basis, limit).status,
-                LpStatus::kInfeasible)
-          << engine;
-
-      EXPECT_EQ(step("iteration-limited", &branched, nullptr, 3).status,
-                LpStatus::kIterationLimit)
-          << engine;
-      step("after the limited solve", &branched, &root.basis, limit);
-
-      step("wrong-shape warm basis", nullptr, &wrong_shape, limit);
+    LpSolution root = step("cold root", nullptr, nullptr, limit);
+    ASSERT_EQ(root.status, LpStatus::kOptimal) << engine;
+    int pick = -1;
+    for (int j = 0; j < m.num_variables() && pick < 0; ++j) {
+      if (root.x[j] > 0.1 && root.x[j] < 0.9) pick = j;
     }
+    ASSERT_GE(pick, 0) << engine;
+
+    Bounds branched = root_bounds;
+    branched[pick] = {0.0, 0.0};
+    LpSolution child = step("branched child", &branched, &root.basis, limit);
+    EXPECT_GT(child.dual_iterations, 0) << engine;
+
+    Bounds fixed = root_bounds;  // the up child after node presolve
+    fixed[pick] = {1.0, 1.0};
+    for (int j = 0; j < m.num_variables(); ++j) {
+      if (j != pick && root.basis.stat[j] != VarStat::kBasic &&
+          root.x[j] == 0.0) {
+        fixed[j] = {0.0, 0.0};
+      }
+    }
+    step("presolve-fixed child", &fixed, &root.basis, limit);
+
+    Bounds empty = root_bounds;
+    empty[pick] = {1.0, 0.0};
+    EXPECT_EQ(step("lo > hi", &empty, &root.basis, limit).status,
+              LpStatus::kInfeasible)
+        << engine;
+
+    EXPECT_EQ(step("iteration-limited", &branched, nullptr, 3).status,
+              LpStatus::kIterationLimit)
+        << engine;
+    step("after the limited solve", &branched, &root.basis, limit);
+
+    step("wrong-shape warm basis", nullptr, &wrong_shape, limit);
   }
 }
 
@@ -304,21 +292,6 @@ TEST(SimplexBackendsTest, ThreadCountIdentityIncludesFactorizationCounters) {
     EXPECT_EQ(r->lp_basis_updates, serial->lp_basis_updates)
         << "threads " << threads;
   }
-}
-
-TEST(SimplexBackendsTest, DevexAndDantzigAgreeOnMilpAnswers) {
-  LpModel m = PackageModel(100, 29, /*integer=*/true);
-  MilpOptions devex_opts, dantzig_opts;
-  devex_opts.lp.pricing = PricingRule::kDevex;
-  dantzig_opts.lp.pricing = PricingRule::kDantzig;
-  auto devex = SolveMilp(m, devex_opts);
-  auto dantzig = SolveMilp(m, dantzig_opts);
-  ASSERT_TRUE(devex.ok());
-  ASSERT_TRUE(dantzig.ok());
-  ASSERT_EQ(devex->status, MilpStatus::kOptimal);
-  ASSERT_EQ(dantzig->status, MilpStatus::kOptimal);
-  EXPECT_EQ(Rounded(devex->x), Rounded(dantzig->x));
-  EXPECT_NEAR(devex->objective, dantzig->objective, 1e-6);
 }
 
 TEST(SketchRefineBackendsTest, PackagesAgreeAcrossBackends) {

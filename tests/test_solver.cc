@@ -515,21 +515,27 @@ TEST(MilpStatusTest, InfeasibleIsProvenOnlyWhenTheTreeIsExhausted) {
   EXPECT_EQ(r2->status, MilpStatus::kInfeasible);
   EXPECT_EQ(r2->presolve_infeasible_children, 2);
 
-  // Without presolve the root branches into two open children, so the
-  // one-node budget stops with work remaining and must say kNoSolution
-  // (the pre-presolve behavior, kept exact under the ablation knob)...
-  MilpOptions one_node_no_presolve = one_node;
-  one_node_no_presolve.node_presolve = false;
-  auto r3 = SolveMilp(int_inf, one_node_no_presolve);
+  // Parity: 2 * (x0 + ... + x9) = 7 has no integer point, yet fixing one
+  // binary leaves the row's activity range around 7, so propagation
+  // refutes neither of the root's children and both stay open. A one-node
+  // budget then stops with work remaining and must say kNoSolution...
+  LpModel parity;
+  std::vector<LinearTerm> twice;
+  for (int j = 0; j < 10; ++j) {
+    parity.AddVariable("x" + std::to_string(j), 0, 1, 1, true);
+    twice.push_back({j, 2.0});
+  }
+  parity.AddConstraint("parity", twice, 7, 7);
+  auto r3 = SolveMilp(parity, one_node);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(r3->status, MilpStatus::kNoSolution);
+  EXPECT_EQ(r3->presolve_infeasible_children, 0);
 
-  // ...while a budget that lets both children solve proves kInfeasible.
-  MilpOptions no_presolve;
-  no_presolve.node_presolve = false;
-  auto r4 = SolveMilp(int_inf, no_presolve);
+  // ...while an unlimited budget exhausts the tree and proves kInfeasible.
+  auto r4 = SolveMilp(parity);
   ASSERT_TRUE(r4.ok());
   EXPECT_EQ(r4->status, MilpStatus::kInfeasible);
+  EXPECT_EQ(r4->nodes, 83);
 }
 
 TEST(MilpStatusTest, UnboundedSurfacesFromRequeuedNonRootSolve) {

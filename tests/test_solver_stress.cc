@@ -231,7 +231,7 @@ TEST(MilpStressTest, AllVariablesFixedByBounds) {
   EXPECT_NEAR(r->objective, 9.0, 1e-9);
 }
 
-TEST(MilpStressTest, BlandPricingSolvesEverythingDantzigDoes) {
+TEST(MilpStressTest, BlandPricingSolvesEverythingDevexDoes) {
   pb::Rng rng(53);
   for (int trial = 0; trial < 15; ++trial) {
     LpModel m;
@@ -244,10 +244,10 @@ TEST(MilpStressTest, BlandPricingSolvesEverythingDantzigDoes) {
     }
     m.AddConstraint("cap", row, 2, 3 * n);
     m.SetSense(ObjectiveSense::kMaximize);
-    MilpOptions dantzig;
+    MilpOptions devex;
     MilpOptions bland;
     bland.lp.always_bland = true;
-    auto a = SolveMilp(m, dantzig);
+    auto a = SolveMilp(m, devex);
     auto b = SolveMilp(m, bland);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());

@@ -106,13 +106,13 @@ class CheckerTest(unittest.TestCase):
         # Fewer tightenings is no improvement to wave through: like the
         # presolve counters, any drift means the search changed.
         for drifted in (300, 700):
-            base = bench_file([entry("BM_MilpNodePresolveAblation/1",
+            base = bench_file([entry("BM_MilpNodePresolve",
                                      reduced_cost_tightenings=500)])
-            new = bench_file([entry("BM_MilpNodePresolveAblation/1",
+            new = bench_file([entry("BM_MilpNodePresolve",
                                     reduced_cost_tightenings=drifted)])
             proc = self.run_checker(self.path("base.json", base),
                                     self.path("new.json", new))
-            self.assert_fails_cleanly(proc, "BM_MilpNodePresolveAblation/1",
+            self.assert_fails_cleanly(proc, "BM_MilpNodePresolve",
                                       "reduced_cost_tightenings", "canary")
 
     def test_objective_drift_fails(self):
