@@ -344,19 +344,11 @@ void BM_MilpCrossSolveReuse(benchmark::State& state) {
 BENCHMARK(BM_MilpCrossSolveReuse)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-// Parallel tree search on the branchy COUNT-window family (the node-
-// presolve bench's shape scaled up to ~1.7k nodes): helper threads
-// speculatively solve frontier LPs while the main thread commits in serial
-// order. The deterministic counters (bnb_nodes, lp_iterations, objective)
-// are bit-identical across thread counts BY CONSTRUCTION — the regression
-// gate compares them against the checked-in baseline — while nodes_per_sec
-// is the throughput headline: on a multi-core host the 8-thread arm's
-// node throughput is the acceptance bar (>= 2x the 1-thread arm).
-// speculative_lps is diagnostic and timing-dependent (excluded from the
-// gate), and on a single-core host the threaded arms are expectedly
-// SLOWER: speculation burns the one core the committing thread needs.
-void BM_MilpParallelTree(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
+// A branchy COUNT-window ILP (the node-presolve bench's shape scaled up to
+// a few hundred nodes): the search-throughput trend. The deterministic
+// counters (bnb_nodes, lp_iterations, objective) are gated against the
+// checked-in baseline; nodes_per_sec is a wall-clock trend only.
+void BM_MilpBranchyTree(benchmark::State& state) {
   pb::Rng rng(33);
   LpModel m;
   std::vector<LinearTerm> count, weight;
@@ -369,10 +361,9 @@ void BM_MilpParallelTree(benchmark::State& state) {
   m.AddConstraint("count", count, 5, 5);
   m.AddConstraint("weight", weight, 1500.5, 1501.0);
   m.SetSense(ObjectiveSense::kMaximize);
-  double nodes = 0, iters = 0, objective = 0, spec = 0;
+  double nodes = 0, iters = 0, objective = 0;
   for (auto _ : state) {
     MilpOptions opts;
-    opts.compute.threads = threads;
     opts.max_nodes = 200000;
     opts.time_limit_s = 60.0;
     auto r = pb::solver::SolveMilp(m, opts);
@@ -383,19 +374,14 @@ void BM_MilpParallelTree(benchmark::State& state) {
     nodes = static_cast<double>(r->nodes);
     iters = static_cast<double>(r->lp_iterations);
     objective = r->objective;
-    spec = static_cast<double>(r->speculative_lps);
   }
-  // (No "threads" counter: the benchmark name carries the arg, and the
-  // counter name would collide with Google Benchmark's builtin JSON field.)
   state.counters["bnb_nodes"] = nodes;
   state.counters["lp_iterations"] = iters;
   state.counters["objective"] = objective;
-  state.counters["speculative_lps"] = spec;
   state.counters["nodes_per_sec"] =
       benchmark::Counter(nodes, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MilpParallelTree)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_MilpBranchyTree)->Unit(benchmark::kMillisecond);
 
 void BM_MilpRoundingHeuristicAblation(benchmark::State& state) {
   const bool rounding = state.range(0) != 0;

@@ -143,33 +143,16 @@ class PB_CAPABILITY("shared_mutex") SharedMutex {
   std::shared_mutex mu_;
 };
 
-/// RAII exclusive lock over pb::Mutex. Relockable: Unlock()/Lock() support
-/// protocols that drop the lock mid-scope (the speculation helpers); the
-/// destructor releases only if still held.
+/// RAII exclusive lock over pb::Mutex.
 class PB_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex* mu) PB_ACQUIRE(mu) : mu_(mu) { mu_->Lock(); }
   MutexLock(const MutexLock&) = delete;
   MutexLock& operator=(const MutexLock&) = delete;
-  ~MutexLock() PB_RELEASE() {
-    if (held_) mu_->Unlock();
-  }
-
-  /// Drops the lock early (must be held).
-  void Unlock() PB_RELEASE() {
-    mu_->Unlock();
-    held_ = false;
-  }
-  /// Re-acquires after Unlock() (must not be held).
-  void Lock() PB_ACQUIRE() {
-    mu_->Lock();
-    held_ = true;
-  }
+  ~MutexLock() PB_RELEASE() { mu_->Unlock(); }
 
  private:
-  friend class CondVar;
   Mutex* mu_;
-  bool held_ = true;
 };
 
 /// RAII exclusive (writer) lock over pb::SharedMutex.

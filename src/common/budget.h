@@ -1,10 +1,5 @@
-// Compute/time budgets and cooperative cancellation — the primitives the
-// Engine facade uses to make every solve interruptible and bounded.
-//
-// ComputeBudget is the one thread-count knob of a solve, consumed by both
-// the MILP tree search (MilpOptions::compute) and SketchRefine
-// (SketchRefineOptions::compute): how many threads the solve may use in
-// total and how many of them each branch-and-bound tree search gets.
+// Time budgets and cooperative cancellation — the primitives the Engine
+// facade uses to make every solve interruptible and bounded.
 //
 // CancelToken is a copyable handle on a shared cancellation flag. The
 // default-constructed token is INERT — it never reports cancellation and
@@ -28,18 +23,6 @@
 #include <memory>
 
 namespace pb {
-
-/// Thread budget for a solve, shared by the MILP tree search and
-/// SketchRefine's two-level fan-out. Any value changes only the schedule,
-/// never the answer (see MilpOptions::compute).
-struct ComputeBudget {
-  /// Total threads the solve may occupy (>= 1; values < 1 read as 1).
-  int threads = 1;
-  /// Threads each branch-and-bound tree search gets. Only SketchRefine
-  /// distinguishes this from `threads` (group-level fan-out times
-  /// node-level tree parallelism); a plain MILP solve ignores it.
-  int node_threads = 1;
-};
 
 /// Copyable handle on a shared cancellation flag; see the file comment.
 /// Thread-safe: any copy may request cancellation, any copy may poll.

@@ -1,6 +1,6 @@
 // Fixed-size worker pool for fan-out of independent CPU-bound work (the
 // SketchRefine Refine phase solves one small ILP per partition group; the
-// MILP tree search runs speculative LP solves on helper threads).
+// Engine runs submitted queries on one).
 //
 // Deliberately minimal: Submit() enqueues a task, Wait() blocks until every
 // submitted task has finished. Tasks must not throw (no exceptions cross

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/budget.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "core/pruning.h"
@@ -17,6 +18,10 @@ namespace pb::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Groups whose refine sub-ILP fails may be excluded from the sketch this
+/// many times before SketchRefine gives up.
+constexpr int kMaxBacktracks = 4;
 
 /// One linear requirement over candidate positions (query constraints plus
 /// the synthetic non-empty row).
@@ -234,13 +239,13 @@ void MaintainPartition(SketchRefineState* state,
     ++out->appended_routed;
   }
 
-  // ---- Split groups that drifted past the size threshold back into
-  // tau-bounded parts (same recursive median split as the full build,
-  // scoped to the group's members). The first part replaces the group in
-  // place; the rest append, so untouched group indices never shift.
-  const size_t split_threshold = options.split_threshold > 0
-                                     ? options.split_threshold
-                                     : 2 * options.partition_size;
+  // ---- Split groups that drifted past twice tau back into tau-bounded
+  // parts (same recursive median split as the full build, scoped to the
+  // group's members). Routing alone never re-partitions, so the threshold
+  // bounds how far a hot group can drift from tau before it is split
+  // back. The first part replaces the group in place; the rest append, so
+  // untouched group indices never shift.
+  const size_t split_threshold = 2 * options.partition_size;
   const size_t original_groups = state->groups.size();
   for (size_t gi = 0; gi < original_groups; ++gi) {
     if (state->groups[gi].members.size() <= split_threshold) continue;
@@ -363,11 +368,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
 
   SketchRefineResult out;
   Stopwatch phase_timer;
-  // The authoritative thread budget for every solve this call runs; a
-  // caller-set options.milp.compute is always overridden from it (like
-  // options.milp.warm) so no path can oversubscribe the host.
-  const int thread_budget = std::max(1, options.compute.threads);
-
   // Interruption plumbing: milp.cancel is polled between phases and
   // sub-solves (each solve also polls it per node), and milp.time_limit_s
   // bounds the WHOLE call — every sub-solve's own limit is clamped to the
@@ -538,7 +538,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   solver::MilpWarmStart local_sketch_warm;
   solver::MilpWarmStart& sketch_warm =
       state != nullptr ? state->sketch_warm : local_sketch_warm;
-  for (int attempt = 0; attempt <= options.max_backtracks; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxBacktracks; ++attempt) {
     if (interrupted()) {
       out.cancelled = true;
       return out;
@@ -569,9 +569,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     out.sketch_variables = sketch.num_variables();
     solver::MilpOptions sketch_milp = budgeted_milp();
     sketch_milp.warm = &sketch_warm;
-    // The sketch ILP is one monolithic solve, so the whole thread budget
-    // goes to its tree search (bit-identical for any count).
-    sketch_milp.compute.threads = thread_budget;
     PB_ASSIGN_OR_RETURN(solver::MilpResult sk,
                         solver::SolveMilp(sketch, sketch_milp));
     out.lp_iterations += sk.lp_iterations;
@@ -693,13 +690,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       ++out.dirty_groups;
       ++out.refine_ilps_solved;
     }
-    // Thread-budget split: group-level fan-out times node-level tree
-    // parallelism stays within thread_budget — node_threads is
-    // clamped into [1, budget] so the budget is authoritative. Any split
-    // yields the identical result — each MILP solve is thread-count
-    // invariant — so the knob only moves where the hardware effort goes.
-    const int node_threads =
-        std::clamp(options.compute.node_threads, 1, thread_budget);
     auto solve_task = [&](RefineTask& task) {
       // Reused tasks carry their answer already; nothing to solve.
       if (task.reused) return;
@@ -714,9 +704,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // shared across concurrent tasks, so it is always overridden here.
       solver::MilpOptions task_milp = budgeted_milp();
       task_milp.warm = task.warm;
-      // Like `warm`, always overridden: a caller-set milp.compute
-      // would multiply with the group fan-out and overrun the budget.
-      task_milp.compute.threads = node_threads;
       Result<solver::MilpResult> sr = solver::SolveMilp(task.model, task_milp);
       if (sr.ok()) {
         task.solution = std::move(sr).value();
@@ -725,8 +712,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       }
     };
     size_t workers = std::min<size_t>(
-        static_cast<size_t>(std::max(thread_budget / node_threads, 1)),
-        tasks.size());
+        static_cast<size_t>(std::max(options.threads, 1)), tasks.size());
     if (workers <= 1) {
       for (RefineTask& task : tasks) solve_task(task);
     } else {
@@ -818,9 +804,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
           // (sequential pass, so borrowing the task's warm state is safe).
           solver::MilpOptions repair_milp = budgeted_milp();
           repair_milp.warm = tasks[t].warm;
-          // The repair pass is sequential: each re-solve gets the whole
-          // thread budget as tree parallelism.
-          repair_milp.compute.threads = thread_budget;
           PB_ASSIGN_OR_RETURN(
               fresh, solver::SolveMilp(build_sub(g, others), repair_milp));
           out.lp_iterations += fresh.lp_iterations;

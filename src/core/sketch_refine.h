@@ -41,8 +41,8 @@
 // per-call throwaway. A caller that keeps a SketchRefineState alive across
 // calls (SketchRefineOptions::state) turns appends into maintenance work
 // instead of a rebuild: new candidates are routed to their nearest group
-// (in the state's frozen feature normalization), groups that grow past a
-// size threshold split and undersized ones merge, and only "dirty" groups
+// (in the state's frozen feature normalization), groups that grow past
+// twice tau split and undersized ones merge, and only "dirty" groups
 // — those whose membership changed, or whose residual constraints moved —
 // are re-solved, each from its saved per-group MilpWarmStart. A clean
 // group whose residual repeats exactly reuses its cached sub-solution
@@ -57,7 +57,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/budget.h"
 #include "common/status.h"
 #include "core/package.h"
 #include "solver/milp.h"
@@ -138,27 +137,14 @@ struct SketchRefineOptions {
   /// Maximum tuples per partition (tau). Smaller = finer approximation,
   /// larger sketch model.
   size_t partition_size = 64;
-  /// Backtracking budget: how many failed groups may be excluded from the
-  /// sketch before giving up.
-  int max_backtracks = 4;
-  /// Thread budget (see common/budget.h). `compute.threads` is the total
-  /// budget for the solve phases (values below 1 read as 1). The Refine
-  /// phase splits it between group-level and node-level parallelism:
-  /// compute.threads / compute.node_threads groups solve concurrently, each
-  /// sub-ILP running its branch-and-bound with compute.node_threads-way
-  /// tree parallelism; the Sketch phase's single monolithic ILP always gets
-  /// the whole budget as tree parallelism, as do the sequential repair
-  /// re-solves. `compute.node_threads` is clamped into [1, compute.threads]
-  /// so the total budget stays authoritative; 1, the default, spends the
-  /// whole budget on group-level fan-out, the right split while there are
-  /// many more groups than threads. Raise it (up to compute.threads = one
-  /// group at a time, all tree parallelism) when few large groups leave
-  /// the pool underfilled. The result is bit-identical for any budget and
-  /// any split provided the solver stops deterministically (a sub-ILP that
-  /// hits `milp.time_limit_s` mid-search can surface a different incumbent
+  /// Threads for the Refine phase's per-group sub-ILPs (values below 1
+  /// read as 1; 1, the default, solves them one after another on the
+  /// calling thread). The sketch ILP and the sequential repair re-solves
+  /// run on the calling thread. The result is bit-identical for any count
+  /// provided the solver stops deterministically (a sub-ILP that hits
+  /// `milp.time_limit_s` mid-search can surface a different incumbent
   /// under CPU contention; use `milp.max_nodes` as the budget when
-  /// reproducibility matters). Any thread count set in `milp.compute` is
-  /// overridden by this split.
+  /// reproducibility matters).
   ///
   /// Cancellation and deadlines ride in `milp`: milp.cancel is polled
   /// between every phase and sub-solve here (and inside each solve's own
@@ -168,7 +154,7 @@ struct SketchRefineOptions {
   /// count. A cancelled or out-of-time call returns found == false with
   /// whatever phase counters were already earned; it never returns a
   /// partially merged package.
-  ComputeBudget compute;
+  int threads = 1;
   solver::MilpOptions milp;
   /// The rows of aq.table that pass the WHERE clause (ascending, as
   /// FilterIndices returns them), when the caller already filtered
@@ -179,13 +165,9 @@ struct SketchRefineOptions {
   // ----- Incremental maintenance (HTAP) ------------------------------------
 
   /// Optional cross-call partition state (borrowed, in/out); see
-  /// SketchRefineState. Null = the classic one-shot pipeline.
+  /// SketchRefineState. Null = the classic one-shot pipeline. A maintained
+  /// group larger than 2 * partition_size re-splits into tau-bounded parts.
   SketchRefineState* state = nullptr;
-  /// A maintained group larger than this re-splits into tau-bounded parts
-  /// (0 = 2 * partition_size). Routing alone never re-partitions, so the
-  /// threshold bounds how far a hot group can drift from tau before it is
-  /// split back.
-  size_t split_threshold = 0;
   /// A maintained group smaller than this merges into its nearest
   /// neighbour (0 = never merge). Appends never shrink groups, so merges
   /// only fire when splits leave slivers behind or the caller lowers tau.

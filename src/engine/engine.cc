@@ -370,13 +370,11 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
                            ? budget.time_limit_s
                            : options_.defaults.milp.time_limit_s;
   const Deadline deadline = Deadline::AfterSeconds(limit);
-  const int claimed = AcquireThreads(budget.compute.threads);
 
   core::EvaluationOptions eo = options_.defaults;
   eo.milp.cancel = token;
   eo.milp.time_limit_s = deadline.SecondsRemaining();
   if (budget.max_nodes > 0) eo.milp.max_nodes = budget.max_nodes;
-  eo.milp.compute.threads = std::max(1, claimed);
   eo.local_search.time_limit_s =
       std::min(eo.local_search.time_limit_s, deadline.SecondsRemaining());
   eo.brute_force.time_limit_s =
@@ -393,10 +391,9 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
   storage::StorageBudgetScope storage_scope(storage_budget);
 
   Stopwatch solve_timer;
-  resp.status = Evaluate(aq, eo, normalized, &resp);
+  resp.status = Evaluate(aq, eo, budget.threads, normalized, &resp);
   resp.solve_seconds = solve_timer.ElapsedSeconds();
   resp.storage_peak_pinned_bytes = storage_budget.peak_pinned_bytes();
-  ReleaseThreads(claimed);
 
   if (resp.status.ok() && options_.render_packages) {
     auto screen =
@@ -421,7 +418,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
 }
 
 Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo,
+                        const core::EvaluationOptions& eo, int threads,
                         const std::string& query_key, QueryResponse* resp) {
   PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
                       db::FilterIndices(*aq.table, aq.query.where));
@@ -433,10 +430,10 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
       const core::QueryRoute route,
       core::PlanQuery(aq, bounds, candidates.size(), eo,
                       options_.incremental_maintenance));
-  Status s = RunStep(route.strategy, route, aq, eo, bounds, &candidates,
-                     query_key, resp);
+  Status s = RunStep(route.strategy, route, aq, eo, threads, bounds,
+                     &candidates, query_key, resp);
   if (route.fallback && s.code() == StatusCode::kInfeasible) {
-    s = RunStep(*route.fallback, route, aq, eo, bounds, &candidates,
+    s = RunStep(*route.fallback, route, aq, eo, threads, bounds, &candidates,
                 query_key, resp);
   }
   return s;
@@ -444,13 +441,13 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
 
 Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
                        const paql::AnalyzedQuery& aq,
-                       const core::EvaluationOptions& eo,
+                       const core::EvaluationOptions& eo, int threads,
                        const core::CardinalityBounds& bounds,
                        std::vector<size_t>* candidates,
                        const std::string& query_key, QueryResponse* resp) {
   resp->strategy = step;
   if (step == core::Strategy::kSketchRefine) {
-    return RunSketchRefinePath(aq, eo, *candidates, query_key, resp);
+    return RunSketchRefinePath(aq, eo, threads, *candidates, query_key, resp);
   }
   if (step == core::Strategy::kIlpSolver) {
     return RunIlpPath(aq, eo, bounds, candidates, query_key, resp);
@@ -465,6 +462,7 @@ Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
 
 Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                                    const core::EvaluationOptions& eo,
+                                   int threads,
                                    const std::vector<size_t>& candidates,
                                    const std::string& query_key,
                                    QueryResponse* resp) {
@@ -472,13 +470,14 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
 
   core::SketchRefineOptions sro;
   sro.partition_size = options_.sketch_partition_size;
-  sro.compute = eo.milp.compute;
   sro.milp = eo.milp;
   sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
   sro.candidates = &candidates;
 
   Stopwatch maintenance_timer;
   const uint64_t generation = catalog_generation_;
+  const int claimed = AcquireThreads(threads);
+  sro.threads = std::max(1, claimed);
   Result<core::SketchRefineResult> r_or =
       [&]() -> Result<core::SketchRefineResult> {
     // SketchRefineState, like MilpWarmStart, is not thread-safe; the
@@ -493,6 +492,7 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     sro.state = &entry->state;
     return core::SketchRefine(aq, sro);
   }();
+  ReleaseThreads(claimed);
   PB_RETURN_IF_ERROR(r_or.status());
   const core::SketchRefineResult& r = *r_or;
   resp->cancelled = r.cancelled;

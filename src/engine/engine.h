@@ -7,8 +7,8 @@
 //   - the loaded catalog, guarded by a reader/writer lock so any number of
 //     queries run concurrently while table loads are exclusive;
 //   - the shared worker ThreadPool that executes submitted queries and a
-//     thread-share ledger so concurrent queries split the machine instead
-//     of each assuming it owns every core;
+//     thread-share ledger so concurrent queries' SketchRefine fan-outs
+//     split the machine instead of each assuming it owns every core;
 //   - a result cache keyed on (normalized query text, catalog generation):
 //     repeating a query against an unchanged catalog returns the cached
 //     package bit-identically with zero solver work;
@@ -20,8 +20,8 @@
 //
 // ExecuteQuery() is safe to call from any number of threads. Budgets are
 // cooperative: QueryBudget carries a wall-clock deadline, node caps, a
-// thread share, and a CancelToken polled inside the branch-and-bound loop,
-// so a cancelled or over-deadline query returns a structured partial
+// refine thread share, and a CancelToken polled inside the branch-and-bound
+// loop, so a cancelled or over-deadline query returns a structured partial
 // status — never a corrupted package.
 
 #ifndef PB_ENGINE_ENGINE_H_
@@ -60,10 +60,11 @@ struct QueryBudget {
   double time_limit_s = 0.0;
   /// Branch-and-bound node cap (0 = engine default).
   int64_t max_nodes = 0;
-  /// Thread share requested from the engine's pool. The engine grants
-  /// min(requested, threads currently unclaimed), always at least one, so
-  /// concurrent queries degrade to serial solves instead of oversubscribing.
-  ComputeBudget compute;
+  /// Threads requested for SketchRefine's refine fan-out, the one step
+  /// that runs more than one. The engine grants min(requested, threads
+  /// currently unclaimed), always at least one, so concurrent queries
+  /// degrade to serial refines instead of oversubscribing.
+  int threads = 1;
   /// Cooperative cancellation. Default-constructed tokens are inert; pass
   /// CancelToken::Create() (or use Engine::CancelSession) to make a query
   /// interruptible mid-solve.
@@ -338,8 +339,9 @@ class Engine {
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
   /// Filters once, plans with core::PlanQuery, and runs the plan's
   /// strategy, then its fallback when the strategy ends kInfeasible.
+  /// `threads` is the budget's request (QueryBudget::threads).
   Status Evaluate(const paql::AnalyzedQuery& aq,
-                  const core::EvaluationOptions& eo,
+                  const core::EvaluationOptions& eo, int threads,
                   const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Runs one step of `route` (see core::RunStep) into `resp`. `candidates`
@@ -347,7 +349,7 @@ class Engine {
   /// over (see core::TranslateOptions).
   Status RunStep(core::Strategy step, const core::QueryRoute& route,
                  const paql::AnalyzedQuery& aq,
-                 const core::EvaluationOptions& eo,
+                 const core::EvaluationOptions& eo, int threads,
                  const core::CardinalityBounds& bounds,
                  std::vector<size_t>* candidates,
                  const std::string& query_key, QueryResponse* resp)
@@ -362,9 +364,10 @@ class Engine {
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through the per-query partition state so repeat queries after appends
   /// re-solve only dirty groups. kInfeasible when it comes back
-  /// empty-handed un-cancelled, which proves nothing.
+  /// empty-handed un-cancelled, which proves nothing. The refine fan-out
+  /// runs on the share of `threads` the ledger grants.
   Status RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                             const core::EvaluationOptions& eo,
+                             const core::EvaluationOptions& eo, int threads,
                              const std::vector<size_t>& candidates,
                              const std::string& query_key,
                              QueryResponse* resp)

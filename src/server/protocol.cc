@@ -85,8 +85,7 @@ engine::QueryBudget ParseBudget(const json::Value& request) {
   if (b == nullptr || !b->is_object()) return budget;
   budget.time_limit_s = b->GetNumber("time_limit_s", 0.0);
   budget.max_nodes = b->GetInt("max_nodes", 0);
-  budget.compute.threads =
-      static_cast<int>(b->GetInt("threads", 1));
+  budget.threads = static_cast<int>(b->GetInt("threads", 1));
   budget.max_pinned_bytes = b->GetInt("max_pinned_bytes", 0);
   return budget;
 }

@@ -30,8 +30,8 @@
 //
 // Both backends are deterministic: column order, pivot choice, and
 // tie-breaks depend only on the basis and the matrix, never on timing or
-// addresses — the branch-and-bound determinism rule (bit-identical results
-// at any thread count) extends through this layer.
+// addresses — the branch-and-bound determinism rule (the same model and
+// options give bit-identical results) extends through this layer.
 
 #ifndef PB_SOLVER_FACTORIZATION_H_
 #define PB_SOLVER_FACTORIZATION_H_

@@ -1,14 +1,10 @@
 #include "solver/milp.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <memory>
 
-#include "common/annotations.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 
 namespace pb::solver {
 
@@ -57,119 +53,13 @@ struct Node {
   int lp_limit_boost = 0;   // times the LP iteration limit was doubled
 };
 
-/// Heap entry: the node plus its speculation slot. A node's LP inputs
-/// (bounds, basis, lp_limit_boost) are immutable from push to pop, so its
-/// relaxation can be solved by any thread at any point in that window; the
-/// slot records who did and holds the result. Slot transitions happen
-/// under SpecPool::mu; the LP itself runs unlocked.
-struct OpenNode {
-  Node node;
-
-  enum class Spec : uint8_t {
-    kIdle,     ///< nobody has started this node's LP
-    kClaimed,  ///< some thread is solving it right now
-    kDone,     ///< lp_status / lp below hold the finished solve
-  };
-  Spec spec = Spec::kIdle;
-  /// Popped (or pruned) by the main thread: helpers must not pick it up
-  /// even if a stale frontier snapshot still lists it.
-  bool dead = false;
-  Status lp_status = Status::OK();
-  LpSolution lp;
-};
-
-using OpenNodePtr = std::shared_ptr<OpenNode>;
-
-/// Best-first: larger is better for max problems, smaller for min. Applied
-/// through std::push_heap/pop_heap this reproduces std::priority_queue's
-/// ordering decisions exactly (same algorithm, same comparator calls), so
-/// the pop order matches the serial solver byte for byte.
+/// Best-first: larger is better for max problems, smaller for min.
 struct NodeOrder {
   bool maximize;
-  bool operator()(const OpenNodePtr& a, const OpenNodePtr& b) const {
-    return maximize ? a->node.bound < b->node.bound
-                    : a->node.bound > b->node.bound;
+  bool operator()(const Node& a, const Node& b) const {
+    return maximize ? a.bound < b.bound : a.bound > b.bound;
   }
 };
-
-/// Shared state between the committing main thread and the speculative LP
-/// helpers. The open heap itself stays main-thread-local; helpers only see
-/// the published `frontier` snapshot and write into claimed nodes' slots.
-struct SpecPool {
-  const LpModel* model = nullptr;
-  SimplexOptions base_lp;
-  int64_t base_lp_limit = 0;  // EffectiveIterationLimit(model, base_lp)
-  bool maximize = false;
-  double gap_abs = 0.0;
-
-  Mutex mu;
-  CondVar work_cv;  ///< helpers: frontier refreshed / stop
-  CondVar done_cv;  ///< main thread: a claimed LP finished
-  /// Speculation candidates, best bound first (refreshed by the main
-  /// thread after every commit). Which nodes appear here only affects how
-  /// much helper work is useful — never the result. (The OpenNode
-  /// spec/dead slots the frontier points at are likewise only touched
-  /// under mu while helpers run; they cannot carry PB_GUARDED_BY because
-  /// the serial path owns them lock-free when no helpers exist.)
-  std::vector<OpenNodePtr> frontier PB_GUARDED_BY(mu);
-  bool stop PB_GUARDED_BY(mu) = false;
-
-  /// Incumbent objective, published on every improvement so helpers can
-  /// skip frontier nodes the serial commit will prune anyway. Relaxed
-  /// reads: a stale value costs at most one wasted LP, never correctness.
-  std::atomic<double> incumbent_obj{0.0};
-  std::atomic<bool> have_incumbent{false};
-  /// LPs solved by helpers (useful and wasted alike; timing-dependent).
-  std::atomic<int64_t> speculative_lps{0};
-};
-
-/// Helper-thread body: repeatedly claim the best idle frontier node that
-/// still beats the published incumbent, solve its LP, and post the result
-/// into the node's slot. Each helper owns its LP workspace; a node LP is a
-/// pure function of the node's inputs, so which workspace solves it never
-/// shows in the result.
-void SpeculationLoop(SpecPool* pool) {
-  LpSolver lp_solver(*pool->model, pool->base_lp);
-  MutexLock lock(&pool->mu);
-  for (;;) {
-    if (pool->stop) return;
-    OpenNodePtr pick;
-    for (const OpenNodePtr& cand : pool->frontier) {
-      if (cand->spec != OpenNode::Spec::kIdle || cand->dead) continue;
-      if (pool->have_incumbent.load(std::memory_order_relaxed)) {
-        double inc = pool->incumbent_obj.load(std::memory_order_relaxed);
-        bool beats = pool->maximize
-                         ? cand->node.bound > inc + pool->gap_abs
-                         : cand->node.bound < inc - pool->gap_abs;
-        if (!beats) continue;  // the commit loop will prune it unsolved
-      }
-      pick = cand;
-      break;
-    }
-    if (!pick) {
-      pool->work_cv.Wait(&pool->mu);
-      continue;
-    }
-    pick->spec = OpenNode::Spec::kClaimed;
-    lock.Unlock();
-
-    const LpBasis* start =
-        pick->node.basis.empty() ? nullptr : &pick->node.basis;
-    Result<LpSolution> r =
-        lp_solver.Solve(&pick->node.bounds, start,
-                        pool->base_lp_limit << pick->node.lp_limit_boost);
-    pool->speculative_lps.fetch_add(1, std::memory_order_relaxed);
-
-    lock.Lock();
-    if (r.ok()) {
-      pick->lp = std::move(*r);
-    } else {
-      pick->lp_status = r.status();
-    }
-    pick->spec = OpenNode::Spec::kDone;
-    pool->done_cv.NotifyAll();
-  }
-}
 
 /// Recomputes one row's activity range from scratch under the bounds
 /// `bounds_of(v)` gives each variable (the fallback when infinite
@@ -546,8 +436,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   const int n = model.num_variables();
 
   const int64_t base_lp_limit = EffectiveIterationLimit(model, options.lp);
-  // This thread's LP workspace: every node LP it solves and every dive LP
-  // (the model was validated above).
+  // The solve's one LP workspace: every node LP and every dive LP runs
+  // through it (the model was validated above).
   LpSolver lp_solver(model, options.lp);
 
   // Cross-solve warm-start state: usable only while the model's structure
@@ -606,122 +496,34 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   }
   PresolveScratch presolve_scratch(n, model.num_constraints());
 
-  // ---- Speculative parallelism (see MilpOptions::compute). The open
-  // heap and every commit stay on this thread; helpers only pre-solve LPs
-  // of published frontier nodes. A pure LP (no integer variables) is a
-  // single solve — nothing to speculate on.
-  const int num_threads = std::max(1, options.compute.threads);
-  const bool parallel = num_threads > 1 && model.has_integer_variables();
-  SpecPool spec;
-  std::unique_ptr<ThreadPool> helper_pool;
-  std::unique_ptr<TaskGroup> helper_group;
-  if (parallel) {
-    // Helpers read the model concurrently: each helper's LpSolver reads
-    // csc() once, when it is built. `lp_solver` above already filled that
-    // lazy cache on this thread, so no helper pays for (or waits on) the
-    // fill. Node presolve's variable_rows() stays on this thread.
-    spec.model = &model;
-    spec.base_lp = options.lp;
-    spec.base_lp_limit = base_lp_limit;
-    spec.maximize = maximize;
-    spec.gap_abs = options.gap_abs;
-  }
-  auto stop_helpers = [&] {
-    if (helper_group == nullptr) return;
-    {
-      MutexLock lock(&spec.mu);
-      spec.stop = true;
-    }
-    spec.work_cv.NotifyAll();
-    helper_group->Wait();
-    helper_group.reset();
-    result.speculative_lps =
-        spec.speculative_lps.load(std::memory_order_relaxed);
-  };
-  // Early returns (LP solve errors) must drain helpers before the locals
-  // they reference go out of scope.
-  struct StopGuard {
-    decltype(stop_helpers)* fn;
-    ~StopGuard() { (*fn)(); }
-  } stop_guard{&stop_helpers};
-
-  // The open heap, managed with push_heap/pop_heap (== priority_queue's
-  // internals) so the serial pop order is preserved exactly while nodes
-  // get the stable addresses speculation needs.
+  // The open heap, managed with push_heap/pop_heap rather than a
+  // std::priority_queue so that popping moves the best node out (top()
+  // could only copy it).
   NodeOrder node_order{maximize};
-  std::vector<OpenNodePtr> open;
-  auto push_open = [&](OpenNodePtr entry) {
-    open.push_back(std::move(entry));
+  std::vector<Node> open;
+  auto push_open = [&](Node node) {
+    open.push_back(std::move(node));
     std::push_heap(open.begin(), open.end(), node_order);
   };
   auto pop_open = [&] {
     std::pop_heap(open.begin(), open.end(), node_order);
-    OpenNodePtr top = std::move(open.back());
+    Node top = std::move(open.back());
     open.pop_back();
     return top;
   };
-  // Publish the speculation frontier: the best few open nodes, taken from
-  // the heap array's prefix (the shallow levels hold the best bounds) and
-  // sorted best-first. Approximate by design — what helpers pre-solve only
-  // affects how much of their work is useful, never the result.
-  const size_t frontier_width = static_cast<size_t>(num_threads) * 4;
-  std::vector<OpenNodePtr> frontier_scratch;
-  auto publish_frontier = [&] {
-    // Helpers spawn lazily on the first non-empty frontier: a solve that
-    // ends at the root (the common SketchRefine sub-ILP case) never pays
-    // for thread creation at all.
-    if (helper_pool == nullptr) {
-      if (open.empty()) return;
-      helper_pool = std::make_unique<ThreadPool>(num_threads - 1);
-      helper_group = std::make_unique<TaskGroup>(helper_pool.get());
-      for (int t = 0; t < num_threads - 1; ++t) {
-        helper_group->Spawn([&spec] { SpeculationLoop(&spec); });
-      }
-    }
-    frontier_scratch.assign(
-        open.begin(),
-        open.begin() +
-            static_cast<ptrdiff_t>(std::min(open.size(), frontier_width * 2)));
-    std::sort(frontier_scratch.begin(), frontier_scratch.end(),
-              [&](const OpenNodePtr& a, const OpenNodePtr& b) {
-                return node_order(b, a);  // best bound first
-              });
-    if (frontier_scratch.size() > frontier_width) {
-      frontier_scratch.resize(frontier_width);
-    }
-    // Wake one helper per node still up for grabs, not every helper: a
-    // node LP takes about as long as a wake-up, and helpers woken for no
-    // work only contend with this thread for the lock and the cores.
-    int idle = 0;
-    {
-      MutexLock lock(&spec.mu);
-      spec.frontier = frontier_scratch;
-      for (const OpenNodePtr& cand : spec.frontier) {
-        if (cand->spec == OpenNode::Spec::kIdle && !cand->dead) ++idle;
-      }
-    }
-    for (int k = std::min(idle, num_threads - 1); k > 0; --k) {
-      spec.work_cv.NotifyOne();
-    }
-  };
 
   {
-    auto root = std::make_shared<OpenNode>();
-    root->node.bounds = std::move(root_bounds);
-    root->node.acts = std::move(root_acts);
-    root->node.bound = maximize ? kInfinity : -kInfinity;
-    if (warm != nullptr) root->node.basis = warm->root_basis;
+    Node root;
+    root.bounds = std::move(root_bounds);
+    root.acts = std::move(root_acts);
+    root.bound = maximize ? kInfinity : -kInfinity;
+    if (warm != nullptr) root.basis = warm->root_basis;
     push_open(std::move(root));
   }
 
   bool have_incumbent = false;
   std::vector<double> incumbent;
   double incumbent_obj = 0.0;
-  // Mirror every incumbent improvement into the helpers' prune bar.
-  auto publish_incumbent = [&] {
-    spec.incumbent_obj.store(incumbent_obj, std::memory_order_relaxed);
-    spec.have_incumbent.store(true, std::memory_order_relaxed);
-  };
   bool root_unbounded = false;
   bool root_basis_captured = false;
   // Optimistic bounds of subtrees abandoned because their LP would not
@@ -746,46 +548,16 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         timer.ElapsedSeconds() > options.time_limit_s) {
       break;  // open is non-empty here, so work_remaining stays true
     }
-    OpenNodePtr cur = pop_open();
-    Node& node = cur->node;
+    Node node = pop_open();
 
-    // Take the node off the speculation market. Whatever its slot says
-    // now is final: kIdle means this thread solves it (nobody else will
-    // start — dead nodes are never claimed), kClaimed/kDone means a helper
-    // got there first and the result is (or will be) in the slot.
-    OpenNode::Spec slot = OpenNode::Spec::kIdle;
-    if (parallel) {
-      MutexLock lock(&spec.mu);
-      cur->dead = true;
-      slot = cur->spec;
-    }
-
-    // Bound-based pruning against the incumbent. A helper may be solving
-    // this node right now; the shared_ptr keeps it alive until that solve
-    // finishes, and nobody reads the wasted result.
+    // Bound-based pruning against the incumbent.
     if (have_incumbent && !better(node.bound, incumbent_obj)) continue;
 
     ++result.nodes;
-    // Refresh the helpers' frontier before touching this node's LP: while
-    // this thread waits for (or computes) the current relaxation, helpers
-    // pre-solve the nodes most likely to be popped next.
-    if (parallel) publish_frontier();
-    LpSolution lp;
-    if (slot != OpenNode::Spec::kIdle) {
-      // Committed speculation: identical to solving here (a node LP is a
-      // pure function of inputs the node has owned since push, whichever
-      // workspace runs it), so every counter below stays bit-identical to
-      // the serial solver's.
-      MutexLock lock(&spec.mu);
-      while (cur->spec != OpenNode::Spec::kDone) spec.done_cv.Wait(&spec.mu);
-      PB_RETURN_IF_ERROR(cur->lp_status);
-      lp = std::move(cur->lp);
-    } else {
-      const LpBasis* start = node.basis.empty() ? nullptr : &node.basis;
-      PB_ASSIGN_OR_RETURN(
-          lp, lp_solver.Solve(&node.bounds, start,
-                              base_lp_limit << node.lp_limit_boost));
-    }
+    const LpBasis* start = node.basis.empty() ? nullptr : &node.basis;
+    PB_ASSIGN_OR_RETURN(
+        LpSolution lp, lp_solver.Solve(&node.bounds, start,
+                                       base_lp_limit << node.lp_limit_boost));
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
     result.lp_refactorizations += lp.refactorizations;
@@ -807,11 +579,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       // cap is the subtree abandoned — and then its optimistic bound
       // still reaches the reported best_bound below.
       if (node.lp_limit_boost < kMaxLpLimitBoost) {
-        auto retry = std::make_shared<OpenNode>();
-        retry->node = std::move(node);
-        ++retry->node.lp_limit_boost;
-        retry->node.basis = std::move(lp.basis);
-        push_open(std::move(retry));
+        ++node.lp_limit_boost;
+        node.basis = std::move(lp.basis);
+        push_open(std::move(node));
       } else {
         abandoned_any = true;
         abandoned_bound = maximize ? std::max(abandoned_bound, node.bound)
@@ -829,9 +599,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     }
 
     // Pseudocost observation: objective degradation from the parent's LP
-    // bound, normalized by the branching distance. Commits happen in the
-    // serial pop order, so the history every later branch decision sees is
-    // identical for any thread count.
+    // bound, normalized by the branching distance.
     if (node.branch_var >= 0 && std::isfinite(node.bound)) {
       double degradation = maximize ? node.bound - node_bound
                                     : node_bound - node.bound;
@@ -868,7 +636,6 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         have_incumbent = true;
         incumbent = std::move(snapped);
         incumbent_obj = obj;
-        publish_incumbent();
       }
       continue;
     }
@@ -884,8 +651,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
           have_incumbent = true;
           incumbent = std::move(rounded);
           incumbent_obj = obj;
-          publish_incumbent();
-        }
+          }
       }
       // Root identified by branch_var (result.nodes would miss a root that
       // was re-queued after an LP iteration limit).
@@ -897,15 +663,13 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
           have_incumbent = true;
           incumbent_obj = model.ObjectiveValue(dived);
           incumbent = std::move(dived);
-          publish_incumbent();
-        }
+          }
       }
     }
 
     // Reduced-cost tightening, after the heuristics (which may have
     // improved the incumbent) and before the children copy the node's
-    // bounds, so both inherit it. It runs here on the committing thread,
-    // so the tree stays identical for every thread count.
+    // bounds, so both inherit it.
     if (have_incumbent &&
         !TightenByReducedCosts(model, lp, incumbent_obj, options.int_tol,
                                row_move, &node.bounds, &node.acts, &result,
@@ -927,22 +691,21 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     const double parent_lb = node.bounds[branch_var].first;
     const double parent_ub = node.bounds[branch_var].second;
     node.basis.clear();  // superseded by lp.basis; don't copy it into `down`
-    auto down = std::make_shared<OpenNode>();
-    down->node = node;
-    down->node.bound = node_bound;
-    down->node.basis = lp.basis;
-    down->node.branch_var = branch_var;
-    down->node.branch_frac = frac;
-    down->node.branch_up = false;
-    down->node.lp_limit_boost = 0;
-    down->node.bounds[branch_var].second =
-        std::min(down->node.bounds[branch_var].second, std::floor(xv));
-    bool push_down = down->node.bounds[branch_var].first <=
-                     down->node.bounds[branch_var].second;
+    Node down = node;
+    down.bound = node_bound;
+    down.basis = lp.basis;
+    down.branch_var = branch_var;
+    down.branch_frac = frac;
+    down.branch_up = false;
+    down.lp_limit_boost = 0;
+    down.bounds[branch_var].second =
+        std::min(down.bounds[branch_var].second, std::floor(xv));
+    bool push_down =
+        down.bounds[branch_var].first <= down.bounds[branch_var].second;
     if (push_down) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
       if (!PropagateBoundChanges(model, row_move, options.int_tol,
-                                 &down->node.bounds, &down->node.acts,
+                                 &down.bounds, &down.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {
         ++result.presolve_infeasible_children;
@@ -950,22 +713,20 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       }
     }
     if (push_down) push_open(std::move(down));
-    auto up = std::make_shared<OpenNode>();
-    up->node = std::move(node);
-    up->node.bound = node_bound;
-    up->node.basis = std::move(lp.basis);
-    up->node.branch_var = branch_var;
-    up->node.branch_frac = frac;
-    up->node.branch_up = true;
-    up->node.lp_limit_boost = 0;
-    up->node.bounds[branch_var].first =
-        std::max(up->node.bounds[branch_var].first, std::ceil(xv));
-    bool push_up =
-        up->node.bounds[branch_var].first <= up->node.bounds[branch_var].second;
+    Node up = std::move(node);
+    up.bound = node_bound;
+    up.basis = std::move(lp.basis);
+    up.branch_var = branch_var;
+    up.branch_frac = frac;
+    up.branch_up = true;
+    up.lp_limit_boost = 0;
+    up.bounds[branch_var].first =
+        std::max(up.bounds[branch_var].first, std::ceil(xv));
+    bool push_up = up.bounds[branch_var].first <= up.bounds[branch_var].second;
     if (push_up) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
       if (!PropagateBoundChanges(model, row_move, options.int_tol,
-                                 &up->node.bounds, &up->node.acts,
+                                 &up.bounds, &up.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {
         ++result.presolve_infeasible_children;
@@ -975,16 +736,12 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     if (push_up) push_open(std::move(up));
   }
 
-  // Drain helpers before reading their shared tallies (and before any of
-  // the locals they reference can die). Idempotent with the guard.
-  stop_helpers();
-
   // Best remaining optimistic bound over ALL unexplored work: open nodes
   // (the heap is bound-ordered, so the front is the best) plus any
   // abandoned subtrees.
   bool work_remaining = !open.empty() || abandoned_any;
   double remaining_bound = maximize ? -kInfinity : kInfinity;
-  if (!open.empty()) remaining_bound = open.front()->node.bound;
+  if (!open.empty()) remaining_bound = open.front().bound;
   if (abandoned_any) {
     remaining_bound = maximize ? std::max(remaining_bound, abandoned_bound)
                                : std::min(remaining_bound, abandoned_bound);
@@ -1010,24 +767,6 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
                                  : MilpStatus::kInfeasible;
   result.best_bound = remaining_bound;
   return result;
-}
-
-Result<MilpResult> SolveMilpOrFail(const LpModel& model,
-                                   const MilpOptions& options) {
-  PB_ASSIGN_OR_RETURN(MilpResult r, SolveMilp(model, options));
-  switch (r.status) {
-    case MilpStatus::kOptimal:
-    case MilpStatus::kFeasible:
-      return r;
-    case MilpStatus::kInfeasible:
-      return Status::Infeasible("no integer-feasible solution exists");
-    case MilpStatus::kUnbounded:
-      return Status::Unbounded("objective is unbounded");
-    case MilpStatus::kNoSolution:
-      return Status::ResourceExhausted(
-          "solver limits reached before finding a solution");
-  }
-  return Status::Internal("unknown MILP status");
 }
 
 }  // namespace pb::solver

@@ -19,11 +19,11 @@
 //      ranges (node presolve): implied integer fixings ride into the
 //      child, and a child whose rows cannot be met is dropped unsolved.
 //
-// With MilpOptions::compute.threads > 1 the tree search runs in parallel:
-// helper threads speculatively solve the LPs of frontier nodes against a
-// shared incumbent bound while the main thread commits results (steps 2-5)
-// in the exact serial order, so every solve is bit-identical for any
-// thread count (see MilpOptions::compute).
+// The search runs on the calling thread, through one LP workspace. It is
+// deterministic: the same model and options give the same package, bounds
+// and counters on every run (unless time_limit_s or cancellation stops
+// it mid-search). Callers that want parallelism solve independent models
+// concurrently, as SketchRefine's refine phase does.
 
 #ifndef PB_SOLVER_MILP_H_
 #define PB_SOLVER_MILP_H_
@@ -98,27 +98,6 @@ struct MilpOptions {
   bool rounding_heuristic = true;
   /// Optional cross-solve state (borrowed, in/out); see MilpWarmStart.
   MilpWarmStart* warm = nullptr;
-  /// Thread budget (see common/budget.h). `compute.threads` is the
-  /// tree-search thread count; values below 1 read as 1, and 1 (the
-  /// default) is the serial solver. N > 1 spawns N-1 helper threads that
-  /// speculatively solve the LP relaxations of nodes near the top of the
-  /// open heap — a node's LP is a pure function of its bounds, inherited
-  /// basis, and iteration budget, whichever thread solves it: each helper
-  /// owns its own LpSolver workspace, as the main thread does, and a
-  /// workspace's solves never depend on what it solved before — while the
-  /// main thread pops, prunes, and commits results (incumbent, pseudocosts,
-  /// reduced-cost tightening, branching, presolve) in the exact serial
-  /// best-first order. Helpers skip nodes already cut off by the atomically
-  /// published incumbent bound. The committed tree is therefore
-  /// bit-identical for EVERY thread count: same package, same bounds, same
-  /// nodes/lp_iterations/presolve/tightening counters; only wall-clock and
-  /// MilpResult::speculative_lps vary. (As
-  /// with the Refine fan-out, determinism additionally requires a
-  /// deterministic stopping rule — a solve that hits time_limit_s
-  /// mid-search stops at a wall-clock-dependent node; prefer max_nodes
-  /// budgets.) `compute.node_threads` is ignored here (it only matters to
-  /// SketchRefine's two-level split).
-  ComputeBudget compute;
   /// Cooperative cancellation, polled once per branch-and-bound node (and
   /// per dive step). The default token is inert. A cancelled solve stops
   /// exactly like a node/time-limit stop: it returns kFeasible with the
@@ -145,7 +124,7 @@ struct MilpResult {
   int64_t lp_dual_iterations = 0;
   /// Basis factorization work across every LP in the tree: full
   /// refactorizations and column-replace updates (see FactorizationStats).
-  /// Deterministic for any thread count, like the iteration counters.
+  /// Deterministic, like the iteration counters.
   int64_t lp_refactorizations = 0;
   int64_t lp_basis_updates = 0;
   /// Variable bounds tightened by node presolve across the whole tree.
@@ -157,11 +136,6 @@ struct MilpResult {
   /// (see the file comment). Bounds that propagation then implies count in
   /// presolve_fixed_bounds.
   int64_t reduced_cost_tightenings = 0;
-  /// LPs solved by helper threads when compute.threads > 1 — speculation
-  /// hits and wasted guesses alike. Diagnostic only and timing-dependent:
-  /// the ONE nondeterministic counter in this struct (everything else is
-  /// identical for every thread count). Always 0 for serial solves.
-  int64_t speculative_lps = 0;
   /// True when the solve stopped because MilpOptions::cancel requested it
   /// (the status is then kFeasible or kNoSolution, as for a limit stop).
   bool cancelled = false;
@@ -185,11 +159,6 @@ int MostFractionalVariable(const LpModel& model, const std::vector<double>& x,
 /// kUnbounded.
 [[nodiscard]] Result<MilpResult> SolveMilp(const LpModel& model,
                                            const MilpOptions& options = {});
-
-/// Convenience: solve and require a solution, mapping "no solution" statuses
-/// onto error Statuses (kInfeasible / kResourceExhausted / kUnbounded).
-[[nodiscard]] Result<MilpResult> SolveMilpOrFail(
-    const LpModel& model, const MilpOptions& options = {});
 
 }  // namespace pb::solver
 

@@ -162,8 +162,7 @@ class LpModel {
   /// The constraint matrix in CSC form (structural columns only; the
   /// simplex synthesizes slack columns on the fly). Lazily built on first
   /// call and cached until the next AddVariable/AddConstraint. Safe to
-  /// call concurrently (SolveMilp still warms it before spawning
-  /// speculation helpers so helper threads never pay the fill).
+  /// call concurrently.
   const CscMatrix& csc() const;
 
   /// Order-sensitive hash of the model's structure: dimensions, sense,

@@ -1,7 +1,7 @@
 // Bounded-variable revised simplex: two-phase primal plus a dual simplex
 // for warm re-solves.
 //
-//   SolveMilp ── validates the model once; one LpSolver per search thread
+//   SolveMilp ── validates the model once; one LpSolver per solve
 //     LpSolver ─ reusable workspace (arrays, factorization, pricing
 //                weights); Solve() resets per-solve state, runs the loops
 //   SolveLp ──── validate, then one Solve through a fresh LpSolver
@@ -155,7 +155,7 @@ int64_t EffectiveIterationLimit(const LpModel& model,
 /// A reusable LP workspace: everything a simplex solve of one model
 /// allocates (bound, cost and reduced-cost arrays, the pivot-row scatter,
 /// the factorization, the pricing weights), built once and reset by every
-/// Solve. A branch-and-bound thread owns one and runs all of its node LPs
+/// Solve. A branch-and-bound solve owns one and runs all of its node LPs
 /// through it.
 ///
 /// Contract: `model` must already pass LpModel::Validate() (the workspace

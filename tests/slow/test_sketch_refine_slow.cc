@@ -51,7 +51,7 @@ TEST_F(SketchRefineSlowTest, ThreadCountIdentityAtBenchmarkScale) {
   SketchRefineResult reference;
   for (int threads : {1, 2, 4}) {
     SketchRefineOptions opts = base;
-    opts.compute.threads = threads;
+    opts.threads = threads;
     auto r = SketchRefine(aq, opts);
     ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
                         << r.status().ToString();

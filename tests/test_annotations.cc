@@ -73,28 +73,6 @@ TEST(MutexTest, TryLockFailsWhileHeldSucceedsAfter) {
   EXPECT_EQ(observed.load(), 1);
 }
 
-TEST(MutexLockTest, RelockProtocolRoundTrips) {
-  GuardedCounter c;
-  {
-    MutexLock lock(&c.mu);
-    c.value = 1;
-    lock.Unlock();
-    // The mutex is genuinely free here: another thread can take it.
-    std::atomic<bool> acquired{false};
-    std::thread t([&] {
-      MutexLock inner(&c.mu);
-      acquired = true;
-    });
-    t.join();
-    EXPECT_TRUE(acquired.load());
-    lock.Lock();
-    c.value = 2;
-    // Destructor releases the re-held lock.
-  }
-  MutexLock lock(&c.mu);
-  EXPECT_EQ(c.value, 2);
-}
-
 TEST(SharedMutexTest, ReadersShareWriterExcludes) {
   SharedMutex mu;
   // Two readers can hold the lock at once: both must reach the rendezvous

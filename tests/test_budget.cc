@@ -1,5 +1,5 @@
-// ComputeBudget / CancelToken / Deadline — the budget primitives the
-// Engine facade threads through every solve — plus the solver-level
+// CancelToken / Deadline — the budget primitives the Engine facade
+// threads through every solve — plus the solver-level
 // cancellation contract: a cancelled solve stops like a limit stop
 // (partial, well-formed, flagged), never with a corrupted result.
 
@@ -72,35 +72,6 @@ solver::LpModel TightPackageIlp(int n, uint64_t seed) {
   m.AddConstraint("weight", weight, 3600, 3700);
   m.SetSense(solver::ObjectiveSense::kMaximize);
   return m;
-}
-
-TEST(MilpBudgetTest, ComputeThreadsEquivalence) {
-  solver::LpModel model = TightPackageIlp(120, 11);
-
-  solver::MilpOptions serial;
-  auto base = solver::SolveMilp(model, serial);
-  ASSERT_TRUE(base.ok());
-
-  solver::MilpOptions via_budget;
-  via_budget.compute.threads = 2;
-  auto budget = solver::SolveMilp(model, via_budget);
-  ASSERT_TRUE(budget.ok());
-
-  // Two threads and serial commit the identical tree.
-  EXPECT_EQ(budget->x, base->x);
-  EXPECT_EQ(budget->nodes, base->nodes);
-  EXPECT_EQ(budget->lp_iterations, base->lp_iterations);
-
-  // Thread counts below 1 read as 1: a serial solve, no helper LPs.
-  for (int threads : {0, -3}) {
-    solver::MilpOptions degenerate;
-    degenerate.compute.threads = threads;
-    auto r = solver::SolveMilp(model, degenerate);
-    ASSERT_TRUE(r.ok()) << "threads " << threads;
-    EXPECT_EQ(r->x, base->x) << "threads " << threads;
-    EXPECT_EQ(r->nodes, base->nodes) << "threads " << threads;
-    EXPECT_EQ(r->speculative_lps, 0) << "threads " << threads;
-  }
 }
 
 TEST(MilpBudgetTest, PreCancelledSolveStopsBeforeAnyNode) {

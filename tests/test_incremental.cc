@@ -63,12 +63,12 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   SketchRefineState serial_state, parallel_state;
 
   opts.state = &serial_state;
-  opts.compute.threads = 1;
+  opts.threads = 1;
   auto s1 = SketchRefine(aq, opts);
   ASSERT_TRUE(s1.ok() && s1->found) << s1.status().ToString();
 
   opts.state = &parallel_state;
-  opts.compute.threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.threads = pb::EnvInt("PB_TEST_THREADS", 8);
   auto p1 = SketchRefine(aq, opts);
   ASSERT_TRUE(p1.ok() && p1->found) << p1.status().ToString();
   EXPECT_EQ(s1->package, p1->package);
@@ -77,14 +77,14 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   aq = Analyzed(c, kRecipesQuery);
 
   opts.state = &serial_state;
-  opts.compute.threads = 1;
+  opts.threads = 1;
   auto s2 = SketchRefine(aq, opts);
   ASSERT_TRUE(s2.ok() && s2->found) << s2.status().ToString();
   EXPECT_TRUE(s2->state_reused);
   EXPECT_EQ(s2->appended_routed, 4);
 
   opts.state = &parallel_state;
-  opts.compute.threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.threads = pb::EnvInt("PB_TEST_THREADS", 8);
   auto p2 = SketchRefine(aq, opts);
   ASSERT_TRUE(p2.ok() && p2->found) << p2.status().ToString();
 
@@ -168,7 +168,7 @@ class ThresholdTest : public ::testing::Test {
 TEST_F(ThresholdTest, GroupSplitsPastThreshold) {
   auto aq = Query();
   SketchRefineOptions opts;
-  opts.partition_size = 16;  // default split threshold = 32
+  opts.partition_size = 16;  // split threshold 2 * tau = 32
   SketchRefineState state;
   opts.state = &state;
   auto r1 = SketchRefine(aq, opts);
@@ -392,8 +392,8 @@ TEST(EngineIncrementalTest, ThreadBudgetDoesNotChangeMaintainedAnswer) {
   Engine serial(IncrementalOptions(true));
   Engine parallel(IncrementalOptions(true));
   QueryBudget serial_budget, parallel_budget;
-  serial_budget.compute.threads = 1;
-  parallel_budget.compute.threads = threads;
+  serial_budget.threads = 1;
+  parallel_budget.threads = threads;
 
   for (Engine* e : {&serial, &parallel}) {
     ASSERT_TRUE(e->GenerateDataset("recipes", 400, 17).ok());

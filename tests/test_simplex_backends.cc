@@ -266,34 +266,6 @@ TEST(SimplexBackendsTest, MilpPackagesAgreeAcrossBackends) {
   }
 }
 
-TEST(SimplexBackendsTest, ThreadCountIdentityIncludesFactorizationCounters) {
-  // PR 5's determinism rule extends through the new layer: nodes, simplex
-  // iterations, refactorizations, and basis updates are all committed in
-  // serial order, so every counter except speculative_lps is bit-identical
-  // for any thread count.
-  LpModel m = PackageModel(150, 47, /*integer=*/true);
-  MilpOptions base;
-  base.lp.factorization = FactorizationKind::kSparseLu;
-  auto serial = SolveMilp(m, base);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_EQ(serial->status, MilpStatus::kOptimal);
-  for (int threads : {2, 4}) {
-    MilpOptions opts = base;
-    opts.compute.threads = threads;
-    auto r = SolveMilp(m, opts);
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(r->status, MilpStatus::kOptimal) << "threads " << threads;
-    EXPECT_EQ(r->x, serial->x) << "threads " << threads;
-    EXPECT_EQ(r->nodes, serial->nodes) << "threads " << threads;
-    EXPECT_EQ(r->lp_iterations, serial->lp_iterations)
-        << "threads " << threads;
-    EXPECT_EQ(r->lp_refactorizations, serial->lp_refactorizations)
-        << "threads " << threads;
-    EXPECT_EQ(r->lp_basis_updates, serial->lp_basis_updates)
-        << "threads " << threads;
-  }
-}
-
 TEST(SketchRefineBackendsTest, PackagesAgreeAcrossBackends) {
   db::Catalog catalog;
   catalog.RegisterOrReplace(datagen::GenerateLineitems(8000, 5));

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "core/evaluator.h"
 #include "solver/milp.h"
 #include "solver/model.h"
 #include "solver/simplex.h"
@@ -351,16 +352,141 @@ TEST(MilpTest, EqualityConstrainedCount) {
   EXPECT_NEAR(r->objective, 15.0, 1e-6);  // 6 + 5 + 4
 }
 
-TEST(MilpTest, SolveOrFailMapsStatuses) {
+TEST(MilpTest, ResultStatusMapsEveryStatus) {
+  // core::MilpResultStatus is how every query route turns a finished solve
+  // into the Status clients see.
+  auto mapped = [](MilpStatus status, bool cancelled) {
+    MilpResult r;
+    r.status = status;
+    r.cancelled = cancelled;
+    return core::MilpResultStatus(r);
+  };
+  EXPECT_TRUE(mapped(MilpStatus::kOptimal, false).ok());
+  EXPECT_TRUE(mapped(MilpStatus::kFeasible, false).ok());
+  EXPECT_TRUE(mapped(MilpStatus::kFeasible, true).ok());  // cancelled late
+  EXPECT_EQ(mapped(MilpStatus::kInfeasible, false).code(),
+            StatusCode::kInfeasible);
+  EXPECT_EQ(mapped(MilpStatus::kUnbounded, false).code(),
+            StatusCode::kUnbounded);
+  // No package either way; the message tells a cancel from a spent budget.
+  const Status exhausted = mapped(MilpStatus::kNoSolution, false);
+  EXPECT_EQ(exhausted.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(exhausted.message(),
+            "query budget exhausted before a package was found");
+  const Status cancelled = mapped(MilpStatus::kNoSolution, true);
+  EXPECT_EQ(cancelled.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(cancelled.message(), "query cancelled before a package was found");
+
+  // Statuses from real solves map the same way.
   LpModel inf;
   int x = inf.AddVariable("x", 0, 1, 1, true);
   inf.AddConstraint("c", {{x, 1.0}}, 0.4, 0.6);
-  EXPECT_EQ(SolveMilpOrFail(inf).status().code(), StatusCode::kInfeasible);
+  auto r_inf = SolveMilp(inf);
+  ASSERT_TRUE(r_inf.ok());
+  EXPECT_EQ(core::MilpResultStatus(*r_inf).code(), StatusCode::kInfeasible);
 
   LpModel unb;
   unb.AddVariable("x", 0, kInfinity, 1, true);
   unb.SetSense(ObjectiveSense::kMaximize);
-  EXPECT_EQ(SolveMilpOrFail(unb).status().code(), StatusCode::kUnbounded);
+  auto r_unb = SolveMilp(unb);
+  ASSERT_TRUE(r_unb.ok());
+  EXPECT_EQ(core::MilpResultStatus(*r_unb).code(), StatusCode::kUnbounded);
+}
+
+/// Every feasible package scores the same: 34 unit-objective binaries, pick
+/// exactly 5 whose distinct integer weights sum to exactly 586. Many
+/// subsets qualify, so the package a solve reports depends on the order in
+/// which the tree reaches them.
+LpModel EqualOptimaIlp() {
+  LpModel m;
+  std::vector<LinearTerm> count, weight;
+  for (int j = 0; j < 34; ++j) {
+    m.AddVariable("x" + std::to_string(j), 0, 1, 1.0, true);
+    count.push_back({j, 1.0});
+    weight.push_back({j, 100.0 + j});
+  }
+  m.AddConstraint("count", count, 5, 5);
+  m.AddConstraint("weight", weight, 585.5, 586.5);
+  m.SetSense(ObjectiveSense::kMaximize);
+  return m;
+}
+
+/// A COUNT row and a narrow integer weight window: children go infeasible
+/// by propagation alone, and COUNT saturation fixes binaries.
+LpModel BranchyCountWindowIlp(int n, uint64_t seed, ObjectiveSense sense,
+                              int count_k = 3, double weight_lo = 800.5,
+                              double weight_hi = 801.0) {
+  Rng rng(seed);
+  LpModel m;
+  std::vector<LinearTerm> count, weight;
+  for (int j = 0; j < n; ++j) {
+    m.AddVariable("x" + std::to_string(j), 0, 1, rng.UniformReal(1.0, 100.0),
+                  true);
+    count.push_back({j, 1.0});
+    weight.push_back({j, std::floor(rng.UniformReal(100.0, 900.0))});
+  }
+  m.AddConstraint("count", count, count_k, count_k);
+  m.AddConstraint("weight", weight, weight_lo, weight_hi);
+  m.SetSense(sense);
+  return m;
+}
+
+void ExpectSameSolve(const MilpResult& want, const MilpResult& got,
+                     const char* label) {
+  EXPECT_EQ(want.status, got.status) << label;
+  EXPECT_EQ(want.x, got.x) << label;  // bit-identical package
+  EXPECT_EQ(want.objective, got.objective) << label;
+  EXPECT_EQ(want.best_bound, got.best_bound) << label;
+  EXPECT_EQ(want.nodes, got.nodes) << label;
+  EXPECT_EQ(want.lp_iterations, got.lp_iterations) << label;
+  EXPECT_EQ(want.lp_dual_iterations, got.lp_dual_iterations) << label;
+  EXPECT_EQ(want.lp_refactorizations, got.lp_refactorizations) << label;
+  EXPECT_EQ(want.lp_basis_updates, got.lp_basis_updates) << label;
+  EXPECT_EQ(want.presolve_fixed_bounds, got.presolve_fixed_bounds) << label;
+  EXPECT_EQ(want.presolve_infeasible_children,
+            got.presolve_infeasible_children)
+      << label;
+  EXPECT_EQ(want.reduced_cost_tightenings, got.reduced_cost_tightenings)
+      << label;
+}
+
+TEST(MilpTest, RepeatedSolvesAreBitIdentical) {
+  // The search is deterministic: solving the same model with the same
+  // options again reproduces the package, the bounds and every counter,
+  // in both senses, for a finished search and for one a node budget stops.
+  auto expect_repeatable = [](const char* label, const LpModel& model,
+                              const MilpOptions& options, MilpStatus status) {
+    auto first = SolveMilp(model, options);
+    ASSERT_TRUE(first.ok()) << label;
+    EXPECT_EQ(first->status, status) << label;
+    // A real tree, or this tests nothing.
+    EXPECT_GT(first->nodes, 50) << label;
+    EXPECT_LE(first->lp_dual_iterations, first->lp_iterations) << label;
+    for (int rep = 0; rep < 2; ++rep) {
+      auto again = SolveMilp(model, options);
+      ASSERT_TRUE(again.ok()) << label;
+      ExpectSameSolve(*first, *again, label);
+    }
+  };
+  MilpOptions no_heuristics;
+  // The root dive would otherwise find an incumbent whose objective equals
+  // the LP bound and end the search at node one; without it the tree
+  // branches its way to many equally scoring leaves.
+  no_heuristics.rounding_heuristic = false;
+  expect_repeatable("equal_optima", EqualOptimaIlp(), no_heuristics,
+                    MilpStatus::kOptimal);
+  constexpr ObjectiveSense kMax = ObjectiveSense::kMaximize;
+  constexpr ObjectiveSense kMin = ObjectiveSense::kMinimize;
+  expect_repeatable("branchy_max", BranchyCountWindowIlp(60, 21, kMax),
+                    MilpOptions(), MilpStatus::kOptimal);
+  expect_repeatable("branchy_min", BranchyCountWindowIlp(80, 5, kMin),
+                    MilpOptions(), MilpStatus::kOptimal);
+  // BM_MilpBranchyTree's model: its full tree takes 571 nodes.
+  MilpOptions node_budget;
+  node_budget.max_nodes = 150;
+  expect_repeatable("node_budget",
+                    BranchyCountWindowIlp(120, 33, kMax, 5, 1500.5, 1501.0),
+                    node_budget, MilpStatus::kFeasible);
 }
 
 /// Exhaustive integer oracle for randomized MILP cross-checks.

@@ -14,8 +14,8 @@ Run it locally exactly as CI does:
 Only counters that are deterministic functions of the model and options are
 compared — simplex iteration counts, branch-and-bound node counts, presolve
 tallies, objectives. Wall-clock fields (real_time, cpu_time, the adaptive
-repetition count) and timing-dependent diagnostics (speculative_lps) are
-never compared: CI runners are noisy, counters are not.
+repetition count) and rates derived from them are never compared: CI
+runners are noisy, counters are not.
 
 Verdicts per benchmark present in both files:
   * work counters (lp_iterations, lp_dual_iterations, bnb_nodes) higher
