@@ -22,6 +22,14 @@ const char* StrategyToString(Strategy s) {
   return "?";
 }
 
+bool SketchRefineEligible(const paql::AnalyzedQuery& aq,
+                          const EvaluationOptions& options) {
+  // SketchRefine cannot express MIN/MAX constraints, and spilled tables are
+  // append-frozen, so their partitions would never be maintained.
+  return options.strategy == Strategy::kAuto && aq.TranslatesToIlp() &&
+         aq.extreme_constraints.empty() && !aq.table->spilled();
+}
+
 Result<QueryRoute> PlanQuery(const paql::AnalyzedQuery& aq,
                              const CardinalityBounds& bounds,
                              size_t num_candidates,
@@ -50,10 +58,7 @@ Result<QueryRoute> PlanQuery(const paql::AnalyzedQuery& aq,
                       "disjunctive/non-linear constraints: the solver cannot "
                       "express them; heuristic search (incomplete)"};
   }
-  // SketchRefine cannot express MIN/MAX constraints, and spilled tables are
-  // append-frozen, so their partitions would never be maintained.
-  if (maintained_partitions && aq.extreme_constraints.empty() &&
-      !aq.table->spilled()) {
+  if (maintained_partitions && SketchRefineEligible(aq, options)) {
     return QueryRoute{Strategy::kSketchRefine, Strategy::kIlpSolver,
                       "maintained partitions: after appends only the dirty "
                       "groups re-solve"};

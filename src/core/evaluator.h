@@ -76,6 +76,14 @@ struct QueryRoute {
   const char* rationale = "";
 };
 
+/// True when rule 4 routes `aq` to kSketchRefine for a caller that keeps
+/// maintained partitions, unless pruning proves it infeasible first:
+/// PlanQuery chooses (no forced strategy), the query is ILP-translatable
+/// with no MIN/MAX constraint, and its table is resident. The Engine keeps
+/// such a query's inputs as maintained state (see RefreshCandidates).
+bool SketchRefineEligible(const paql::AnalyzedQuery& aq,
+                          const EvaluationOptions& options);
+
 /// Chooses the route for `aq`, whose WHERE clause `num_candidates` rows
 /// pass and whose cardinality bounds are `bounds`, by the policy above.
 /// `maintained_partitions` says the caller keeps SketchRefine partitions

@@ -195,71 +195,23 @@ Result<AggWeightBounds> ComputeAggWeightBounds(
   return out;
 }
 
-Result<CardinalityBounds> DeriveCardinalityBounds(
-    const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates) {
+CardinalityBounds BoundsFromWeightRanges(const paql::AnalyzedQuery& aq,
+                                         const std::vector<WeightRange>& ranges,
+                                         size_t num_candidates) {
   CardinalityBounds out;
-  const int64_t n = static_cast<int64_t>(candidates.size());
+  const int64_t n = static_cast<int64_t>(num_candidates);
   const int64_t k = aq.max_multiplicity;
   const int64_t max_occurrences = n * k;
 
   out.lo = 0;
   out.hi = max_occurrences;
 
-  // Per-tuple weights, materialized lazily: single-aggregate constraints
-  // usually get by on AggWeightBounds (zone maps / null bitmaps) and never
-  // need the vector at all.
-  std::vector<std::vector<double>> weights(aq.aggs.size());
-  std::vector<bool> materialized(aq.aggs.size(), false);
-  auto ensure_weights = [&](size_t a) -> Status {
-    if (!materialized[a]) {
-      PB_ASSIGN_OR_RETURN(weights[a],
-                          ComputeAggWeights(aq.aggs[a], *aq.table, candidates));
-      materialized[a] = true;
-    }
-    return Status::OK();
-  };
-
-  for (const paql::LinearConstraint& lc : aq.linear_constraints) {
-    // Combined per-tuple weight w_i = sum_k coeff_k * weight_k(i).
-    double wmin = kInf, wmax = -kInf;
-    if (n == 0) {
-      wmin = wmax = 0.0;
-    } else if (lc.terms.size() == 1) {
-      // Single-aggregate constraint (the common case): weight bounds from
-      // zone-map metadata when the aggregate shape allows, else min/max
-      // over the materialized span. Both are bit-identical; the metadata
-      // path skips the value data of fully covered blocks.
-      const paql::LinearAggTerm& t = lc.terms[0];
-      PB_ASSIGN_OR_RETURN(
-          AggWeightBounds b,
-          ComputeAggWeightBounds(aq.aggs[t.agg_index], *aq.table, candidates));
-      double mn, mx;
-      if (b.computed) {
-        out.zone_map_skipped_blocks += b.zone_map_skipped_blocks;
-        mn = b.min;
-        mx = b.max;
-      } else {
-        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
-        const std::vector<double>& w = weights[t.agg_index];
-        auto [mn_it, mx_it] = std::minmax_element(w.begin(), w.end());
-        mn = *mn_it;
-        mx = *mx_it;
-      }
-      wmin = std::min(t.coeff * mn, t.coeff * mx);
-      wmax = std::max(t.coeff * mn, t.coeff * mx);
-    } else {
-      for (const paql::LinearAggTerm& t : lc.terms) {
-        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
-      }
-      for (int64_t i = 0; i < n; ++i) {
-        double w = 0.0;
-        for (const paql::LinearAggTerm& t : lc.terms) {
-          w += t.coeff * weights[t.agg_index][i];
-        }
-        wmin = std::min(wmin, w);
-        wmax = std::max(wmax, w);
-      }
-    }
+  for (size_t c = 0; c < aq.linear_constraints.size(); ++c) {
+    const paql::LinearConstraint& lc = aq.linear_constraints[c];
+    // Combined per-tuple weight w_i = sum_k coeff_k * weight_k(i); an
+    // empty package weighs 0.
+    const double wmin = n == 0 ? 0.0 : ranges[c].min;
+    const double wmax = n == 0 ? 0.0 : ranges[c].max;
 
     // A package with c occurrences has weighted sum in [c*wmin, c*wmax];
     // feasible c must satisfy  c*wmin <= hi  and  c*wmax >= lo. Quotients
@@ -325,6 +277,89 @@ Result<CardinalityBounds> DeriveCardinalityBounds(
   } else {
     out.log2_pruned = Log2BinomialSum(slots, out.lo, std::min(out.hi, slots));
   }
+  return out;
+}
+
+namespace {
+
+/// One WeightRange per linear constraint of `aq` over `candidates`.
+/// Single-aggregate constraints read zone maps where AggWeightBounds can;
+/// the blocks so skipped are added to `*zone_map_skipped_blocks`.
+Result<std::vector<WeightRange>> DeriveWeightRanges(
+    const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates,
+    int64_t* zone_map_skipped_blocks) {
+  std::vector<WeightRange> ranges(aq.linear_constraints.size());
+  const size_t n = candidates.size();
+  if (n == 0) return ranges;
+
+  // Per-tuple weights, materialized lazily: single-aggregate constraints
+  // usually get by on AggWeightBounds (zone maps / null bitmaps) and never
+  // need the vector at all.
+  std::vector<std::vector<double>> weights(aq.aggs.size());
+  std::vector<bool> materialized(aq.aggs.size(), false);
+  auto ensure_weights = [&](size_t a) -> Status {
+    if (!materialized[a]) {
+      PB_ASSIGN_OR_RETURN(weights[a],
+                          ComputeAggWeights(aq.aggs[a], *aq.table, candidates));
+      materialized[a] = true;
+    }
+    return Status::OK();
+  };
+
+  for (size_t c = 0; c < aq.linear_constraints.size(); ++c) {
+    const paql::LinearConstraint& lc = aq.linear_constraints[c];
+    WeightRange& range = ranges[c];
+    if (lc.terms.size() == 1) {
+      // Single-aggregate constraint (the common case): weight bounds from
+      // zone-map metadata when the aggregate shape allows, else min/max
+      // over the materialized span. Both are bit-identical; the metadata
+      // path skips the value data of fully covered blocks. Scaling by the
+      // coefficient is monotone, so the scaled extremes are the extremes
+      // of the scaled weights.
+      const paql::LinearAggTerm& t = lc.terms[0];
+      PB_ASSIGN_OR_RETURN(
+          AggWeightBounds b,
+          ComputeAggWeightBounds(aq.aggs[t.agg_index], *aq.table, candidates));
+      double mn, mx;
+      if (b.computed) {
+        *zone_map_skipped_blocks += b.zone_map_skipped_blocks;
+        mn = b.min;
+        mx = b.max;
+      } else {
+        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
+        const std::vector<double>& w = weights[t.agg_index];
+        auto [mn_it, mx_it] = std::minmax_element(w.begin(), w.end());
+        mn = *mn_it;
+        mx = *mx_it;
+      }
+      range.min = std::min(t.coeff * mn, t.coeff * mx);
+      range.max = std::max(t.coeff * mn, t.coeff * mx);
+    } else {
+      for (const paql::LinearAggTerm& t : lc.terms) {
+        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        double w = 0.0;
+        for (const paql::LinearAggTerm& t : lc.terms) {
+          w += t.coeff * weights[t.agg_index][i];
+        }
+        range.Add(w);
+      }
+    }
+  }
+  return ranges;
+}
+
+}  // namespace
+
+Result<CardinalityBounds> DeriveCardinalityBounds(
+    const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates) {
+  int64_t zone_map_skipped_blocks = 0;
+  PB_ASSIGN_OR_RETURN(
+      const std::vector<WeightRange> ranges,
+      DeriveWeightRanges(aq, candidates, &zone_map_skipped_blocks));
+  CardinalityBounds out = BoundsFromWeightRanges(aq, ranges, candidates.size());
+  out.zone_map_skipped_blocks = zone_map_skipped_blocks;
   return out;
 }
 

@@ -20,7 +20,9 @@
 #ifndef PB_CORE_PRUNING_H_
 #define PB_CORE_PRUNING_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -81,9 +83,34 @@ Result<std::vector<double>> ComputeAggWeights(
     const paql::AggCall& agg, const db::Table& table,
     const std::vector<size_t>& rows);
 
+/// The range of one linear constraint's per-tuple weight
+/// w_i = sum_k coeff_k * weight_k(i) over a candidate set (empty, with
+/// min > max, over none). Bounds need only these extremes, so a range over
+/// a grown candidate set is the old range with the new weights added.
+struct WeightRange {
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+
+  void Add(double w) {
+    min = std::min(min, w);
+    max = std::max(max, w);
+  }
+};
+
+/// The bounds §4.1's formula gives for `aq` from its per-constraint weight
+/// ranges over `num_candidates` candidates. Every field but
+/// zone_map_skipped_blocks depends on the ranges only through their
+/// values, so ranges kept up to date across appends (see
+/// SketchRefineState) give bit-identical bounds without a pass.
+CardinalityBounds BoundsFromWeightRanges(const paql::AnalyzedQuery& aq,
+                                         const std::vector<WeightRange>& ranges,
+                                         size_t num_candidates);
+
 /// Derives cardinality bounds for the query over the base-filtered
-/// candidate rows. Queries with no linear constraints get the trivial
-/// bounds [0, n*max_multiplicity].
+/// candidate rows: each linear constraint's WeightRange over them (from
+/// zone maps where AggWeightBounds can), then BoundsFromWeightRanges.
+/// Queries with no linear constraints get the trivial bounds
+/// [0, n*max_multiplicity].
 Result<CardinalityBounds> DeriveCardinalityBounds(
     const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates);
 

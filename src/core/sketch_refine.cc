@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <tuple>
 #include <utility>
@@ -24,13 +25,74 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr int kMaxBacktracks = 4;
 
 /// One linear requirement over candidate positions (query constraints plus
-/// the synthetic non-empty row).
-struct Row {
-  std::vector<double> w;  // per candidate position
+/// the synthetic non-empty row); its weights come from QueryWeights::Row.
+struct RowBounds {
   double lo = -kInf;
   double hi = kInf;
   std::string name;
 };
+
+/// The candidates' weights as SketchRefine reads them, from the state's
+/// cached columns. Row r < #linear constraints is that constraint's
+/// combined weight, the next row (when the query requires a non-empty
+/// package) weighs 1, and the objective weight follows.
+class QueryWeights {
+ public:
+  QueryWeights(const paql::AnalyzedQuery& aq, const SketchRefineState& state)
+      : aq_(aq), state_(state) {}
+
+  size_t num_rows() const {
+    return aq_.linear_constraints.size() + (aq_.requires_nonempty ? 1 : 0);
+  }
+  /// Feature dimensions: every row, then the objective.
+  size_t dims() const { return num_rows() + (aq_.has_objective ? 1 : 0); }
+
+  double Row(size_t r, size_t i) const {
+    if (r == aq_.linear_constraints.size()) return 1.0;  // the non-empty row
+    return state_.weights[r][i];
+  }
+  double Objective(size_t i) const {
+    if (!aq_.has_objective) return 0.0;
+    return state_.weights[aq_.linear_constraints.size()][i];
+  }
+  double Feature(size_t d, size_t i) const {
+    return d < num_rows() ? Row(d, i) : Objective(i);
+  }
+
+ private:
+  const paql::AnalyzedQuery& aq_;
+  const SketchRefineState& state_;
+};
+
+/// Feature d of candidate i in the state's frozen normalization, computed
+/// where it is read: the same (v - lo) / span the full build applies to a
+/// whole column.
+class FeatureSpace {
+ public:
+  FeatureSpace(const QueryWeights& w, const SketchRefineState& state)
+      : w_(w), state_(state) {}
+
+  size_t dims() const { return state_.dims; }
+  double operator()(size_t d, size_t i) const {
+    const double span = state_.feat_span[d];
+    return span > 0 ? (w_.Feature(d, i) - state_.feat_lo[d]) / span : 0.0;
+  }
+
+ private:
+  const QueryWeights& w_;
+  const SketchRefineState& state_;
+};
+
+/// Appends `count` values to `v`, growing its capacity by an eighth
+/// instead of doubling it: the cached inputs live as long as their state,
+/// so the slack is memory held for good.
+template <typename T>
+void AppendTight(std::vector<T>& v, const T* values, size_t count) {
+  if (v.size() + count > v.capacity()) {
+    v.reserve(v.size() + count + v.size() / 8);
+  }
+  v.insert(v.end(), values, values + count);
+}
 
 /// Zone granularity of the partitioner's spread index. Independent of the
 /// table's storage block size: the index lives over candidate positions
@@ -157,16 +219,17 @@ void SplitRange(const std::vector<std::vector<double>>& feature_cols,
 }
 
 /// The member closest to the group's feature centroid (L2, ties to the
-/// earliest member). The same rule serves the full build and the
-/// per-dirty-group recompute of the maintained path, so both produce
-/// identical representatives for identical memberships.
-size_t ComputeRep(const std::vector<size_t>& members,
-                  const std::vector<std::vector<double>>& feature_cols) {
-  const size_t dims = feature_cols.size();
+/// earliest member), where f(d, i) is normalized feature d of candidate i.
+/// The same rule serves the full build (over its normalized columns) and
+/// the per-dirty-group recompute of the maintained path (over a
+/// FeatureSpace, the same values), so both produce identical
+/// representatives for identical memberships.
+template <typename Features>
+size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
+                  const Features& f) {
   std::vector<double> centroid(dims, 0.0);
   for (size_t d = 0; d < dims; ++d) {
-    const double* f = feature_cols[d].data();
-    for (size_t i : members) centroid[d] += f[i];
+    for (size_t i : members) centroid[d] += f(d, i);
   }
   for (double& c : centroid) c /= static_cast<double>(members.size());
   size_t rep = members[0];
@@ -174,7 +237,7 @@ size_t ComputeRep(const std::vector<size_t>& members,
   for (size_t m = 0; m < members.size(); ++m) {
     double dist = 0.0;
     for (size_t d = 0; d < dims; ++d) {
-      double delta = feature_cols[d][members[m]] - centroid[d];
+      double delta = f(d, members[m]) - centroid[d];
       dist += delta * delta;
     }
     if (dist < best) {
@@ -192,11 +255,10 @@ size_t ComputeRep(const std::vector<size_t>& members,
 /// here is single-threaded and deterministic (ties break to the lowest
 /// group index), so the maintained partition — and therefore the solve —
 /// is identical for any thread count.
-void MaintainPartition(SketchRefineState* state,
-                       const std::vector<std::vector<double>>& feature_cols,
+void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
                        size_t n, const SketchRefineOptions& options,
                        SketchRefineResult* out) {
-  const size_t dims = feature_cols.size();
+  const size_t dims = f.dims();
   auto mark_dirty = [](SketchRefineState::Group& g) {
     g.dirty = true;
     g.has_solution = false;
@@ -209,14 +271,16 @@ void MaintainPartition(SketchRefineState* state,
       options.route_max_distance > 0.0
           ? options.route_max_distance * options.route_max_distance
           : kInf;
+  std::vector<double> point(dims);
   for (size_t p = state->n_candidates; p < n; ++p) {
+    for (size_t d = 0; d < dims; ++d) point[d] = f(d, p);
     size_t best_g = 0;
     double best_d2 = kInf;
     for (size_t g = 0; g < state->groups.size(); ++g) {
       double d2 = 0.0;
       const size_t rep = state->groups[g].rep;
       for (size_t d = 0; d < dims; ++d) {
-        double delta = feature_cols[d][p] - feature_cols[d][rep];
+        double delta = point[d] - f(d, rep);
         d2 += delta * delta;
       }
       if (d2 < best_d2) {
@@ -254,7 +318,7 @@ void MaintainPartition(SketchRefineState* state,
         dims, std::vector<double>(members.size()));
     for (size_t d = 0; d < dims; ++d) {
       for (size_t m = 0; m < members.size(); ++m) {
-        local[d][m] = feature_cols[d][members[m]];
+        local[d][m] = f(d, members[m]);
       }
     }
     std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
@@ -293,8 +357,8 @@ void MaintainPartition(SketchRefineState* state,
         if (g == gi) continue;
         double d2 = 0.0;
         for (size_t d = 0; d < dims; ++d) {
-          double delta = feature_cols[d][state->groups[gi].rep] -
-                         feature_cols[d][state->groups[g].rep];
+          double delta =
+              f(d, state->groups[gi].rep) - f(d, state->groups[g].rep);
           d2 += delta * delta;
         }
         if (d2 < best_d2) {
@@ -316,7 +380,7 @@ void MaintainPartition(SketchRefineState* state,
   // ---- Dirty groups get fresh representatives; clean ones keep theirs
   // (same membership => ComputeRep would return the same answer anyway).
   for (SketchRefineState::Group& g : state->groups) {
-    if (g.dirty) g.rep = ComputeRep(g.members, feature_cols);
+    if (g.dirty) g.rep = ComputeRep(g.members, dims, f);
   }
   state->n_candidates = n;
 }
@@ -354,6 +418,66 @@ std::vector<std::vector<size_t>> PartitionCandidates(
   return PartitionCandidatesColumnar(cols, features.size(), partition_size);
 }
 
+Result<CardinalityBounds> RefreshCandidates(const paql::AnalyzedQuery& aq,
+                                            SketchRefineState* state) {
+  const size_t num_rows = aq.table->num_rows();
+  const size_t linear = aq.linear_constraints.size();
+  const size_t columns = linear + (aq.has_objective ? 1 : 0);
+  if (state->rows_scanned > num_rows ||
+      (state->rows_scanned > 0 && (state->weights.size() != columns ||
+                                   state->ranges.size() != linear))) {
+    // A table that shrank was replaced, and other column counts are
+    // another query: nothing cached describes this one.
+    *state = SketchRefineState();
+  }
+  if (state->rows_scanned == 0) {
+    state->candidates.clear();
+    state->weights.assign(columns, {});
+    state->ranges.assign(linear, WeightRange());
+  }
+
+  if (state->rows_scanned == num_rows) {
+    return BoundsFromWeightRanges(aq, state->ranges, state->candidates.size());
+  }
+  // The new rows are filtered and weighed aside and appended only once
+  // every step succeeded, so an error appends nothing.
+  PB_ASSIGN_OR_RETURN(
+      const std::vector<size_t> fresh,
+      db::FilterIndices(*aq.table, aq.query.where, state->rows_scanned));
+  if (!fresh.empty()) {
+    const size_t m = fresh.size();
+    std::vector<std::vector<double>> agg_w(aq.aggs.size());
+    for (size_t a = 0; a < aq.aggs.size(); ++a) {
+      PB_ASSIGN_OR_RETURN(agg_w[a],
+                          ComputeAggWeights(aq.aggs[a], *aq.table, fresh));
+    }
+    // The combined weights, summed term by term from 0.0 as a fresh pass
+    // sums them (the translator's and SketchRefine's rows, pruning's
+    // multi-term ranges).
+    auto combine = [&](const std::vector<paql::LinearAggTerm>& terms) {
+      std::vector<double> w(m, 0.0);
+      for (size_t i = 0; i < m; ++i) {
+        for (const paql::LinearAggTerm& t : terms) {
+          w[i] += t.coeff * agg_w[t.agg_index][i];
+        }
+      }
+      return w;
+    };
+    for (size_t c = 0; c < linear; ++c) {
+      const std::vector<double> w = combine(aq.linear_constraints[c].terms);
+      for (double v : w) state->ranges[c].Add(v);
+      AppendTight(state->weights[c], w.data(), m);
+    }
+    if (aq.has_objective) {
+      const std::vector<double> w = combine(aq.objective_terms);
+      AppendTight(state->weights[linear], w.data(), m);
+    }
+    AppendTight(state->candidates, fresh.data(), m);
+  }
+  state->rows_scanned = num_rows;
+  return BoundsFromWeightRanges(aq, state->ranges, state->candidates.size());
+}
+
 Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
                                         const SketchRefineOptions& options) {
   if (!aq.TranslatesToIlp()) {
@@ -383,13 +507,16 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     return m;
   };
 
-  // ---- Candidates, weights, rows.
-  std::vector<size_t> filtered;
-  if (options.candidates == nullptr) {
-    PB_ASSIGN_OR_RETURN(filtered, db::FilterIndices(*aq.table, aq.query.where));
-  }
-  const std::vector<size_t>& candidates =
-      options.candidates != nullptr ? *options.candidates : filtered;
+  // A one-shot call runs over a state of its own; a caller-held one keeps
+  // the inputs and the partition across calls.
+  SketchRefineState one_shot;
+  SketchRefineState* state =
+      options.state != nullptr ? options.state : &one_shot;
+
+  // ---- Candidates and weights: only the rows appended since the state
+  // last saw the table are filtered and weighed.
+  PB_RETURN_IF_ERROR(RefreshCandidates(aq, state).status());
+  const std::vector<size_t>& candidates = state->candidates;
   const size_t n = candidates.size();
   if (n == 0) {
     // Only the empty package is possible.
@@ -399,40 +526,12 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     return out;
   }
 
-  std::vector<std::vector<double>> agg_w(aq.aggs.size());
-  for (size_t a = 0; a < aq.aggs.size(); ++a) {
-    PB_ASSIGN_OR_RETURN(agg_w[a],
-                        ComputeAggWeights(aq.aggs[a], *aq.table, candidates));
-  }
-  std::vector<Row> rows;
+  const QueryWeights weights(aq, *state);
+  std::vector<RowBounds> rows;
   for (const paql::LinearConstraint& lc : aq.linear_constraints) {
-    Row row;
-    row.w.assign(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      for (const paql::LinearAggTerm& t : lc.terms) {
-        row.w[i] += t.coeff * agg_w[t.agg_index][i];
-      }
-    }
-    row.lo = lc.lo;
-    row.hi = lc.hi;
-    row.name = lc.source_text;
-    rows.push_back(std::move(row));
+    rows.push_back({lc.lo, lc.hi, lc.source_text});
   }
-  if (aq.requires_nonempty) {
-    Row row;
-    row.w.assign(n, 1.0);
-    row.lo = 1.0;
-    row.name = "nonempty";
-    rows.push_back(std::move(row));
-  }
-  std::vector<double> obj_w(n, 0.0);
-  if (aq.has_objective) {
-    for (const paql::LinearAggTerm& t : aq.objective_terms) {
-      for (size_t i = 0; i < n; ++i) {
-        obj_w[i] += t.coeff * agg_w[t.agg_index][i];
-      }
-    }
-  }
+  if (aq.requires_nonempty) rows.push_back({1.0, kInf, "nonempty"});
   const auto sense = aq.has_objective && !aq.maximize
                          ? solver::ObjectiveSense::kMinimize
                          : solver::ObjectiveSense::kMaximize;
@@ -440,104 +539,61 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   // ---- Offline partitioning on normalized (constraint-weight, objective)
   // feature space: tuples similar on every dimension the query touches end
   // up in one group, which is what lets a representative stand in for them.
-  // Features are column-major — one contiguous span per dimension — so the
-  // normalization, split scans, and centroid sums are tight vector passes.
-  const size_t dims = rows.size() + (aq.has_objective ? 1 : 0);
-  std::vector<std::vector<double>> feature_cols(dims);
-  for (size_t r = 0; r < rows.size(); ++r) feature_cols[r] = rows[r].w;
-  if (aq.has_objective) feature_cols[rows.size()] = obj_w;
-
-  // A caller-held state turns the partition into maintained structure: a
-  // compatible state (same dimensionality, candidates only appended) is
-  // updated in place; anything else falls back to a full build that
+  // A compatible partition (same dimensionality, candidates only appended)
+  // is maintained in place; anything else falls back to a full build that
   // (re)populates it. The cheap checks here catch dimension drift; the
   // same-query/append-only discipline is the caller's contract (see
   // SketchRefineState).
-  SketchRefineState* state = options.state;
-  const bool incremental = state != nullptr && !state->groups.empty() &&
-                           state->dims == dims &&
+  const size_t dims = weights.dims();
+  const bool incremental = !state->groups.empty() && state->dims == dims &&
                            state->n_candidates <= n &&
                            state->feat_lo.size() == dims;
   if (incremental) {
-    // Frozen normalization: routing and centroid geometry must live in
-    // the space the partition was built in, so the affine map comes from
-    // the state instead of a per-call min/max.
-    for (size_t d = 0; d < dims; ++d) {
-      const double lo = state->feat_lo[d];
-      const double span = state->feat_span[d];
-      std::vector<double>& col = feature_cols[d];
-      if (span > 0) {
-        for (double& v : col) v = (v - lo) / span;
-      } else {
-        std::fill(col.begin(), col.end(), 0.0);
-      }
-    }
-  } else {
-    if (state != nullptr) {
-      // Incompatible (or first-use) state: rebuild it from scratch.
-      *state = SketchRefineState();
-      state->dims = dims;
-      state->feat_lo.resize(dims);
-      state->feat_span.resize(dims);
-    }
-    for (size_t d = 0; d < dims; ++d) {
-      std::vector<double>& col = feature_cols[d];
-      auto [mn, mx] = std::minmax_element(col.begin(), col.end());
-      double lo = *mn, span = *mx - *mn;
-      if (state != nullptr) {
-        state->feat_lo[d] = lo;
-        state->feat_span[d] = span;
-      }
-      if (span > 0) {
-        for (double& v : col) v = (v - lo) / span;
-      } else {
-        std::fill(col.begin(), col.end(), 0.0);
-      }
-    }
-  }
-
-  std::vector<std::vector<size_t>> groups;
-  std::vector<size_t> rep;
-  if (incremental) {
     out.state_reused = true;
-    MaintainPartition(state, feature_cols, n, options, &out);
-    groups.reserve(state->groups.size());
-    rep.reserve(state->groups.size());
-    for (const SketchRefineState::Group& g : state->groups) {
-      groups.push_back(g.members);
-      rep.push_back(g.rep);
-    }
+    MaintainPartition(state, FeatureSpace(weights, *state), n, options,
+                      &out);
   } else {
-    groups = PartitionCandidatesColumnar(
+    // The full build splits column-major features (one contiguous span
+    // per dimension) and freezes their normalization into the state.
+    state->dims = dims;
+    state->feat_lo.assign(dims, 0.0);
+    state->feat_span.assign(dims, 0.0);
+    state->sketch_warm = solver::MilpWarmStart();
+    std::vector<std::vector<double>> feature_cols(dims, std::vector<double>(n));
+    for (size_t d = 0; d < dims; ++d) {
+      std::vector<double>& col = feature_cols[d];
+      for (size_t i = 0; i < n; ++i) col[i] = weights.Feature(d, i);
+      auto [mn, mx] = std::minmax_element(col.begin(), col.end());
+      const double lo = *mn, span = *mx - *mn;
+      state->feat_lo[d] = lo;
+      state->feat_span[d] = span;
+      // FeatureSpace's map, applied to the whole column at once.
+      for (double& v : col) v = span > 0 ? (v - lo) / span : 0.0;
+    }
+    std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
         feature_cols, n, options.partition_size, &out.zone_map_skipped_blocks);
-    rep.resize(groups.size());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      rep[g] = ComputeRep(groups[g], feature_cols);
+    auto built = [&feature_cols](size_t d, size_t i) {
+      return feature_cols[d][i];
+    };
+    state->groups.assign(parts.size(), SketchRefineState::Group());
+    for (size_t g = 0; g < parts.size(); ++g) {
+      state->groups[g].members = std::move(parts[g]);
+      state->groups[g].rep = ComputeRep(state->groups[g].members, dims, built);
     }
-    if (state != nullptr) {
-      state->groups.resize(groups.size());
-      for (size_t g = 0; g < groups.size(); ++g) {
-        state->groups[g].members = groups[g];
-        state->groups[g].rep = rep[g];
-        state->groups[g].dirty = true;
-      }
-      state->n_candidates = n;
-    }
+    state->n_candidates = n;
   }
+  const std::vector<SketchRefineState::Group>& groups = state->groups;
   out.num_partitions = groups.size();
   out.partition_seconds = phase_timer.ElapsedSeconds();
 
   // ---- Sketch (+ refine, with backtracking over excluded groups).
   std::vector<bool> excluded(groups.size(), false);
-  // Sketch-phase warm state: the caller's persistent copy when a state is
-  // in play (so it survives across calls), otherwise call-local — never
-  // options.milp.warm, which would be consumed (and so clobbered) by
+  // Sketch-phase warm state: the state's, so it survives across calls —
+  // never options.milp.warm, which would be consumed (and so clobbered) by
   // SketchRefine's internal solves. A backtrack rebuilds the sketch with
   // fewer variables, which the signature check detects and resets
   // automatically.
-  solver::MilpWarmStart local_sketch_warm;
-  solver::MilpWarmStart& sketch_warm =
-      state != nullptr ? state->sketch_warm : local_sketch_warm;
+  solver::MilpWarmStart& sketch_warm = state->sketch_warm;
   for (int attempt = 0; attempt <= kMaxBacktracks; ++attempt) {
     if (interrupted()) {
       out.cancelled = true;
@@ -550,20 +606,22 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     std::vector<int> var_of_group(groups.size(), -1);
     for (size_t g = 0; g < groups.size(); ++g) {
       if (excluded[g]) continue;
-      double cap = static_cast<double>(groups[g].size()) *
+      double cap = static_cast<double>(groups[g].members.size()) *
                    static_cast<double>(aq.max_multiplicity);
-      var_of_group[g] =
-          sketch.AddVariable("g" + std::to_string(g), 0.0, cap,
-                             obj_w[rep[g]], /*is_integer=*/true);
+      var_of_group[g] = sketch.AddVariable(
+          "g" + std::to_string(g), 0.0, cap, weights.Objective(groups[g].rep),
+          /*is_integer=*/true);
     }
-    for (const Row& row : rows) {
+    for (size_t r = 0; r < rows.size(); ++r) {
       std::vector<solver::LinearTerm> terms;
       for (size_t g = 0; g < groups.size(); ++g) {
-        if (var_of_group[g] >= 0 && row.w[rep[g]] != 0.0) {
-          terms.push_back({var_of_group[g], row.w[rep[g]]});
+        const double w = weights.Row(r, groups[g].rep);
+        if (var_of_group[g] >= 0 && w != 0.0) {
+          terms.push_back({var_of_group[g], w});
         }
       }
-      sketch.AddConstraint(row.name, std::move(terms), row.lo, row.hi);
+      sketch.AddConstraint(rows[r].name, std::move(terms), rows[r].lo,
+                           rows[r].hi);
     }
     if (sketch.num_variables() == 0) break;
     out.sketch_variables = sketch.num_variables();
@@ -606,20 +664,20 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     // per-row contribution `others` of everyone else. Variable k is the
     // k-th member of the group (indices are dense).
     auto build_sub = [&](size_t g, const std::vector<double>& others) {
+      const std::vector<size_t>& members = groups[g].members;
       solver::LpModel sub;
       sub.SetSense(sense);
-      for (size_t k = 0; k < groups[g].size(); ++k) {
+      for (size_t k = 0; k < members.size(); ++k) {
         sub.AddVariable("m" + std::to_string(k), 0.0,
                         static_cast<double>(aq.max_multiplicity),
-                        obj_w[groups[g][k]], /*is_integer=*/true);
+                        weights.Objective(members[k]), /*is_integer=*/true);
       }
       for (size_t r = 0; r < rows.size(); ++r) {
-        const Row& row = rows[r];
+        const RowBounds& row = rows[r];
         std::vector<solver::LinearTerm> terms;
-        for (size_t k = 0; k < groups[g].size(); ++k) {
-          if (row.w[groups[g][k]] != 0.0) {
-            terms.push_back({static_cast<int>(k), row.w[groups[g][k]]});
-          }
+        for (size_t k = 0; k < members.size(); ++k) {
+          const double w = weights.Row(r, members[k]);
+          if (w != 0.0) terms.push_back({static_cast<int>(k), w});
         }
         sub.AddConstraint(row.name, std::move(terms),
                           row.lo == -kInf ? -kInf : row.lo - others[r],
@@ -627,10 +685,13 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       }
       return sub;
     };
-    auto package_from = [&](const std::vector<int64_t>& m) {
+    // Multiplicities by candidate position. A package holds few of the n
+    // candidates, so they are kept sparse, in ascending position order.
+    using Multiplicities = std::map<size_t, int64_t>;
+    auto package_from = [&](const Multiplicities& m) {
       Package p;
-      for (size_t i = 0; i < n; ++i) {
-        if (m[i] > 0) p.Add(candidates[i], m[i]);
+      for (const auto& [i, count] : m) {
+        if (count > 0) p.Add(candidates[i], count);
       }
       return p;
     };
@@ -646,12 +707,10 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       /// Solver warm-start state (root basis + pseudocosts) for this
       /// group's solves, re-seeded into the repair pass's re-solve of the
       /// same group — the models are structurally identical, only the
-      /// residual ranges move. Points at the group's persistent slot when
-      /// a SketchRefineState is in play (so it survives across calls),
-      /// else at local_warm. Distinct groups own distinct slots, so the
-      /// parallel fan-out never shares warm state.
+      /// residual ranges move. Points at the group's slot in the state (so
+      /// it survives across calls). Distinct groups own distinct slots, so
+      /// the parallel fan-out never shares warm state.
       solver::MilpWarmStart* warm = nullptr;
-      solver::MilpWarmStart local_warm;
       /// Answered from the state's cached sub-solution; no solver work.
       bool reused = false;
       Status status = Status::OK();
@@ -662,7 +721,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     std::vector<double> base(rows.size(), 0.0);
     for (size_t r = 0; r < rows.size(); ++r) {
       for (size_t g : refine_order) {
-        base[r] += rows[r].w[rep[g]] * group_mult[g];
+        base[r] += weights.Row(r, groups[g].rep) * group_mult[g];
       }
     }
     std::vector<RefineTask> tasks(refine_order.size());
@@ -670,14 +729,13 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       size_t g = refine_order[t];
       tasks[t].others.resize(rows.size());
       for (size_t r = 0; r < rows.size(); ++r) {
-        tasks[t].others[r] =
-            base[r] - rows[r].w[rep[g]] * static_cast<double>(group_mult[g]);
+        tasks[t].others[r] = base[r] - weights.Row(r, groups[g].rep) *
+                                           static_cast<double>(group_mult[g]);
       }
-      SketchRefineState::Group* sg =
-          state != nullptr ? &state->groups[g] : nullptr;
-      tasks[t].warm = sg != nullptr ? &sg->warm : &tasks[t].local_warm;
-      if (sg != nullptr && options.reuse_group_solutions && !sg->dirty &&
-          sg->has_solution && tasks[t].others == sg->cached_others) {
+      SketchRefineState::Group* sg = &state->groups[g];
+      tasks[t].warm = &sg->warm;
+      if (options.reuse_group_solutions && !sg->dirty && sg->has_solution &&
+          tasks[t].others == sg->cached_others) {
         // Clean group, identical residual: the cached sub-solution IS what
         // a re-solve would return (same model bit-for-bit, deterministic
         // solver), so skip the solver entirely.
@@ -752,13 +810,14 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     }
     Package pkg;
     bool valid = false;
-    std::vector<int64_t> mult(n, 0);
+    Multiplicities mult;
     if (all_solved) {
       for (size_t t = 0; t < tasks.size(); ++t) {
-        size_t g = refine_order[t];
-        for (size_t k = 0; k < groups[g].size(); ++k) {
-          mult[groups[g][k]] +=
+        const std::vector<size_t>& members = groups[refine_order[t]].members;
+        for (size_t k = 0; k < members.size(); ++k) {
+          const int64_t m =
               static_cast<int64_t>(std::llround(tasks[t].solution.x[k]));
+          if (m != 0) mult[members[k]] += m;
         }
       }
       pkg = package_from(mult);
@@ -781,8 +840,8 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // is tracked as (base - own rep contribution) + drift so that a
       // zero-drift prefix reproduces the task residuals bit-for-bit.
       ++out.repair_passes;
-      mult.assign(n, 0);
-      for (size_t g : refine_order) mult[rep[g]] += group_mult[g];
+      mult.clear();
+      for (size_t g : refine_order) mult[groups[g].rep] += group_mult[g];
       std::vector<double> drift(rows.size(), 0.0);
       for (size_t t = 0; t < refine_order.size(); ++t) {
         if (interrupted()) {
@@ -816,16 +875,19 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
           failed_g = g;
           break;
         }
-        mult[rep[g]] -= group_mult[g];
+        const size_t rep = groups[g].rep;
+        mult[rep] -= group_mult[g];
         for (size_t r = 0; r < rows.size(); ++r) {
-          drift[r] -= rows[r].w[rep[g]] * static_cast<double>(group_mult[g]);
+          drift[r] -=
+              weights.Row(r, rep) * static_cast<double>(group_mult[g]);
         }
-        for (size_t k = 0; k < groups[g].size(); ++k) {
+        const std::vector<size_t>& members = groups[g].members;
+        for (size_t k = 0; k < members.size(); ++k) {
           int64_t m = static_cast<int64_t>(std::llround(sol->x[k]));
           if (m == 0) continue;
-          mult[groups[g][k]] += m;
+          mult[members[k]] += m;
           for (size_t r = 0; r < rows.size(); ++r) {
-            drift[r] += rows[r].w[groups[g][k]] * static_cast<double>(m);
+            drift[r] += weights.Row(r, members[k]) * static_cast<double>(m);
           }
         }
       }
@@ -856,10 +918,8 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       bool near_valid = true;
       for (size_t r = 0; r < rows.size() && near_valid; ++r) {
         double act = 0.0;
-        for (size_t i = 0; i < n; ++i) {
-          if (mult[i] != 0) {
-            act += rows[r].w[i] * static_cast<double>(mult[i]);
-          }
+        for (const auto& [i, count] : mult) {
+          if (count != 0) act += weights.Row(r, i) * static_cast<double>(count);
         }
         double slack = kRowSlack * std::max(1.0, std::abs(act));
         near_valid =
@@ -873,20 +933,18 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     out.found = true;
     PB_ASSIGN_OR_RETURN(out.objective, PackageObjective(aq, pkg));
     out.package = std::move(pkg);
-    if (state != nullptr) {
-      // Persist this call's refine results: each refined group caches the
-      // residual it was solved against plus its sub-solution (the
-      // task-level pair — repair re-solves depend on drift ordering and
-      // are not replayable, so they are never cached). Every group is now
-      // clean: memberships and representatives match what was just solved.
-      for (size_t t = 0; t < refine_order.size(); ++t) {
-        SketchRefineState::Group& sg = state->groups[refine_order[t]];
-        sg.has_solution = true;
-        sg.cached_others = std::move(tasks[t].others);
-        sg.cached_solution = std::move(tasks[t].solution);
-      }
-      for (SketchRefineState::Group& sg : state->groups) sg.dirty = false;
+    // Persist this call's refine results: each refined group caches the
+    // residual it was solved against plus its sub-solution (the task-level
+    // pair — repair re-solves depend on drift ordering and are not
+    // replayable, so they are never cached). Every group is now clean:
+    // memberships and representatives match what was just solved.
+    for (size_t t = 0; t < refine_order.size(); ++t) {
+      SketchRefineState::Group& sg = state->groups[refine_order[t]];
+      sg.has_solution = true;
+      sg.cached_others = std::move(tasks[t].others);
+      sg.cached_solution = std::move(tasks[t].solution);
     }
+    for (SketchRefineState::Group& sg : state->groups) sg.dirty = false;
     return out;
   }
 

@@ -37,14 +37,15 @@
 // The result is validated against the original query; approximation shows
 // up only in the objective value, which the E6 bench compares to Direct.
 //
-// Incremental maintenance (HTAP): the partition is reusable state, not a
-// per-call throwaway. A caller that keeps a SketchRefineState alive across
-// calls (SketchRefineOptions::state) turns appends into maintenance work
-// instead of a rebuild: new candidates are routed to their nearest group
-// (in the state's frozen feature normalization), groups that grow past
-// twice tau split and undersized ones merge, and only "dirty" groups
-// — those whose membership changed, or whose residual constraints moved —
-// are re-solved, each from its saved per-group MilpWarmStart. A clean
+// Incremental maintenance (HTAP): the query's inputs and its partition are
+// reusable state, not per-call throwaways. A caller that keeps a
+// SketchRefineState alive across calls (SketchRefineOptions::state) turns
+// appends into maintenance work instead of a rebuild: only the appended
+// rows are filtered and weighed, new candidates are routed to their
+// nearest group (in the state's frozen feature normalization), groups that
+// grow past twice tau split and undersized ones merge, and only "dirty"
+// groups — those whose membership changed, or whose residual constraints
+// moved — are re-solved, each from its saved per-group MilpWarmStart. A clean
 // group whose residual repeats exactly reuses its cached sub-solution
 // without any solver work. Because the solver is deterministic and warm
 // starts never change results (pinned by test_warm_start), a maintained
@@ -59,27 +60,33 @@
 
 #include "common/status.h"
 #include "core/package.h"
+#include "core/pruning.h"
 #include "solver/milp.h"
 
 namespace pb::core {
 
-/// Persistent partitioning state for one (query, table) pair, owned by the
-/// caller and passed via SketchRefineOptions::state. SketchRefine reads it
-/// on entry and updates it on exit:
+/// Persistent state for one (query, table) pair, owned by the caller and
+/// passed via SketchRefineOptions::state: the query's inputs and its
+/// partition. SketchRefine reads it on entry and updates it on exit:
 ///
-///   - empty / incompatible state -> a full partition build populates it;
-///   - compatible state over a grown candidate set -> incremental
+///   - the inputs (candidates, weights, pruning's weight ranges) cover the
+///     table's first `rows_scanned` rows; RefreshCandidates extends them
+///     over the rows appended since, and only those;
+///   - empty / incompatible partition -> a full partition build populates
+///     it;
+///   - compatible partition over a grown candidate set -> incremental
 ///     maintenance (route new candidates, split/merge, re-solve only the
 ///     dirty groups).
 ///
 /// Compatibility requires the same query (weights per candidate and the
 /// feature dimensionality derive from it) over the same table with rows
-/// only appended since the state was built: WHERE predicates are per-row,
-/// so the surviving candidate positions of the old prefix are unchanged
-/// and new candidates can only appear at the end. The caller is
-/// responsible for that discipline (the Engine keys states on query text
-/// and drops them on any non-append catalog mutation); SketchRefine itself
-/// only checks the cheap invariants (dimensionality, monotone growth).
+/// only appended since the state was built: WHERE predicates and weights
+/// are per-row, so the cached answers for the old rows stay exact and new
+/// candidates can only appear at the end. The caller is responsible for
+/// that discipline (the Engine keys states on query text and drops them on
+/// any non-append catalog mutation); SketchRefine itself only checks the
+/// cheap invariants (a table that shrank, the inputs' column counts,
+/// dimensionality, monotone growth).
 ///
 /// NOT thread-safe: like MilpWarmStart, one state must not be shared by
 /// concurrent calls.
@@ -103,14 +110,33 @@ struct SketchRefineState {
     solver::MilpResult cached_solution;
   };
 
-  /// Candidates covered by `groups` (positions [0, n_candidates) of the
-  /// filtered candidate vector).
+  // ----- The query's inputs (RefreshCandidates) ----------------------------
+
+  /// Table rows the inputs below cover: rows [0, rows_scanned) have been
+  /// filtered, weighed and folded into `ranges`.
+  size_t rows_scanned = 0;
+  /// The rows of [0, rows_scanned) that pass the WHERE clause, ascending
+  /// (FilterIndices' answer). Candidate position i is row candidates[i].
+  std::vector<size_t> candidates;
+  /// Per-candidate weights, column-major (weights[c][i] is candidate i's):
+  /// one column per linear constraint, then one for the objective when the
+  /// query has one, each the combined weight sum_k coeff_k * weight_k that
+  /// a fresh pass computes.
+  std::vector<std::vector<double>> weights;
+  /// Pruning's weight range of each linear constraint over `candidates`.
+  std::vector<WeightRange> ranges;
+
+  // ----- The partition -----------------------------------------------------
+
+  /// Candidates covered by `groups` (positions [0, n_candidates) of
+  /// `candidates`).
   size_t n_candidates = 0;
   size_t dims = 0;  ///< feature dimensionality the state was built with
   /// Frozen per-dimension normalization captured at build time. Routing
   /// and centroid geometry must live in the space the partition was built
   /// in, so the affine map is state — appended values are mapped with it,
-  /// not re-normalized.
+  /// not re-normalized. Features are normalized where they are read, never
+  /// stored.
   std::vector<double> feat_lo;
   std::vector<double> feat_span;
   std::vector<Group> groups;
@@ -132,6 +158,20 @@ struct SketchRefineState {
     sketch_warm = solver::MilpWarmStart();
   }
 };
+
+/// Brings `state`'s inputs up to aq.table's current row count: filters
+/// only rows [state->rows_scanned, num_rows), appends the survivors and
+/// their weights in row order, folds their weights into the ranges, and
+/// returns the bounds BoundsFromWeightRanges derives from them — every
+/// array and bound equal, bit for bit, to a fresh FilterIndices +
+/// ComputeAggWeights + DeriveCardinalityBounds pass (zone_map_skipped_blocks
+/// aside: the refresh reads every weight it keeps and skips no block). A
+/// state with rows_scanned == 0 is filtered and weighed from row 0 and
+/// keeps its partition, which is how a caller forces the full recompute;
+/// a state over more rows than the table has, or with another query's
+/// column counts, starts over entirely. On error nothing is appended.
+Result<CardinalityBounds> RefreshCandidates(const paql::AnalyzedQuery& aq,
+                                            SketchRefineState* state);
 
 struct SketchRefineOptions {
   /// Maximum tuples per partition (tau). Smaller = finer approximation,
@@ -156,17 +196,15 @@ struct SketchRefineOptions {
   /// partially merged package.
   int threads = 1;
   solver::MilpOptions milp;
-  /// The rows of aq.table that pass the WHERE clause (ascending, as
-  /// FilterIndices returns them), when the caller already filtered
-  /// (borrowed, read-only). Null = filter here. The result is identical
-  /// either way.
-  const std::vector<size_t>* candidates = nullptr;
 
   // ----- Incremental maintenance (HTAP) ------------------------------------
 
-  /// Optional cross-call partition state (borrowed, in/out); see
-  /// SketchRefineState. Null = the classic one-shot pipeline. A maintained
-  /// group larger than 2 * partition_size re-splits into tau-bounded parts.
+  /// Optional cross-call state (borrowed, in/out); see SketchRefineState.
+  /// Null = the classic one-shot pipeline, over a state of its own that is
+  /// dropped on return. A stateful call filters and weighs only the rows
+  /// appended since the last one (RefreshCandidates; a call after the
+  /// caller refreshed finds nothing left to do). A maintained group larger
+  /// than 2 * partition_size re-splits into tau-bounded parts.
   SketchRefineState* state = nullptr;
   /// A maintained group smaller than this merges into its nearest
   /// neighbour (0 = never merge). Appends never shrink groups, so merges

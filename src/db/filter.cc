@@ -234,8 +234,10 @@ int CompiledFilter::Add(const Expr& e, bool negate) {
   }
 }
 
-Result<std::vector<size_t>> CompiledFilter::Run() const {
+Result<std::vector<size_t>> CompiledFilter::Run(size_t first_row) const {
   const size_t n = table_->num_rows();
+  std::vector<size_t> out;
+  if (first_row >= n) return out;
   // One view per value column: it caches the pin of the block in use, so
   // walking the chunks in order pins each block of each column once.
   std::vector<NumericColumnView> views;
@@ -248,9 +250,13 @@ Result<std::vector<size_t>> CompiledFilter::Run() const {
       views.empty() ? storage::kDefaultBlockSize : views[0].block_size();
   std::vector<uint8_t> masks(chunk * nodes_.size());
 
-  std::vector<size_t> out;
-  for (size_t b = 0, begin = 0; begin < n; ++b, begin += chunk) {
-    const size_t count = std::min(chunk, n - begin);
+  // Rows [lo, lo + count) of block b; only the first block starts past
+  // its beginning, at `off` rows in.
+  for (size_t b = first_row / chunk; b * chunk < n; ++b) {
+    const size_t begin = b * chunk;
+    const size_t lo = std::max(begin, first_row);
+    const size_t off = lo - begin;
+    const size_t count = std::min(chunk, n - begin) - off;
     for (size_t s = 0; s < views.size(); ++s) {
       spans[s] = views[s].block(b);
       if (!spans[s].valid()) return views[s].status();  // read or budget
@@ -272,11 +278,11 @@ Result<std::vector<size_t>> CompiledFilter::Run() const {
       switch (node.kind) {
         case NodeKind::kIsNull:
           for (size_t k = 0; k < count; ++k) {
-            t[k] = column.IsNull(begin + k) != node.invert;
+            t[k] = column.IsNull(lo + k) != node.invert;
           }
           continue;  // IS NULL is never NULL
         case NodeKind::kStringCompare: {
-          const std::string* s = column.strings().data() + begin;
+          const std::string* s = column.strings().data() + lo;
           WithOp(node.op, [&](auto o) {
             for (size_t k = 0; k < count; ++k) {
               t[k] = Holds<decltype(o)::value>(Sign(s[k].compare(node.text)));
@@ -289,23 +295,23 @@ Result<std::vector<size_t>> CompiledFilter::Run() const {
               spans[static_cast<size_t>(node.slot)];
           if (node.kind == NodeKind::kCompare) {
             if (v.dbl != nullptr) {
-              CompareValues(v.dbl, count, node.op, node.lo, t);
+              CompareValues(v.dbl + off, count, node.op, node.lo, t);
             } else {
-              CompareValues(v.ints, count, node.op, node.lo, t);
+              CompareValues(v.ints + off, count, node.op, node.lo, t);
             }
           } else if (v.dbl != nullptr) {
-            BetweenValues(v.dbl, count, node.lo, node.hi, t);
+            BetweenValues(v.dbl + off, count, node.lo, node.hi, t);
           } else {
-            BetweenValues(v.ints, count, node.lo, node.hi, t);
+            BetweenValues(v.ints + off, count, node.lo, node.hi, t);
           }
           break;
         }
       }
-      FinishLeaf(node.invert, column.nulls(), begin, count, t);
+      FinishLeaf(node.invert, column.nulls(), lo, count, t);
     }
     const uint8_t* accept = &masks[chunk * (nodes_.size() - 1)];
     for (size_t k = 0; k < count; ++k) {
-      if (accept[k]) out.push_back(begin + k);
+      if (accept[k]) out.push_back(lo + k);
     }
   }
   return out;

@@ -61,9 +61,11 @@ class CompiledFilter {
   static std::optional<CompiledFilter> Compile(const Table& table,
                                                const Expr& bound);
 
-  /// Ascending indices of the rows the predicate accepts. Fails only on a
-  /// storage error: a failed block read or a pin the budget refused.
-  Result<std::vector<size_t>> Run() const;
+  /// Ascending indices of the rows from `first_row` on that the predicate
+  /// accepts. The scan starts in the block holding `first_row`, so a
+  /// suffix costs only its own blocks. Fails only on a storage error: a
+  /// failed block read or a pin the budget refused.
+  Result<std::vector<size_t>> Run(size_t first_row = 0) const;
 
  private:
   enum class NodeKind {

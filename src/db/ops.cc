@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "common/logging.h"
 #include "db/filter.h"
@@ -49,11 +50,14 @@ Result<Table> Select(const Table& table, const ExprPtr& pred,
 }
 
 Result<std::vector<size_t>> FilterIndices(const Table& table,
-                                          const ExprPtr& pred) {
+                                          const ExprPtr& pred,
+                                          size_t first_row) {
   std::vector<size_t> out;
   if (!pred) {
-    out.resize(table.num_rows());
-    for (size_t i = 0; i < table.num_rows(); ++i) out[i] = i;
+    if (first_row < table.num_rows()) {
+      out.resize(table.num_rows() - first_row);
+      std::iota(out.begin(), out.end(), first_row);
+    }
     return out;
   }
   ExprPtr bound = pred->Clone();
@@ -62,9 +66,9 @@ Result<std::vector<size_t>> FilterIndices(const Table& table,
   // block-at-a-time (db/filter.h); anything else is evaluated row by row.
   if (std::optional<CompiledFilter> kernel =
           CompiledFilter::Compile(table, *bound)) {
-    return kernel->Run();
+    return kernel->Run(first_row);
   }
-  for (size_t i = 0; i < table.num_rows(); ++i) {
+  for (size_t i = first_row; i < table.num_rows(); ++i) {
     PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
     if (keep) out.push_back(i);
   }

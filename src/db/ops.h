@@ -23,14 +23,19 @@ namespace pb::db {
 Result<Table> Select(const Table& table, const ExprPtr& pred,
                      const std::string& result_name = "select");
 
-/// Indices of rows satisfying `pred` (null = all rows), ascending. This is
-/// the form the package engine uses: packages reference base tuples by
-/// index. Column-versus-literal predicates run block-at-a-time with one pin
-/// per spilled block (see db/filter.h), charged to the calling thread's
-/// StorageBudget; other shapes are evaluated row by row. Both paths return
-/// the same rows, and a failed block read is an error, never a non-match.
+/// Indices of rows from `first_row` on satisfying `pred` (null = all
+/// rows), ascending. This is the form the package engine uses: packages
+/// reference base tuples by index. Column-versus-literal predicates run
+/// block-at-a-time with one pin per spilled block (see db/filter.h),
+/// charged to the calling thread's StorageBudget; other shapes are
+/// evaluated row by row. Both paths return the same rows, and a failed
+/// block read is an error, never a non-match. The answer is the suffix of
+/// the full scan's from `first_row` on, and reads only those rows: a
+/// caller that saw the first rows of an append-only table scans just the
+/// rows appended since (empty when `first_row` >= the row count).
 Result<std::vector<size_t>> FilterIndices(const Table& table,
-                                          const ExprPtr& pred);
+                                          const ExprPtr& pred,
+                                          size_t first_row = 0);
 
 /// Keeps the named columns, in the given order.
 Result<Table> Project(const Table& table,

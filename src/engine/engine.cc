@@ -236,12 +236,18 @@ std::shared_ptr<Engine::WarmEntry> Engine::GetWarmEntry(uint64_t signature) {
   return entry;
 }
 
-std::shared_ptr<Engine::MaintenanceEntry> Engine::GetMaintenanceEntry(
+std::shared_ptr<Engine::MaintenanceEntry> Engine::FindMaintenanceEntry(
     const std::string& query_key) {
   MutexLock lock(&maint_mu_);
-  std::shared_ptr<MaintenanceEntry>& entry = maint_cache_[query_key];
-  if (!entry) entry = std::make_shared<MaintenanceEntry>();
-  return entry;
+  std::shared_ptr<MaintenanceEntry>* entry = maint_cache_.Find(query_key);
+  return entry != nullptr ? *entry : nullptr;
+}
+
+void Engine::KeepMaintenanceEntry(const std::string& query_key,
+                                  std::shared_ptr<MaintenanceEntry> entry) {
+  MutexLock lock(&maint_mu_);
+  std::shared_ptr<MaintenanceEntry>& kept = maint_cache_[query_key];
+  if (!kept) kept = std::move(entry);
 }
 
 // ----------------------------------------------------------- thread ledger
@@ -337,9 +343,10 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
       std::to_string(catalog_generation_) + "\n" + normalized;
   // Third cache state: a hit whose base table has grown since the entry
   // was stored (same generation — appends do not bump it) is neither
-  // served nor dropped. It falls through to a fresh solve, which the
-  // maintained partition turns into dirty-group work, and the refreshed
-  // response overwrites the entry ("revalidation").
+  // served nor dropped. It falls through to a re-run, which the
+  // maintained state turns into a pass over the appended rows plus
+  // dirty-group work, and the refreshed response overwrites the entry
+  // ("revalidation").
   bool stale_by_append = false;
   if (LookupResultCache(key, &resp)) {
     bool fresh = true;
@@ -420,21 +427,49 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
 Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
                         const core::EvaluationOptions& eo, int threads,
                         const std::string& query_key, QueryResponse* resp) {
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  resp->num_candidates = candidates.size();
-  PB_ASSIGN_OR_RETURN(const core::CardinalityBounds bounds,
-                      core::DeriveCardinalityBounds(aq, candidates));
-  resp->zone_map_skipped_blocks = bounds.zone_map_skipped_blocks;
+  std::shared_ptr<MaintenanceEntry> entry;
+  bool kept = false;
+  std::vector<size_t> candidates;
+  core::CardinalityBounds bounds;
+  if (options_.incremental_maintenance &&
+      core::SketchRefineEligible(aq, eo)) {
+    // A maintained query's inputs are state: the refresh filters, weighs
+    // and bounds only the rows appended since its last call, and
+    // SketchRefine reads the candidates from the state. A query without
+    // an entry refreshes a new one, cached below only if it is routed to
+    // SketchRefine: one that pruning proves infeasible takes no slot.
+    entry = FindMaintenanceEntry(query_key);
+    kept = entry != nullptr;
+    if (!kept) entry = std::make_shared<MaintenanceEntry>();
+    MutexLock lock(&entry->mu);
+    if (entry->generation != catalog_generation_) {
+      // Any non-append mutation since the state was built: rebuild from
+      // scratch (appends leave the generation alone on purpose).
+      entry->state = core::SketchRefineState();
+      entry->generation = catalog_generation_;
+    }
+    PB_ASSIGN_OR_RETURN(bounds, core::RefreshCandidates(aq, &entry->state));
+    resp->num_candidates = entry->state.candidates.size();
+  } else {
+    PB_ASSIGN_OR_RETURN(candidates,
+                        db::FilterIndices(*aq.table, aq.query.where));
+    resp->num_candidates = candidates.size();
+    PB_ASSIGN_OR_RETURN(bounds, core::DeriveCardinalityBounds(aq, candidates));
+    resp->zone_map_skipped_blocks = bounds.zone_map_skipped_blocks;
+  }
   PB_ASSIGN_OR_RETURN(
       const core::QueryRoute route,
-      core::PlanQuery(aq, bounds, candidates.size(), eo,
+      core::PlanQuery(aq, bounds, resp->num_candidates, eo,
                       options_.incremental_maintenance));
+  if (entry != nullptr && !kept &&
+      route.strategy == core::Strategy::kSketchRefine) {
+    KeepMaintenanceEntry(query_key, entry);
+  }
   Status s = RunStep(route.strategy, route, aq, eo, threads, bounds,
-                     &candidates, query_key, resp);
+                     entry.get(), &candidates, query_key, resp);
   if (route.fallback && s.code() == StatusCode::kInfeasible) {
-    s = RunStep(*route.fallback, route, aq, eo, threads, bounds, &candidates,
-                query_key, resp);
+    s = RunStep(*route.fallback, route, aq, eo, threads, bounds, entry.get(),
+                &candidates, query_key, resp);
   }
   return s;
 }
@@ -443,13 +478,20 @@ Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
                        const paql::AnalyzedQuery& aq,
                        const core::EvaluationOptions& eo, int threads,
                        const core::CardinalityBounds& bounds,
+                       MaintenanceEntry* entry,
                        std::vector<size_t>* candidates,
                        const std::string& query_key, QueryResponse* resp) {
   resp->strategy = step;
   if (step == core::Strategy::kSketchRefine) {
-    return RunSketchRefinePath(aq, eo, threads, *candidates, query_key, resp);
+    return RunSketchRefinePath(aq, eo, threads, entry, resp);
   }
   if (step == core::Strategy::kIlpSolver) {
+    if (entry != nullptr) {
+      // SketchRefine's fallback: the solver takes over a copy of the
+      // maintained candidates.
+      MutexLock lock(&entry->mu);
+      *candidates = entry->state.candidates;
+    }
     return RunIlpPath(aq, eo, bounds, candidates, query_key, resp);
   }
   PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
@@ -462,33 +504,23 @@ Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
 
 Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                                    const core::EvaluationOptions& eo,
-                                   int threads,
-                                   const std::vector<size_t>& candidates,
-                                   const std::string& query_key,
+                                   int threads, MaintenanceEntry* entry,
                                    QueryResponse* resp) {
-  std::shared_ptr<MaintenanceEntry> entry = GetMaintenanceEntry(query_key);
-
   core::SketchRefineOptions sro;
   sro.partition_size = options_.sketch_partition_size;
   sro.milp = eo.milp;
   sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
-  sro.candidates = &candidates;
 
   Stopwatch maintenance_timer;
-  const uint64_t generation = catalog_generation_;
   const int claimed = AcquireThreads(threads);
   sro.threads = std::max(1, claimed);
   Result<core::SketchRefineResult> r_or =
       [&]() -> Result<core::SketchRefineResult> {
     // SketchRefineState, like MilpWarmStart, is not thread-safe; the
     // entry mutex serializes the solves that share this query's state.
+    // Evaluate refreshed it under the same catalog read lock, so no rows
+    // are left to filter.
     MutexLock lock(&entry->mu);
-    if (entry->generation != generation) {
-      // Any non-append mutation since the state was built: rebuild from
-      // scratch (appends leave the generation alone on purpose).
-      entry->state = core::SketchRefineState();
-      entry->generation = generation;
-    }
     sro.state = &entry->state;
     return core::SketchRefine(aq, sro);
   }();

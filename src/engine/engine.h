@@ -95,10 +95,11 @@ struct EngineOptions {
 
   // ----- Incremental maintenance (HTAP) ------------------------------------
 
-  /// Route eligible ILP-translatable queries through SketchRefine with a
-  /// per-query maintained partition (see core::SketchRefineState and rule
-  /// 4 of core::PlanQuery). With this on, AppendRows turns repeat queries
-  /// into dirty-group re-solves instead of from-scratch solves, and
+  /// Route eligible ILP-translatable queries through SketchRefine with
+  /// per-query maintained state, its inputs and its partition (see
+  /// core::SketchRefineState and rule 4 of core::PlanQuery). With this on,
+  /// AppendRows turns repeat queries into a pass over the appended rows
+  /// plus dirty-group re-solves instead of from-scratch solves, and
   /// appended-but-compatible cached results are revalidated rather than
   /// invalidated. Off (the default) = the classic exact pipeline only.
   bool incremental_maintenance = false;
@@ -163,8 +164,11 @@ struct QueryResponse {
   int64_t nodes = 0;                ///< branch-and-bound nodes solved
   int64_t lp_iterations = 0;        ///< simplex iterations
   size_t num_candidates = 0;        ///< rows surviving the WHERE clause
-  /// Blocks whose pruning / partitioning bounds came from zone-map
-  /// metadata instead of a value scan (deterministic per query + table).
+  /// Blocks this call skipped by answering pruning's weight bounds or
+  /// SketchRefine's partition build from zone-map metadata instead of a
+  /// value scan (deterministic per query, table and call history). A
+  /// maintained query's refresh reads only the appended rows' weights, so
+  /// its pruning part skips none.
   int64_t zone_map_skipped_blocks = 0;
   // -- incremental maintenance (populated on the SketchRefine path) -------
   /// A stale-by-append cached result was refreshed through the maintained
@@ -322,12 +326,13 @@ class Engine {
     std::string solved_query PB_GUARDED_BY(mu);
     solver::MilpResult solved PB_GUARDED_BY(mu);
   };
-  /// One maintained-partition slot, keyed on normalized query text. The
-  /// entry mutex serializes the solves that share the state
-  /// (SketchRefineState, like MilpWarmStart, is not thread-safe). The
-  /// state is valid only while `generation` matches the catalog: appends
-  /// leave the generation alone (the state absorbs them incrementally);
-  /// any other mutation bumps it and the state rebuilds on next use.
+  /// One maintained query's state (its inputs and its partition), keyed
+  /// on normalized query text. The entry mutex serializes the refreshes
+  /// and solves that share the state (SketchRefineState, like
+  /// MilpWarmStart, is not thread-safe). The state is valid only while
+  /// `generation` matches the catalog: appends leave the generation alone
+  /// (the state absorbs them incrementally); any other mutation bumps it
+  /// and the state rebuilds on next use.
   struct MaintenanceEntry {
     Mutex mu;
     uint64_t generation PB_GUARDED_BY(mu) = 0;
@@ -339,19 +344,24 @@ class Engine {
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
   /// Filters once, plans with core::PlanQuery, and runs the plan's
   /// strategy, then its fallback when the strategy ends kInfeasible.
+  /// A query rule 4 can route to SketchRefine (core::SketchRefineEligible)
+  /// takes its candidates and bounds from its maintained state instead,
+  /// refreshed over the rows appended since its last call; its state is
+  /// cached once a plan routes it to SketchRefine.
   /// `threads` is the budget's request (QueryBudget::threads).
   Status Evaluate(const paql::AnalyzedQuery& aq,
                   const core::EvaluationOptions& eo, int threads,
                   const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// Runs one step of `route` (see core::RunStep) into `resp`. `candidates`
-  /// are the WHERE survivors `bounds` came from; an ILP step takes them
-  /// over (see core::TranslateOptions).
+  /// Runs one step of `route` (see core::RunStep) into `resp`. `bounds`
+  /// came from `candidates`, the WHERE survivors, or from `entry`'s
+  /// maintained state when `entry` is set; an ILP step takes the
+  /// candidates over (a copy of the state's when `entry` is set).
   Status RunStep(core::Strategy step, const core::QueryRoute& route,
                  const paql::AnalyzedQuery& aq,
                  const core::EvaluationOptions& eo, int threads,
                  const core::CardinalityBounds& bounds,
-                 std::vector<size_t>* candidates,
+                 MaintenanceEntry* entry, std::vector<size_t>* candidates,
                  const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// ILP route with the warm-start cache.
@@ -362,21 +372,25 @@ class Engine {
                     const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Maintained SketchRefine route (incremental_maintenance on): solves
-  /// through the per-query partition state so repeat queries after appends
-  /// re-solve only dirty groups. kInfeasible when it comes back
-  /// empty-handed un-cancelled, which proves nothing. The refine fan-out
-  /// runs on the share of `threads` the ledger grants.
+  /// through `entry`'s state so repeat queries after appends re-solve only
+  /// dirty groups. kInfeasible when it comes back empty-handed
+  /// un-cancelled, which proves nothing. The refine fan-out runs on the
+  /// share of `threads` the ledger grants.
   Status RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                              const core::EvaluationOptions& eo, int threads,
-                             const std::vector<size_t>& candidates,
-                             const std::string& query_key,
-                             QueryResponse* resp)
+                             MaintenanceEntry* entry, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
 
   std::shared_ptr<Session> FindSession(uint64_t id);
   std::shared_ptr<WarmEntry> GetWarmEntry(uint64_t signature);
-  std::shared_ptr<MaintenanceEntry> GetMaintenanceEntry(
+  /// The cached entry under `query_key`, now the most recently used;
+  /// null when there is none.
+  std::shared_ptr<MaintenanceEntry> FindMaintenanceEntry(
       const std::string& query_key);
+  /// Caches `entry` under `query_key` unless a concurrent call cached one
+  /// first; this call keeps using its own either way.
+  void KeepMaintenanceEntry(const std::string& query_key,
+                            std::shared_ptr<MaintenanceEntry> entry);
   bool LookupResultCache(const std::string& key, QueryResponse* out);
   void StoreResultCache(const std::string& key, const QueryResponse& resp);
 

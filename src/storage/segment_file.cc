@@ -106,8 +106,7 @@ Result<std::shared_ptr<SegmentFile>> SegmentFile::Create(
   }
   auto file = std::shared_ptr<SegmentFile>(
       new SegmentFile(path, fd, unlink_on_close));
-  std::vector<uint8_t> header;
-  header.insert(header.end(), kFileMagic, kFileMagic + sizeof(kFileMagic));
+  std::vector<uint8_t> header(kFileMagic, kFileMagic + sizeof(kFileMagic));
   PutScalar<uint32_t>(&header, kFormatVersion);
   PutScalar<uint32_t>(&header, 0);  // flags, reserved
   PB_RETURN_IF_ERROR(Pwrite(fd, header.data(), header.size(), 0));

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -35,12 +36,13 @@ std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
-/// The reference: today's row-at-a-time evaluation.
-Result<std::vector<size_t>> RowPath(const Table& table, const ExprPtr& pred) {
+/// The reference: today's row-at-a-time evaluation, from `first` on.
+Result<std::vector<size_t>> RowPath(const Table& table, const ExprPtr& pred,
+                                    size_t first = 0) {
   ExprPtr bound = pred->Clone();
   PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
   std::vector<size_t> out;
-  for (size_t i = 0; i < table.num_rows(); ++i) {
+  for (size_t i = first; i < table.num_rows(); ++i) {
     PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
     if (keep) out.push_back(i);
   }
@@ -188,14 +190,18 @@ ExprPtr RandomPredicate(Rng& rng, int depth, bool* covered) {
 
 // ----- The property ---------------------------------------------------------
 
-void ExpectSameAsRowPath(const Table& table, const ExprPtr& pred) {
-  Result<std::vector<size_t>> want = RowPath(table, pred);
-  Result<std::vector<size_t>> got = FilterIndices(table, pred);
+/// The scan from row `first` on (0: the whole table) against the row path
+/// over the same rows.
+void ExpectSameAsRowPath(const Table& table, const ExprPtr& pred,
+                         size_t first) {
+  Result<std::vector<size_t>> want = RowPath(table, pred, first);
+  Result<std::vector<size_t>> got = FilterIndices(table, pred, first);
   ASSERT_EQ(got.ok(), want.ok())
-      << pred->ToString() << "\n  kernel: " << got.status().ToString()
+      << pred->ToString() << " from row " << first
+      << "\n  kernel: " << got.status().ToString()
       << "\n  row path: " << want.status().ToString();
   if (want.ok()) {
-    EXPECT_EQ(*got, *want) << pred->ToString();
+    EXPECT_EQ(*got, *want) << pred->ToString() << " from row " << first;
   } else {
     EXPECT_EQ(got.status().code(), want.status().code()) << pred->ToString();
   }
@@ -223,7 +229,8 @@ TEST_P(FilterKernelPropertyTest, MatchesRowPathBitForBit) {
     for (int q = 0; q < 60; ++q) {
       bool covered = true;
       ExprPtr pred = RandomPredicate(rng, 3, &covered);
-      ExpectSameAsRowPath(table, pred);
+      ExpectSameAsRowPath(table, pred, 0);
+      ExpectSameAsRowPath(table, pred, rng.Index(table.num_rows() + 2));
       EXPECT_EQ(Compiles(table, pred), covered) << pred->ToString();
     }
   }
@@ -322,6 +329,60 @@ TEST(FilterKernelTest, OnePinPerBlockPerColumn) {
   EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
             2 * blocks_per_column);
   EXPECT_EQ(*got, *RowPath(t, pred));
+}
+
+TEST(FilterKernelTest, RangeScanIsTheFullScansSuffix) {
+  // From any first row, FilterIndices answers the full scan's suffix from
+  // that row on, on the kernel and on the row path, resident or spilled:
+  // starting mid-block, on a block boundary, on the last row, and at (or
+  // past) num_rows, which gives nothing.
+  const ExprPtr kernel =
+      Binary(BinaryOp::kOr, Between(Col("a"), LitInt(2), LitInt(7)),
+             Binary(BinaryOp::kLt, Col("b"), LitDouble(3)));
+  const ExprPtr row_path =
+      In(Col("a"), {Value::Int(1), Value::Int(4), Value::Int(8)}, false);
+  storage::BlockCache cache(0);
+  for (bool spilled : {false, true}) {
+    SCOPED_TRACE(spilled ? "spilled" : "resident");
+    Table t = TwoColumnTable();
+    if (spilled) {
+      ASSERT_TRUE(t.SpillToDisk(TempPath("filter_range.seg"), 16, &cache).ok());
+    } else {
+      t.SetBlockSize(16);
+    }
+    for (const ExprPtr& pred : {kernel, row_path}) {
+      EXPECT_EQ(Compiles(t, pred), pred == kernel) << pred->ToString();
+      const std::vector<size_t> full = Filter(t, pred);
+      ASSERT_FALSE(full.empty());
+      for (size_t first : {0, 5, 16, 37, 48, 96, 99, 100, 101}) {
+        Result<std::vector<size_t>> got = FilterIndices(t, pred, first);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::vector<size_t> suffix(
+            std::lower_bound(full.begin(), full.end(), first), full.end());
+        EXPECT_EQ(*got, suffix) << pred->ToString() << " from row " << first;
+      }
+    }
+  }
+}
+
+TEST(FilterKernelTest, RangeScanPinsOnlyItsBlocks) {
+  Table t = TwoColumnTable();
+  storage::BlockCache cache(0);
+  ASSERT_TRUE(
+      t.SpillToDisk(TempPath("filter_range_pins.seg"), 16, &cache).ok());
+  const ExprPtr pred =
+      Binary(BinaryOp::kAnd, Binary(BinaryOp::kGe, Col("a"), LitInt(3)),
+             Binary(BinaryOp::kLt, Col("b"), LitDouble(20)));
+  auto pins_from = [&](size_t first) {
+    const storage::BlockCacheStats before = cache.stats();
+    EXPECT_TRUE(FilterIndices(t, pred, first).ok());
+    const storage::BlockCacheStats after = cache.stats();
+    return (after.hits + after.misses) - (before.hits + before.misses);
+  };
+  // Row 37 is in block 2 of 7: blocks 2..6 of both columns.
+  EXPECT_EQ(pins_from(37), 2u * 5u);
+  EXPECT_EQ(pins_from(96), 2u * 1u);
+  EXPECT_EQ(pins_from(100), 0u);
 }
 
 TEST(FilterKernelTest, ScanIsChargedToTheStorageBudget) {

@@ -13,10 +13,12 @@
 #include <vector>
 
 #include "common/env.h"
+#include "common/random.h"
 #include "core/evaluator.h"
 #include "core/sketch_refine.h"
 #include "datagen/recipes.h"
 #include "db/catalog.h"
+#include "db/ops.h"
 #include "engine/engine.h"
 #include "paql/analyzer.h"
 
@@ -295,6 +297,44 @@ TEST(IncrementalTest, CleanRepeatReusesEveryGroup) {
   EXPECT_EQ(r2->objective, r1->objective);
 }
 
+TEST(IncrementalTest, RefreshStartsOverOnAShrunkTableOrAnotherLayout) {
+  // Cached inputs describe one query over one append-only table. A state
+  // that covers more rows than the table holds, or whose weight columns
+  // belong to another query, is rebuilt: its arrays must equal a fresh
+  // state's.
+  db::Catalog big, small;
+  big.RegisterOrReplace(datagen::GenerateRecipes(400, 17));
+  small.RegisterOrReplace(datagen::GenerateRecipes(300, 23));
+  // Three constraints and an objective: four weight columns to the three
+  // of kRecipesQuery.
+  const std::string wider =
+      "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 6 AND "
+      "SUM(calories) <= 3600 AND SUM(calories) + SUM(protein) >= 100 "
+      "MAXIMIZE SUM(protein)";
+  auto expect_fresh = [](const paql::AnalyzedQuery& aq,
+                         SketchRefineState* state) {
+    auto bounds = RefreshCandidates(aq, state);
+    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+    SketchRefineState fresh;
+    ASSERT_TRUE(RefreshCandidates(aq, &fresh).ok());
+    EXPECT_EQ(state->rows_scanned, aq.table->num_rows());
+    EXPECT_EQ(state->candidates, fresh.candidates);
+    EXPECT_EQ(state->weights, fresh.weights);
+    EXPECT_EQ(state->ranges.size(), fresh.ranges.size());
+  };
+
+  SketchRefineState state;
+  SketchRefineOptions opts;
+  opts.partition_size = 50;
+  opts.state = &state;
+  ASSERT_TRUE(SketchRefine(Analyzed(big, kRecipesQuery), opts).ok());
+  ASSERT_FALSE(state.groups.empty());
+  expect_fresh(Analyzed(small, kRecipesQuery), &state);
+  EXPECT_TRUE(state.groups.empty()) << "the partition of the old table stayed";
+
+  expect_fresh(Analyzed(small, wider), &state);
+}
+
 }  // namespace
 }  // namespace pb::core
 
@@ -439,6 +479,35 @@ TEST(EngineIncrementalTest, SpilledAppendFallsBackToFullInvalidation) {
   EXPECT_EQ(after.table_rows, 305u);
 }
 
+TEST(EngineIncrementalTest, PrunedQueriesTakeNoMaintenanceSlot) {
+  // With room for one maintained state, distinct queries that pruning
+  // proves infeasible must not evict the hot query's: after an append its
+  // revalidation still maintains the partition it built.
+  EngineOptions o = IncrementalOptions(true);
+  o.maintenance_cache_capacity = 1;
+  Engine e(o);
+  ASSERT_TRUE(e.GenerateDataset("recipes", 400, 7).ok());
+  QueryResponse first = e.ExecuteQuery(0, kEngineQuery);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  EXPECT_EQ(first.strategy, core::Strategy::kSketchRefine);
+  EXPECT_FALSE(first.warm_start_hit);
+  for (int k = 1; k <= 3; ++k) {
+    const std::string pruned =
+        "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) <= " +
+        std::to_string(k) + " AND SUM(calories) >= 1000000 MAXIMIZE " +
+        "SUM(protein)";
+    const QueryResponse r = e.ExecuteQuery(0, pruned);
+    EXPECT_EQ(r.strategy, core::Strategy::kPruning) << r.status.ToString();
+  }
+
+  ASSERT_TRUE(e.AppendRows("recipes", DuplicateRows(400, 7, 4)).ok());
+  QueryResponse reval = e.ExecuteQuery(0, kEngineQuery);
+  ASSERT_TRUE(reval.ok()) << reval.status.ToString();
+  EXPECT_TRUE(reval.revalidated);
+  EXPECT_TRUE(reval.warm_start_hit) << "the hot query's state was evicted";
+  EXPECT_GT(reval.groups_reused, 0);
+}
+
 TEST(EngineIncrementalTest, AppendBatchIsAllOrNothing) {
   Engine e(IncrementalOptions(true));
   ASSERT_TRUE(e.GenerateDataset("recipes", 50, 3).ok());
@@ -452,6 +521,194 @@ TEST(EngineIncrementalTest, AppendBatchIsAllOrNothing) {
     if (info.name == "recipes") EXPECT_EQ(info.rows, 50u);
   }
   EXPECT_EQ(e.stats().appends, 0);
+}
+
+// ----- Delta revalidation against a fresh pass -----------------------------
+
+/// Base rows of the differential table: (id, cat, a, b, c), b nullable.
+db::Table DeltaTable(uint64_t seed) {
+  db::Table t("items", db::Schema({{"id", db::ValueType::kInt},
+                                   {"cat", db::ValueType::kString},
+                                   {"a", db::ValueType::kDouble},
+                                   {"b", db::ValueType::kDouble},
+                                   {"c", db::ValueType::kDouble}}));
+  Rng rng(seed);
+  for (int i = 0; i < 120; ++i) {
+    t.StartRow()
+        .Int(i)
+        .String(i % 3 == 0 ? "y" : "x")
+        .Double(static_cast<double>(rng.UniformInt(2, 20)))
+        .Double(static_cast<double>(rng.UniformInt(1, 50)))
+        .Double(static_cast<double>(rng.UniformInt(0, 100)))
+        .Finish();
+  }
+  return t;
+}
+
+db::Tuple Item(int64_t id, const char* cat, db::Value a, db::Value b,
+               double c) {
+  return {db::Value::Int(id), db::Value::String(cat), std::move(a),
+          std::move(b), db::Value::Double(c)};
+}
+
+TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
+  // An incremental Engine answers each query after every append of a
+  // seeded sequence. Its candidate count, strategy and EXPLAIN plan must
+  // equal a fresh FilterIndices + DeriveCardinalityBounds + PlanQuery pass
+  // over the same table. A mirror state fed the same calls must hold the
+  // candidates, weights and ranges a from-scratch refresh computes, and
+  // SketchRefine over it must answer as a copy with its inputs dropped
+  // (same partition, full recompute) does, and as the engine did.
+  constexpr size_t kTau = 8;  // a group past 2 * tau = 16 members splits
+  const std::vector<std::string> queries = {
+      // WHERE filter: rows of cat 'y' never become candidates.
+      "SELECT PACKAGE(T) FROM items T WHERE T.cat = 'x' "
+      "SUCH THAT COUNT(*) = 4 AND SUM(a) <= 40 MAXIMIZE SUM(c)",
+      // Infeasible by pruning (4 rows of b <= 50 are needed) until a row
+      // with b = 150 arrives.
+      "SELECT PACKAGE(T) FROM items T "
+      "SUCH THAT COUNT(*) <= 3 AND SUM(b) >= 200 MAXIMIZE SUM(c)",
+      // Upper cardinality bound floor(30 / min a): moves when a smaller a
+      // (or a NULL, which weighs 0) arrives.
+      "SELECT PACKAGE(T) FROM items T WHERE T.a IS NOT NULL "
+      "SUCH THAT COUNT(*) >= 2 AND SUM(a) <= 30 MAXIMIZE SUM(c)",
+      // More constraints than aggregates: a multi-term row and the
+      // non-empty row (AVG).
+      "SELECT PACKAGE(T) FROM items T SUCH THAT COUNT(*) BETWEEN 2 AND 4 "
+      "AND AVG(a) <= 12 AND SUM(a) <= 40 MINIMIZE SUM(c)",
+  };
+
+  EngineOptions eo;
+  eo.num_threads = 1;
+  eo.incremental_maintenance = true;
+  eo.sketch_partition_size = kTau;
+  Engine engine(eo);
+  ASSERT_TRUE(engine.RegisterTable(DeltaTable(5)).ok());
+  db::Catalog catalog;
+  catalog.RegisterOrReplace(DeltaTable(5));
+  std::vector<core::SketchRefineState> mirrors(queries.size());
+
+  // The append sequence: rows failing the WHERE clause, NULLs in
+  // aggregated columns, new extremes, more than 2 * tau duplicates, then
+  // seeded random batches.
+  std::vector<std::vector<db::Tuple>> batches = {
+      {Item(200, "y", db::Value::Double(5), db::Value::Double(10), 90),
+       Item(201, "y", db::Value::Double(3), db::Value::Double(20), 95)},
+      {Item(202, "x", db::Value::Null(), db::Value::Null(), 40)},
+      {Item(203, "x", db::Value::Double(7), db::Value::Null(), 60)},
+      {Item(204, "x", db::Value::Double(0.5), db::Value::Double(150), 70)},
+      std::vector<db::Tuple>(20, Item(205, "x", db::Value::Double(4),
+                                      db::Value::Double(12), 50)),
+  };
+  Rng rng(11);
+  for (int step = 0; step < 6; ++step) {
+    std::vector<db::Tuple> batch;
+    for (int64_t r = 0, k = rng.UniformInt(1, 3); r < k; ++r) {
+      batch.push_back(
+          Item(300 + step * 3 + r, rng.Bernoulli(0.5) ? "x" : "y",
+               db::Value::Double(static_cast<double>(rng.UniformInt(1, 25))),
+               db::Value::Double(static_cast<double>(rng.UniformInt(1, 60))),
+               static_cast<double>(rng.UniformInt(0, 100))));
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  int64_t sketch_refines = 0, splits = 0, pruned_then_solved = 0;
+  std::vector<bool> was_pruned(queries.size(), false);
+  for (size_t step = 0; step <= batches.size(); ++step) {
+    SCOPED_TRACE("after append " + std::to_string(step));
+    if (step > 0) {
+      const std::vector<db::Tuple>& batch = batches[step - 1];
+      ASSERT_TRUE(engine.AppendRows("items", batch).ok());
+      auto t = catalog.GetMutable("items");
+      ASSERT_TRUE(t.ok());
+      ASSERT_TRUE((*t)->AppendRows(batch).ok());
+    }
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(queries[q]);
+      const QueryResponse r = engine.ExecuteQuery(0, queries[q]);
+      ASSERT_FALSE(r.result_cache_hit);
+
+      // The fresh pass.
+      const paql::AnalyzedQuery aq = core::Analyzed(catalog, queries[q]);
+      auto candidates = db::FilterIndices(*aq.table, aq.query.where);
+      ASSERT_TRUE(candidates.ok());
+      auto bounds = core::DeriveCardinalityBounds(aq, *candidates);
+      ASSERT_TRUE(bounds.ok());
+      auto route = core::PlanQuery(aq, *bounds, candidates->size(), {}, true);
+      ASSERT_TRUE(route.ok());
+      EXPECT_EQ(r.num_candidates, candidates->size());
+      EXPECT_TRUE(r.strategy == route->strategy ||
+                  (route->fallback && r.strategy == *route->fallback))
+          << core::StrategyToString(r.strategy);
+      auto plan = engine.Explain(queries[q]);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(plan->chosen_strategy, route->strategy);
+      EXPECT_EQ(plan->fallback, route->fallback);
+      EXPECT_EQ(plan->candidates, candidates->size());
+      EXPECT_EQ(plan->bounds.ToString(), bounds->ToString());
+
+      // The mirror's refresh against a from-scratch one.
+      core::SketchRefineState& mirror = mirrors[q];
+      auto refreshed = core::RefreshCandidates(aq, &mirror);
+      ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+      core::SketchRefineState scratch;
+      ASSERT_TRUE(core::RefreshCandidates(aq, &scratch).ok());
+      EXPECT_EQ(mirror.candidates, *candidates);
+      EXPECT_EQ(mirror.weights, scratch.weights);
+      ASSERT_EQ(mirror.ranges.size(), scratch.ranges.size());
+      for (size_t c = 0; c < mirror.ranges.size(); ++c) {
+        EXPECT_EQ(mirror.ranges[c].min, scratch.ranges[c].min);
+        EXPECT_EQ(mirror.ranges[c].max, scratch.ranges[c].max);
+      }
+      EXPECT_EQ(refreshed->lo, bounds->lo);
+      EXPECT_EQ(refreshed->hi, bounds->hi);
+      EXPECT_EQ(refreshed->infeasible, bounds->infeasible);
+      EXPECT_EQ(refreshed->log2_unpruned, bounds->log2_unpruned);
+      EXPECT_EQ(refreshed->log2_pruned, bounds->log2_pruned);
+
+      if (route->strategy == core::Strategy::kPruning) {
+        EXPECT_EQ(r.strategy, core::Strategy::kPruning);
+        was_pruned[q] = true;
+        continue;
+      }
+      ASSERT_EQ(route->strategy, core::Strategy::kSketchRefine);
+      if (was_pruned[q]) ++pruned_then_solved;
+      // rows_scanned == 0 makes the copy filter and weigh the whole table
+      // again over the same partition: the full recompute.
+      core::SketchRefineState recompute = mirror;
+      recompute.rows_scanned = 0;
+      core::SketchRefineOptions sro;
+      sro.partition_size = kTau;
+      sro.state = &mirror;
+      auto delta = core::SketchRefine(aq, sro);
+      sro.state = &recompute;
+      auto full = core::SketchRefine(aq, sro);
+      ASSERT_TRUE(delta.ok() && full.ok());
+      EXPECT_EQ(delta->found, full->found);
+      EXPECT_EQ(delta->package, full->package);
+      EXPECT_EQ(delta->objective, full->objective);
+      EXPECT_EQ(delta->lp_iterations, full->lp_iterations);
+      EXPECT_EQ(mirror.candidates, recompute.candidates);
+      EXPECT_EQ(mirror.weights, recompute.weights);
+      splits += delta->groups_split;
+      if (!delta->found) {
+        EXPECT_EQ(r.strategy, core::Strategy::kIlpSolver);
+        continue;
+      }
+      ++sketch_refines;
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      EXPECT_EQ(r.strategy, core::Strategy::kSketchRefine);
+      EXPECT_EQ(r.package, delta->package)
+          << r.package.Fingerprint() << " vs " << delta->package.Fingerprint();
+      EXPECT_EQ(r.objective, delta->objective);
+      EXPECT_EQ(r.lp_iterations, delta->lp_iterations);
+    }
+  }
+  // The sequence reached what it is for.
+  EXPECT_GT(sketch_refines, 0);
+  EXPECT_GE(splits, 1) << "the duplicates never forced a split";
+  EXPECT_GE(pruned_then_solved, 1) << "no query went from pruned to solved";
 }
 
 }  // namespace

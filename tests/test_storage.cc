@@ -674,8 +674,8 @@ TEST(OutOfCoreEngineTest, EveryRouteScansTheWhereClauseOnce) {
 }
 
 TEST(OutOfCoreEngineTest, BorrowedCandidatesSkipTheScan) {
-  // TranslateToIlp and SketchRefine given the candidates save exactly one
-  // scan and build the same answer.
+  // TranslateToIlp given the candidates saves exactly one scan and builds
+  // the same model.
   const std::string paql =
       "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 "
       "SUCH THAT COUNT(*) = 4 AND SUM(quantity) <= 100 MAXIMIZE SUM(revenue)";
@@ -709,21 +709,91 @@ TEST(OutOfCoreEngineTest, BorrowedCandidatesSkipTheScan) {
   EXPECT_EQ(given->candidates, own->candidates);
   EXPECT_EQ(given->model.StructuralSignature(),
             own->model.StructuralSignature());
+}
 
-  Result<core::SketchRefineResult> sr_own = Status::Internal("not run");
-  Result<core::SketchRefineResult> sr_given = Status::Internal("not run");
+TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
+  // A stateful SketchRefine filters and weighs only the rows appended
+  // since its last call. A spilled table is append-frozen, so the grown
+  // table is spilled afresh: its first 300 rows are the old table's, and
+  // the 40 appended ones sit in blocks 9 and 10 (32 rows a block). Apart
+  // from validating its answer, the second call pins exactly what
+  // filtering and weighing those rows pins, and answers as a full
+  // recompute over the same partition does.
+  const std::string paql =
+      "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 "
+      "SUCH THAT COUNT(*) = 4 AND SUM(quantity) <= 100 MAXIMIZE SUM(revenue)";
+  storage::BlockCache cache(0);
+  db::Catalog catalog;
+  db::Table grown = datagen::GenerateLineitems(300, 9);
+  {
+    db::Table table = datagen::GenerateLineitems(300, 9);
+    ASSERT_TRUE(
+        table.SpillToDisk(TempPath("lineitem_state.seg"), 32, &cache).ok());
+    catalog.RegisterOrReplace(std::move(table));
+    const db::Table extra = datagen::GenerateLineitems(40, 11);
+    std::vector<db::Tuple> rows;
+    for (size_t i = 0; i < extra.num_rows(); ++i) rows.push_back(extra.row(i));
+    ASSERT_TRUE(grown.AppendRows(std::move(rows)).ok());
+  }
+  auto aq = paql::ParseAndAnalyze(paql, catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  core::SketchRefineState state;
   core::SketchRefineOptions sro;
   sro.partition_size = 16;
-  const uint64_t sr_own_pins =
-      PinsOf(cache, [&] { sr_own = core::SketchRefine(*aq, sro); });
-  sro.candidates = &*filtered;
-  const uint64_t sr_given_pins =
-      PinsOf(cache, [&] { sr_given = core::SketchRefine(*aq, sro); });
-  ASSERT_TRUE(sr_own.ok() && sr_given.ok());
-  EXPECT_EQ(sr_given_pins + scan, sr_own_pins);
-  EXPECT_EQ(sr_given->package.rows, sr_own->package.rows);
-  EXPECT_EQ(sr_given->package.multiplicity, sr_own->package.multiplicity);
-  EXPECT_EQ(sr_given->objective, sr_own->objective);
+  sro.state = &state;
+  Result<core::SketchRefineResult> first = Status::Internal("not run");
+  const uint64_t first_pins =
+      PinsOf(cache, [&] { first = core::SketchRefine(*aq, sro); });
+  ASSERT_TRUE(first.ok() && first->found) << first.status().ToString();
+  ASSERT_EQ(state.rows_scanned, 300u);
+
+  ASSERT_TRUE(
+      grown.SpillToDisk(TempPath("lineitem_state_grown.seg"), 32, &cache).ok());
+  catalog.RegisterOrReplace(std::move(grown));
+  aq = paql::ParseAndAnalyze(paql, catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  // rows_scanned == 0 makes the copy filter and weigh the whole table
+  // again over the same partition: the full recompute.
+  core::SketchRefineState recompute = state;
+  recompute.rows_scanned = 0;
+
+  Result<core::SketchRefineResult> second = Status::Internal("not run");
+  const uint64_t second_pins =
+      PinsOf(cache, [&] { second = core::SketchRefine(*aq, sro); });
+  ASSERT_TRUE(second.ok() && second->found) << second.status().ToString();
+  ASSERT_EQ(second->repair_passes, 0) << "one validation is subtracted below";
+  EXPECT_TRUE(second->state_reused);
+  EXPECT_EQ(state.rows_scanned, 340u);
+
+  // What the appended rows alone cost to filter and weigh, and what
+  // validating the answer costs.
+  std::vector<size_t> appended;
+  const uint64_t delta_pins = PinsOf(cache, [&] {
+    auto rows = db::FilterIndices(*aq->table, aq->query.where, 300);
+    ASSERT_TRUE(rows.ok());
+    appended = *rows;
+    for (const paql::AggCall& agg : aq->aggs) {
+      ASSERT_TRUE(core::ComputeAggWeights(agg, *aq->table, appended).ok());
+    }
+  });
+  ASSERT_FALSE(appended.empty());
+  const uint64_t validation_pins = PinsOf(cache, [&] {
+    ASSERT_TRUE(core::IsValidPackage(*aq, second->package).ok());
+    ASSERT_TRUE(core::PackageObjective(*aq, second->package).ok());
+  });
+  EXPECT_EQ(second_pins, delta_pins + validation_pins);
+  EXPECT_LT(second_pins, first_pins);
+
+  core::SketchRefineOptions full = sro;
+  full.state = &recompute;
+  auto recomputed = core::SketchRefine(*aq, full);
+  ASSERT_TRUE(recomputed.ok() && recomputed->found)
+      << recomputed.status().ToString();
+  EXPECT_EQ(second->package, recomputed->package);
+  EXPECT_EQ(second->objective, recomputed->objective);
+  EXPECT_EQ(second->lp_iterations, recomputed->lp_iterations);
+  EXPECT_EQ(state.candidates, recompute.candidates);
+  EXPECT_EQ(state.weights, recompute.weights);
 }
 
 }  // namespace
