@@ -93,12 +93,10 @@
 /// Function returns a reference to the given capability.
 #define PB_RETURN_CAPABILITY(x) PB_THREAD_ANNOTATION_(lock_returned(x))
 
-/// Escape hatch. Every use MUST carry a comment explaining the invariant
-/// the analysis cannot see (e.g. acquire/release publication of an
-/// immutable cache). docs/adr/0003-concurrency-invariants.md lists the
-/// sanctioned patterns.
-#define PB_NO_THREAD_SAFETY_ANALYSIS \
-  PB_THREAD_ANNOTATION_(no_thread_safety_analysis)
+// There is deliberately no escape from the analysis (no
+// no_thread_safety_analysis wrapper): state the analysis cannot check is
+// redesigned, not exempted. tools/check_annotations.py rejects the
+// attribute in src/ and tools/.
 
 namespace pb {
 

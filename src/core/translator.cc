@@ -97,8 +97,8 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
 
   // Linear global-constraint rows. The translator emits rows (one
   // span-gather over the candidate weights per constraint) and never
-  // touches column storage: the simplex derives its CSC view lazily from
-  // these rows via model.csc(), so both layouts come from one build pass.
+  // touches column storage: each LP workspace derives its own column view
+  // from these rows (solver::ColumnsOf) when a solve begins.
   for (const paql::LinearConstraint& lc : aq.linear_constraints) {
     std::vector<solver::LinearTerm> terms;
     terms.reserve(n);

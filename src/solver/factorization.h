@@ -106,14 +106,15 @@ class BasisFactorization {
     }
   }
 
-  const CscMatrix& a_;  ///< structural columns (model.csc()); not owned
+  const CscMatrix& a_;  ///< structural columns (ColumnsOf); not owned
   int n_;               ///< structural column count
   int m_;               ///< row count == basis size
   double pivot_tol_;
   FactorizationStats stats_;
 };
 
-/// Factory. `a` must outlive the returned object and is the model's csc().
+/// Factory. `a` is the model's ColumnsOf view (an LpSolver lends its own)
+/// and must outlive the returned object.
 std::unique_ptr<BasisFactorization> MakeFactorization(FactorizationKind kind,
                                                       const CscMatrix& a,
                                                       int num_structural,

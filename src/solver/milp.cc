@@ -40,6 +40,21 @@ namespace {
 
 using Bounds = std::vector<std::pair<double, double>>;
 
+/// The range a row's activity a_i'x can take over a variable box: [min,
+/// max] with +-kInfinity when an unbounded variable contributes.
+struct RowActivityBounds {
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// The [min, max] contribution of one term coeff * x over x in [lb, ub]
+/// (coeff must be nonzero; infinite bounds give infinite endpoints).
+RowActivityBounds TermActivityRange(double coeff, double lb, double ub) {
+  double a = coeff * lb;
+  double b = coeff * ub;
+  return a <= b ? RowActivityBounds{a, b} : RowActivityBounds{b, a};
+}
+
 struct Node {
   Bounds bounds;
   double bound;      // parent LP objective (optimistic bound for this node)
@@ -61,9 +76,10 @@ struct NodeOrder {
   }
 };
 
-/// Recomputes one row's activity range from scratch under the bounds
-/// `bounds_of(v)` gives each variable (the fallback when infinite
-/// contributions make the incremental form ill-defined).
+/// Computes one row's activity range from scratch under the bounds
+/// `bounds_of(v)` gives each variable: once per row at the root, and
+/// below it as the fallback when infinite contributions make the
+/// incremental form ill-defined.
 template <typename BoundsOf>
 RowActivityBounds RowActivityUnder(const LpModel& model, int row,
                                    const BoundsOf& bounds_of) {
@@ -114,16 +130,17 @@ struct PresolveScratch {
 /// way fixes every remaining binary to 0 at once. Returns false when a
 /// row's activity range can no longer meet its bounds: the node is
 /// infeasible and needs no LP at all. `tightened` counts bound changes
-/// beyond the queued ones. `row_move[r]` is row r's largest single-term
-/// move over the root bounds (see SolveMilp). `scratch` is borrowed and
-/// left with every flag zero and both queues empty.
-bool PropagateBoundChanges(const LpModel& model,
+/// beyond the queued ones. `cols` is the model by columns (the LP
+/// workspace's view): a popped variable's rows are queued in its column's
+/// ascending row order. `row_move[r]` is row r's largest single-term move
+/// over the root bounds (see SolveMilp). `scratch` is borrowed and left
+/// with every flag zero and both queues empty.
+bool PropagateBoundChanges(const LpModel& model, const CscMatrix& cols,
                            const std::vector<double>& row_move,
                            double int_tol, Bounds* bounds,
                            std::vector<RowActivityBounds>* acts,
                            int64_t* tightened, PresolveScratch* scratch) {
   constexpr double kFeasEps = 1e-7;
-  const auto& vrows = model.variable_rows();
   const int m = model.num_constraints();
   std::vector<int>& var_queue = scratch->var_queue;
   std::vector<int>& row_queue = scratch->row_queue;
@@ -163,10 +180,11 @@ bool PropagateBoundChanges(const LpModel& model,
       auto [olb, oub] = scratch->saved[v];
       var_queued[v] = 0;  // from here on `acts` reflects v's bounds
       auto [nlb, nub] = (*bounds)[v];
-      for (const RowTerm& rt : vrows[v]) {
-        RowActivityBounds& ra = (*acts)[rt.row];
-        RowActivityBounds was = TermActivityRange(rt.coeff, olb, oub);
-        RowActivityBounds now = TermActivityRange(rt.coeff, nlb, nub);
+      for (int64_t k = cols.col_start[v]; k < cols.col_start[v + 1]; ++k) {
+        const int row = cols.row[k];
+        RowActivityBounds& ra = (*acts)[row];
+        RowActivityBounds was = TermActivityRange(cols.value[k], olb, oub);
+        RowActivityBounds now = TermActivityRange(cols.value[k], nlb, nub);
         if (std::isfinite(was.min) && std::isfinite(was.max) &&
             std::isfinite(ra.min) && std::isfinite(ra.max)) {
           ra.min += now.min - was.min;
@@ -174,11 +192,11 @@ bool PropagateBoundChanges(const LpModel& model,
         } else {
           // `reflected` is exactly what this row's range must mirror
           // mid-propagation (v's entry was just advanced).
-          ra = RowActivityUnder(model, rt.row, reflected);
+          ra = RowActivityUnder(model, row, reflected);
         }
-        if (!row_queued[rt.row]) {
-          row_queued[rt.row] = 1;
-          row_queue.push_back(rt.row);
+        if (!row_queued[row]) {
+          row_queued[row] = 1;
+          row_queue.push_back(row);
         }
       }
       continue;
@@ -264,10 +282,10 @@ bool PropagateBoundChanges(const LpModel& model,
 /// PropagateBoundChanges, so the row activity ranges `acts` stay in step
 /// and implied fixings follow; false means propagation proved the node
 /// empty. Counts into `tallies`.
-bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
-                           double incumbent_obj, double int_tol,
-                           const std::vector<double>& row_move, Bounds* bounds,
-                           std::vector<RowActivityBounds>* acts,
+bool TightenByReducedCosts(const LpModel& model, const CscMatrix& cols,
+                           const LpSolution& lp, double incumbent_obj,
+                           double int_tol, const std::vector<double>& row_move,
+                           Bounds* bounds, std::vector<RowActivityBounds>* acts,
                            MilpResult* tallies, PresolveScratch* scratch) {
   const int n = model.num_variables();
   const int m = model.num_constraints();
@@ -323,7 +341,7 @@ bool TightenByReducedCosts(const LpModel& model, const LpSolution& lp,
     ++tallies->reduced_cost_tightenings;
   }
   if (tallies->reduced_cost_tightenings == before) return true;
-  return PropagateBoundChanges(model, row_move, int_tol, bounds, acts,
+  return PropagateBoundChanges(model, cols, row_move, int_tol, bounds, acts,
                                &tallies->presolve_fixed_bounds, scratch);
 }
 
@@ -437,8 +455,10 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
 
   const int64_t base_lp_limit = EffectiveIterationLimit(model, options.lp);
   // The solve's one LP workspace: every node LP and every dive LP runs
-  // through it (the model was validated above).
+  // through it (the model was validated above). Node presolve walks its
+  // column view.
   LpSolver lp_solver(model, options.lp);
+  const CscMatrix& cols = lp_solver.columns();
 
   // Cross-solve warm-start state: usable only while the model's structure
   // matches what the state was learned on; reset otherwise.
@@ -467,21 +487,11 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     root_bounds[j] = {lo, hi};
   }
 
-  // Root activity ranges for node presolve: the model-level cache when the
-  // integer tightening above changed nothing (the common case — package
-  // binaries already have integral bounds), a fresh per-row pass otherwise.
-  std::vector<RowActivityBounds> root_acts = model.row_activity_bounds();
-  bool bounds_match_model = true;
-  for (int j = 0; j < n && bounds_match_model; ++j) {
-    const Variable& v = model.variable(j);
-    bounds_match_model =
-        root_bounds[j].first == v.lb && root_bounds[j].second == v.ub;
-  }
-  if (!bounds_match_model) {
-    for (int i = 0; i < model.num_constraints(); ++i) {
-      root_acts[i] = RowActivityUnder(
-          model, i, [&](int v) -> const auto& { return root_bounds[v]; });
-    }
+  // Root activity ranges for node presolve, under the root bounds.
+  std::vector<RowActivityBounds> root_acts(model.num_constraints());
+  for (int i = 0; i < model.num_constraints(); ++i) {
+    root_acts[i] = RowActivityUnder(
+        model, i, [&](int v) -> const auto& { return root_bounds[v]; });
   }
   // Each row's largest single-term move, max |a_ij| * (ub_j - lb_j) over
   // its integer columns at the root. Bounds only narrow down the tree, so
@@ -671,7 +681,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // improved the incumbent) and before the children copy the node's
     // bounds, so both inherit it.
     if (have_incumbent &&
-        !TightenByReducedCosts(model, lp, incumbent_obj, options.int_tol,
+        !TightenByReducedCosts(model, cols, lp, incumbent_obj, options.int_tol,
                                row_move, &node.bounds, &node.acts, &result,
                                &presolve_scratch)) {
       continue;  // propagation proved the node empty
@@ -704,7 +714,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         down.bounds[branch_var].first <= down.bounds[branch_var].second;
     if (push_down) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
-      if (!PropagateBoundChanges(model, row_move, options.int_tol,
+      if (!PropagateBoundChanges(model, cols, row_move, options.int_tol,
                                  &down.bounds, &down.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {
@@ -725,7 +735,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     bool push_up = up.bounds[branch_var].first <= up.bounds[branch_var].second;
     if (push_up) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
-      if (!PropagateBoundChanges(model, row_move, options.int_tol,
+      if (!PropagateBoundChanges(model, cols, row_move, options.int_tol,
                                  &up.bounds, &up.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {

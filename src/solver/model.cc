@@ -8,50 +8,10 @@
 
 namespace pb::solver {
 
-// Copies and moves transfer only the authoritative data; caches rebuild
-// lazily in the destination (see the header comment). `other`'s caches are
-// deliberately not read: another thread may be filling them right now.
-LpModel::LpModel(const LpModel& other)
-    : variables_(other.variables_),
-      constraints_(other.constraints_),
-      sense_(other.sense_) {}
-
-LpModel& LpModel::operator=(const LpModel& other) {
-  if (this == &other) return *this;
-  variables_ = other.variables_;
-  constraints_ = other.constraints_;
-  sense_ = other.sense_;
-  structural_caches_valid_.store(false, std::memory_order_relaxed);
-  csc_valid_.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
-LpModel::LpModel(LpModel&& other) noexcept
-    : variables_(std::move(other.variables_)),
-      constraints_(std::move(other.constraints_)),
-      sense_(other.sense_) {
-  other.structural_caches_valid_.store(false, std::memory_order_relaxed);
-  other.csc_valid_.store(false, std::memory_order_relaxed);
-}
-
-LpModel& LpModel::operator=(LpModel&& other) noexcept {
-  if (this == &other) return *this;
-  variables_ = std::move(other.variables_);
-  constraints_ = std::move(other.constraints_);
-  sense_ = other.sense_;
-  structural_caches_valid_.store(false, std::memory_order_relaxed);
-  csc_valid_.store(false, std::memory_order_relaxed);
-  other.structural_caches_valid_.store(false, std::memory_order_relaxed);
-  other.csc_valid_.store(false, std::memory_order_relaxed);
-  return *this;
-}
-
 int LpModel::AddVariable(std::string name, double lb, double ub,
                          double objective, bool is_integer) {
   if (name.empty()) name = "x" + std::to_string(variables_.size());
   variables_.push_back({std::move(name), lb, ub, objective, is_integer});
-  structural_caches_valid_.store(false, std::memory_order_relaxed);
-  csc_valid_.store(false, std::memory_order_relaxed);
   return static_cast<int>(variables_.size()) - 1;
 }
 
@@ -67,116 +27,41 @@ int LpModel::AddConstraint(std::string name, std::vector<LinearTerm> terms,
     if (coeff != 0.0) clean.push_back({var, coeff});
   }
   constraints_.push_back({std::move(name), std::move(clean), lo, hi});
-  structural_caches_valid_.store(false, std::memory_order_relaxed);
-  csc_valid_.store(false, std::memory_order_relaxed);
   return static_cast<int>(constraints_.size()) - 1;
 }
 
-namespace {
-
-/// Fills both structural caches in one pass over the rows.
-void BuildStructuralCaches(const std::vector<Variable>& variables,
-                           const std::vector<Constraint>& constraints,
-                           std::vector<RowActivityBounds>* acts,
-                           std::vector<std::vector<RowTerm>>* vrows) {
-  acts->assign(constraints.size(), RowActivityBounds{});
-  vrows->assign(variables.size(), {});
-  for (size_t i = 0; i < constraints.size(); ++i) {
-    double lo = 0.0, hi = 0.0;
-    for (const LinearTerm& t : constraints[i].terms) {
-      const Variable& v = variables[t.var];
-      RowActivityBounds r = TermActivityRange(t.coeff, v.lb, v.ub);
-      lo += r.min;
-      hi += r.max;
-      (*vrows)[t.var].push_back({static_cast<int>(i), t.coeff});
-    }
-    (*acts)[i] = {lo, hi};
+CscMatrix ColumnsOf(const LpModel& model) {
+  // Two row-major passes: count entries per column, then fill. Scanning
+  // rows in order 0..m-1 leaves every column's row indices ascending,
+  // which the sparse LU's symbolic phase relies on.
+  CscMatrix a;
+  const int n = model.num_variables();
+  a.col_start.assign(n + 1, 0);
+  for (const Constraint& c : model.constraints()) {
+    for (const LinearTerm& t : c.terms) ++a.col_start[t.var + 1];
   }
-}
-
-}  // namespace
-
-// Double-checked fill: the relaxed fast path pairs with the release store
-// under cache_mu_, so a reader that sees `true` also sees the filled
-// arrays; readers that lose the race park on the mutex until the fill is
-// published. After publication the data is immutable until a builder call
-// (which requires exclusive access anyway).
-// NO_THREAD_SAFETY_ANALYSIS (here and in the two accessors below): the
-// sanctioned double-checked-locking escape. The unlocked fast-path read of
-// the cache array is safe because the acquire load of the valid flag pairs
-// with the release store performed under cache_mu_ at fill time, and the
-// data is immutable once published (builder calls require exclusive access
-// and reset the flag). See docs/adr/0003-concurrency-invariants.md.
-const std::vector<RowActivityBounds>& LpModel::row_activity_bounds() const
-    PB_NO_THREAD_SAFETY_ANALYSIS {
-  if (!structural_caches_valid_.load(std::memory_order_acquire)) {
-    MutexLock lock(&cache_mu_);
-    if (!structural_caches_valid_.load(std::memory_order_relaxed)) {
-      BuildStructuralCaches(variables_, constraints_, &row_activity_cache_,
-                            &variable_rows_cache_);
-      structural_caches_valid_.store(true, std::memory_order_release);
+  for (int j = 0; j < n; ++j) a.col_start[j + 1] += a.col_start[j];
+  a.row.assign(static_cast<size_t>(a.col_start[n]), 0);
+  a.value.assign(static_cast<size_t>(a.col_start[n]), 0.0);
+  std::vector<int64_t> next(a.col_start.begin(), a.col_start.end() - 1);
+  for (int i = 0; i < model.num_constraints(); ++i) {
+    for (const LinearTerm& t : model.constraint(i).terms) {
+      int64_t k = next[t.var]++;
+      a.row[k] = static_cast<int32_t>(i);
+      a.value[k] = t.coeff;
     }
   }
-  return row_activity_cache_;
-}
-
-const std::vector<std::vector<RowTerm>>& LpModel::variable_rows() const
-    PB_NO_THREAD_SAFETY_ANALYSIS {
-  if (!structural_caches_valid_.load(std::memory_order_acquire)) {
-    MutexLock lock(&cache_mu_);
-    if (!structural_caches_valid_.load(std::memory_order_relaxed)) {
-      BuildStructuralCaches(variables_, constraints_, &row_activity_cache_,
-                            &variable_rows_cache_);
-      structural_caches_valid_.store(true, std::memory_order_release);
-    }
-  }
-  return variable_rows_cache_;
-}
-
-const CscMatrix& LpModel::csc() const PB_NO_THREAD_SAFETY_ANALYSIS {
-  if (!csc_valid_.load(std::memory_order_acquire)) {
-    MutexLock lock(&cache_mu_);
-    if (csc_valid_.load(std::memory_order_relaxed)) return csc_cache_;
-    // Two row-major passes: count entries per column, then fill. Scanning
-    // rows in order 0..m-1 leaves every column's row indices ascending,
-    // which the sparse LU's symbolic phase relies on.
-    CscMatrix& a = csc_cache_;
-    const int n = num_variables();
-    a.col_start.assign(n + 1, 0);
-    for (const Constraint& c : constraints_) {
-      for (const LinearTerm& t : c.terms) ++a.col_start[t.var + 1];
-    }
-    for (int j = 0; j < n; ++j) a.col_start[j + 1] += a.col_start[j];
-    a.row.assign(static_cast<size_t>(a.col_start[n]), 0);
-    a.value.assign(static_cast<size_t>(a.col_start[n]), 0.0);
-    std::vector<int64_t> next(a.col_start.begin(), a.col_start.end() - 1);
-    for (size_t i = 0; i < constraints_.size(); ++i) {
-      for (const LinearTerm& t : constraints_[i].terms) {
-        int64_t k = next[t.var]++;
-        a.row[k] = static_cast<int32_t>(i);
-        a.value[k] = t.coeff;
-      }
-    }
-    csc_valid_.store(true, std::memory_order_release);
-  }
-  return csc_cache_;
-}
-
-bool LpModel::has_integer_variables() const {
-  for (const Variable& v : variables_) {
-    if (v.is_integer) return true;
-  }
-  return false;
+  return a;
 }
 
 Status LpModel::Validate() const {
-  if (variables_.empty()) {
-    return Status::InvalidArgument("model has no variables");
-  }
-  for (size_t j = 0; j < variables_.size(); ++j) {
-    const Variable& v = variables_[j];
+  for (const Variable& v : variables_) {
     if (std::isnan(v.lb) || std::isnan(v.ub)) {
       return Status::InvalidArgument("variable '" + v.name + "' has NaN bound");
+    }
+    if (!std::isfinite(v.objective)) {
+      return Status::InvalidArgument(
+          "variable '" + v.name + "' has a non-finite objective coefficient");
     }
     if (v.lb > v.ub) {
       return Status::Infeasible("variable '" + v.name + "' has lb > ub");

@@ -41,7 +41,7 @@ class LpSolver::Simplex {
   Simplex(const LpModel& model, const SimplexOptions& options)
       : opts_(options),
         model_(model),
-        a_(model.csc()),
+        a_(ColumnsOf(model)),
         m_(model.num_constraints()),
         n_(model.num_variables()),
         total_(n_ + m_) {
@@ -76,6 +76,7 @@ class LpSolver::Simplex {
   }
 
   int num_variables() const { return n_; }
+  const CscMatrix& columns() const { return a_; }
 
   /// One solve under `bounds` (null: the model's own). Resets every piece
   /// of state a solve reads before writing, then runs the solve loops.
@@ -954,7 +955,7 @@ class LpSolver::Simplex {
 
   SimplexOptions opts_;
   const LpModel& model_;
-  const CscMatrix& a_;  ///< model_.csc(), fetched once
+  CscMatrix a_;  ///< ColumnsOf(model_), lent to fact_
   int m_, n_, total_;
   double sign_ = 1.0;
   int64_t max_iter_ = 0;
@@ -1007,6 +1008,8 @@ LpSolver::LpSolver(const LpModel& model, const SimplexOptions& options)
     : simplex_(std::make_unique<Simplex>(model, options)) {}
 
 LpSolver::~LpSolver() = default;
+
+const CscMatrix& LpSolver::columns() const { return simplex_->columns(); }
 
 Result<LpSolution> LpSolver::Solve(
     const std::vector<std::pair<double, double>>* bounds,

@@ -153,10 +153,10 @@ int64_t EffectiveIterationLimit(const LpModel& model,
                                 const SimplexOptions& options);
 
 /// A reusable LP workspace: everything a simplex solve of one model
-/// allocates (bound, cost and reduced-cost arrays, the pivot-row scatter,
-/// the factorization, the pricing weights), built once and reset by every
-/// Solve. A branch-and-bound solve owns one and runs all of its node LPs
-/// through it.
+/// allocates (the model's column view, bound, cost and reduced-cost
+/// arrays, the pivot-row scatter, the factorization, the pricing weights),
+/// built once and reset by every Solve. A branch-and-bound solve owns one
+/// and runs all of its node LPs through it.
 ///
 /// Contract: `model` must already pass LpModel::Validate() (the workspace
 /// does not check), must outlive the workspace, and must not change while
@@ -181,6 +181,10 @@ class LpSolver {
   [[nodiscard]] Result<LpSolution> Solve(
       const std::vector<std::pair<double, double>>* bounds,
       const LpBasis* warm_start, int64_t max_iterations);
+
+  /// The model's constraint matrix by columns (ColumnsOf), built when the
+  /// workspace was.
+  const CscMatrix& columns() const;
 
  private:
   class Simplex;

@@ -7,11 +7,13 @@
 //
 // The concurrency suites honor PB_TEST_THREADS (the TSan CI lane runs them
 // with several client threads to shake out data races in the shared
-// caches and the lazily built LpModel state).
+// caches).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -327,6 +329,60 @@ TEST(EngineTest, FacadeWrappersCoverTheShellSurface) {
   EXPECT_EQ(*table, "recipes");
   auto objective = engine->EvaluateObjective(kOptQuery, (*packages)[0]);
   EXPECT_TRUE(objective.ok());
+}
+
+// A WHERE clause that keeps no row leaves the ILP an empty candidate set.
+// The empty package meets COUNT(*) <= 3, so it is the proven optimum; a
+// lower bound the empty package misses makes the query infeasible.
+TEST(EngineTest, EmptyCandidateSetAnswersTheEmptyPackage) {
+  auto engine = MakeRecipesEngine(40);
+  QueryResponse r = engine->ExecuteQuery(
+      0,
+      "SELECT PACKAGE(R) FROM recipes R WHERE R.calories < 0 "
+      "SUCH THAT COUNT(*) <= 3 MAXIMIZE SUM(protein)");
+  ASSERT_TRUE(r.ok()) << r.status.ToString();
+  EXPECT_EQ(r.strategy, core::Strategy::kIlpSolver);
+  EXPECT_EQ(r.num_candidates, 0u);
+  EXPECT_EQ(r.package.TotalCount(), 0);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.objective, 0.0);
+
+  QueryResponse none = engine->ExecuteQuery(
+      0,
+      "SELECT PACKAGE(R) FROM recipes R WHERE R.calories < 0 "
+      "SUCH THAT COUNT(*) >= 1 MAXIMIZE SUM(protein)");
+  EXPECT_EQ(none.status.code(), StatusCode::kInfeasible)
+      << none.status.ToString();
+}
+
+// A CSV cell "nan" or "inf" parses as a DOUBLE. In the objective column it
+// is malformed input, reported with the variable it weighs, not an optimum.
+TEST(EngineTest, NonFiniteObjectiveWeightFromCsvIsInvalidArgument) {
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const std::string path =
+        ::testing::TempDir() + "/pb_engine_nonfinite_objective.csv";
+    {
+      std::ofstream out(path);
+      out << "name,calories,protein\n"
+          << "a,500,10\n"
+          << "b,600," << bad << "\n"
+          << "c,700,30\n";
+    }
+    Engine engine;
+    auto loaded = engine.LoadCsv(path, "foods");
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    QueryResponse r = engine.ExecuteQuery(
+        0,
+        "SELECT PACKAGE(F) FROM foods F SUCH THAT COUNT(*) = 2 "
+        "MAXIMIZE SUM(protein)");
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+        << bad << ": " << r.status.ToString();
+    EXPECT_NE(r.status.message().find("non-finite objective"),
+              std::string::npos)
+        << r.status.ToString();
+    EXPECT_FALSE(r.proven_optimal) << bad;
+  }
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -40,7 +41,7 @@ LpModel DenseRandomModel(int n, int m, uint64_t seed) {
 }
 
 /// Column `j` of the basis matrix, assembled from the row storage (not the
-/// CSC cache) so the factorization backends are checked against an
+/// column view) so the factorization backends are checked against an
 /// independent reading of the model. Slack j >= n is -e_{j-n}.
 std::vector<double> BasisColumn(const LpModel& model, int j) {
   int m = model.num_constraints();
@@ -70,9 +71,11 @@ std::vector<double> MultiplyBasis(const LpModel& model,
   return out;
 }
 
+/// A factorization of `model` that borrows `a`, the model's ColumnsOf.
 std::unique_ptr<BasisFactorization> Make(FactorizationKind kind,
+                                         const CscMatrix& a,
                                          const LpModel& model) {
-  return MakeFactorization(kind, model.csc(), model.num_variables(),
+  return MakeFactorization(kind, a, model.num_variables(),
                            model.num_constraints(), 1e-9);
 }
 
@@ -85,7 +88,7 @@ TEST(CscMatrixTest, MatchesRowStorage) {
   model.AddConstraint("r1", {{1, 3.0}}, 0, 1);
   model.AddConstraint("r2", {{0, 5.0}, {1, 4.0}, {2, 7.0}}, 0, 1);
 
-  const CscMatrix& a = model.csc();
+  const CscMatrix a = ColumnsOf(model);
   ASSERT_EQ(a.num_cols(), 3);
   EXPECT_EQ(a.nnz(), 6);
   // Column 0: rows 0 and 2, ascending.
@@ -109,26 +112,73 @@ TEST(CscMatrixTest, MatchesRowStorage) {
   EXPECT_EQ(a.value[5], 7.0);
 }
 
-TEST(CscMatrixTest, CacheInvalidatedByBuilderCalls) {
-  LpModel model;
-  model.AddVariable("a", 0, 1, 1, false);
-  model.AddConstraint("r0", {{0, 1.0}}, 0, 1);
-  EXPECT_EQ(model.csc().nnz(), 1);
-  model.AddVariable("b", 0, 1, 1, false);
-  model.AddConstraint("r1", {{0, 1.0}, {1, 2.0}}, 0, 1);
-  const CscMatrix& a = model.csc();
-  EXPECT_EQ(a.num_cols(), 2);
-  EXPECT_EQ(a.nnz(), 3);
+// Over seeded sparse models, each column of ColumnsOf lists exactly the
+// (row, coeff) entries the rows hold for its variable, in ascending row
+// order. Node presolve queues a tightened column's rows in this order, so
+// the branch-and-bound search depends on it. The models include empty
+// rows, variables in no row and models with no variables at all.
+TEST(CscMatrixTest, ColumnsOfListsEveryEntryInAscendingRowOrder) {
+  Rng rng(2024);
+  int empty_rows = 0, unused_vars = 0, no_var_models = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng.UniformInt(0, 12));
+    const int m = static_cast<int>(rng.UniformInt(0, 10));
+    LpModel model;
+    for (int j = 0; j < n; ++j) model.AddVariable("", 0, 1, 0, true);
+    for (int i = 0; i < m; ++i) {
+      const double density = rng.UniformReal(0.0, 0.6);
+      std::vector<LinearTerm> terms;
+      for (int j = 0; j < n; ++j) {
+        if (rng.Bernoulli(density)) {
+          terms.push_back({j, rng.UniformReal(-3.0, 3.0)});
+        }
+      }
+      rng.Shuffle(&terms);
+      model.AddConstraint("", std::move(terms), -kInfinity, 1.0);
+    }
+
+    // The expected columns, read off the row storage row by row, so each
+    // lists its rows in ascending order.
+    std::vector<std::vector<std::pair<int32_t, double>>> expected(n);
+    for (int i = 0; i < m; ++i) {
+      empty_rows += model.constraint(i).terms.empty();
+      for (const LinearTerm& t : model.constraint(i).terms) {
+        expected[t.var].push_back({i, t.coeff});
+      }
+    }
+    no_var_models += n == 0;
+
+    const CscMatrix a = ColumnsOf(model);
+    ASSERT_EQ(a.num_cols(), n);
+    ASSERT_EQ(a.col_start[0], 0);
+    ASSERT_EQ(a.value.size(), a.row.size());
+    int64_t nnz = 0;
+    for (int j = 0; j < n; ++j) {
+      std::vector<std::pair<int32_t, double>> got;
+      for (int64_t k = a.col_start[j]; k < a.col_start[j + 1]; ++k) {
+        got.push_back({a.row[k], a.value[k]});
+      }
+      EXPECT_EQ(got, expected[j]) << "trial " << trial << " column " << j;
+      unused_vars += expected[j].empty();
+      nnz += static_cast<int64_t>(expected[j].size());
+    }
+    EXPECT_EQ(a.nnz(), nnz);
+  }
+  // The seeded sample does reach every edge case named above.
+  EXPECT_GT(empty_rows, 0);
+  EXPECT_GT(unused_vars, 0);
+  EXPECT_GT(no_var_models, 0);
 }
 
 TEST(FactorizationTest, SolvesAgreeAcrossBackendsAndSatisfyResiduals) {
   const int n = 12, m = 6;
   LpModel model = DenseRandomModel(n, m, 99);
+  const CscMatrix a = ColumnsOf(model);
   // Mixed structural/slack basis, deliberately out of row order.
   std::vector<int> basis = {3, n + 1, 0, n + 4, 7, 5};
 
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
+  auto dense = Make(FactorizationKind::kDense, a, model);
+  auto sparse = Make(FactorizationKind::kSparseLu, a, model);
   ASSERT_TRUE(dense->Refactorize(basis));
   ASSERT_TRUE(sparse->Refactorize(basis));
 
@@ -178,13 +228,14 @@ TEST(FactorizationTest, SolvesAgreeAcrossBackendsAndSatisfyResiduals) {
 TEST(FactorizationTest, ColumnReplaceUpdatesTrackAFreshFactorization) {
   const int n = 12, m = 6;
   LpModel model = DenseRandomModel(n, m, 1234);
+  const CscMatrix a = ColumnsOf(model);
   // Start from the all-slack basis and pivot structural columns in one at
   // a time, exactly the way the simplex drives Update().
   std::vector<int> basis(m);
   for (int i = 0; i < m; ++i) basis[i] = n + i;
 
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
+  auto dense = Make(FactorizationKind::kDense, a, model);
+  auto sparse = Make(FactorizationKind::kSparseLu, a, model);
   ASSERT_TRUE(dense->Refactorize(basis));
   ASSERT_TRUE(sparse->Refactorize(basis));
 
@@ -206,7 +257,7 @@ TEST(FactorizationTest, ColumnReplaceUpdatesTrackAFreshFactorization) {
 
   // A third instance factored directly from the final basis is the ground
   // truth the eta-updated representations must still match.
-  auto fresh = Make(FactorizationKind::kSparseLu, model);
+  auto fresh = Make(FactorizationKind::kSparseLu, a, model);
   ASSERT_TRUE(fresh->Refactorize(basis));
   Rng rng(5);
   std::vector<double> b(m);
@@ -234,11 +285,12 @@ TEST(FactorizationTest, ColumnReplaceUpdatesTrackAFreshFactorization) {
 TEST(FactorizationTest, SingularBasisRejectedByBothBackends) {
   const int n = 8, m = 4;
   LpModel model = DenseRandomModel(n, m, 77);
+  const CscMatrix a = ColumnsOf(model);
   // The same structural column basic in two rows: rank-deficient by
   // construction, whatever its values.
   std::vector<int> singular = {2, 2, n + 0, n + 1};
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
+  auto dense = Make(FactorizationKind::kDense, a, model);
+  auto sparse = Make(FactorizationKind::kSparseLu, a, model);
   EXPECT_FALSE(dense->Refactorize(singular));
   EXPECT_FALSE(sparse->Refactorize(singular));
   // A failed factorization must not poison a later good one.
@@ -258,8 +310,9 @@ TEST(FactorizationTest, SingularBasisRejectedByBothBackends) {
 
 TEST(FactorizationTest, NamesAndFactoryRoundTrip) {
   LpModel model = DenseRandomModel(4, 2, 1);
-  auto dense = Make(FactorizationKind::kDense, model);
-  auto sparse = Make(FactorizationKind::kSparseLu, model);
+  const CscMatrix a = ColumnsOf(model);
+  auto dense = Make(FactorizationKind::kDense, a, model);
+  auto sparse = Make(FactorizationKind::kSparseLu, a, model);
   EXPECT_STREQ(dense->name(), FactorizationKindToString(FactorizationKind::kDense));
   EXPECT_STREQ(sparse->name(),
                FactorizationKindToString(FactorizationKind::kSparseLu));

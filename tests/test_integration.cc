@@ -102,6 +102,21 @@ TEST_F(IntegrationTest, AllThreeIntroScenariosSolve) {
   EXPECT_GT(portfolio->objective, 0.0);
 }
 
+// A WHERE clause that keeps no row still has an answer when the empty
+// package meets the constraints: the solver proves it optimal.
+TEST_F(IntegrationTest, EmptyCandidateSetAnswersTheEmptyPackage) {
+  core::QueryEvaluator ev(&catalog_);
+  auto r = ev.Evaluate(
+      "SELECT PACKAGE(R) FROM recipes R WHERE R.calories < 0 "
+      "SUCH THAT COUNT(*) <= 3 MAXIMIZE SUM(R.protein)");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->strategy_used, core::Strategy::kIlpSolver);
+  EXPECT_EQ(r->num_candidates, 0u);
+  EXPECT_EQ(r->package.TotalCount(), 0);
+  EXPECT_TRUE(r->proven_optimal);
+  EXPECT_EQ(r->objective, 0.0);
+}
+
 // ----- Feature matrix --------------------------------------------------------
 
 struct FeatureCase {

@@ -26,7 +26,6 @@ TEST(ModelTest, BuilderBasics) {
   EXPECT_EQ(y, 1);
   int c = m.AddConstraint("c", {{x, 1.0}, {y, 1.0}}, 0, 5);
   EXPECT_EQ(c, 0);
-  EXPECT_TRUE(m.has_integer_variables());
   EXPECT_TRUE(m.Validate().ok());
 }
 
@@ -42,8 +41,60 @@ TEST(ModelTest, ValidationCatchesBadBounds) {
   LpModel m;
   m.AddVariable("x", 5, 2, 0, false);
   EXPECT_EQ(m.Validate().code(), StatusCode::kInfeasible);
-  LpModel m2;
-  EXPECT_EQ(m2.Validate().code(), StatusCode::kInvalidArgument);
+  // A model with no variables is valid (an empty candidate set translates
+  // to one); ModelTest.NoVariablesSolveToTheEmptyPoint solves such models.
+  EXPECT_TRUE(LpModel().Validate().ok());
+}
+
+// With no variables, x = () is the only point: optimal with objective 0
+// when every row's range holds activity 0, infeasible otherwise.
+TEST(ModelTest, NoVariablesSolveToTheEmptyPoint) {
+  for (ObjectiveSense sense :
+       {ObjectiveSense::kMinimize, ObjectiveSense::kMaximize}) {
+    LpModel no_rows;
+    no_rows.SetSense(sense);
+    LpModel at_most_3 = no_rows;
+    at_most_3.AddConstraint("count", {}, -kInfinity, 3);
+    LpModel at_least_1 = no_rows;
+    at_least_1.AddConstraint("count", {}, 1, kInfinity);
+
+    for (const LpModel* m : {&no_rows, &at_most_3}) {
+      auto lp = SolveLp(*m);
+      ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+      EXPECT_EQ(lp->status, LpStatus::kOptimal);
+      EXPECT_EQ(lp->objective, 0.0);
+      EXPECT_TRUE(lp->x.empty());
+      auto milp = SolveMilp(*m);
+      ASSERT_TRUE(milp.ok()) << milp.status().ToString();
+      EXPECT_EQ(milp->status, MilpStatus::kOptimal);
+      EXPECT_EQ(milp->objective, 0.0);
+      EXPECT_TRUE(milp->x.empty());
+    }
+    auto lp = SolveLp(at_least_1);
+    ASSERT_TRUE(lp.ok()) << lp.status().ToString();
+    EXPECT_EQ(lp->status, LpStatus::kInfeasible);
+    auto milp = SolveMilp(at_least_1);
+    ASSERT_TRUE(milp.ok()) << milp.status().ToString();
+    EXPECT_EQ(milp->status, MilpStatus::kInfeasible);
+  }
+}
+
+// A NaN or infinite objective weight (a CSV "nan" or "inf" reaches the
+// model as one) is malformed input, named by its variable, never an
+// optimum.
+TEST(ModelTest, ValidationRejectsNonFiniteObjective) {
+  for (double bad : {std::nan(""), kInfinity, -kInfinity}) {
+    LpModel m;
+    m.AddVariable("x0", 0, 1, 1.0, true);
+    m.AddVariable("x1", 0, 1, bad, true);
+    m.AddConstraint("count", {{0, 1.0}, {1, 1.0}}, 1, 1);
+    m.SetSense(ObjectiveSense::kMaximize);
+    Status s = m.Validate();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(s.message().find("'x1'"), std::string::npos) << s.ToString();
+    EXPECT_EQ(SolveLp(m).status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(SolveMilp(m).status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(ModelTest, FeasibilityCheck) {

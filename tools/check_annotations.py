@@ -1,17 +1,29 @@
 #!/usr/bin/env python3
-"""Lint: raw standard-library synchronization primitives are banned.
+"""Lint: nothing may hide from Clang's thread-safety analysis.
 
-Every mutex, shared_mutex, and condition variable in this codebase must be
-one of the annotated wrappers from src/common/annotations.h (pb::Mutex,
-pb::SharedMutex, pb::CondVar, and the scoped lockers). A raw std primitive
-is invisible to Clang's thread-safety analysis, so a single stray
-std::mutex member silently exempts its guarded state from the
--Wthread-safety CI lane. This script fails the build when one appears.
+Two rules:
 
-Scanned: src/ (recursively) and tools/*.cc. The wrapper header itself
-(src/common/annotations.h) is the one place allowed to name std types.
-Tests, benchmarks, and fuzzers are exempt: they may exercise raw
-primitives deliberately (e.g. hammering a wrapper from std::threads).
+1. Raw standard-library synchronization primitives are banned. Every
+   mutex, shared_mutex, and condition variable in this codebase must be
+   one of the annotated wrappers from src/common/annotations.h (pb::Mutex,
+   pb::SharedMutex, pb::CondVar, and the scoped lockers). A raw std
+   primitive is invisible to the analysis, so a single stray std::mutex
+   member silently exempts its guarded state from the -Wthread-safety CI
+   lane. The wrapper header itself is the one place allowed to name std
+   types.
+2. The analysis has no escapes. The no_thread_safety_analysis attribute,
+   or any macro spelling it (in any case), switches the analysis off for
+   a whole function; code the analysis cannot check is redesigned instead
+   (docs/adr/0003-concurrency-invariants.md). This rule covers every
+   scanned file, the wrapper header included.
+
+Names are matched in code only (comments and string literals are blanked
+first), so prose may name what the rules ban; #include lines are matched
+as written.
+
+Scanned: src/ (recursively) and tools/*.cc. Tests, benchmarks, and fuzzers
+are exempt: they may exercise raw primitives deliberately (e.g. hammering
+a wrapper from std::threads).
 
 Usage: python3 tools/check_annotations.py [repo_root]
 Exit status: 0 clean, 1 violations found.
@@ -30,6 +42,8 @@ BANNED = re.compile(
 )
 
 BANNED_INCLUDE = re.compile(r'#\s*include\s*[<"](mutex|shared_mutex|condition_variable)[>"]')
+
+ESCAPE = re.compile(r"no_thread_safety_analysis", re.IGNORECASE)
 
 ALLOWED = {pathlib.PurePosixPath("src/common/annotations.h")}
 
@@ -67,14 +81,19 @@ def check_file(root: pathlib.Path, rel: pathlib.PurePosixPath) -> list:
     # identifier uses on comment/string-stripped text to avoid false hits in
     # documentation prose.
     violations = []
+    std_allowed = rel in ALLOWED
     stripped = strip_comments_and_strings(text)
     for lineno, line in enumerate(stripped.splitlines(), start=1):
-        m = BANNED.search(line)
+        m = ESCAPE.search(line)
         if m:
+            violations.append(
+                (rel, lineno, f"thread-safety analysis escape ({m.group(0)})"))
+        m = BANNED.search(line)
+        if m and not std_allowed:
             violations.append((rel, lineno, f"raw std::{m.group(1)}"))
     for lineno, line in enumerate(text.splitlines(), start=1):
         m = BANNED_INCLUDE.search(line)
-        if m:
+        if m and not std_allowed:
             violations.append((rel, lineno, f"#include <{m.group(1)}>"))
     return violations
 
@@ -89,14 +108,13 @@ def main() -> int:
     violations = []
     for path in files:
         rel = pathlib.PurePosixPath(path.relative_to(root).as_posix())
-        if rel in ALLOWED:
-            continue
         violations.extend(check_file(root, rel))
     if violations:
-        print("check_annotations: raw synchronization primitives found.")
+        print("check_annotations: code hidden from the thread-safety analysis.")
         print("Use pb::Mutex / pb::SharedMutex / pb::CondVar / pb::MutexLock")
-        print("from src/common/annotations.h so the thread-safety analysis")
-        print("can see them:\n")
+        print("from src/common/annotations.h so the analysis can see every")
+        print("lock, and restructure code it cannot check instead of")
+        print("exempting it:\n")
         for rel, lineno, what in violations:
             print(f"  {rel}:{lineno}: {what}")
         return 1
