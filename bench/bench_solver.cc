@@ -383,37 +383,6 @@ void BM_MilpBranchyTree(benchmark::State& state) {
 }
 BENCHMARK(BM_MilpBranchyTree)->Unit(benchmark::kMillisecond);
 
-void BM_MilpRoundingHeuristicAblation(benchmark::State& state) {
-  const bool rounding = state.range(0) != 0;
-  pb::Rng rng(13);
-  LpModel m;
-  std::vector<LinearTerm> count, weight;
-  for (int j = 0; j < 500; ++j) {
-    m.AddVariable("x" + std::to_string(j), 0, 1,
-                  rng.UniformReal(1.0, 100.0), true);
-    count.push_back({j, 1.0});
-    weight.push_back({j, rng.UniformReal(100.0, 900.0)});
-  }
-  m.AddConstraint("count", count, 5, 5);
-  m.AddConstraint("weight", weight, 2000, 2600);
-  m.SetSense(ObjectiveSense::kMaximize);
-  double nodes = 0;
-  for (auto _ : state) {
-    MilpOptions opts;
-    opts.rounding_heuristic = rounding;
-    auto r = pb::solver::SolveMilp(m, opts);
-    if (!r.ok() || !r->has_solution()) {
-      state.SkipWithError("MILP failed");
-      return;
-    }
-    nodes = static_cast<double>(r->nodes);
-  }
-  state.SetLabel(rounding ? "rounding_on" : "rounding_off");
-  state.counters["bnb_nodes"] = nodes;
-}
-BENCHMARK(BM_MilpRoundingHeuristicAblation)->Arg(0)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
 // Facade-level: one PaQL query through pb::Engine, cold (fresh engine,
 // full parse + translate + solve every iteration) vs warm (result cache
 // primed — repeats are answered bit-identically with zero solver work).

@@ -11,9 +11,13 @@
 #include <benchmark/benchmark.h>
 
 #include "core/evaluator.h"
+#include "core/pruning.h"
+#include "core/translator.h"
 #include "datagen/recipes.h"
 #include "db/catalog.h"
+#include "db/ops.h"
 #include "paql/analyzer.h"
+#include "solver/milp.h"
 
 namespace {
 
@@ -91,7 +95,8 @@ void BM_Hybrid(benchmark::State& state) {
 BENCHMARK(BM_Hybrid)->Arg(10)->Arg(100)->Arg(1000)->Arg(5000)
     ->Unit(benchmark::kMillisecond);
 
-/// Ablation: the solver path with and without the §4.1 cardinality row.
+/// Ablation: the solver path with and without the §4.1 cardinality row,
+/// translated and solved directly (the evaluator always adds the row).
 void BM_IlpPruningAblation(benchmark::State& state) {
   const bool use_pruning = state.range(0) != 0;
   const size_t n = static_cast<size_t>(state.range(1));
@@ -102,14 +107,32 @@ void BM_IlpPruningAblation(benchmark::State& state) {
     state.SkipWithError(aq.status().ToString().c_str());
     return;
   }
-  QueryEvaluator evaluator(&catalog);
-  EvaluationOptions opts;
-  opts.strategy = Strategy::kIlpSolver;
-  opts.use_pruning = use_pruning;
+  auto candidates = pb::db::FilterIndices(*aq->table, aq->query.where);
+  if (!candidates.ok()) {
+    state.SkipWithError(candidates.status().ToString().c_str());
+    return;
+  }
+  auto bounds = pb::core::DeriveCardinalityBounds(*aq, *candidates);
+  if (!bounds.ok()) {
+    state.SkipWithError(bounds.status().ToString().c_str());
+    return;
+  }
   double nodes = 0;
   for (auto _ : state) {
-    auto r = evaluator.Evaluate(*aq, opts);
-    if (r.ok() && r->milp) nodes = static_cast<double>(r->milp->nodes);
+    // TranslateToIlp takes the candidate list over, so each pass gets a
+    // copy.
+    std::vector<size_t> rows = *candidates;
+    pb::core::TranslateOptions topts;
+    if (use_pruning) topts.bounds = &*bounds;
+    topts.candidates = &rows;
+    auto translation = pb::core::TranslateToIlp(*aq, topts);
+    if (!translation.ok()) {
+      state.SkipWithError(translation.status().ToString().c_str());
+      return;
+    }
+    auto r = pb::solver::SolveMilp(translation->model);
+    if (r.ok()) nodes = static_cast<double>(r->nodes);
+    benchmark::DoNotOptimize(r);
   }
   state.counters["n"] = static_cast<double>(n);
   state.counters["pruning"] = use_pruning ? 1 : 0;

@@ -10,6 +10,14 @@
 
 namespace pb::core {
 
+namespace {
+
+/// Candidate count at or below which a non-translatable query runs brute
+/// force instead of local search.
+constexpr size_t kBruteForceThreshold = 24;
+
+}  // namespace
+
 const char* StrategyToString(Strategy s) {
   switch (s) {
     case Strategy::kAuto:         return "Auto";
@@ -35,7 +43,7 @@ Result<QueryRoute> PlanQuery(const paql::AnalyzedQuery& aq,
                              size_t num_candidates,
                              const EvaluationOptions& options,
                              bool maintained_partitions) {
-  if (options.use_pruning && bounds.infeasible) {
+  if (bounds.infeasible) {
     return QueryRoute{Strategy::kPruning, std::nullopt,
                       "pruning proves infeasibility"};
   }
@@ -49,7 +57,7 @@ Result<QueryRoute> PlanQuery(const paql::AnalyzedQuery& aq,
     return QueryRoute{options.strategy, std::nullopt, "forced by options"};
   }
   if (!aq.TranslatesToIlp()) {
-    if (num_candidates <= options.brute_force_threshold) {
+    if (num_candidates <= kBruteForceThreshold) {
       return QueryRoute{Strategy::kBruteForce, std::nullopt,
                         "disjunctive/non-linear constraints on a small "
                         "candidate set: exhaustive search is exact and cheap"};
@@ -107,7 +115,7 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
           "constraints");
     case Strategy::kIlpSolver: {
       TranslateOptions topts;
-      if (options.use_pruning) topts.bounds = &bounds;
+      topts.bounds = &bounds;
       topts.candidates = candidates;
       PB_ASSIGN_OR_RETURN(IlpTranslation translation,
                           TranslateToIlp(aq, topts));
@@ -122,7 +130,6 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
     }
     case Strategy::kBruteForce: {
       BruteForceOptions bf = options.brute_force;
-      bf.use_cardinality_pruning = options.use_pruning;
       // The last resort after a failed heuristic stays bounded.
       if (route.fallback == Strategy::kBruteForce) {
         bf.time_limit_s = std::min(bf.time_limit_s, 10.0);
@@ -202,9 +209,7 @@ Result<std::vector<Package>> QueryEvaluator::EvaluateAll(
     opts.milp = options.milp;
     return EnumerateViaSolver(aq, opts);
   }
-  BruteForceOptions bf = options.brute_force;
-  bf.use_cardinality_pruning = options.use_pruning;
-  return EnumerateExhaustively(aq, limit, bf);
+  return EnumerateExhaustively(aq, limit, options.brute_force);
 }
 
 Result<std::vector<Package>> QueryEvaluator::EvaluateAll(

@@ -7,11 +7,11 @@
 // that picks a route: QueryEvaluator, the Engine and EXPLAIN each filter
 // and derive the §4.1 bounds once, then run or print its route:
 //
-//   1. pruning is on and the bounds prove infeasibility -> kPruning;
+//   1. the bounds prove infeasibility -> kPruning;
 //   2. EvaluationOptions::strategy forces one -> that strategy;
 //   3. not ILP-translatable (OR / NOT / '<>' / non-linear) -> kBruteForce
-//      on <= brute_force_threshold candidates, else kLocalSearch, then a
-//      brute-force pass capped at 10 s;
+//      on at most 24 candidates, else kLocalSearch, then a brute-force
+//      pass capped at 10 s;
 //   4. maintained partitions (the Engine's incremental maintenance), no
 //      MIN/MAX constraint, a resident table -> kSketchRefine, then
 //      kIlpSolver;
@@ -54,14 +54,10 @@ const char* StrategyToString(Strategy s);
 
 struct EvaluationOptions {
   /// kAuto lets PlanQuery choose; kIlpSolver, kBruteForce or kLocalSearch
-  /// force that strategy (used by the benches). Pruning still comes first.
+  /// force that strategy (used by the benches). Pruning still comes first:
+  /// every route applies the §4.1 bounds (the solver's cardinality row, the
+  /// search strategies' cardinality clamps).
   Strategy strategy = Strategy::kAuto;
-  /// Apply §4.1 cardinality pruning (bounds row for the solver, cardinality
-  /// clamps for search strategies). Off only for ablation benches.
-  bool use_pruning = true;
-  /// Candidate count at or below which non-translatable queries use brute
-  /// force.
-  size_t brute_force_threshold = 24;
   solver::MilpOptions milp;
   LocalSearchOptions local_search;
   BruteForceOptions brute_force;

@@ -82,7 +82,7 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
 
   if (aq.TranslatesToIlp()) {
     TranslateOptions topts;
-    if (options.use_pruning) topts.bounds = &plan.bounds;
+    topts.bounds = &plan.bounds;
     topts.candidates = &candidates;
     auto translation = TranslateToIlp(aq, topts);
     if (translation.ok()) {

@@ -225,7 +225,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
       ++iterations;
       double current_violation = state.Violation();
       bool feasible = current_violation <= 0;
-      if (feasible && (!aq.has_objective || !options.objective_phase)) break;
+      if (feasible && !aq.has_objective) break;
 
       // Scan moves, first-improving, randomized start offsets.
       bool accepted = false;
@@ -260,7 +260,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
       }
 
       // (b) cardinality moves: add or drop one occurrence.
-      if (!accepted && options.cardinality_moves) {
+      if (!accepted) {
         if (state.count() < card_hi) {
           for (size_t ci = 0; ci < n && !accepted; ++ci) {
             size_t c = (ci + cand_off) % n;
@@ -297,34 +297,6 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
               accepted = true;
               ++out.moves_accepted;
             }
-          }
-        }
-      }
-
-      // (c) sampled pair swaps (k = 2 neighborhood).
-      if (!accepted && options.neighborhood_k >= 2 && !feasible) {
-        for (int s = 0; s < options.pair_samples && !accepted; ++s) {
-          size_t p1 = rng.Index(n), p2 = rng.Index(n);
-          size_t c1 = rng.Index(n), c2 = rng.Index(n);
-          if (state.mult()[p1] == 0 || state.mult()[p2] == 0) continue;
-          if (p1 == p2 && state.mult()[p1] < 2) continue;
-          if (state.mult()[c1] >= max_mult || state.mult()[c2] >= max_mult) {
-            continue;
-          }
-          ++out.moves_evaluated;
-          // Apply tentatively (cheap to undo).
-          state.Apply(p1, -1);
-          state.Apply(p2, -1);
-          state.Apply(c1, +1);
-          state.Apply(c2, +1);
-          if (state.Violation() < current_violation - 1e-12) {
-            accepted = true;
-            ++out.moves_accepted;
-          } else {
-            state.Apply(c1, -1);
-            state.Apply(c2, -1);
-            state.Apply(p1, +1);
-            state.Apply(p2, +1);
           }
         }
       }

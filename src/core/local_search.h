@@ -9,8 +9,9 @@
 // incremental aggregate maintenance.
 //
 // As the paper notes, k simultaneous replacements correspond to a 2k-way
-// join and "quickly become intractable"; the neighborhood_k option and the
-// CountKReplacements probe exist to reproduce that blow-up.
+// join and "quickly become intractable"; the CountKReplacements probe
+// exists to reproduce that blow-up, so the search itself scans single-tuple
+// swaps and add-one / drop-one moves only.
 
 #ifndef PB_CORE_LOCAL_SEARCH_H_
 #define PB_CORE_LOCAL_SEARCH_H_
@@ -30,15 +31,6 @@ struct LocalSearchOptions {
   int max_restarts = 8;
   int64_t max_iterations = 5000;  ///< accepted moves per restart
   double time_limit_s = 10.0;
-  /// Also try add-one-tuple / drop-one-tuple moves ("the query can be
-  /// modified to explore packages of different cardinalities", §4.2).
-  bool cardinality_moves = true;
-  /// After reaching feasibility, hill-climb the objective.
-  bool objective_phase = true;
-  /// 1 = single-tuple swaps only; 2 adds sampled pair swaps.
-  int neighborhood_k = 1;
-  /// Pair-swap samples per iteration when neighborhood_k == 2.
-  int pair_samples = 256;
 };
 
 struct LocalSearchResult {

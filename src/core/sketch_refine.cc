@@ -248,13 +248,13 @@ size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
   return rep;
 }
 
-/// Incremental partition maintenance over a compatible state: route the
-/// appended candidates [state->n_candidates, n) to their nearest
-/// representative, split groups past the size threshold, merge undersized
-/// ones, and recompute representatives for every dirty group. Everything
-/// here is single-threaded and deterministic (ties break to the lowest
-/// group index), so the maintained partition — and therefore the solve —
-/// is identical for any thread count.
+/// Incremental partition maintenance over a compatible state: route each
+/// appended candidate [state->n_candidates, n) into the group with the
+/// nearest representative, split groups past the size threshold, and
+/// recompute representatives for every dirty group. Everything here is
+/// single-threaded and deterministic (ties break to the lowest group
+/// index), so the maintained partition — and therefore the solve — is
+/// identical for any thread count.
 void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
                        size_t n, const SketchRefineOptions& options,
                        SketchRefineResult* out) {
@@ -267,10 +267,6 @@ void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
   };
 
   // ---- Route appended candidates to the nearest representative.
-  const double radius2 =
-      options.route_max_distance > 0.0
-          ? options.route_max_distance * options.route_max_distance
-          : kInf;
   std::vector<double> point(dims);
   for (size_t p = state->n_candidates; p < n; ++p) {
     for (size_t d = 0; d < dims; ++d) point[d] = f(d, p);
@@ -288,18 +284,8 @@ void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
         best_g = g;
       }
     }
-    if (best_d2 > radius2) {
-      // Too far from every group: a singleton keeps the outlier from
-      // stretching a representative into meaninglessness.
-      SketchRefineState::Group fresh;
-      fresh.members.push_back(p);
-      fresh.rep = p;
-      mark_dirty(fresh);
-      state->groups.push_back(std::move(fresh));
-    } else {
-      state->groups[best_g].members.push_back(p);
-      mark_dirty(state->groups[best_g]);
-    }
+    state->groups[best_g].members.push_back(p);
+    mark_dirty(state->groups[best_g]);
     ++out->appended_routed;
   }
 
@@ -340,43 +326,6 @@ void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
     ++out->groups_split;
   }
 
-  // ---- Merge undersized groups into their nearest neighbour (by
-  // representative distance; representatives may be stale for dirty
-  // groups, which only moves WHERE a sliver lands, never correctness —
-  // the target is re-solved either way).
-  if (options.merge_min_size > 0) {
-    for (size_t gi = 0; gi < state->groups.size();) {
-      if (state->groups.size() == 1 ||
-          state->groups[gi].members.size() >= options.merge_min_size) {
-        ++gi;
-        continue;
-      }
-      size_t best_g = gi == 0 ? 1 : 0;
-      double best_d2 = kInf;
-      for (size_t g = 0; g < state->groups.size(); ++g) {
-        if (g == gi) continue;
-        double d2 = 0.0;
-        for (size_t d = 0; d < dims; ++d) {
-          double delta =
-              f(d, state->groups[gi].rep) - f(d, state->groups[g].rep);
-          d2 += delta * delta;
-        }
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best_g = g;
-        }
-      }
-      SketchRefineState::Group& target = state->groups[best_g];
-      target.members.insert(target.members.end(),
-                            state->groups[gi].members.begin(),
-                            state->groups[gi].members.end());
-      mark_dirty(target);
-      state->groups.erase(state->groups.begin() + gi);
-      ++out->groups_merged;
-      // Do not advance: the next group slid into slot gi.
-    }
-  }
-
   // ---- Dirty groups get fresh representatives; clean ones keep theirs
   // (same membership => ComputeRep would return the same answer anyway).
   for (SketchRefineState::Group& g : state->groups) {
@@ -402,20 +351,6 @@ std::vector<std::vector<size_t>> PartitionCandidatesColumnar(
     *zone_map_skipped_blocks += index.skipped_blocks;
   }
   return groups;
-}
-
-std::vector<std::vector<size_t>> PartitionCandidates(
-    const std::vector<std::vector<double>>& features, size_t partition_size) {
-  if (features.empty()) return {};
-  // Transpose the row-major input; the engine itself builds column-major
-  // features directly and calls PartitionCandidatesColumnar.
-  size_t dims = features[0].size();
-  std::vector<std::vector<double>> cols(
-      dims, std::vector<double>(features.size()));
-  for (size_t i = 0; i < features.size(); ++i) {
-    for (size_t d = 0; d < dims; ++d) cols[d][i] = features[i][d];
-  }
-  return PartitionCandidatesColumnar(cols, features.size(), partition_size);
 }
 
 Result<CardinalityBounds> RefreshCandidates(const paql::AnalyzedQuery& aq,

@@ -43,14 +43,14 @@
 // appends into maintenance work instead of a rebuild: only the appended
 // rows are filtered and weighed, new candidates are routed to their
 // nearest group (in the state's frozen feature normalization), groups that
-// grow past twice tau split and undersized ones merge, and only "dirty"
-// groups — those whose membership changed, or whose residual constraints
-// moved — are re-solved, each from its saved per-group MilpWarmStart. A clean
-// group whose residual repeats exactly reuses its cached sub-solution
-// without any solver work. Because the solver is deterministic and warm
-// starts never change results (pinned by test_warm_start), a maintained
-// call is bit-identical to re-solving every group cold over the same
-// partition; reuse only removes work, never changes answers.
+// grow past twice tau split, and only "dirty" groups — those whose
+// membership changed, or whose residual constraints moved — are re-solved,
+// each from its saved per-group MilpWarmStart. A clean group whose
+// residual repeats exactly reuses its cached sub-solution without any
+// solver work. Because the solver is deterministic and warm starts never
+// change results (pinned by test_warm_start), a maintained call is
+// bit-identical to re-solving every group cold over the same partition;
+// reuse only removes work, never changes answers.
 
 #ifndef PB_CORE_SKETCH_REFINE_H_
 #define PB_CORE_SKETCH_REFINE_H_
@@ -75,7 +75,7 @@ namespace pb::core {
 ///   - empty / incompatible partition -> a full partition build populates
 ///     it;
 ///   - compatible partition over a grown candidate set -> incremental
-///     maintenance (route new candidates, split/merge, re-solve only the
+///     maintenance (route new candidates, split, re-solve only the
 ///     dirty groups).
 ///
 /// Compatibility requires the same query (weights per candidate and the
@@ -206,15 +206,6 @@ struct SketchRefineOptions {
   /// caller refreshed finds nothing left to do). A maintained group larger
   /// than 2 * partition_size re-splits into tau-bounded parts.
   SketchRefineState* state = nullptr;
-  /// A maintained group smaller than this merges into its nearest
-  /// neighbour (0 = never merge). Appends never shrink groups, so merges
-  /// only fire when splits leave slivers behind or the caller lowers tau.
-  size_t merge_min_size = 0;
-  /// Routing radius: an appended candidate farther than this (L2 in the
-  /// state's frozen normalized feature space) from every representative
-  /// starts a new singleton group instead of stretching the nearest one
-  /// (0 = unlimited, always route).
-  double route_max_distance = 0.0;
   /// Reuse cached sub-solutions of clean groups whose residuals repeat
   /// exactly. Off = re-solve every refined group (the cold baseline; the
   /// result is bit-identical either way, only the work differs).
@@ -254,7 +245,8 @@ struct SketchRefineResult {
   /// The partition came from options.state (incremental maintenance ran
   /// instead of a full build).
   bool state_reused = false;
-  /// Appended candidates routed into existing (or new singleton) groups.
+  /// Appended candidates routed, each into the group with the nearest
+  /// representative.
   int64_t appended_routed = 0;
   /// Refined groups re-solved this call (dirty membership, moved residual,
   /// or reuse disabled).
@@ -262,21 +254,14 @@ struct SketchRefineResult {
   /// Refined groups answered from the state's cached sub-solutions with
   /// zero solver work.
   int64_t groups_reused = 0;
-  int64_t groups_split = 0;   ///< maintained groups re-split (over threshold)
-  int64_t groups_merged = 0;  ///< maintained groups merged away (under min)
+  int64_t groups_split = 0;  ///< maintained groups re-split (over threshold)
 };
 
 /// Offline partitioning, exposed for reuse across queries on the same
-/// table (the 2016 paper's "offline" phase). `features` are per-candidate
-/// numeric vectors; groups have at most `partition_size` members.
-/// (Row-major convenience wrapper; transposes and delegates to the
-/// column-major form below.)
-std::vector<std::vector<size_t>> PartitionCandidates(
-    const std::vector<std::vector<double>>& features, size_t partition_size);
-
-/// Column-major partitioning over `n` candidates: feature_cols[d] is one
-/// contiguous span of dimension d (length n) — e.g. a per-candidate gather
-/// of a table column. This is the form the engine's hot path uses.
+/// table (the 2016 paper's "offline" phase), over `n` candidates:
+/// feature_cols[d] is one contiguous span of dimension d (length n) — e.g.
+/// a per-candidate gather of a table column. Groups have at most
+/// `partition_size` members.
 ///
 /// The recursive median split scans every dimension of a range to find the
 /// widest spread. For ranges still in identity order (no reordering has

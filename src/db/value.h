@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/status.h"
@@ -28,10 +29,14 @@ class Value {
   Value() : var_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Var(b)); }
-  static Value Int(int64_t i) { return Value(Var(i)); }
-  static Value Double(double d) { return Value(Var(d)); }
-  static Value String(std::string s) { return Value(Var(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Double(double d) {
+    return Value(std::in_place_type<double>, d);
+  }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
 
   ValueType type() const {
     return static_cast<ValueType>(var_.index());
@@ -71,7 +76,11 @@ class Value {
 
  private:
   using Var = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Var v) : var_(std::move(v)) {}
+  /// Builds the alternative T in place: moving a temporary Var in trips
+  /// GCC 12's -Wmaybe-uninitialized under -O2 with the sanitizers.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : var_(type, std::forward<Arg>(arg)) {}
   Var var_;
 };
 

@@ -557,7 +557,7 @@ Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
                           const std::string& query_key,
                           QueryResponse* resp) {
   core::TranslateOptions topts;
-  if (eo.use_pruning) topts.bounds = &bounds;
+  topts.bounds = &bounds;
   topts.candidates = candidates;
   PB_ASSIGN_OR_RETURN(const core::IlpTranslation translation,
                       core::TranslateToIlp(aq, topts));

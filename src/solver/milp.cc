@@ -653,27 +653,25 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // Primal heuristics: cheap rounding at every node; one LP dive from the
     // root when rounding produced nothing (package models have equality
     // rows that defeat rounding but dive well).
-    if (options.rounding_heuristic) {
-      std::vector<double> rounded;
-      if (TryRound(model, node.bounds, lp.x, options.int_tol, &rounded)) {
-        double obj = model.ObjectiveValue(rounded);
-        if (!have_incumbent || better(obj, incumbent_obj)) {
-          have_incumbent = true;
-          incumbent = std::move(rounded);
-          incumbent_obj = obj;
-          }
+    std::vector<double> rounded;
+    if (TryRound(model, node.bounds, lp.x, options.int_tol, &rounded)) {
+      double obj = model.ObjectiveValue(rounded);
+      if (!have_incumbent || better(obj, incumbent_obj)) {
+        have_incumbent = true;
+        incumbent = std::move(rounded);
+        incumbent_obj = obj;
       }
-      // Root identified by branch_var (result.nodes would miss a root that
-      // was re-queued after an LP iteration limit).
-      if (!have_incumbent && node.branch_var < 0) {
-        std::vector<double> dived;
-        if (TryDive(model, node.bounds, &lp_solver, base_lp_limit,
-                    options.int_tol, lp.basis, options.cancel, &result,
-                    &dived)) {
-          have_incumbent = true;
-          incumbent_obj = model.ObjectiveValue(dived);
-          incumbent = std::move(dived);
-          }
+    }
+    // Root identified by branch_var (result.nodes would miss a root that
+    // was re-queued after an LP iteration limit).
+    if (!have_incumbent && node.branch_var < 0) {
+      std::vector<double> dived;
+      if (TryDive(model, node.bounds, &lp_solver, base_lp_limit,
+                  options.int_tol, lp.basis, options.cancel, &result,
+                  &dived)) {
+        have_incumbent = true;
+        incumbent_obj = model.ObjectiveValue(dived);
+        incumbent = std::move(dived);
       }
     }
 

@@ -95,7 +95,6 @@ struct MilpOptions {
   /// the LP budget, so retries are real work the cap must bound).
   int64_t max_nodes = 2'000'000;
   double time_limit_s = 300.0;   ///< wall-clock budget
-  bool rounding_heuristic = true;
   /// Optional cross-solve state (borrowed, in/out); see MilpWarmStart.
   MilpWarmStart* warm = nullptr;
   /// Cooperative cancellation, polled once per branch-and-bound node (and

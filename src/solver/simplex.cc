@@ -10,6 +10,14 @@
 
 namespace pb::solver {
 
+namespace {
+
+/// Pivots between scheduled basis refactorizations (the backend may ask
+/// for one sooner; see BasisFactorization::ShouldRefactorize).
+constexpr int kRefactorEvery = 64;
+
+}  // namespace
+
 const char* LpStatusToString(LpStatus s) {
   switch (s) {
     case LpStatus::kOptimal:        return "Optimal";
@@ -514,7 +522,7 @@ class LpSolver::Simplex {
       d_valid_ = false;
       RecomputeBasicValues();
     }
-    if (++*since_refactor >= opts_.refactor_every ||
+    if (++*since_refactor >= kRefactorEvery ||
         fact_->ShouldRefactorize()) {
       *since_refactor = 0;
       if (!RefactorizeBasis()) return false;

@@ -134,7 +134,6 @@ struct SimplexOptions {
   double opt_tol = 1e-9;      ///< reduced-cost optimality tolerance
   double pivot_tol = 1e-9;    ///< smallest acceptable pivot magnitude
   int64_t max_iterations = 0; ///< 0 = automatic (scaled to model size)
-  int refactor_every = 64;    ///< basis refactorization period (pivots)
   /// Linear-algebra backend (see factorization.h). The sparse LU is the
   /// default engine; the dense inverse is the reference backend tests
   /// compare against.

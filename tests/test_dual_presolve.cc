@@ -179,9 +179,7 @@ TEST(MilpNodePresolveTest, CountRowFixesImpliedBinaries) {
   m.AddConstraint("cap", {{x0, 1.0}, {x1, 2.0}}, -kInfinity, 1.5);
   m.SetSense(ObjectiveSense::kMaximize);
 
-  MilpOptions opts;
-  opts.rounding_heuristic = false;  // keep the tree honest for the counters
-  auto r = SolveMilp(m, opts);
+  auto r = SolveMilp(m);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->status, MilpStatus::kOptimal);
   EXPECT_NEAR(r->objective, 2.0, 1e-9);  // x0 = 1 is the integer optimum

@@ -1,6 +1,6 @@
 // Incremental package maintenance under appends (HTAP).
 //
-// Core level: SketchRefineState routing / split / merge invariants and the
+// Core level: SketchRefineState routing / split invariants and the
 // bit-identity contract — a maintained (incremental) solve must equal a
 // cold re-solve over the same maintained partition, reuse only removes
 // work. Engine level: the result cache's third state (revalidation), the
@@ -54,7 +54,7 @@ constexpr char kRecipesQuery[] =
 TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   // Two identically-fed states, solved at 1 thread and at PB_TEST_THREADS,
   // must agree on everything: the maintained partition, the counters, and
-  // the package bit-for-bit (routing and split/merge are single-threaded;
+  // the package bit-for-bit (routing and splitting are single-threaded;
   // the solves are thread-count-invariant).
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateRecipes(400, 17));
@@ -134,7 +134,7 @@ TEST(IncrementalTest, MaintainedPartitionCoversAllCandidatesExactlyOnce) {
   EXPECT_EQ(state.n_candidates, 310u);
 }
 
-// ----- Split / merge thresholds ----------------------------------------------
+// ----- Routing and split threshold -------------------------------------------
 
 class ThresholdTest : public ::testing::Test {
  protected:
@@ -192,7 +192,7 @@ TEST_F(ThresholdTest, GroupSplitsPastThreshold) {
   }
 }
 
-TEST_F(ThresholdTest, FarAppendStartsSingletonThenMergeAbsorbsIt) {
+TEST_F(ThresholdTest, FarAppendJoinsNearestGroup) {
   auto aq = Query();
   SketchRefineOptions opts;
   opts.partition_size = 16;
@@ -202,30 +202,35 @@ TEST_F(ThresholdTest, FarAppendStartsSingletonThenMergeAbsorbsIt) {
   ASSERT_TRUE(r1.ok() && r1->found) << r1.status().ToString();
   const size_t groups_before = state.groups.size();
 
-  // A point far outside the frozen feature range, with a tight routing
-  // radius: it must start its own singleton group instead of stretching
-  // the nearest one.
+  // A point far outside the frozen feature range still joins the group
+  // with the nearest representative: routing never adds a group.
   AppendValues({100000.0});
   aq = Query();
-  opts.route_max_distance = 0.5;
+  SketchRefineState cold_state = state;
   auto r2 = SketchRefine(aq, opts);
   ASSERT_TRUE(r2.ok() && r2->found) << r2.status().ToString();
   EXPECT_EQ(r2->appended_routed, 1);
-  EXPECT_EQ(state.groups.size(), groups_before + 1);
-
-  // Now allow merging: the singleton (< merge_min_size) folds into its
-  // nearest neighbour.
-  opts.route_max_distance = 0.0;
-  opts.merge_min_size = 4;
-  auto r3 = SketchRefine(aq, opts);
-  ASSERT_TRUE(r3.ok() && r3->found) << r3.status().ToString();
-  EXPECT_GE(r3->groups_merged, 1);
   EXPECT_EQ(state.groups.size(), groups_before);
   std::set<size_t> seen;
   for (const auto& g : state.groups) {
-    for (size_t m : g.members) seen.insert(m);
+    for (size_t m : g.members) {
+      EXPECT_TRUE(seen.insert(m).second) << "candidate " << m << " duplicated";
+    }
   }
-  EXPECT_EQ(seen.size(), 65u) << "merge lost or duplicated candidates";
+  EXPECT_EQ(seen.size(), 65u) << "routing lost a candidate";
+  EXPECT_TRUE(*IsValidPackage(aq, r2->package));
+
+  // The same answer as a cold re-solve of the routed partition.
+  cold_state.InvalidateSolutions();
+  for (auto& g : cold_state.groups) g.dirty = true;
+  SketchRefineOptions cold_opts = opts;
+  cold_opts.state = &cold_state;
+  cold_opts.reuse_group_solutions = false;
+  auto cold = SketchRefine(aq, cold_opts);
+  ASSERT_TRUE(cold.ok() && cold->found) << cold.status().ToString();
+  EXPECT_EQ(r2->package, cold->package)
+      << r2->package.Fingerprint() << " vs " << cold->package.Fingerprint();
+  EXPECT_EQ(r2->objective, cold->objective);
 }
 
 // ----- Bit-identity ----------------------------------------------------------

