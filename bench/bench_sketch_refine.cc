@@ -101,58 +101,18 @@ void BM_SketchRefine(benchmark::State& state) {
 BENCHMARK(BM_SketchRefine)->Arg(1000)->Arg(5000)->Arg(20000)->Arg(100000)
     ->Iterations(1)->Unit(benchmark::kMillisecond);
 
-// Refine-phase thread scaling: identical objectives at every thread count
-// (the refine merge is deterministic); only refine_s wall-clock moves.
 // The query's tight two-sided windows defeat the solver's dive heuristic,
-// so each group's sub-ILP does real branch-and-bound work — the regime
-// where fanning the independent solves across cores pays. Budgets are in
-// nodes, not seconds, so the work is identical on any machine. Speedup is
-// bounded by the number of groups the sketch selects and the core count.
+// so each group's sub-ILP does real branch-and-bound work.
 constexpr const char* kTightQuery =
     "SELECT PACKAGE(L) FROM lineitem L "
     "SUCH THAT COUNT(*) = 24 AND SUM(quantity) = 600 AND "
     "SUM(extendedprice) BETWEEN 50000 AND 51000 "
     "MAXIMIZE SUM(revenue)";
 
-void BM_RefineThreads(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  pb::db::Catalog catalog;
-  catalog.RegisterOrReplace(pb::datagen::GenerateLineitems(50000, 5));
-  auto aq = pb::paql::ParseAndAnalyze(kTightQuery, catalog);
-  if (!aq.ok()) {
-    state.SkipWithError(aq.status().ToString().c_str());
-    return;
-  }
-  SketchRefineOptions opts;
-  opts.partition_size = 512;
-  opts.threads = threads;
-  opts.milp.max_nodes = 3000;
-  opts.milp.time_limit_s = 1e9;  // node budget is the deterministic limit
-  double objective = 0, refine_s = 0, refine_ilps = 0, repairs = 0;
-  for (auto _ : state) {
-    auto r = SketchRefine(*aq, opts);
-    if (!r.ok() || !r->found) {
-      state.SkipWithError("sketch-refine failed");
-      return;
-    }
-    objective = r->objective;
-    refine_s = r->refine_seconds;
-    refine_ilps = static_cast<double>(r->refine_ilps_solved);
-    repairs = static_cast<double>(r->repair_passes);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["objective"] = objective;
-  state.counters["refine_s"] = refine_s;
-  state.counters["refine_ilps"] = refine_ilps;
-  state.counters["repair_passes"] = repairs;
-}
-BENCHMARK(BM_RefineThreads)->Arg(1)->Arg(2)->Arg(4)
-    ->Iterations(1)->Unit(benchmark::kMillisecond);
-
-// Solver warm starts on a BM_RefineThreads-class workload: each
-// branch-and-bound node inherits its parent's basis, bases chain through
-// the dive heuristic, and per-group root bases + pseudocost history carry
-// across the refine/repair sub-ILP sequence. Every sub-ILP runs to proven
+// Solver warm starts on the tight-window workload: each branch-and-bound
+// node inherits its parent's basis, bases chain through the dive
+// heuristic, and per-group root bases + pseudocost history carry across
+// the refine/repair sub-ILP sequence. Every sub-ILP runs to proven
 // optimality (no node budget), so lp_iterations is a clean substrate-cost
 // counter.
 void BM_RefineWarmStart(benchmark::State& state) {

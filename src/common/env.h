@@ -1,9 +1,8 @@
 // Small environment-variable helpers.
 //
-// Test suites use EnvInt to pick up thread-count defaults (the CI matrix
-// re-runs ctest with PB_TEST_THREADS=1 and PB_TEST_THREADS=$(nproc) so
-// every thread-count-invariance guarantee is exercised on every PR without
-// rebuilding).
+// Test suites use EnvInt to pick up their client-thread counts (the CI
+// matrix re-runs ctest with PB_TEST_THREADS=1 and PB_TEST_THREADS=$(nproc),
+// so the concurrency suites run at both without rebuilding).
 
 #ifndef PB_COMMON_ENV_H_
 #define PB_COMMON_ENV_H_

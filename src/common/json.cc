@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 namespace pb::json {
 
@@ -22,6 +23,16 @@ Value Value::Number(double d) {
 }
 
 Value Value::Int(int64_t i) { return Number(static_cast<double>(i)); }
+
+int64_t Value::as_int() const {
+  // 2^63 is exact as a double, and every double in [-2^63, 2^63) truncates
+  // to a representable int64; a cast of anything outside is undefined.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (std::isnan(number_)) return 0;
+  if (number_ >= kTwo63) return std::numeric_limits<int64_t>::max();
+  if (number_ < -kTwo63) return std::numeric_limits<int64_t>::min();
+  return static_cast<int64_t>(number_);
+}
 
 Value Value::Str(std::string s) {
   Value v;

@@ -43,7 +43,9 @@ class Value {
 
   bool as_bool() const { return bool_; }
   double as_number() const { return number_; }
-  int64_t as_int() const { return static_cast<int64_t>(number_); }
+  /// The number truncated toward zero, saturated to [INT64_MIN, INT64_MAX]
+  /// (so a client's 1e300 or 1e999 reads as INT64_MAX); NaN reads as 0.
+  int64_t as_int() const;
   const std::string& as_string() const { return string_; }
   const std::vector<Value>& items() const { return items_; }
   const std::vector<std::pair<std::string, Value>>& fields() const {

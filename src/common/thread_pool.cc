@@ -36,22 +36,6 @@ void ThreadPool::Wait() {
   while (in_flight_ != 0) all_done_.Wait(&mu_);
 }
 
-bool ThreadPool::TryRunOne() {
-  std::function<void()> task;
-  {
-    MutexLock lock(&mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop();
-  }
-  task();
-  {
-    MutexLock lock(&mu_);
-    if (--in_flight_ == 0) all_done_.NotifyAll();
-  }
-  return true;
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -67,39 +51,6 @@ void ThreadPool::WorkerLoop() {
       MutexLock lock(&mu_);
       if (--in_flight_ == 0) all_done_.NotifyAll();
     }
-  }
-}
-
-void TaskGroup::Spawn(std::function<void()> task) {
-  {
-    MutexLock lock(&mu_);
-    ++pending_;
-  }
-  pool_->Submit([this, task = std::move(task)] {
-    task();
-    // Notify UNDER the lock: a waiter may destroy this group the moment it
-    // observes pending_ == 0, which it cannot do before we release mu_ —
-    // so the notify (and every other member access) happens-before the
-    // destructor. Notifying after unlocking would race destruction.
-    MutexLock lock(&mu_);
-    --pending_;
-    done_.NotifyAll();
-  });
-}
-
-void TaskGroup::Wait() {
-  for (;;) {
-    {
-      MutexLock lock(&mu_);
-      if (pending_ == 0) return;
-    }
-    // Steal queued work (any group's) instead of idling; once the queue is
-    // momentarily dry, sleep until our own tally reaches zero. Tasks still
-    // executing on pool workers wake us through the completion wrapper.
-    if (pool_->TryRunOne()) continue;
-    MutexLock lock(&mu_);
-    while (pending_ != 0) done_.Wait(&mu_);
-    return;
   }
 }
 

@@ -125,7 +125,6 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
       out.package = DecodeSolution(translation, r.x);
       out.objective = aq.has_objective ? r.objective : 0.0;
       out.proven_optimal = r.status == solver::MilpStatus::kOptimal;
-      out.milp = std::move(r);
       return out;
     }
     case Strategy::kBruteForce: {
@@ -143,10 +142,9 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
         }
         return Status::Infeasible("no package satisfies the constraints");
       }
-      out.package = r.best;
+      out.package = std::move(r.best);
       out.objective = r.best_objective;
       out.proven_optimal = r.exhausted;
-      out.brute_force = std::move(r);
       return out;
     }
     case Strategy::kLocalSearch: {
@@ -162,9 +160,8 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
             "local search found no valid package (the query may still be "
             "satisfiable: the heuristic is incomplete)");
       }
-      out.package = r.package;
+      out.package = std::move(r.package);
       out.objective = r.objective;
-      out.local_search = std::move(r);
       return out;
     }
     case Strategy::kAuto:

@@ -101,10 +101,6 @@ struct EvaluationResult {
   CardinalityBounds bounds;
   double seconds = 0.0;
   size_t num_candidates = 0;
-  /// Strategy-specific diagnostics.
-  std::optional<solver::MilpResult> milp;
-  std::optional<LocalSearchResult> local_search;
-  std::optional<BruteForceResult> brute_force;
 };
 
 /// Runs `step`, which is `route.strategy` or its fallback, over the WHERE

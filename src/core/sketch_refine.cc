@@ -10,7 +10,6 @@
 
 #include "common/budget.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "core/pruning.h"
 #include "db/ops.h"
 
@@ -252,9 +251,8 @@ size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
 /// appended candidate [state->n_candidates, n) into the group with the
 /// nearest representative, split groups past the size threshold, and
 /// recompute representatives for every dirty group. Everything here is
-/// single-threaded and deterministic (ties break to the lowest group
-/// index), so the maintained partition — and therefore the solve — is
-/// identical for any thread count.
+/// deterministic (ties break to the lowest group index), so two states fed
+/// the same appends maintain the same partition and solve alike.
 void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
                        size_t n, const SketchRefineOptions& options,
                        SketchRefineResult* out) {
@@ -632,23 +630,11 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     };
 
     // Independent pass: each group's residual is taken against the sketch
-    // state (every other group at its representative multiplicity), so the
-    // sub-ILPs share nothing and fan out across the pool. Models are built
-    // single-threaded in refine order; workers only solve.
+    // state (every other group at its representative multiplicity), so no
+    // sub-ILP depends on another's answer.
     struct RefineTask {
       std::vector<double> others;  // per-row contribution of everyone else
-      solver::LpModel model;
       solver::MilpResult solution;
-      /// Solver warm-start state (root basis + pseudocosts) for this
-      /// group's solves, re-seeded into the repair pass's re-solve of the
-      /// same group — the models are structurally identical, only the
-      /// residual ranges move. Points at the group's slot in the state (so
-      /// it survives across calls). Distinct groups own distinct slots, so
-      /// the parallel fan-out never shares warm state.
-      solver::MilpWarmStart* warm = nullptr;
-      /// Answered from the state's cached sub-solution; no solver work.
-      bool reused = false;
-      Status status = Status::OK();
     };
     // Per-row activity of the whole sketch state; each task's residual is
     // that minus the group's own representative contribution, O(rows) per
@@ -667,66 +653,37 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
         tasks[t].others[r] = base[r] - weights.Row(r, groups[g].rep) *
                                            static_cast<double>(group_mult[g]);
       }
-      SketchRefineState::Group* sg = &state->groups[g];
-      tasks[t].warm = &sg->warm;
-      if (options.reuse_group_solutions && !sg->dirty && sg->has_solution &&
-          tasks[t].others == sg->cached_others) {
+      SketchRefineState::Group& sg = state->groups[g];
+      if (options.reuse_group_solutions && !sg.dirty && sg.has_solution &&
+          tasks[t].others == sg.cached_others) {
         // Clean group, identical residual: the cached sub-solution IS what
         // a re-solve would return (same model bit-for-bit, deterministic
-        // solver), so skip the solver entirely.
-        tasks[t].solution = sg->cached_solution;
-        tasks[t].reused = true;
+        // solver), so skip the solver entirely. Its counters were charged
+        // when it was originally solved.
+        tasks[t].solution = sg.cached_solution;
         ++out.groups_reused;
         continue;
       }
-      tasks[t].model = build_sub(g, tasks[t].others);
       ++out.dirty_groups;
       ++out.refine_ilps_solved;
-    }
-    auto solve_task = [&](RefineTask& task) {
-      // Reused tasks carry their answer already; nothing to solve.
-      if (task.reused) return;
-      // A task that starts after interruption leaves its solution at the
-      // kNoSolution default — the merge below then routes through repair,
-      // whose own interruption check returns before any re-solve.
-      if (interrupted()) return;
-      // Each task owns its warm-start slot (task-local or its group's
-      // persistent one — distinct either way): safe under the thread pool
-      // (no sharing) and deterministic (the slot depends only on the
-      // task's own solves). A caller-provided options.milp.warm would be
-      // shared across concurrent tasks, so it is always overridden here.
+      // A group reached after interruption keeps the kNoSolution default:
+      // the merge below then routes through repair, whose own interruption
+      // check returns before any re-solve.
+      if (interrupted()) continue;
+      // The group's warm-start slot (root basis + pseudocosts) lives in the
+      // state, so it survives across calls and is re-seeded into the repair
+      // pass's re-solve of the same group: the models are structurally
+      // identical, only the residual ranges move. A caller-provided
+      // options.milp.warm would be clobbered by every group, so it is
+      // always overridden here.
       solver::MilpOptions task_milp = budgeted_milp();
-      task_milp.warm = task.warm;
-      Result<solver::MilpResult> sr = solver::SolveMilp(task.model, task_milp);
-      if (sr.ok()) {
-        task.solution = std::move(sr).value();
-      } else {
-        task.status = sr.status();
-      }
-    };
-    size_t workers = std::min<size_t>(
-        static_cast<size_t>(std::max(options.threads, 1)), tasks.size());
-    if (workers <= 1) {
-      for (RefineTask& task : tasks) solve_task(task);
-    } else {
-      // The waiting thread steals queued tasks (TaskGroup::Wait), making
-      // it the last of the `workers` budgeted solvers — so the pool gets
-      // workers - 1 threads, not workers.
-      ThreadPool pool(workers - 1);
-      TaskGroup group(&pool);
-      for (RefineTask& task : tasks) {
-        group.Spawn([&solve_task, &task] { solve_task(task); });
-      }
-      group.Wait();
-    }
-    for (const RefineTask& task : tasks) {
-      PB_RETURN_IF_ERROR(task.status);
-      // Reused tasks did no solver work this call: their cached result's
-      // counters were charged when it was originally solved.
-      if (task.reused) continue;
-      out.lp_iterations += task.solution.lp_iterations;
-      out.lp_dual_iterations += task.solution.lp_dual_iterations;
-      out.lp_refactorizations += task.solution.lp_refactorizations;
+      task_milp.warm = &sg.warm;
+      PB_ASSIGN_OR_RETURN(
+          tasks[t].solution,
+          solver::SolveMilp(build_sub(g, tasks[t].others), task_milp));
+      out.lp_iterations += tasks[t].solution.lp_iterations;
+      out.lp_dual_iterations += tasks[t].solution.lp_dual_iterations;
+      out.lp_refactorizations += tasks[t].solution.lp_refactorizations;
     }
     if (interrupted()) {
       out.refine_seconds += phase_timer.ElapsedSeconds();
@@ -766,14 +723,13 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
       // (chosen members aggregate differently than their representative),
       // and a group infeasible against the sketch residuals may still be
       // feasible against the actual ones. Rebuild greedily, propagating
-      // actual residuals group by group as the 2016 paper's refine does; a
-      // parallel result (solution or proven infeasibility) is reused when
-      // its residuals match the actual state exactly — always true for the
-      // first group, and for every group while no drift has occurred. The
-      // pass depends only on the tasks' deterministic results, so any
-      // thread count still yields an identical outcome. The actual residual
-      // is tracked as (base - own rep contribution) + drift so that a
-      // zero-drift prefix reproduces the task residuals bit-for-bit.
+      // actual residuals group by group as the 2016 paper's refine does; an
+      // independent-pass result (solution or proven infeasibility) is
+      // reused when its residuals match the actual state exactly — always
+      // true for the first group, and for every group while no drift has
+      // occurred. The actual residual is tracked as (base - own rep
+      // contribution) + drift so that a zero-drift prefix reproduces the
+      // task residuals bit-for-bit.
       ++out.repair_passes;
       mult.clear();
       for (size_t g : refine_order) mult[groups[g].rep] += group_mult[g];
@@ -794,10 +750,9 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
         if (others != tasks[t].others) {
           ++out.refine_ilps_solved;
           // Same group, same model structure, shifted residual ranges: the
-          // task's cached root basis and pseudocost history carry over
-          // (sequential pass, so borrowing the task's warm state is safe).
+          // group's root basis and pseudocost history carry over.
           solver::MilpOptions repair_milp = budgeted_milp();
-          repair_milp.warm = tasks[t].warm;
+          repair_milp.warm = &state->groups[g].warm;
           PB_ASSIGN_OR_RETURN(
               fresh, solver::SolveMilp(build_sub(g, others), repair_milp));
           out.lp_iterations += fresh.lp_iterations;

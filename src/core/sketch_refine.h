@@ -15,24 +15,23 @@
 //            tuples from its group by solving a small ILP over the group's
 //            members with all other groups pinned at their sketch
 //            (representative) contributions. Those sub-ILPs depend only on
-//            the sketch solution, so they run in parallel on a thread
-//            pool and merge in deterministic group order. If the merged
-//            package drifts out of feasibility (chosen members aggregate
-//            differently than their representative), a sequential repair
-//            pass rebuilds it greedily, propagating actual residuals group
-//            by group; backtracking excludes a group whose sub-ILP is
-//            infeasible and restarts from the sketch. Every pass is
-//            deterministic, so results are identical for any thread count
-//            as long as the solver's stopping rule is (i.e. no sub-ILP
-//            hits MilpOptions::time_limit_s mid-search — prefer node
-//            budgets when exact reproducibility matters).
+//            the sketch solution; they are solved one after another on the
+//            calling thread, in decreasing sketch-multiplicity order, and
+//            merge in that order. If the merged package drifts out of
+//            feasibility (chosen members aggregate differently than their
+//            representative), a repair pass rebuilds it greedily,
+//            propagating actual residuals group by group; backtracking
+//            excludes a group whose sub-ILP is infeasible and restarts from
+//            the sketch. Every pass is deterministic as long as the
+//            solver's stopping rule is (i.e. no sub-ILP hits
+//            MilpOptions::time_limit_s mid-search — prefer node budgets
+//            when exact reproducibility matters).
 //
 // The refine/repair sub-ILP sequence re-solves structurally identical
 // models per group (the repair pass shifts only constraint ranges), so each
 // group's solver warm-start state — root LP basis plus pseudocost branching
-// history — is cached from the parallel pass and re-seeded into that
-// group's repair solve. Reuse is task-local and consumed in deterministic
-// repair order, so thread-count invariance is preserved.
+// history — is kept from the independent pass and re-seeded into that
+// group's repair solve.
 //
 // The result is validated against the original query; approximation shows
 // up only in the objective value, which the E6 bench compares to Direct.
@@ -177,15 +176,6 @@ struct SketchRefineOptions {
   /// Maximum tuples per partition (tau). Smaller = finer approximation,
   /// larger sketch model.
   size_t partition_size = 64;
-  /// Threads for the Refine phase's per-group sub-ILPs (values below 1
-  /// read as 1; 1, the default, solves them one after another on the
-  /// calling thread). The sketch ILP and the sequential repair re-solves
-  /// run on the calling thread. The result is bit-identical for any count
-  /// provided the solver stops deterministically (a sub-ILP that hits
-  /// `milp.time_limit_s` mid-search can surface a different incumbent
-  /// under CPU contention; use `milp.max_nodes` as the budget when
-  /// reproducibility matters).
-  ///
   /// Cancellation and deadlines ride in `milp`: milp.cancel is polled
   /// between every phase and sub-solve here (and inside each solve's own
   /// tree search), and milp.time_limit_s bounds the WHOLE SketchRefine
@@ -194,7 +184,6 @@ struct SketchRefineOptions {
   /// count. A cancelled or out-of-time call returns found == false with
   /// whatever phase counters were already earned; it never returns a
   /// partially merged package.
-  int threads = 1;
   solver::MilpOptions milp;
 
   // ----- Incremental maintenance (HTAP) ------------------------------------
@@ -222,7 +211,7 @@ struct SketchRefineResult {
   /// True when the run stopped early because milp.cancel requested it or
   /// the milp.time_limit_s whole-call budget ran out (found is then false).
   bool cancelled = false;
-  /// Sequential repair passes taken after a parallel refine drifted out of
+  /// Repair passes taken after the independent refine drifted out of
   /// feasibility (0 when the independent solves merged cleanly).
   int repair_passes = 0;
   int64_t refine_ilps_solved = 0;

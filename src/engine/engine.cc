@@ -29,7 +29,6 @@ Engine::Engine(EngineOptions options)
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
   pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_));
-  unclaimed_threads_.store(num_threads_, std::memory_order_relaxed);
 }
 
 Engine::~Engine() {
@@ -250,26 +249,6 @@ void Engine::KeepMaintenanceEntry(const std::string& query_key,
   if (!kept) kept = std::move(entry);
 }
 
-// ----------------------------------------------------------- thread ledger
-
-int Engine::AcquireThreads(int requested) {
-  requested = std::max(1, requested);
-  int avail = unclaimed_threads_.load(std::memory_order_relaxed);
-  int take = 0;
-  do {
-    take = std::min(requested, std::max(0, avail));
-    if (take == 0) return 0;
-  } while (!unclaimed_threads_.compare_exchange_weak(
-      avail, avail - take, std::memory_order_relaxed));
-  return take;
-}
-
-void Engine::ReleaseThreads(int claimed) {
-  if (claimed > 0) {
-    unclaimed_threads_.fetch_add(claimed, std::memory_order_relaxed);
-  }
-}
-
 // ----------------------------------------------------------------- queries
 
 QueryResponse Engine::ExecuteQuery(uint64_t session_id,
@@ -398,7 +377,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
   storage::StorageBudgetScope storage_scope(storage_budget);
 
   Stopwatch solve_timer;
-  resp.status = Evaluate(aq, eo, budget.threads, normalized, &resp);
+  resp.status = Evaluate(aq, eo, normalized, &resp);
   resp.solve_seconds = solve_timer.ElapsedSeconds();
   resp.storage_peak_pinned_bytes = storage_budget.peak_pinned_bytes();
 
@@ -425,7 +404,7 @@ QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
 }
 
 Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
-                        const core::EvaluationOptions& eo, int threads,
+                        const core::EvaluationOptions& eo,
                         const std::string& query_key, QueryResponse* resp) {
   std::shared_ptr<MaintenanceEntry> entry;
   bool kept = false;
@@ -465,10 +444,10 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
       route.strategy == core::Strategy::kSketchRefine) {
     KeepMaintenanceEntry(query_key, entry);
   }
-  Status s = RunStep(route.strategy, route, aq, eo, threads, bounds,
-                     entry.get(), &candidates, query_key, resp);
+  Status s = RunStep(route.strategy, route, aq, eo, bounds, entry.get(),
+                     &candidates, query_key, resp);
   if (route.fallback && s.code() == StatusCode::kInfeasible) {
-    s = RunStep(*route.fallback, route, aq, eo, threads, bounds, entry.get(),
+    s = RunStep(*route.fallback, route, aq, eo, bounds, entry.get(),
                 &candidates, query_key, resp);
   }
   return s;
@@ -476,14 +455,14 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
 
 Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
                        const paql::AnalyzedQuery& aq,
-                       const core::EvaluationOptions& eo, int threads,
+                       const core::EvaluationOptions& eo,
                        const core::CardinalityBounds& bounds,
                        MaintenanceEntry* entry,
                        std::vector<size_t>* candidates,
                        const std::string& query_key, QueryResponse* resp) {
   resp->strategy = step;
   if (step == core::Strategy::kSketchRefine) {
-    return RunSketchRefinePath(aq, eo, threads, entry, resp);
+    return RunSketchRefinePath(aq, eo, entry, resp);
   }
   if (step == core::Strategy::kIlpSolver) {
     if (entry != nullptr) {
@@ -504,7 +483,7 @@ Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
 
 Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
                                    const core::EvaluationOptions& eo,
-                                   int threads, MaintenanceEntry* entry,
+                                   MaintenanceEntry* entry,
                                    QueryResponse* resp) {
   core::SketchRefineOptions sro;
   sro.partition_size = options_.sketch_partition_size;
@@ -512,8 +491,6 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
 
   Stopwatch maintenance_timer;
-  const int claimed = AcquireThreads(threads);
-  sro.threads = std::max(1, claimed);
   Result<core::SketchRefineResult> r_or =
       [&]() -> Result<core::SketchRefineResult> {
     // SketchRefineState, like MilpWarmStart, is not thread-safe; the
@@ -524,7 +501,6 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
     sro.state = &entry->state;
     return core::SketchRefine(aq, sro);
   }();
-  ReleaseThreads(claimed);
   PB_RETURN_IF_ERROR(r_or.status());
   const core::SketchRefineResult& r = *r_or;
   resp->cancelled = r.cancelled;

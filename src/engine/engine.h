@@ -6,9 +6,8 @@
 //
 //   - the loaded catalog, guarded by a reader/writer lock so any number of
 //     queries run concurrently while table loads are exclusive;
-//   - the shared worker ThreadPool that executes submitted queries and a
-//     thread-share ledger so concurrent queries' SketchRefine fan-outs
-//     split the machine instead of each assuming it owns every core;
+//   - the shared worker ThreadPool that executes submitted queries, each
+//     on one worker thread from parse to answer;
 //   - a result cache keyed on (normalized query text, catalog generation):
 //     repeating a query against an unchanged catalog returns the cached
 //     package bit-identically with zero solver work;
@@ -20,7 +19,7 @@
 //
 // ExecuteQuery() is safe to call from any number of threads. Budgets are
 // cooperative: QueryBudget carries a wall-clock deadline, node caps, a
-// refine thread share, and a CancelToken polled inside the branch-and-bound
+// storage budget, and a CancelToken polled inside the branch-and-bound
 // loop, so a cancelled or over-deadline query returns a structured partial
 // status — never a corrupted package.
 
@@ -60,11 +59,6 @@ struct QueryBudget {
   double time_limit_s = 0.0;
   /// Branch-and-bound node cap (0 = engine default).
   int64_t max_nodes = 0;
-  /// Threads requested for SketchRefine's refine fan-out, the one step
-  /// that runs more than one. The engine grants min(requested, threads
-  /// currently unclaimed), always at least one, so concurrent queries
-  /// degrade to serial refines instead of oversubscribing.
-  int threads = 1;
   /// Cooperative cancellation. Default-constructed tokens are inert; pass
   /// CancelToken::Create() (or use Engine::CancelSession) to make a query
   /// interruptible mid-solve.
@@ -348,9 +342,8 @@ class Engine {
   /// takes its candidates and bounds from its maintained state instead,
   /// refreshed over the rows appended since its last call; its state is
   /// cached once a plan routes it to SketchRefine.
-  /// `threads` is the budget's request (QueryBudget::threads).
   Status Evaluate(const paql::AnalyzedQuery& aq,
-                  const core::EvaluationOptions& eo, int threads,
+                  const core::EvaluationOptions& eo,
                   const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
   /// Runs one step of `route` (see core::RunStep) into `resp`. `bounds`
@@ -359,7 +352,7 @@ class Engine {
   /// candidates over (a copy of the state's when `entry` is set).
   Status RunStep(core::Strategy step, const core::QueryRoute& route,
                  const paql::AnalyzedQuery& aq,
-                 const core::EvaluationOptions& eo, int threads,
+                 const core::EvaluationOptions& eo,
                  const core::CardinalityBounds& bounds,
                  MaintenanceEntry* entry, std::vector<size_t>* candidates,
                  const std::string& query_key, QueryResponse* resp)
@@ -374,10 +367,9 @@ class Engine {
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through `entry`'s state so repeat queries after appends re-solve only
   /// dirty groups. kInfeasible when it comes back empty-handed
-  /// un-cancelled, which proves nothing. The refine fan-out runs on the
-  /// share of `threads` the ledger grants.
+  /// un-cancelled, which proves nothing.
   Status RunSketchRefinePath(const paql::AnalyzedQuery& aq,
-                             const core::EvaluationOptions& eo, int threads,
+                             const core::EvaluationOptions& eo,
                              MaintenanceEntry* entry, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
 
@@ -394,20 +386,15 @@ class Engine {
   bool LookupResultCache(const std::string& key, QueryResponse* out);
   void StoreResultCache(const std::string& key, const QueryResponse& resp);
 
-  /// Claims up to `requested` threads from the unclaimed pool share;
-  /// returns the number actually claimed (possibly 0 — the caller still
-  /// runs with one thread but must release exactly the claimed count).
-  int AcquireThreads(int requested);
-  void ReleaseThreads(int claimed);
-
   EngineOptions options_;
   int num_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Lock hierarchy (outermost first): catalog_mu_ → {sessions_mu_,
-  // result_mu_, warm_mu_, WarmEntry::mu, maint_mu_, MaintenanceEntry::mu,
-  // stats_mu_}. The leaf mutexes are never held together; see
-  // docs/adr/0003-concurrency-invariants.md.
+  // Lock hierarchy (outermost first): catalog_mu_ → {sessions_mu_ →
+  // Session::mu, result_mu_, warm_mu_, WarmEntry::mu, maint_mu_,
+  // MaintenanceEntry::mu, stats_mu_}. The leaf mutexes are never held
+  // together, except that CloseSession takes a Session::mu under
+  // sessions_mu_; see docs/adr/0003-concurrency-invariants.md.
   mutable SharedMutex catalog_mu_;
   db::Catalog catalog_ PB_GUARDED_BY(catalog_mu_);
   /// Bumped on every mutation.
@@ -430,7 +417,6 @@ class Engine {
   LruCache<std::string, std::shared_ptr<MaintenanceEntry>> maint_cache_
       PB_GUARDED_BY(maint_mu_);
 
-  std::atomic<int> unclaimed_threads_{1};
   std::atomic<int64_t> pending_{0};
 
   mutable Mutex stats_mu_;

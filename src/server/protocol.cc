@@ -1,5 +1,6 @@
 #include "server/protocol.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/annotations.h"
@@ -77,6 +78,46 @@ json::Value QueryResponseToJson(const engine::QueryResponse& resp) {
   return out;
 }
 
+Result<std::vector<db::Tuple>> JsonRowsToTuples(const json::Value& rows) {
+  if (!rows.is_array()) {
+    return Status::InvalidArgument(
+        "appended rows must be a JSON array of row arrays");
+  }
+  // 2^63 is exact as a double; an integral value in [-2^63, 2^63) is an
+  // int64 exactly, and anything outside would saturate in as_int().
+  constexpr double kTwo63 = 9223372036854775808.0;
+  std::vector<db::Tuple> tuples;
+  tuples.reserve(rows.items().size());
+  for (const json::Value& row : rows.items()) {
+    if (!row.is_array()) {
+      return Status::InvalidArgument(
+          "each appended row must be an array of cells");
+    }
+    db::Tuple tuple;
+    tuple.reserve(row.items().size());
+    for (const json::Value& cell : row.items()) {
+      if (cell.is_null()) {
+        tuple.push_back(db::Value::Null());
+      } else if (cell.is_bool()) {
+        tuple.push_back(db::Value::Bool(cell.as_bool()));
+      } else if (cell.is_number()) {
+        const double d = cell.as_number();
+        tuple.push_back(d >= -kTwo63 && d < kTwo63 && d == std::trunc(d)
+                            ? db::Value::Int(cell.as_int())
+                            : db::Value::Double(d));
+      } else if (cell.is_string()) {
+        tuple.push_back(db::Value::String(cell.as_string()));
+      } else {
+        return Status::InvalidArgument(
+            "appended cells must be scalars (null, bool, number, or "
+            "string)");
+      }
+    }
+    tuples.push_back(std::move(tuple));
+  }
+  return tuples;
+}
+
 namespace {
 
 engine::QueryBudget ParseBudget(const json::Value& request) {
@@ -85,7 +126,6 @@ engine::QueryBudget ParseBudget(const json::Value& request) {
   if (b == nullptr || !b->is_object()) return budget;
   budget.time_limit_s = b->GetNumber("time_limit_s", 0.0);
   budget.max_nodes = b->GetInt("max_nodes", 0);
-  budget.threads = static_cast<int>(b->GetInt("threads", 1));
   budget.max_pinned_bytes = b->GetInt("max_pinned_bytes", 0);
   return budget;
 }
@@ -145,13 +185,19 @@ json::Value HandleTables(engine::Engine* engine) {
   return OkEnvelope(std::move(result));
 }
 
+/// Largest table a "gen" request may ask for: ten times the largest any
+/// test, bench or perfbench workload generates. A client's n is otherwise
+/// unbounded, and the row reservation for 9e18 rows aborts the process.
+constexpr int64_t kMaxGenRows = 1000000;
+
 json::Value HandleGen(engine::Engine* engine, const json::Value& request) {
   const std::string kind = request.GetString("kind");
   const int64_t n = request.GetInt("n", 1000);
   const int64_t seed = request.GetInt("seed", 42);
-  if (n <= 0) {
+  if (n <= 0 || n > kMaxGenRows) {
     return ErrorEnvelope(StatusCode::kInvalidArgument,
-                         "'n' must be positive");
+                         "'n' must be in [1, " + std::to_string(kMaxGenRows) +
+                             "]");
   }
   auto rows = engine->GenerateDataset(kind, static_cast<size_t>(n),
                                       static_cast<uint64_t>(seed));
@@ -182,24 +228,6 @@ json::Value HandleSpill(engine::Engine* engine, const json::Value& request) {
   return OkEnvelope(std::move(result));
 }
 
-/// JSON cell -> db::Value. Whole numbers travel as Int (which widens into
-/// DOUBLE columns, so `3` fits both INT and DOUBLE schemas); fractional
-/// ones as Double. Table::AppendRows re-checks types against the schema.
-Result<db::Value> JsonCellToValue(const json::Value& cell) {
-  if (cell.is_null()) return db::Value::Null();
-  if (cell.is_bool()) return db::Value::Bool(cell.as_bool());
-  if (cell.is_number()) {
-    const double d = cell.as_number();
-    if (d == static_cast<double>(cell.as_int())) {
-      return db::Value::Int(cell.as_int());
-    }
-    return db::Value::Double(d);
-  }
-  if (cell.is_string()) return db::Value::String(cell.as_string());
-  return Status::InvalidArgument(
-      "append cells must be scalars (null, bool, number, or string)");
-}
-
 json::Value HandleAppend(engine::Engine* engine, const json::Value& request) {
   const std::string table = request.GetString("table");
   if (table.empty()) {
@@ -207,27 +235,9 @@ json::Value HandleAppend(engine::Engine* engine, const json::Value& request) {
                          "append request needs a non-empty 'table' field");
   }
   const json::Value* rows = request.Find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return ErrorEnvelope(StatusCode::kInvalidArgument,
-                         "append request needs a 'rows' array of row arrays");
-  }
-  std::vector<db::Tuple> tuples;
-  tuples.reserve(rows->items().size());
-  for (const json::Value& row : rows->items()) {
-    if (!row.is_array()) {
-      return ErrorEnvelope(StatusCode::kInvalidArgument,
-                           "each appended row must be an array of cells");
-    }
-    db::Tuple tuple;
-    tuple.reserve(row.items().size());
-    for (const json::Value& cell : row.items()) {
-      auto value = JsonCellToValue(cell);
-      if (!value.ok()) return ErrorEnvelope(value.status());
-      tuple.push_back(*std::move(value));
-    }
-    tuples.push_back(std::move(tuple));
-  }
-  auto outcome = engine->AppendRows(table, std::move(tuples));
+  auto tuples = JsonRowsToTuples(rows != nullptr ? *rows : json::Value());
+  if (!tuples.ok()) return ErrorEnvelope(tuples.status());
+  auto outcome = engine->AppendRows(table, *std::move(tuples));
   if (!outcome.ok()) return ErrorEnvelope(outcome.status());
   json::Value result = json::Value::Object();
   result.Set("table", json::Value::Str(table));

@@ -15,7 +15,8 @@
 //   {"op":"query","paql":"...",
 //    "session":N,                          (optional; 0 = anonymous)
 //    "budget":{"time_limit_s":S,          (optional, all fields optional)
-//              "max_nodes":N,"threads":T}}
+//              "max_nodes":N,
+//              "max_pinned_bytes":B}}
 //   {"op":"cancel","session":N}           -> cancels N's in-flight query
 //   {"op":"tables"}                       -> catalog listing
 //   {"op":"gen","kind":"recipes",
@@ -37,6 +38,7 @@
 #define PB_SERVER_PROTOCOL_H_
 
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
@@ -56,6 +58,13 @@ json::Value OkEnvelope(json::Value result);
 /// Builds the error envelope for a status (status must not be OK).
 json::Value ErrorEnvelope(const Status& status);
 json::Value ErrorEnvelope(StatusCode code, const std::string& message);
+
+/// The rows of an "append" request or of pbshell's \append: `rows` must be
+/// an array of row arrays of scalar cells. A whole number in [-2^63, 2^63)
+/// becomes an Int, which widens into DOUBLE columns, so `3` fits both INT
+/// and DOUBLE schemas; any other number becomes a Double.
+/// Table::AppendRows re-checks the types against the schema.
+Result<std::vector<db::Tuple>> JsonRowsToTuples(const json::Value& rows);
 
 /// Serializes a QueryResponse into the "query" result payload: package
 /// rows + multiplicities, objective, strategy, counters, and timings.

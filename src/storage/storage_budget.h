@@ -80,10 +80,9 @@ class StorageBudget {
 
 /// Installs `budget` as the calling thread's active storage budget for the
 /// scope's lifetime (restoring the previous one on exit). BlockCache::Pin
-/// consults the active budget of the pinning thread, so pins made by pool
-/// workers outside a scope are uncounted — the engine gathers weights on
-/// the query thread before fanning out, which keeps accounting accurate
-/// where it matters.
+/// consults the active budget of the pinning thread, so pins made on a
+/// thread with no open scope are uncounted. The engine opens one on the
+/// query's thread, where every step of the query runs.
 class StorageBudgetScope {
  public:
   explicit StorageBudgetScope(StorageBudget budget);

@@ -36,37 +36,6 @@ class SketchRefineSlowTest : public ::testing::Test {
   }
 };
 
-TEST_F(SketchRefineSlowTest, ThreadCountIdentityAtBenchmarkScale) {
-  // The BM_RefineThreads workload: 50k tuples, tight two-sided windows,
-  // deterministic node budgets. Any thread count must produce the
-  // bit-identical package.
-  db::Catalog c;
-  c.RegisterOrReplace(datagen::GenerateLineitems(50000, 5));
-  auto aq = Analyzed(c, kTightQuery);
-  SketchRefineOptions base;
-  base.partition_size = 512;
-  base.milp.max_nodes = 3000;
-  base.milp.time_limit_s = 1e9;  // node budget is the deterministic limit
-
-  SketchRefineResult reference;
-  for (int threads : {1, 2, 4}) {
-    SketchRefineOptions opts = base;
-    opts.threads = threads;
-    auto r = SketchRefine(aq, opts);
-    ASSERT_TRUE(r.ok()) << "threads=" << threads << ": "
-                        << r.status().ToString();
-    ASSERT_TRUE(r->found) << "threads=" << threads;
-    if (threads == 1) {
-      reference = std::move(r).value();
-      continue;
-    }
-    EXPECT_EQ(r->package, reference.package) << "threads=" << threads;
-    EXPECT_EQ(r->objective, reference.objective) << "threads=" << threads;
-    EXPECT_EQ(r->refine_ilps_solved, reference.refine_ilps_solved)
-        << "threads=" << threads;
-  }
-}
-
 TEST_F(SketchRefineSlowTest, WarmColdIdentityAtBenchmarkScale) {
   // Every sub-ILP solves to proven optimality: warm starting changes the
   // path, never the answer. The pinned package and objective are what

@@ -5,9 +5,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
 
@@ -280,99 +278,6 @@ TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
   pool.Submit([&ran] { ran = true; });
   pool.Wait();
   EXPECT_TRUE(ran.load());
-}
-
-/// A task that parks on a worker until released, with a handshake so the
-/// test can be sure a WORKER (not a helping waiter) is the one parked
-/// before it proceeds — otherwise the test thread itself could steal the
-/// blocker and deadlock on its own release.
-struct Blocker {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool started = false;
-  bool release = false;
-
-  std::function<void()> Task() {
-    return [this] {
-      std::unique_lock<std::mutex> lock(mu);
-      started = true;
-      cv.notify_all();
-      cv.wait(lock, [this] { return release; });
-    };
-  }
-  void AwaitStarted() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return started; });
-  }
-  void Release() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-  }
-};
-
-TEST(ThreadPoolTest, TryRunOneDrainsQueuedTask) {
-  ThreadPool pool(1);
-  // Park the lone worker so further submissions must queue.
-  Blocker blocker;
-  pool.Submit(blocker.Task());
-  blocker.AwaitStarted();
-  std::atomic<int> ran{0};
-  pool.Submit([&ran] { ++ran; });
-  // The queued task runs on THIS thread.
-  EXPECT_TRUE(pool.TryRunOne());
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_FALSE(pool.TryRunOne());  // queue is empty again
-  blocker.Release();
-  pool.Wait();
-}
-
-TEST(TaskGroupTest, WaitScopesToTheGroupNotThePool) {
-  ThreadPool pool(2);
-  // Group B parks one task on a worker; group A's Wait must still return.
-  Blocker blocker;
-  TaskGroup b(&pool);
-  b.Spawn(blocker.Task());
-  blocker.AwaitStarted();
-  TaskGroup a(&pool);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 64; ++i) a.Spawn([&sum, i] { sum += i; });
-  a.Wait();
-  EXPECT_EQ(sum.load(), 64 * 65 / 2);
-  blocker.Release();
-  b.Wait();
-}
-
-TEST(TaskGroupTest, NestedWaitOnSharedPoolDoesNotDeadlock) {
-  // A pool task spawns a subgroup into the SAME single-thread pool and
-  // waits on it: Wait's work stealing must run the subtasks inline.
-  ThreadPool pool(1);
-  std::atomic<int> inner_runs{0};
-  std::atomic<bool> outer_done{false};
-  TaskGroup outer(&pool);
-  outer.Spawn([&] {
-    TaskGroup inner(&pool);
-    for (int i = 0; i < 8; ++i) inner.Spawn([&inner_runs] { ++inner_runs; });
-    inner.Wait();
-    outer_done = true;
-  });
-  outer.Wait();
-  EXPECT_EQ(inner_runs.load(), 8);
-  EXPECT_TRUE(outer_done.load());
-}
-
-TEST(TaskGroupTest, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  TaskGroup group(&pool);
-  std::atomic<int> calls{0};
-  group.Spawn([&calls] { ++calls; });
-  group.Wait();
-  EXPECT_EQ(calls.load(), 1);
-  for (int i = 0; i < 10; ++i) group.Spawn([&calls] { ++calls; });
-  group.Wait();
-  EXPECT_EQ(calls.load(), 11);
 }
 
 // ----- LruCache --------------------------------------------------------------

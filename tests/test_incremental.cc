@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/env.h"
 #include "common/random.h"
 #include "core/evaluator.h"
 #include "core/sketch_refine.h"
@@ -51,26 +50,23 @@ constexpr char kRecipesQuery[] =
 
 // ----- Routing determinism ---------------------------------------------------
 
-TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
-  // Two identically-fed states, solved at 1 thread and at PB_TEST_THREADS,
-  // must agree on everything: the maintained partition, the counters, and
-  // the package bit-for-bit (routing and splitting are single-threaded;
-  // the solves are thread-count-invariant).
+TEST(IncrementalTest, AppendRouteDeterministicAcrossIdenticalStates) {
+  // Two identically-fed states must agree on everything: the maintained
+  // partition, the counters, and the package bit-for-bit (routing,
+  // splitting and the solves are deterministic).
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateRecipes(400, 17));
   auto aq = Analyzed(c, kRecipesQuery);
 
   SketchRefineOptions opts;
   opts.partition_size = 50;
-  SketchRefineState serial_state, parallel_state;
+  SketchRefineState first_state, second_state;
 
-  opts.state = &serial_state;
-  opts.threads = 1;
+  opts.state = &first_state;
   auto s1 = SketchRefine(aq, opts);
   ASSERT_TRUE(s1.ok() && s1->found) << s1.status().ToString();
 
-  opts.state = &parallel_state;
-  opts.threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.state = &second_state;
   auto p1 = SketchRefine(aq, opts);
   ASSERT_TRUE(p1.ok() && p1->found) << p1.status().ToString();
   EXPECT_EQ(s1->package, p1->package);
@@ -78,15 +74,13 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   AppendDuplicates(&c, "recipes", 4);
   aq = Analyzed(c, kRecipesQuery);
 
-  opts.state = &serial_state;
-  opts.threads = 1;
+  opts.state = &first_state;
   auto s2 = SketchRefine(aq, opts);
   ASSERT_TRUE(s2.ok() && s2->found) << s2.status().ToString();
   EXPECT_TRUE(s2->state_reused);
   EXPECT_EQ(s2->appended_routed, 4);
 
-  opts.state = &parallel_state;
-  opts.threads = pb::EnvInt("PB_TEST_THREADS", 8);
+  opts.state = &second_state;
   auto p2 = SketchRefine(aq, opts);
   ASSERT_TRUE(p2.ok() && p2->found) << p2.status().ToString();
 
@@ -96,11 +90,11 @@ TEST(IncrementalTest, AppendRouteDeterministicAcrossThreadCounts) {
   EXPECT_EQ(s2->dirty_groups, p2->dirty_groups);
   EXPECT_EQ(s2->groups_reused, p2->groups_reused);
   EXPECT_EQ(s2->lp_iterations, p2->lp_iterations);
-  ASSERT_EQ(serial_state.groups.size(), parallel_state.groups.size());
-  for (size_t g = 0; g < serial_state.groups.size(); ++g) {
-    EXPECT_EQ(serial_state.groups[g].members, parallel_state.groups[g].members)
+  ASSERT_EQ(first_state.groups.size(), second_state.groups.size());
+  for (size_t g = 0; g < first_state.groups.size(); ++g) {
+    EXPECT_EQ(first_state.groups[g].members, second_state.groups[g].members)
         << "group " << g << " routed differently";
-    EXPECT_EQ(serial_state.groups[g].rep, parallel_state.groups[g].rep);
+    EXPECT_EQ(first_state.groups[g].rep, second_state.groups[g].rep);
   }
 }
 
@@ -430,35 +424,6 @@ TEST(EngineIncrementalTest, RevalidatedCacheBitIdenticalToColdReSolve) {
   EXPECT_FALSE(again.revalidated);
   EXPECT_EQ(again.maintenance_ms, 0.0);
   EXPECT_EQ(a.stats().revalidations, 1);
-}
-
-TEST(EngineIncrementalTest, ThreadBudgetDoesNotChangeMaintainedAnswer) {
-  const int threads = pb::EnvInt("PB_TEST_THREADS", 8);
-  Engine serial(IncrementalOptions(true));
-  Engine parallel(IncrementalOptions(true));
-  QueryBudget serial_budget, parallel_budget;
-  serial_budget.threads = 1;
-  parallel_budget.threads = threads;
-
-  for (Engine* e : {&serial, &parallel}) {
-    ASSERT_TRUE(e->GenerateDataset("recipes", 400, 17).ok());
-  }
-  QueryResponse s1 = serial.ExecuteQuery(0, kEngineQuery, serial_budget);
-  QueryResponse p1 = parallel.ExecuteQuery(0, kEngineQuery, parallel_budget);
-  ASSERT_TRUE(s1.ok() && p1.ok());
-  EXPECT_EQ(s1.package, p1.package);
-
-  for (Engine* e : {&serial, &parallel}) {
-    ASSERT_TRUE(e->AppendRows("recipes", DuplicateRows(400, 17, 4)).ok());
-  }
-  QueryResponse s2 = serial.ExecuteQuery(0, kEngineQuery, serial_budget);
-  QueryResponse p2 = parallel.ExecuteQuery(0, kEngineQuery, parallel_budget);
-  ASSERT_TRUE(s2.ok() && p2.ok());
-  EXPECT_TRUE(s2.revalidated);
-  EXPECT_TRUE(p2.revalidated);
-  EXPECT_EQ(s2.package, p2.package)
-      << s2.package.Fingerprint() << " vs " << p2.package.Fingerprint();
-  EXPECT_EQ(s2.objective, p2.objective);
 }
 
 TEST(EngineIncrementalTest, SpilledAppendFallsBackToFullInvalidation) {

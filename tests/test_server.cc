@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
@@ -82,6 +83,22 @@ TEST(JsonTest, IntegersDumpExactly) {
   EXPECT_NE(out.find("9007199254740992"), std::string::npos);
   EXPECT_NE(out.find("-7"), std::string::npos);
   EXPECT_NE(out.find("0.5"), std::string::npos);
+}
+
+TEST(JsonTest, GetIntSaturatesOutOfRangeNumbers) {
+  // 1e999 parses to inf; a plain cast of any of these is undefined.
+  auto v = json::Parse(R"js({"big":1e300,"small":-1e300,"inf":1e999,)js"
+                       R"js("two63":9223372036854775808,)js"
+                       R"js("min":-9223372036854775808})js");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(v->GetInt("big"), kMax);
+  EXPECT_EQ(v->GetInt("small"), kMin);
+  EXPECT_EQ(v->GetInt("inf"), kMax);
+  EXPECT_EQ(v->GetInt("two63"), kMax);
+  EXPECT_EQ(v->GetInt("min"), kMin);
+  EXPECT_EQ(json::Value::Number(-2.9).as_int(), -2);
 }
 
 // --------------------------------------------------------------- protocol
@@ -199,6 +216,83 @@ TEST(ProtocolTest, TablesStatsAndGenRoundTrip) {
   json::Value stats = Call(engine.get(), R"js({"op":"stats"})js");
   EXPECT_TRUE(stats.GetBool("ok"));
   EXPECT_GE(stats.Find("result")->GetInt("queries"), 0);
+}
+
+TEST(ProtocolTest, GenRejectsOversizedTables) {
+  auto engine = MakeEngine(30);
+  // 9e18, and 1e300 once it saturates to INT64_MAX, would abort the server
+  // on the row reservation; 1000001 is one row past the cap.
+  for (const std::string n : {"9e18", "1e300", "1000001"}) {
+    const std::string request = R"js({"op":"gen","kind":"recipes","n":)js";
+    EXPECT_EQ(ErrorCode(Call(engine.get(), request + n + "}")),
+              "InvalidArgument")
+        << "n=" << n;
+  }
+  EXPECT_EQ(ErrorCode(Call(engine.get(),
+                           R"js({"op":"gen","kind":"recipes","n":-1e300})js")),
+            "InvalidArgument");
+}
+
+TEST(ProtocolTest, BudgetThreadsKeyIsIgnored) {
+  // Older clients still send a "threads" budget key; it is ignored like
+  // any unknown key. Each request gets its own maintained engine, so both
+  // solve through SketchRefine instead of one replaying the other's cache.
+  const std::string query =
+      R"js({"op":"query","paql":"SELECT PACKAGE(R) FROM recipes R SUCH )js"
+      R"js(THAT COUNT(*) = 3 AND SUM(calories) BETWEEN 2000 AND 2500 )js"
+      R"js(MAXIMIZE SUM(protein)")js";
+  const std::string budgets[] = {"", R"js(,"budget":{"threads":4})js"};
+  std::vector<json::Value> answers;
+  for (const std::string& budget : budgets) {
+    engine::EngineOptions options;
+    options.num_threads = 2;
+    options.incremental_maintenance = true;
+    engine::Engine engine(options);
+    ASSERT_TRUE(engine.GenerateDataset("recipes", 120, 42).ok());
+    json::Value r = Call(&engine, query + budget + "}");
+    ASSERT_TRUE(r.GetBool("ok")) << r.Dump();
+    EXPECT_EQ(r.Find("result")->GetString("strategy"), "SketchRefine");
+    answers.push_back(*r.Find("result")->Find("package"));
+  }
+  EXPECT_EQ(answers[1].Dump(), answers[0].Dump());
+}
+
+TEST(ProtocolTest, AppendCellsBecomeIntOnlyWhenIntegralInRange) {
+  auto rows = json::Parse(
+      R"js([[3, 2.5, -9223372036854775808, 9223372036854775808, 1e300],)js"
+      R"js([null, true, "x"]])js");
+  ASSERT_TRUE(rows.ok());
+  auto tuples = JsonRowsToTuples(*rows);
+  ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+  ASSERT_EQ(tuples->size(), 2u);
+  const db::Tuple& nums = (*tuples)[0];
+  ASSERT_EQ(nums.size(), 5u);
+  ASSERT_TRUE(nums[0].is_int());
+  EXPECT_EQ(nums[0].AsInt(), 3);
+  ASSERT_TRUE(nums[1].is_double());
+  EXPECT_EQ(nums[1].AsDoubleExact(), 2.5);
+  ASSERT_TRUE(nums[2].is_int());
+  EXPECT_EQ(nums[2].AsInt(), std::numeric_limits<int64_t>::min());
+  // 2^63 and 1e300 are whole, but no int64 holds them.
+  ASSERT_TRUE(nums[3].is_double());
+  EXPECT_EQ(nums[3].AsDoubleExact(), 9223372036854775808.0);
+  ASSERT_TRUE(nums[4].is_double());
+  EXPECT_EQ(nums[4].AsDoubleExact(), 1e300);
+  const db::Tuple& rest = (*tuples)[1];
+  ASSERT_EQ(rest.size(), 3u);
+  EXPECT_TRUE(rest[0].is_null());
+  ASSERT_TRUE(rest[1].is_bool());
+  EXPECT_TRUE(rest[1].AsBool());
+  ASSERT_TRUE(rest[2].is_string());
+  EXPECT_EQ(rest[2].AsString(), "x");
+
+  for (const char* bad : {"{}", "[1]", "[[[1]]]", "[[{}]]"}) {
+    auto v = json::Parse(bad);
+    ASSERT_TRUE(v.ok()) << bad;
+    EXPECT_EQ(JsonRowsToTuples(*v).status().code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
 }
 
 // ----------------------------------------------------------------- server

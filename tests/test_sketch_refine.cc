@@ -5,7 +5,6 @@
 
 #include <set>
 
-#include "common/env.h"
 #include "core/evaluator.h"
 #include "core/sketch_refine.h"
 #include "datagen/lineitem.h"
@@ -172,48 +171,6 @@ TEST_F(SketchRefineTest, PartitionSizeSweepStaysValid) {
     ASSERT_TRUE(r.ok()) << "tau=" << tau << ": " << r.status().ToString();
     ASSERT_TRUE(r->found) << "tau=" << tau;
     EXPECT_TRUE(*IsValidPackage(aq, r->package)) << "tau=" << tau;
-  }
-}
-
-TEST_F(SketchRefineTest, ThreadCountDoesNotChangeResult) {
-  // The meal-plan workload: any thread budget must produce a bit-identical
-  // package and objective (parallel refine merges deterministically and the
-  // repair pass depends only on deterministic sub-solutions).
-  db::Catalog c;
-  c.RegisterOrReplace(datagen::GenerateRecipes(600, 41));
-  auto aq = Analyzed(c,
-                     "SELECT PACKAGE(R) FROM recipes R "
-                     "SUCH THAT COUNT(*) = 6 AND "
-                     "SUM(calories) BETWEEN 2400 AND 3600 AND "
-                     "SUM(fat) <= 180 "
-                     "MAXIMIZE SUM(protein)");
-  SketchRefineOptions seq;
-  seq.partition_size = 50;
-  seq.threads = 1;
-  auto r1 = SketchRefine(aq, seq);
-  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-  ASSERT_TRUE(r1->found);
-
-  // Every refine fan-out must agree with the serial run, including
-  // whatever PB_TEST_THREADS suggests (the CI matrix re-runs the suite at 1
-  // and $(nproc)); counts below 1 read as 1, the serial run itself.
-  for (int threads : {2, 4, pb::EnvInt("PB_TEST_THREADS", 8), 0, -3}) {
-    SketchRefineOptions par = seq;
-    par.threads = threads;
-    auto r4 = SketchRefine(aq, par);
-    ASSERT_TRUE(r4.ok()) << r4.status().ToString();
-    ASSERT_TRUE(r4->found);
-
-    EXPECT_EQ(r1->package, r4->package)
-        << r1->package.Fingerprint() << " vs " << r4->package.Fingerprint()
-        << " (threads=" << threads << ")";
-    EXPECT_EQ(r1->objective, r4->objective);
-    EXPECT_EQ(r1->backtracks, r4->backtracks);
-    EXPECT_EQ(r1->repair_passes, r4->repair_passes);
-    EXPECT_EQ(r1->refine_ilps_solved, r4->refine_ilps_solved);
-    EXPECT_EQ(r1->lp_iterations, r4->lp_iterations);
-    EXPECT_EQ(r1->lp_dual_iterations, r4->lp_dual_iterations);
-    EXPECT_TRUE(*IsValidPackage(aq, r4->package));
   }
 }
 

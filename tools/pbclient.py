@@ -13,7 +13,7 @@ Usage:
     pbclient.py --port 7781 gen recipes 500 42
     pbclient.py --port 7781 append recipes '[[1, 2.5, "x"], [2, 3.0, "y"]]'
     pbclient.py --port 7781 query 'SELECT PACKAGE(R) FROM recipes R ...' \
-        [--session N] [--time-limit S] [--max-nodes N] [--threads T]
+        [--session N] [--time-limit S] [--max-nodes N]
     pbclient.py --port 7781 cancel --session N
     pbclient.py --port 7781 stats
     pbclient.py --port 7781 raw '{"op":"query","paql":"..."}'
@@ -95,8 +95,6 @@ def build_request(args):
             budget["time_limit_s"] = args.time_limit
         if args.max_nodes is not None:
             budget["max_nodes"] = args.max_nodes
-        if args.threads is not None:
-            budget["threads"] = args.threads
         if budget:
             req["budget"] = budget
         return req
@@ -128,7 +126,6 @@ def main():
     parser.add_argument("--session", type=int, default=0)
     parser.add_argument("--time-limit", type=float, dest="time_limit")
     parser.add_argument("--max-nodes", type=int, dest="max_nodes")
-    parser.add_argument("--threads", type=int)
     parser.add_argument("--expect",
                         help="assert the envelope: ok | error:<Code>")
     parser.add_argument("command",
