@@ -119,12 +119,8 @@ void BM_IlpPruningAblation(benchmark::State& state) {
   }
   double nodes = 0;
   for (auto _ : state) {
-    // TranslateToIlp takes the candidate list over, so each pass gets a
-    // copy.
-    std::vector<size_t> rows = *candidates;
     pb::core::TranslateOptions topts;
     if (use_pruning) topts.bounds = &*bounds;
-    topts.candidates = &rows;
     auto translation = pb::core::TranslateToIlp(*aq, topts);
     if (!translation.ok()) {
       state.SkipWithError(translation.status().ToString().c_str());

@@ -28,6 +28,12 @@ class LruCache {
     return &it->second->second;
   }
 
+  /// Find, leaving the entry's recency unchanged.
+  const V* Peek(const K& key) const {
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->second;
+  }
+
   /// Stores `value` under `key` as the most recently used entry, then drops
   /// entries beyond capacity: a capacity of 0 stores nothing.
   void Put(const K& key, V value) {

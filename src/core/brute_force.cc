@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/stopwatch.h"
-#include "db/ops.h"
 
 namespace pb::core {
 
@@ -16,24 +15,18 @@ constexpr double kFeasTol = 1e-9;
 /// DFS state for the exhaustive enumeration.
 class Enumerator {
  public:
+  /// `inputs` are weighed and outlive the search.
   Enumerator(const paql::AnalyzedQuery& aq, const BruteForceOptions& options,
-             std::vector<size_t> candidates, CardinalityBounds bounds)
+             const QueryInputs& inputs, CardinalityBounds bounds)
       : aq_(aq),
         opts_(options),
-        candidates_(std::move(candidates)),
+        candidates_(inputs.candidates),
+        w_(inputs.weights),
         bounds_(bounds),
-        n_(candidates_.size()) {}
-
-  Status Prepare() {
-    // Per-candidate combined weight for each linear constraint, plus suffix
-    // min/max achievable contributions for interval bounding.
+        n_(candidates_.size()) {
+    // Suffix min/max achievable contributions of each linear constraint
+    // for interval bounding.
     const size_t rows = aq_.linear_constraints.size();
-    std::vector<std::vector<double>> agg_w(aq_.aggs.size());
-    for (size_t a = 0; a < aq_.aggs.size(); ++a) {
-      PB_ASSIGN_OR_RETURN(
-          agg_w[a], ComputeAggWeights(aq_.aggs[a], *aq_.table, candidates_));
-    }
-    w_.assign(rows, std::vector<double>(n_, 0.0));
     suffix_max_.assign(rows, std::vector<double>(n_ + 1, 0.0));
     suffix_min_.assign(rows, std::vector<double>(n_ + 1, 0.0));
     lo_.resize(rows);
@@ -43,11 +36,6 @@ class Enumerator {
       const paql::LinearConstraint& lc = aq_.linear_constraints[r];
       lo_[r] = lc.lo;
       hi_[r] = lc.hi;
-      for (size_t i = 0; i < n_; ++i) {
-        for (const paql::LinearAggTerm& t : lc.terms) {
-          w_[r][i] += t.coeff * agg_w[t.agg_index][i];
-        }
-      }
       for (size_t i = n_; i-- > 0;) {
         suffix_max_[r][i] =
             suffix_max_[r][i + 1] + std::max(0.0, w_[r][i]) * k;
@@ -63,15 +51,7 @@ class Enumerator {
                           !aq_.extreme_constraints.empty() ||
                           aq_.requires_nonempty;
     // Linear objective fast path.
-    if (aq_.has_objective && aq_.objective_linear) {
-      obj_w_.assign(n_, 0.0);
-      for (const paql::LinearAggTerm& t : aq_.objective_terms) {
-        for (size_t i = 0; i < n_; ++i) {
-          obj_w_[i] += t.coeff * agg_w[t.agg_index][i];
-        }
-      }
-    }
-    return Status::OK();
+    if (aq_.has_objective && aq_.objective_linear) obj_w_ = &w_[rows];
   }
 
   Result<BruteForceResult> Run() {
@@ -194,9 +174,9 @@ class Enumerator {
     }
     double obj = 0.0;
     if (aq_.has_objective) {
-      if (!obj_w_.empty()) {
+      if (obj_w_ != nullptr) {
         for (size_t i = 0; i < stack_mult_.size(); ++i) {
-          obj += obj_w_[i] * static_cast<double>(stack_mult_[i]);
+          obj += (*obj_w_)[i] * static_cast<double>(stack_mult_[i]);
         }
       } else {
         PB_ASSIGN_OR_RETURN(obj, PackageObjective(aq_, pkg));
@@ -229,14 +209,15 @@ class Enumerator {
 
   const paql::AnalyzedQuery& aq_;
   const BruteForceOptions& opts_;
-  std::vector<size_t> candidates_;
+  const std::vector<size_t>& candidates_;
+  const WeightColumns& w_;  // [row][candidate], linear constraints first
   CardinalityBounds bounds_;
   size_t n_;
 
-  std::vector<std::vector<double>> w_;           // [row][candidate]
   std::vector<std::vector<double>> suffix_max_;  // [row][idx]
   std::vector<std::vector<double>> suffix_min_;
-  std::vector<double> lo_, hi_, sums_, obj_w_;
+  std::vector<double> lo_, hi_, sums_;
+  const std::vector<double>* obj_w_ = nullptr;  // linear objective only
   std::vector<int64_t> stack_mult_;
   int64_t count_ = 0;
   bool exact_check_needed_ = false;
@@ -256,20 +237,18 @@ class Enumerator {
 
 Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
                                           const BruteForceOptions& options) {
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
-                      DeriveCardinalityBounds(aq, candidates));
-  return BruteForceSearch(aq, std::move(candidates), bounds, options);
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                      PrepareQuery(aq, &inputs));
+  return BruteForceSearch(aq, &inputs, bounds, options);
 }
 
 Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
-                                          std::vector<size_t> candidates,
+                                          QueryInputs* inputs,
                                           const CardinalityBounds& bounds,
                                           const BruteForceOptions& options) {
-  Enumerator e(aq, options, std::move(candidates), bounds);
-  PB_RETURN_IF_ERROR(e.Prepare());
-  return e.Run();
+  PB_RETURN_IF_ERROR(inputs->Weigh(aq));
+  return Enumerator(aq, options, *inputs, bounds).Run();
 }
 
 }  // namespace pb::core

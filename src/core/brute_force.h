@@ -54,10 +54,10 @@ struct BruteForceResult {
 Result<BruteForceResult> BruteForceSearch(
     const paql::AnalyzedQuery& aq, const BruteForceOptions& options = {});
 
-/// The same search over a caller's FilterIndices result `candidates` and
-/// the `bounds` DeriveCardinalityBounds derived from them.
+/// The same search over the `inputs` PrepareQuery derived `bounds` from,
+/// reading (and building) their weight columns.
 Result<BruteForceResult> BruteForceSearch(const paql::AnalyzedQuery& aq,
-                                          std::vector<size_t> candidates,
+                                          QueryInputs* inputs,
                                           const CardinalityBounds& bounds,
                                           const BruteForceOptions& options);
 

@@ -12,15 +12,12 @@ Result<std::vector<Package>> EnumerateViaSolver(
         "solver-based enumeration requires binary multiplicities (no REPEAT)");
   }
   Stopwatch timer;
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
-                      DeriveCardinalityBounds(aq, candidates));
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                      PrepareQuery(aq, &inputs));
   if (bounds.infeasible) return std::vector<Package>{};
-  TranslateOptions topts;
-  topts.bounds = &bounds;
-  topts.candidates = &candidates;
-  PB_ASSIGN_OR_RETURN(IlpTranslation translation, TranslateToIlp(aq, topts));
+  PB_ASSIGN_OR_RETURN(IlpTranslation translation,
+                      TranslateToIlp(aq, &inputs, bounds));
 
   std::vector<Package> out;
   while (out.size() < options.max_packages &&
@@ -59,6 +56,15 @@ Result<std::vector<Package>> EnumerateExhaustively(
   return r.all;
 }
 
+Result<std::vector<Package>> EnumeratePackages(
+    const paql::AnalyzedQuery& aq, const EnumerateOptions& options,
+    const BruteForceOptions& brute_force) {
+  if (aq.TranslatesToIlp() && aq.max_multiplicity == 1) {
+    return EnumerateViaSolver(aq, options);
+  }
+  return EnumerateExhaustively(aq, options.max_packages, brute_force);
+}
+
 double PackageJaccardDistance(const Package& a, const Package& b) {
   // Merge-walk over the sorted row lists.
   size_t i = 0, j = 0;
@@ -89,13 +95,8 @@ Result<std::vector<Package>> EnumerateDiverse(
   // Build the candidate pool.
   EnumerateOptions pool_opts = options;
   pool_opts.max_packages = max_packages * std::max<size_t>(pool_factor, 1);
-  std::vector<Package> pool;
-  if (aq.TranslatesToIlp() && aq.max_multiplicity == 1) {
-    PB_ASSIGN_OR_RETURN(pool, EnumerateViaSolver(aq, pool_opts));
-  } else {
-    PB_ASSIGN_OR_RETURN(pool,
-                        EnumerateExhaustively(aq, pool_opts.max_packages));
-  }
+  PB_ASSIGN_OR_RETURN(std::vector<Package> pool,
+                      EnumeratePackages(aq, pool_opts));
   if (pool.size() <= max_packages) return pool;
 
   // Greedy max-min selection. The pool comes best-first, so seeding with

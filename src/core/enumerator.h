@@ -40,6 +40,12 @@ Result<std::vector<Package>> EnumerateExhaustively(
     const paql::AnalyzedQuery& aq, size_t max_packages,
     const BruteForceOptions& options = {});
 
+/// Up to options.max_packages packages, best first: EnumerateViaSolver when
+/// `aq` translates to an ILP without REPEAT, else EnumerateExhaustively.
+Result<std::vector<Package>> EnumeratePackages(
+    const paql::AnalyzedQuery& aq, const EnumerateOptions& options,
+    const BruteForceOptions& brute_force = {});
+
 /// Jaccard distance between two packages as multisets:
 /// 1 - |A ∩ B| / |A ∪ B| (multiplicities included). 0 = identical.
 double PackageJaccardDistance(const Package& a, const Package& b);

@@ -4,8 +4,6 @@
 
 #include "common/stopwatch.h"
 #include "core/enumerator.h"
-#include "core/translator.h"
-#include "db/ops.h"
 #include "paql/analyzer.h"
 
 namespace pb::core {
@@ -81,6 +79,10 @@ Result<QueryRoute> PlanQuery(const paql::AnalyzedQuery& aq,
                     "branch-and-bound is exact"};
 }
 
+namespace {
+
+/// What a finished branch-and-bound solve reports: OK when it holds a
+/// package, else the typed error clients see.
 Status MilpResultStatus(const solver::MilpResult& r) {
   switch (r.status) {
     case solver::MilpStatus::kOptimal:
@@ -99,33 +101,38 @@ Status MilpResultStatus(const solver::MilpResult& r) {
   return Status::Internal("unknown solver status");
 }
 
+}  // namespace
+
+Result<EvaluationResult> FinishIlpStep(const paql::AnalyzedQuery& aq,
+                                       const IlpTranslation& translation,
+                                       const solver::MilpResult& r) {
+  PB_RETURN_IF_ERROR(MilpResultStatus(r));
+  EvaluationResult out;
+  out.strategy_used = Strategy::kIlpSolver;
+  out.package = DecodeSolution(translation, r.x);
+  out.objective = aq.has_objective ? r.objective : 0.0;
+  out.proven_optimal = r.status == solver::MilpStatus::kOptimal;
+  return out;
+}
+
 Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
                                  const paql::AnalyzedQuery& aq,
                                  const EvaluationOptions& options,
                                  const CardinalityBounds& bounds,
-                                 std::vector<size_t>* candidates) {
+                                 QueryInputs* inputs) {
   EvaluationResult out;
   out.strategy_used = step;
-  out.bounds = bounds;
-  out.num_candidates = candidates->size();
   switch (step) {
     case Strategy::kPruning:
       return Status::Infeasible(
           "cardinality pruning proves no package can satisfy the "
           "constraints");
     case Strategy::kIlpSolver: {
-      TranslateOptions topts;
-      topts.bounds = &bounds;
-      topts.candidates = candidates;
-      PB_ASSIGN_OR_RETURN(IlpTranslation translation,
-                          TranslateToIlp(aq, topts));
-      PB_ASSIGN_OR_RETURN(solver::MilpResult r,
+      PB_ASSIGN_OR_RETURN(const IlpTranslation translation,
+                          TranslateToIlp(aq, inputs, bounds));
+      PB_ASSIGN_OR_RETURN(const solver::MilpResult r,
                           solver::SolveMilp(translation.model, options.milp));
-      PB_RETURN_IF_ERROR(MilpResultStatus(r));
-      out.package = DecodeSolution(translation, r.x);
-      out.objective = aq.has_objective ? r.objective : 0.0;
-      out.proven_optimal = r.status == solver::MilpStatus::kOptimal;
-      return out;
+      return FinishIlpStep(aq, translation, r);
     }
     case Strategy::kBruteForce: {
       BruteForceOptions bf = options.brute_force;
@@ -134,7 +141,7 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
         bf.time_limit_s = std::min(bf.time_limit_s, 10.0);
       }
       PB_ASSIGN_OR_RETURN(BruteForceResult r,
-                          BruteForceSearch(aq, *candidates, bounds, bf));
+                          BruteForceSearch(aq, inputs, bounds, bf));
       if (!r.found) {
         if (!r.exhausted) {
           return Status::ResourceExhausted(
@@ -154,7 +161,7 @@ Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
         ls.max_restarts = 3;
       }
       PB_ASSIGN_OR_RETURN(LocalSearchResult r,
-                          LocalSearch(aq, *candidates, bounds, ls));
+                          LocalSearch(aq, inputs, bounds, ls));
       if (!r.found) {
         return Status::Infeasible(
             "local search found no valid package (the query may still be "
@@ -182,31 +189,31 @@ Result<EvaluationResult> QueryEvaluator::Evaluate(
 Result<EvaluationResult> QueryEvaluator::Evaluate(
     const paql::AnalyzedQuery& aq, const EvaluationOptions& options) {
   Stopwatch timer;
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
-                      DeriveCardinalityBounds(aq, candidates));
-  PB_ASSIGN_OR_RETURN(const QueryRoute route,
-                      PlanQuery(aq, bounds, candidates.size(), options));
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                      PrepareQuery(aq, &inputs));
+  PB_ASSIGN_OR_RETURN(
+      const QueryRoute route,
+      PlanQuery(aq, bounds, inputs.candidates.size(), options));
   Result<EvaluationResult> r =
-      RunStep(route.strategy, route, aq, options, bounds, &candidates);
+      RunStep(route.strategy, route, aq, options, bounds, &inputs);
   if (route.fallback && r.status().code() == StatusCode::kInfeasible) {
-    r = RunStep(*route.fallback, route, aq, options, bounds, &candidates);
+    r = RunStep(*route.fallback, route, aq, options, bounds, &inputs);
   }
-  if (r.ok()) r->seconds = timer.ElapsedSeconds();
+  if (r.ok()) {
+    r->bounds = bounds;
+    r->num_candidates = inputs.candidates.size();
+    r->seconds = timer.ElapsedSeconds();
+  }
   return r;
 }
 
 Result<std::vector<Package>> QueryEvaluator::EvaluateAll(
     const paql::AnalyzedQuery& aq, const EvaluationOptions& options) {
-  const size_t limit = static_cast<size_t>(aq.query.limit.value_or(1));
-  if (aq.TranslatesToIlp() && aq.max_multiplicity == 1) {
-    EnumerateOptions opts;
-    opts.max_packages = limit;
-    opts.milp = options.milp;
-    return EnumerateViaSolver(aq, opts);
-  }
-  return EnumerateExhaustively(aq, limit, options.brute_force);
+  EnumerateOptions opts;
+  opts.max_packages = static_cast<size_t>(aq.query.limit.value_or(1));
+  opts.milp = options.milp;
+  return EnumeratePackages(aq, opts, options.brute_force);
 }
 
 Result<std::vector<Package>> QueryEvaluator::EvaluateAll(

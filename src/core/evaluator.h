@@ -3,9 +3,10 @@
 // The paper (§4) lists the system's strategies — SQL-validated candidate
 // generation, ILP translation + constraint solver, cardinality pruning, and
 // heuristic local search — and §5 notes that PackageBuilder "heuristically
-// combines all of them". PlanQuery is that combination and the only code
-// that picks a route: QueryEvaluator, the Engine and EXPLAIN each filter
-// and derive the §4.1 bounds once, then run or print its route:
+// combines all of them". QueryEvaluator, the Engine and EXPLAIN run one
+// pipeline: PrepareQuery (core/pruning.h) derives the §4.1 bounds into a
+// QueryInputs whose weights every strategy reads, PlanQuery picks the route
+// and RunStep runs it. PlanQuery is the only code that picks a route:
 //
 //   1. the bounds prove infeasibility -> kPruning;
 //   2. EvaluationOptions::strategy forces one -> that strategy;
@@ -34,6 +35,7 @@
 #include "core/local_search.h"
 #include "core/package.h"
 #include "core/pruning.h"
+#include "core/translator.h"
 #include "db/catalog.h"
 #include "solver/milp.h"
 
@@ -76,7 +78,7 @@ struct QueryRoute {
 /// maintained partitions, unless pruning proves it infeasible first:
 /// PlanQuery chooses (no forced strategy), the query is ILP-translatable
 /// with no MIN/MAX constraint, and its table is resident. The Engine keeps
-/// such a query's inputs as maintained state (see RefreshCandidates).
+/// such a query's QueryInputs as maintained state (see SketchRefineState).
 bool SketchRefineEligible(const paql::AnalyzedQuery& aq,
                           const EvaluationOptions& options);
 
@@ -103,20 +105,21 @@ struct EvaluationResult {
   size_t num_candidates = 0;
 };
 
-/// Runs `step`, which is `route.strategy` or its fallback, over the WHERE
-/// survivors `candidates` that `bounds` came from; a kIlpSolver step takes
-/// them over. kPruning reports kInfeasible. A kLocalSearch step that falls
-/// back to the solver is the short burst, and a kBruteForce fallback is
-/// capped at 10 s. kSketchRefine is the Engine's own step.
+/// Runs `step`, `route.strategy` or its fallback, over the `inputs`
+/// PrepareQuery derived `bounds` from. kPruning reports kInfeasible. A
+/// kLocalSearch step falling back to the solver is the short burst, and a
+/// kBruteForce fallback is capped at 10 s. kSketchRefine is the Engine's.
 Result<EvaluationResult> RunStep(Strategy step, const QueryRoute& route,
                                  const paql::AnalyzedQuery& aq,
                                  const EvaluationOptions& options,
                                  const CardinalityBounds& bounds,
-                                 std::vector<size_t>* candidates);
+                                 QueryInputs* inputs);
 
-/// What a finished branch-and-bound solve reports: OK when it holds a
-/// package, else the typed error clients see.
-Status MilpResultStatus(const solver::MilpResult& r);
+/// The ILP step's tail: the package, objective and proven flag of `r`, a
+/// finished solve of `translation`, or the typed error when it holds none.
+Result<EvaluationResult> FinishIlpStep(const paql::AnalyzedQuery& aq,
+                                       const IlpTranslation& translation,
+                                       const solver::MilpResult& r);
 
 /// Evaluates PaQL queries against a catalog.
 class QueryEvaluator {
@@ -133,9 +136,8 @@ class QueryEvaluator {
                                     const EvaluationOptions& options = {});
 
   /// Evaluates the query's LIMIT clause: returns up to LIMIT packages
-  /// (default 1), best-first when the query has an objective. Uses
-  /// no-good-cut solver enumeration for translatable REPEAT-free queries
-  /// and exhaustive collection otherwise. An empty vector means infeasible.
+  /// (default 1), best-first when the query has an objective, by
+  /// EnumeratePackages. An empty vector means infeasible.
   Result<std::vector<Package>> EvaluateAll(
       const paql::AnalyzedQuery& aq, const EvaluationOptions& options = {});
 

@@ -1,10 +1,10 @@
 #include "core/explain.h"
 
 #include <cmath>
+#include <tuple>
 
 #include "common/strings.h"
 #include "core/translator.h"
-#include "db/ops.h"
 
 namespace pb::core {
 
@@ -54,11 +54,20 @@ std::string QueryPlan::ToString() const {
 Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
                                const EvaluationOptions& options,
                                bool maintained_partitions) {
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                      PrepareQuery(aq, &inputs));
+  return ExplainQuery(aq, &inputs, bounds, options, maintained_partitions);
+}
+
+Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
+                               QueryInputs* inputs,
+                               const CardinalityBounds& bounds,
+                               const EvaluationOptions& options,
+                               bool maintained_partitions) {
   QueryPlan plan;
   plan.table_rows = aq.table->num_rows();
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  plan.candidates = candidates.size();
+  plan.candidates = inputs->candidates.size();
   plan.base_selectivity =
       plan.table_rows > 0
           ? static_cast<double>(plan.candidates) /
@@ -70,25 +79,24 @@ Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
   plan.not_translatable_reason = aq.not_translatable_reason;
   plan.has_objective = aq.has_objective;
   plan.objective_linear = aq.objective_linear;
+  plan.bounds = bounds;
 
-  PB_ASSIGN_OR_RETURN(plan.bounds, DeriveCardinalityBounds(aq, candidates));
   PB_ASSIGN_OR_RETURN(const QueryRoute route,
-                      PlanQuery(aq, plan.bounds, plan.candidates, options,
+                      PlanQuery(aq, bounds, plan.candidates, options,
                                 maintained_partitions));
   plan.chosen_strategy = route.strategy;
   plan.fallback = route.fallback;
   plan.rationale = route.rationale;
-  if (route.strategy == Strategy::kPruning) return plan;
-
-  if (aq.TranslatesToIlp()) {
-    TranslateOptions topts;
-    topts.bounds = &plan.bounds;
-    topts.candidates = &candidates;
-    auto translation = TranslateToIlp(aq, topts);
-    if (translation.ok()) {
-      plan.model_variables = translation->model.num_variables();
-      plan.model_rows = translation->model.num_constraints();
-    }
+  if (route.strategy == Strategy::kPruning || !aq.TranslatesToIlp()) {
+    return plan;
+  }
+  if (aq.extreme_constraints.empty()) {
+    std::tie(plan.model_variables, plan.model_rows) =
+        CountIlpDimensions(aq, plan.candidates, bounds);
+  } else if (auto translation = TranslateToIlp(aq, inputs, bounds);
+             translation.ok()) {
+    plan.model_variables = translation->model.num_variables();
+    plan.model_rows = translation->model.num_constraints();
   }
   return plan;
 }

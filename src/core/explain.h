@@ -2,11 +2,11 @@
 // "a more principled approach to package query optimization could add
 // several benefits to the query engine."
 //
-// ExplainQuery performs the analysis the evaluator does — base selectivity,
-// linear structure, cardinality bounds, search-space size, translated model
-// dimensions — and reports the route core::PlanQuery picks (strategy,
-// fallback and why), the one the QueryEvaluator and the Engine run, without
-// running the (possibly expensive) search.
+// ExplainQuery takes the evaluator's first steps — PrepareQuery, then the
+// route core::PlanQuery picks (strategy, fallback and why), the one the
+// QueryEvaluator and the Engine run — and reports them with the query's
+// shape, search-space size and model dimensions, counted from the inputs,
+// without running the (possibly expensive) search.
 
 #ifndef PB_CORE_EXPLAIN_H_
 #define PB_CORE_EXPLAIN_H_
@@ -58,6 +58,13 @@ struct QueryPlan {
 Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
                                const EvaluationOptions& options = {},
                                bool maintained_partitions = false);
+
+/// The same plan over the `inputs` PrepareQuery derived `bounds` from.
+Result<QueryPlan> ExplainQuery(const paql::AnalyzedQuery& aq,
+                               QueryInputs* inputs,
+                               const CardinalityBounds& bounds,
+                               const EvaluationOptions& options,
+                               bool maintained_partitions);
 
 /// Convenience: parse + analyze + explain.
 Result<QueryPlan> ExplainQuery(const std::string& paql,

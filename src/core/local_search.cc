@@ -22,44 +22,22 @@ constexpr double kFeasTol = 1e-9;
 /// single-tuple move.
 class SearchState {
  public:
-  Status Init(const paql::AnalyzedQuery& aq,
-              std::vector<size_t> candidates) {
+  /// Reads the candidates and weight columns of `inputs`, which outlive it.
+  Status Init(const paql::AnalyzedQuery& aq, QueryInputs* inputs) {
+    PB_RETURN_IF_ERROR(inputs->Weigh(aq));
     aq_ = &aq;
-    candidates_ = std::move(candidates);
-    n_ = candidates_.size();
-    std::vector<std::vector<double>> agg_w(aq.aggs.size());
-    for (size_t a = 0; a < aq.aggs.size(); ++a) {
-      PB_ASSIGN_OR_RETURN(
-          agg_w[a], ComputeAggWeights(aq.aggs[a], *aq.table, candidates_));
-    }
+    inputs_ = inputs;
+    n_ = inputs->candidates.size();
     const size_t rows = aq.linear_constraints.size();
-    w_.assign(rows, std::vector<double>(n_, 0.0));
-    lo_.resize(rows);
-    hi_.resize(rows);
-    scale_.resize(rows);
+    if (aq.has_objective) obj_w_ = &inputs->weights[rows];
+    scale_.assign(rows, 1.0);
     for (size_t r = 0; r < rows; ++r) {
       const paql::LinearConstraint& lc = aq.linear_constraints[r];
-      lo_[r] = lc.lo;
-      hi_[r] = lc.hi;
-      scale_[r] = 1.0;
       if (std::isfinite(lc.lo)) {
         scale_[r] = std::max(scale_[r], std::abs(lc.lo));
       }
       if (std::isfinite(lc.hi)) {
         scale_[r] = std::max(scale_[r], std::abs(lc.hi));
-      }
-      for (size_t i = 0; i < n_; ++i) {
-        for (const paql::LinearAggTerm& t : lc.terms) {
-          w_[r][i] += t.coeff * agg_w[t.agg_index][i];
-        }
-      }
-    }
-    obj_w_.assign(n_, 0.0);
-    if (aq.has_objective && aq.objective_linear) {
-      for (const paql::LinearAggTerm& t : aq.objective_terms) {
-        for (size_t i = 0; i < n_; ++i) {
-          obj_w_[i] += t.coeff * agg_w[t.agg_index][i];
-        }
       }
     }
     // Whether linear rows fully determine validity.
@@ -74,11 +52,14 @@ class SearchState {
   int64_t count() const { return count_; }
   const std::vector<int64_t>& mult() const { return mult_; }
   double objective() const { return obj_; }
-  bool has_linear_objective() const { return !obj_w_.empty(); }
+  /// The objective's change when `add` gains an occurrence and `drop`
+  /// loses one. A non-linear objective weighs every candidate 0.
   double move_obj_delta(size_t add, size_t drop) const {
-    return obj_w_[add] - obj_w_[drop];
+    return add_obj_delta(add) - add_obj_delta(drop);
   }
-  double add_obj_delta(size_t add) const { return obj_w_[add]; }
+  double add_obj_delta(size_t add) const {
+    return obj_w_ != nullptr ? (*obj_w_)[add] : 0.0;
+  }
 
   void Clear() {
     std::fill(mult_.begin(), mult_.end(), 0);
@@ -91,9 +72,9 @@ class SearchState {
     mult_[i] += delta;
     count_ += delta;
     for (size_t r = 0; r < sums_.size(); ++r) {
-      sums_[r] += w_[r][i] * static_cast<double>(delta);
+      sums_[r] += inputs_->weights[r][i] * static_cast<double>(delta);
     }
-    obj_ += obj_w_.empty() ? 0.0 : obj_w_[i] * static_cast<double>(delta);
+    obj_ += add_obj_delta(i) * static_cast<double>(delta);
   }
 
   /// Normalized violation of the linear rows at the current point.
@@ -105,11 +86,12 @@ class SearchState {
                        int64_t dd) const {
     double total = 0.0;
     for (size_t r = 0; r < sums_.size(); ++r) {
+      const paql::LinearConstraint& lc = aq_->linear_constraints[r];
       double s = sums_[r];
-      if (add) s += w_[r][*add] * static_cast<double>(da);
-      if (drop) s -= w_[r][*drop] * static_cast<double>(dd);
-      if (s < lo_[r] - kFeasTol) total += (lo_[r] - s) / scale_[r];
-      if (s > hi_[r] + kFeasTol) total += (s - hi_[r]) / scale_[r];
+      if (add) s += inputs_->weights[r][*add] * static_cast<double>(da);
+      if (drop) s -= inputs_->weights[r][*drop] * static_cast<double>(dd);
+      if (s < lc.lo - kFeasTol) total += (lc.lo - s) / scale_[r];
+      if (s > lc.hi + kFeasTol) total += (s - lc.hi) / scale_[r];
     }
     return total;
   }
@@ -117,7 +99,7 @@ class SearchState {
   Package ToPackage() const {
     Package pkg;
     for (size_t i = 0; i < n_; ++i) {
-      if (mult_[i] > 0) pkg.Add(candidates_[i], mult_[i]);
+      if (mult_[i] > 0) pkg.Add(inputs_->candidates[i], mult_[i]);
     }
     return pkg;
   }
@@ -130,15 +112,13 @@ class SearchState {
     return SatisfiesGlobalConstraints(*aq_, ToPackage());
   }
 
-  const paql::AnalyzedQuery& aq() const { return *aq_; }
-  const std::vector<size_t>& candidates() const { return candidates_; }
 
  private:
   const paql::AnalyzedQuery* aq_ = nullptr;
-  std::vector<size_t> candidates_;
+  const QueryInputs* inputs_ = nullptr;  ///< weighed
   size_t n_ = 0;
-  std::vector<std::vector<double>> w_;
-  std::vector<double> lo_, hi_, scale_, obj_w_, sums_;
+  const std::vector<double>* obj_w_ = nullptr;  ///< null without objective
+  std::vector<double> scale_, sums_;
   std::vector<int64_t> mult_;
   int64_t count_ = 0;
   double obj_ = 0.0;
@@ -149,35 +129,32 @@ class SearchState {
 
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
                                       const LocalSearchOptions& options) {
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-  PB_ASSIGN_OR_RETURN(CardinalityBounds bounds,
-                      DeriveCardinalityBounds(aq, candidates));
-  return LocalSearch(aq, std::move(candidates), bounds, options);
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                      PrepareQuery(aq, &inputs));
+  return LocalSearch(aq, &inputs, bounds, options);
 }
 
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
-                                      std::vector<size_t> candidates,
+                                      QueryInputs* inputs,
                                       const CardinalityBounds& bounds,
                                       const LocalSearchOptions& options) {
   Stopwatch timer;
   LocalSearchResult out;
-  if (candidates.empty()) {
+  if (!inputs->candidates.empty() && bounds.infeasible) {
+    out.seconds = timer.ElapsedSeconds();
+    return out;  // pruning already proves there is nothing to find
+  }
+  SearchState state;
+  PB_RETURN_IF_ERROR(state.Init(aq, inputs));
+  if (state.n() == 0) {
     // Only the empty package is possible.
-    SearchState probe;
-    PB_RETURN_IF_ERROR(probe.Init(aq, {}));
-    PB_ASSIGN_OR_RETURN(bool valid, probe.IsValid());
+    PB_ASSIGN_OR_RETURN(bool valid, state.IsValid());
     out.found = valid;
     out.seconds = timer.ElapsedSeconds();
     return out;
   }
-  if (bounds.infeasible) {
-    out.seconds = timer.ElapsedSeconds();
-    return out;  // pruning already proves there is nothing to find
-  }
 
-  SearchState state;
-  PB_RETURN_IF_ERROR(state.Init(aq, std::move(candidates)));
   const size_t n = state.n();
   const int64_t max_mult = aq.max_multiplicity;
   const int64_t card_lo = std::max<int64_t>(bounds.lo, 0);
@@ -245,7 +222,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
           if (!feasible) {
             improves = v < current_violation - 1e-12;
           } else {
-            improves = v <= 0 && state.has_linear_objective() &&
+            improves = v <= 0 &&
                        obj_better(state.objective() +
                                       state.move_obj_delta(c, p),
                                   state.objective());
@@ -270,7 +247,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
             bool improves =
                 !feasible
                     ? v < current_violation - 1e-12
-                    : (v <= 0 && state.has_linear_objective() &&
+                    : (v <= 0 &&
                        obj_better(state.objective() + state.add_obj_delta(c),
                                   state.objective()));
             if (improves && state.count() + 1 <= card_hi) {
@@ -289,7 +266,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
             bool improves =
                 !feasible
                     ? v < current_violation - 1e-12
-                    : (v <= 0 && state.has_linear_objective() &&
+                    : (v <= 0 &&
                        obj_better(state.objective() - state.add_obj_delta(p),
                                   state.objective()));
             if (improves && state.count() - 1 >= card_lo) {
@@ -337,16 +314,13 @@ Result<db::Table> FindSingleTupleReplacementsViaJoin(
     return Status::Unimplemented(
         "the join formulation requires linear global constraints");
   }
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> candidates,
-                      db::FilterIndices(*aq.table, aq.query.where));
-
+  QueryInputs inputs;
+  PB_RETURN_IF_ERROR(PrepareQuery(aq, &inputs).status());
+  PB_RETURN_IF_ERROR(inputs.Weigh(aq));
+  const std::vector<size_t>& candidates = inputs.candidates;
   // Per-row combined weights for members and candidates.
+  const WeightColumns& w = inputs.weights;
   const size_t rows = aq.linear_constraints.size();
-  std::vector<std::vector<double>> agg_w(aq.aggs.size());
-  for (size_t a = 0; a < aq.aggs.size(); ++a) {
-    PB_ASSIGN_OR_RETURN(agg_w[a],
-                        ComputeAggWeights(aq.aggs[a], *aq.table, candidates));
-  }
 
   // Build the two relations of the paper's query: P0 (the current package)
   // and R (the candidates), each carrying the per-constraint weight columns.
@@ -376,12 +350,8 @@ Result<db::Table> FindSingleTupleReplacementsViaJoin(
     db::Tuple row;
     row.push_back(db::Value::Int(static_cast<int64_t>(p0.rows[m])));
     for (size_t r = 0; r < rows; ++r) {
-      double w = 0.0;
-      for (const paql::LinearAggTerm& t : aq.linear_constraints[r].terms) {
-        w += t.coeff * agg_w[t.agg_index][it->second];
-      }
-      row.push_back(db::Value::Double(w));
-      sums[r] += w * static_cast<double>(p0.multiplicity[m]);
+      row.push_back(db::Value::Double(w[r][it->second]));
+      sums[r] += w[r][it->second] * static_cast<double>(p0.multiplicity[m]);
     }
     // One P0 row per distinct member (the swap removes one occurrence).
     p_table.AppendUnchecked(std::move(row));
@@ -390,11 +360,7 @@ Result<db::Table> FindSingleTupleReplacementsViaJoin(
     db::Tuple row;
     row.push_back(db::Value::Int(static_cast<int64_t>(candidates[i])));
     for (size_t r = 0; r < rows; ++r) {
-      double w = 0.0;
-      for (const paql::LinearAggTerm& t : aq.linear_constraints[r].terms) {
-        w += t.coeff * agg_w[t.agg_index][i];
-      }
-      row.push_back(db::Value::Double(w));
+      row.push_back(db::Value::Double(w[r][i]));
     }
     r_table.AppendUnchecked(std::move(row));
   }

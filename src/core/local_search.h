@@ -50,10 +50,10 @@ struct LocalSearchResult {
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
                                       const LocalSearchOptions& options = {});
 
-/// The same search over a caller's FilterIndices result `candidates` and
-/// the `bounds` DeriveCardinalityBounds derived from them.
+/// The same search over the `inputs` PrepareQuery derived `bounds` from,
+/// reading (and building) their weight columns.
 Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
-                                      std::vector<size_t> candidates,
+                                      QueryInputs* inputs,
                                       const CardinalityBounds& bounds,
                                       const LocalSearchOptions& options);
 

@@ -93,6 +93,22 @@ Result<std::vector<double>> ComputeAggWeights(
   return w;
 }
 
+namespace {
+
+/// Min/max of one aggregate's per-tuple weights over the candidate rows,
+/// derived without materializing them when the aggregate's shape allows
+/// (COUNT(*), COUNT(bare column), SUM(bare numeric column); `computed`
+/// false otherwise). Bit-identical to min/max over the weights: zone
+/// min/max accumulate the values a scan would visit, extended with 0.0
+/// exactly when the block has NULLs (NULL weighs 0).
+struct AggWeightBounds {
+  bool computed = false;
+  double min = 0.0;
+  double max = 0.0;
+  /// Fully-covered blocks bounded from zone metadata (no value read).
+  int64_t zone_map_skipped_blocks = 0;
+};
+
 Result<AggWeightBounds> ComputeAggWeightBounds(
     const paql::AggCall& agg, const db::Table& table,
     const std::vector<size_t>& rows) {
@@ -195,6 +211,9 @@ Result<AggWeightBounds> ComputeAggWeightBounds(
   return out;
 }
 
+/// The bounds §4.1's formula gives for `aq` from its per-constraint weight
+/// ranges over `num_candidates` candidates; zone_map_skipped_blocks aside,
+/// they depend on the ranges only through their values.
 CardinalityBounds BoundsFromWeightRanges(const paql::AnalyzedQuery& aq,
                                          const std::vector<WeightRange>& ranges,
                                          size_t num_candidates) {
@@ -280,87 +299,138 @@ CardinalityBounds BoundsFromWeightRanges(const paql::AnalyzedQuery& aq,
   return out;
 }
 
-namespace {
+/// Appends `count` values to `v`, growing its capacity by an eighth
+/// instead of doubling it: kept inputs live as long as their state, so the
+/// slack is memory held for good.
+template <typename T>
+void AppendTight(std::vector<T>& v, const T* values, size_t count) {
+  if (v.size() + count > v.capacity()) {
+    v.reserve(v.size() + count + v.size() / 8);
+  }
+  v.insert(v.end(), values, values + count);
+}
 
-/// One WeightRange per linear constraint of `aq` over `candidates`.
-/// Single-aggregate constraints read zone maps where AggWeightBounds can;
-/// the blocks so skipped are added to `*zone_map_skipped_blocks`.
-Result<std::vector<WeightRange>> DeriveWeightRanges(
-    const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates,
-    int64_t* zone_map_skipped_blocks) {
-  std::vector<WeightRange> ranges(aq.linear_constraints.size());
-  const size_t n = candidates.size();
-  if (n == 0) return ranges;
-
-  // Per-tuple weights, materialized lazily: single-aggregate constraints
-  // usually get by on AggWeightBounds (zone maps / null bitmaps) and never
-  // need the vector at all.
-  std::vector<std::vector<double>> weights(aq.aggs.size());
-  std::vector<bool> materialized(aq.aggs.size(), false);
-  auto ensure_weights = [&](size_t a) -> Status {
-    if (!materialized[a]) {
-      PB_ASSIGN_OR_RETURN(weights[a],
-                          ComputeAggWeights(aq.aggs[a], *aq.table, candidates));
-      materialized[a] = true;
-    }
-    return Status::OK();
-  };
-
-  for (size_t c = 0; c < aq.linear_constraints.size(); ++c) {
+/// Sets inputs->ranges to each linear constraint's WeightRange over
+/// inputs->candidates and returns the bounds they give. A single-aggregate
+/// constraint reads zone maps where AggWeightBounds can; any other ranges
+/// over its weight column, built on first need.
+Result<CardinalityBounds> BoundCandidates(const paql::AnalyzedQuery& aq,
+                                          QueryInputs* inputs) {
+  const std::vector<size_t>& candidates = inputs->candidates;
+  std::vector<WeightRange>& ranges = inputs->ranges;
+  ranges.assign(aq.linear_constraints.size(), WeightRange());
+  int64_t zone_map_skipped_blocks = 0;
+  for (size_t c = 0; c < ranges.size() && !candidates.empty(); ++c) {
     const paql::LinearConstraint& lc = aq.linear_constraints[c];
-    WeightRange& range = ranges[c];
     if (lc.terms.size() == 1) {
-      // Single-aggregate constraint (the common case): weight bounds from
-      // zone-map metadata when the aggregate shape allows, else min/max
-      // over the materialized span. Both are bit-identical; the metadata
-      // path skips the value data of fully covered blocks. Scaling by the
-      // coefficient is monotone, so the scaled extremes are the extremes
-      // of the scaled weights.
+      // Weight bounds from zone-map metadata when the aggregate shape
+      // allows: bit-identical to min/max over the weights, without reading
+      // the value data of fully covered blocks. Scaling by the coefficient
+      // is monotone, so the scaled extremes are the extremes of the scaled
+      // weights.
       const paql::LinearAggTerm& t = lc.terms[0];
       PB_ASSIGN_OR_RETURN(
-          AggWeightBounds b,
+          const AggWeightBounds b,
           ComputeAggWeightBounds(aq.aggs[t.agg_index], *aq.table, candidates));
-      double mn, mx;
       if (b.computed) {
-        *zone_map_skipped_blocks += b.zone_map_skipped_blocks;
-        mn = b.min;
-        mx = b.max;
-      } else {
-        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
-        const std::vector<double>& w = weights[t.agg_index];
-        auto [mn_it, mx_it] = std::minmax_element(w.begin(), w.end());
-        mn = *mn_it;
-        mx = *mx_it;
-      }
-      range.min = std::min(t.coeff * mn, t.coeff * mx);
-      range.max = std::max(t.coeff * mn, t.coeff * mx);
-    } else {
-      for (const paql::LinearAggTerm& t : lc.terms) {
-        PB_RETURN_IF_ERROR(ensure_weights(t.agg_index));
-      }
-      for (size_t i = 0; i < n; ++i) {
-        double w = 0.0;
-        for (const paql::LinearAggTerm& t : lc.terms) {
-          w += t.coeff * weights[t.agg_index][i];
-        }
-        range.Add(w);
+        zone_map_skipped_blocks += b.zone_map_skipped_blocks;
+        ranges[c].min = std::min(t.coeff * b.min, t.coeff * b.max);
+        ranges[c].max = std::max(t.coeff * b.min, t.coeff * b.max);
+        continue;
       }
     }
+    PB_RETURN_IF_ERROR(inputs->Weigh(aq));
+    for (double w : inputs->weights[c]) ranges[c].Add(w);
   }
-  return ranges;
+  CardinalityBounds out = BoundsFromWeightRanges(aq, ranges, candidates.size());
+  out.zone_map_skipped_blocks = zone_map_skipped_blocks;
+  return out;
+}
+
+/// The weight columns of `rows`: one ComputeAggWeights pass per aggregate
+/// of `aq`, combined. The only place weights are computed.
+Result<WeightColumns> WeighRows(const paql::AnalyzedQuery& aq,
+                                const std::vector<size_t>& rows) {
+  std::vector<std::vector<double>> per_agg(aq.aggs.size());
+  for (size_t a = 0; a < aq.aggs.size(); ++a) {
+    PB_ASSIGN_OR_RETURN(per_agg[a],
+                        ComputeAggWeights(aq.aggs[a], *aq.table, rows));
+  }
+  auto combine = [&](const std::vector<paql::LinearAggTerm>& terms) {
+    std::vector<double> w(rows.size(), 0.0);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (const paql::LinearAggTerm& t : terms) {
+        w[i] += t.coeff * per_agg[t.agg_index][i];
+      }
+    }
+    return w;
+  };
+  WeightColumns columns;
+  columns.reserve(aq.linear_constraints.size() + 1);
+  for (const paql::LinearConstraint& lc : aq.linear_constraints) {
+    columns.push_back(combine(lc.terms));
+  }
+  if (aq.has_objective) columns.push_back(combine(aq.objective_terms));
+  return columns;
 }
 
 }  // namespace
 
+Status QueryInputs::Weigh(const paql::AnalyzedQuery& aq) {
+  if (weighed) return Status::OK();
+  PB_ASSIGN_OR_RETURN(weights, WeighRows(aq, candidates));
+  weighed = true;
+  return Status::OK();
+}
+
+bool QueryInputs::Fits(const paql::AnalyzedQuery& aq) const {
+  const size_t linear = aq.linear_constraints.size();
+  return rows_scanned <= aq.table->num_rows() && ranges.size() == linear &&
+         (!weighed || weights.size() == linear + (aq.has_objective ? 1 : 0));
+}
+
 Result<CardinalityBounds> DeriveCardinalityBounds(
     const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates) {
-  int64_t zone_map_skipped_blocks = 0;
-  PB_ASSIGN_OR_RETURN(
-      const std::vector<WeightRange> ranges,
-      DeriveWeightRanges(aq, candidates, &zone_map_skipped_blocks));
-  CardinalityBounds out = BoundsFromWeightRanges(aq, ranges, candidates.size());
-  out.zone_map_skipped_blocks = zone_map_skipped_blocks;
-  return out;
+  QueryInputs inputs;
+  inputs.candidates = candidates;
+  return BoundCandidates(aq, &inputs);
+}
+
+Result<CardinalityBounds> PrepareQuery(const paql::AnalyzedQuery& aq,
+                                       QueryInputs* inputs) {
+  const size_t num_rows = aq.table->num_rows();
+  if (inputs->rows_scanned == 0 || !inputs->Fits(aq)) {
+    QueryInputs fresh;
+    PB_ASSIGN_OR_RETURN(fresh.candidates,
+                        db::FilterIndices(*aq.table, aq.query.where));
+    fresh.candidates.shrink_to_fit();  // kept inputs hold no slack
+    PB_ASSIGN_OR_RETURN(const CardinalityBounds bounds,
+                        BoundCandidates(aq, &fresh));
+    fresh.rows_scanned = num_rows;
+    *inputs = std::move(fresh);
+    return bounds;
+  }
+  if (inputs->rows_scanned < num_rows) {
+    // The appended rows are filtered and weighed aside and folded in only
+    // once every step succeeded.
+    PB_ASSIGN_OR_RETURN(
+        const std::vector<size_t> appended,
+        db::FilterIndices(*aq.table, aq.query.where, inputs->rows_scanned));
+    if (!appended.empty()) {
+      PB_ASSIGN_OR_RETURN(const WeightColumns w, WeighRows(aq, appended));
+      for (size_t c = 0; c < inputs->ranges.size(); ++c) {
+        for (double v : w[c]) inputs->ranges[c].Add(v);
+      }
+      if (inputs->weighed) {
+        for (size_t c = 0; c < w.size(); ++c) {
+          AppendTight(inputs->weights[c], w[c].data(), w[c].size());
+        }
+      }
+      AppendTight(inputs->candidates, appended.data(), appended.size());
+    }
+    inputs->rows_scanned = num_rows;
+  }
+  return BoundsFromWeightRanges(aq, inputs->ranges, inputs->candidates.size());
 }
 
 }  // namespace pb::core

@@ -16,6 +16,9 @@
 // the per-constraint bounds gives the final [l, u]; an empty intersection
 // proves infeasibility without any search. The reduction in search-space
 // size — from 2^n to sum_{k=l..u} C(n, k) — is reported in log2.
+//
+// PrepareQuery derives the bounds into a QueryInputs, the candidates and
+// weights every later step of the query reads.
 
 #ifndef PB_CORE_PRUNING_H_
 #define PB_CORE_PRUNING_H_
@@ -56,32 +59,16 @@ struct CardinalityBounds {
   std::string ToString() const;
 };
 
-/// Min/max of one aggregate's per-tuple weights over the candidate rows,
-/// derived without materializing the weight vector when the aggregate
-/// shape allows it (COUNT(*), COUNT(bare column), SUM(bare numeric
-/// column)). `computed == false` means the shape is not supported and the
-/// caller must fall back to ComputeAggWeights + minmax. The min/max are
-/// bit-identical to minmax over the materialized weights: zone min/max are
-/// accumulated from the same values a scan would visit, extended with 0.0
-/// exactly when the block has NULLs (NULL weighs 0).
-struct AggWeightBounds {
-  bool computed = false;
-  double min = 0.0;
-  double max = 0.0;
-  /// Fully-covered blocks bounded from zone metadata (no value read).
-  int64_t zone_map_skipped_blocks = 0;
-};
-
-Result<AggWeightBounds> ComputeAggWeightBounds(const paql::AggCall& agg,
-                                               const db::Table& table,
-                                               const std::vector<size_t>& rows);
-
 /// Per-tuple weight of one linear aggregate (COUNT(*) -> 1, COUNT(e) -> 0/1
 /// null indicator, SUM(e) -> the value with NULL as 0) for each candidate
-/// row. Shared by the pruner, the ILP translator, and local search.
+/// row. QueryInputs combines them into a query's weight columns.
 Result<std::vector<double>> ComputeAggWeights(
     const paql::AggCall& agg, const db::Table& table,
     const std::vector<size_t>& rows);
+
+/// Per-row weights, one column per linear constraint, then the objective's
+/// (if any): row i's sum_k coeff_k * weight_k, summed term by term from 0.
+using WeightColumns = std::vector<std::vector<double>>;
 
 /// The range of one linear constraint's per-tuple weight
 /// w_i = sum_k coeff_k * weight_k(i) over a candidate set (empty, with
@@ -97,22 +84,47 @@ struct WeightRange {
   }
 };
 
-/// The bounds §4.1's formula gives for `aq` from its per-constraint weight
-/// ranges over `num_candidates` candidates. Every field but
-/// zone_map_skipped_blocks depends on the ranges only through their
-/// values, so ranges kept up to date across appends (see
-/// SketchRefineState) give bit-identical bounds without a pass.
-CardinalityBounds BoundsFromWeightRanges(const paql::AnalyzedQuery& aq,
-                                         const std::vector<WeightRange>& ranges,
-                                         size_t num_candidates);
-
 /// Derives cardinality bounds for the query over the base-filtered
-/// candidate rows: each linear constraint's WeightRange over them (from
-/// zone maps where AggWeightBounds can), then BoundsFromWeightRanges.
-/// Queries with no linear constraints get the trivial bounds
-/// [0, n*max_multiplicity].
+/// candidate rows from each linear constraint's WeightRange over them,
+/// read from zone maps where the aggregate's shape allows: blocks fully
+/// covered by the candidates are bounded without reading a value. Queries
+/// with no linear constraints get the trivial bounds [0, n*max_multiplicity].
 Result<CardinalityBounds> DeriveCardinalityBounds(
     const paql::AnalyzedQuery& aq, const std::vector<size_t>& candidates);
+
+/// A query's inputs, shared by every step that plans, runs or explains it:
+/// the rows of the table's first `rows_scanned` that pass its WHERE clause,
+/// each linear constraint's weight range over them, and their weight
+/// columns. A row's verdict and weights depend on that row alone, so inputs
+/// extended over appended rows equal, bit for bit, inputs built afresh
+/// (ranges up to the sign of a zero); rows must never be rewritten (see
+/// SketchRefineState). Not thread-safe.
+struct QueryInputs {
+  size_t rows_scanned = 0;
+  /// The rows of [0, rows_scanned) that pass the WHERE clause, ascending
+  /// (FilterIndices' answer). Candidate position i is row candidates[i].
+  std::vector<size_t> candidates;
+  /// Pruning's weight range of each linear constraint over `candidates`.
+  std::vector<WeightRange> ranges;
+  /// The weight columns of `candidates` once `weighed` is set (Weigh).
+  bool weighed = false;
+  WeightColumns weights;
+
+  /// Builds the weight columns of every candidate, unless built already.
+  Status Weigh(const paql::AnalyzedQuery& aq);
+  /// False when these inputs cannot be `aq`'s: they cover more rows than
+  /// its table holds, or their column counts are another query's.
+  bool Fits(const paql::AnalyzedQuery& aq) const;
+};
+
+/// Brings `inputs` up to aq.table's row count and returns their bounds.
+/// Inputs that cover no row, or do not Fit `aq`, are built afresh: one
+/// WHERE scan, then DeriveCardinalityBounds' ranges, which weigh the rows
+/// only for a constraint zone maps cannot bound. Other inputs are extended:
+/// only the appended rows are filtered and weighed, into the ranges and
+/// (once weighed) the columns. On error `inputs` is unchanged.
+Result<CardinalityBounds> PrepareQuery(const paql::AnalyzedQuery& aq,
+                                       QueryInputs* inputs);
 
 }  // namespace pb::core
 

@@ -11,7 +11,6 @@
 #include "common/budget.h"
 #include "common/stopwatch.h"
 #include "core/pruning.h"
-#include "db/ops.h"
 
 namespace pb::core {
 
@@ -32,7 +31,7 @@ struct RowBounds {
 };
 
 /// The candidates' weights as SketchRefine reads them, from the state's
-/// cached columns. Row r < #linear constraints is that constraint's
+/// weight columns. Row r < #linear constraints is that constraint's
 /// combined weight, the next row (when the query requires a non-empty
 /// package) weighs 1, and the objective weight follows.
 class QueryWeights {
@@ -48,11 +47,11 @@ class QueryWeights {
 
   double Row(size_t r, size_t i) const {
     if (r == aq_.linear_constraints.size()) return 1.0;  // the non-empty row
-    return state_.weights[r][i];
+    return state_.inputs.weights[r][i];
   }
   double Objective(size_t i) const {
     if (!aq_.has_objective) return 0.0;
-    return state_.weights[aq_.linear_constraints.size()][i];
+    return state_.inputs.weights[aq_.linear_constraints.size()][i];
   }
   double Feature(size_t d, size_t i) const {
     return d < num_rows() ? Row(d, i) : Objective(i);
@@ -81,17 +80,6 @@ class FeatureSpace {
   const QueryWeights& w_;
   const SketchRefineState& state_;
 };
-
-/// Appends `count` values to `v`, growing its capacity by an eighth
-/// instead of doubling it: the cached inputs live as long as their state,
-/// so the slack is memory held for good.
-template <typename T>
-void AppendTight(std::vector<T>& v, const T* values, size_t count) {
-  if (v.size() + count > v.capacity()) {
-    v.reserve(v.size() + count + v.size() / 8);
-  }
-  v.insert(v.end(), values, values + count);
-}
 
 /// Zone granularity of the partitioner's spread index. Independent of the
 /// table's storage block size: the index lives over candidate positions
@@ -351,66 +339,6 @@ std::vector<std::vector<size_t>> PartitionCandidatesColumnar(
   return groups;
 }
 
-Result<CardinalityBounds> RefreshCandidates(const paql::AnalyzedQuery& aq,
-                                            SketchRefineState* state) {
-  const size_t num_rows = aq.table->num_rows();
-  const size_t linear = aq.linear_constraints.size();
-  const size_t columns = linear + (aq.has_objective ? 1 : 0);
-  if (state->rows_scanned > num_rows ||
-      (state->rows_scanned > 0 && (state->weights.size() != columns ||
-                                   state->ranges.size() != linear))) {
-    // A table that shrank was replaced, and other column counts are
-    // another query: nothing cached describes this one.
-    *state = SketchRefineState();
-  }
-  if (state->rows_scanned == 0) {
-    state->candidates.clear();
-    state->weights.assign(columns, {});
-    state->ranges.assign(linear, WeightRange());
-  }
-
-  if (state->rows_scanned == num_rows) {
-    return BoundsFromWeightRanges(aq, state->ranges, state->candidates.size());
-  }
-  // The new rows are filtered and weighed aside and appended only once
-  // every step succeeded, so an error appends nothing.
-  PB_ASSIGN_OR_RETURN(
-      const std::vector<size_t> fresh,
-      db::FilterIndices(*aq.table, aq.query.where, state->rows_scanned));
-  if (!fresh.empty()) {
-    const size_t m = fresh.size();
-    std::vector<std::vector<double>> agg_w(aq.aggs.size());
-    for (size_t a = 0; a < aq.aggs.size(); ++a) {
-      PB_ASSIGN_OR_RETURN(agg_w[a],
-                          ComputeAggWeights(aq.aggs[a], *aq.table, fresh));
-    }
-    // The combined weights, summed term by term from 0.0 as a fresh pass
-    // sums them (the translator's and SketchRefine's rows, pruning's
-    // multi-term ranges).
-    auto combine = [&](const std::vector<paql::LinearAggTerm>& terms) {
-      std::vector<double> w(m, 0.0);
-      for (size_t i = 0; i < m; ++i) {
-        for (const paql::LinearAggTerm& t : terms) {
-          w[i] += t.coeff * agg_w[t.agg_index][i];
-        }
-      }
-      return w;
-    };
-    for (size_t c = 0; c < linear; ++c) {
-      const std::vector<double> w = combine(aq.linear_constraints[c].terms);
-      for (double v : w) state->ranges[c].Add(v);
-      AppendTight(state->weights[c], w.data(), m);
-    }
-    if (aq.has_objective) {
-      const std::vector<double> w = combine(aq.objective_terms);
-      AppendTight(state->weights[linear], w.data(), m);
-    }
-    AppendTight(state->candidates, fresh.data(), m);
-  }
-  state->rows_scanned = num_rows;
-  return BoundsFromWeightRanges(aq, state->ranges, state->candidates.size());
-}
-
 Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
                                         const SketchRefineOptions& options) {
   if (!aq.TranslatesToIlp()) {
@@ -446,10 +374,11 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   SketchRefineState* state =
       options.state != nullptr ? options.state : &one_shot;
 
-  // ---- Candidates and weights: only the rows appended since the state
-  // last saw the table are filtered and weighed.
-  PB_RETURN_IF_ERROR(RefreshCandidates(aq, state).status());
-  const std::vector<size_t>& candidates = state->candidates;
+  // ---- Candidates and weights: only rows appended since the last call are
+  // filtered and weighed. Inputs that do not fit start the state over.
+  if (!state->inputs.Fits(aq)) *state = SketchRefineState();
+  PB_RETURN_IF_ERROR(PrepareQuery(aq, &state->inputs).status());
+  const std::vector<size_t>& candidates = state->inputs.candidates;
   const size_t n = candidates.size();
   if (n == 0) {
     // Only the empty package is possible.
@@ -458,6 +387,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
     out.found = valid;
     return out;
   }
+  PB_RETURN_IF_ERROR(state->inputs.Weigh(aq));
 
   const QueryWeights weights(aq, *state);
   std::vector<RowBounds> rows;

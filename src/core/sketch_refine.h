@@ -68,23 +68,18 @@ namespace pb::core {
 /// passed via SketchRefineOptions::state: the query's inputs and its
 /// partition. SketchRefine reads it on entry and updates it on exit:
 ///
-///   - the inputs (candidates, weights, pruning's weight ranges) cover the
-///     table's first `rows_scanned` rows; RefreshCandidates extends them
-///     over the rows appended since, and only those;
+///   - PrepareQuery extends the inputs over the rows appended since;
 ///   - empty / incompatible partition -> a full partition build populates
 ///     it;
 ///   - compatible partition over a grown candidate set -> incremental
 ///     maintenance (route new candidates, split, re-solve only the
 ///     dirty groups).
 ///
-/// Compatibility requires the same query (weights per candidate and the
-/// feature dimensionality derive from it) over the same table with rows
-/// only appended since the state was built: WHERE predicates and weights
-/// are per-row, so the cached answers for the old rows stay exact and new
-/// candidates can only appear at the end. The caller is responsible for
-/// that discipline (the Engine keys states on query text and drops them on
-/// any non-append catalog mutation); SketchRefine itself only checks the
-/// cheap invariants (a table that shrank, the inputs' column counts,
+/// Compatibility requires the same query over the same table with rows
+/// only appended since the state was built (see QueryInputs). The caller
+/// keeps that discipline (the Engine keys states on query text and drops
+/// them on any non-append catalog mutation); SketchRefine only checks the
+/// cheap invariants (QueryInputs::Fits, which starts the whole state over,
 /// dimensionality, monotone growth).
 ///
 /// NOT thread-safe: like MilpWarmStart, one state must not be shared by
@@ -109,26 +104,12 @@ struct SketchRefineState {
     solver::MilpResult cached_solution;
   };
 
-  // ----- The query's inputs (RefreshCandidates) ----------------------------
-
-  /// Table rows the inputs below cover: rows [0, rows_scanned) have been
-  /// filtered, weighed and folded into `ranges`.
-  size_t rows_scanned = 0;
-  /// The rows of [0, rows_scanned) that pass the WHERE clause, ascending
-  /// (FilterIndices' answer). Candidate position i is row candidates[i].
-  std::vector<size_t> candidates;
-  /// Per-candidate weights, column-major (weights[c][i] is candidate i's):
-  /// one column per linear constraint, then one for the objective when the
-  /// query has one, each the combined weight sum_k coeff_k * weight_k that
-  /// a fresh pass computes.
-  std::vector<std::vector<double>> weights;
-  /// Pruning's weight range of each linear constraint over `candidates`.
-  std::vector<WeightRange> ranges;
+  QueryInputs inputs;  ///< the query's; SketchRefine weighs them
 
   // ----- The partition -----------------------------------------------------
 
   /// Candidates covered by `groups` (positions [0, n_candidates) of
-  /// `candidates`).
+  /// `inputs.candidates`).
   size_t n_candidates = 0;
   size_t dims = 0;  ///< feature dimensionality the state was built with
   /// Frozen per-dimension normalization captured at build time. Routing
@@ -158,20 +139,6 @@ struct SketchRefineState {
   }
 };
 
-/// Brings `state`'s inputs up to aq.table's current row count: filters
-/// only rows [state->rows_scanned, num_rows), appends the survivors and
-/// their weights in row order, folds their weights into the ranges, and
-/// returns the bounds BoundsFromWeightRanges derives from them — every
-/// array and bound equal, bit for bit, to a fresh FilterIndices +
-/// ComputeAggWeights + DeriveCardinalityBounds pass (zone_map_skipped_blocks
-/// aside: the refresh reads every weight it keeps and skips no block). A
-/// state with rows_scanned == 0 is filtered and weighed from row 0 and
-/// keeps its partition, which is how a caller forces the full recompute;
-/// a state over more rows than the table has, or with another query's
-/// column counts, starts over entirely. On error nothing is appended.
-Result<CardinalityBounds> RefreshCandidates(const paql::AnalyzedQuery& aq,
-                                            SketchRefineState* state);
-
 struct SketchRefineOptions {
   /// Maximum tuples per partition (tau). Smaller = finer approximation,
   /// larger sketch model.
@@ -191,9 +158,9 @@ struct SketchRefineOptions {
   /// Optional cross-call state (borrowed, in/out); see SketchRefineState.
   /// Null = the classic one-shot pipeline, over a state of its own that is
   /// dropped on return. A stateful call filters and weighs only the rows
-  /// appended since the last one (RefreshCandidates; a call after the
-  /// caller refreshed finds nothing left to do). A maintained group larger
-  /// than 2 * partition_size re-splits into tau-bounded parts.
+  /// appended since the last one (PrepareQuery; a call after the caller
+  /// prepared the inputs finds nothing left to do). A maintained group
+  /// larger than 2 * partition_size re-splits into tau-bounded parts.
   SketchRefineState* state = nullptr;
   /// Reuse cached sub-solutions of clean groups whose residuals repeat
   /// exactly. Off = re-solve every refined group (the cold baseline; the

@@ -9,53 +9,35 @@ namespace pb::core {
 
 namespace {
 
-/// Evaluates an extreme-constraint argument for each candidate; NULLs come
-/// back as std::nullopt (SQL MIN/MAX skip NULLs). Bare column references
-/// gather from the contiguous column span in one pass.
-Result<std::vector<std::optional<double>>> EvalExtremeArg(
-    const db::ExprPtr& arg, const db::Table& table,
-    const std::vector<size_t>& rows) {
-  return db::GatherNumeric(table, arg, rows);
-}
-
-}  // namespace
-
-Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
-                                      const TranslateOptions& options) {
+Status CheckTranslatable(const paql::AnalyzedQuery& aq,
+                         const CardinalityBounds* bounds) {
   if (!aq.TranslatesToIlp()) {
     return Status::Unimplemented("query is not ILP-translatable: " +
                                  aq.not_translatable_reason);
   }
-  if (options.bounds && options.bounds->infeasible) {
+  if (bounds && bounds->infeasible) {
     return Status::Infeasible(
         "cardinality pruning proves the query infeasible");
   }
+  return Status::OK();
+}
 
+/// Whether §4.1's cardinality row lo <= sum x_i <= hi over `n` candidates
+/// cuts anything the variable bounds allow.
+bool Tightens(const paql::AnalyzedQuery& aq, const CardinalityBounds& b,
+              size_t n) {
+  return b.lo > 0 || b.hi < static_cast<int64_t>(n) * aq.max_multiplicity;
+}
+
+/// The model over `inputs`, weighed here if they are not yet.
+Result<IlpTranslation> Translate(const paql::AnalyzedQuery& aq,
+                                 QueryInputs* inputs,
+                                 const CardinalityBounds* bounds) {
+  PB_RETURN_IF_ERROR(inputs->Weigh(aq));
+  const WeightColumns& weights = inputs->weights;
   IlpTranslation out;
-  if (options.candidates != nullptr) {
-    out.candidates = std::move(*options.candidates);
-  } else {
-    PB_ASSIGN_OR_RETURN(out.candidates,
-                        db::FilterIndices(*aq.table, aq.query.where));
-  }
+  out.candidates = inputs->candidates;
   const size_t n = out.candidates.size();
-
-  // Per-tuple weights of each canonical aggregate.
-  std::vector<std::vector<double>> weights(aq.aggs.size());
-  for (size_t a = 0; a < aq.aggs.size(); ++a) {
-    PB_ASSIGN_OR_RETURN(
-        weights[a], ComputeAggWeights(aq.aggs[a], *aq.table, out.candidates));
-  }
-
-  // Objective coefficient per candidate.
-  std::vector<double> obj(n, 0.0);
-  if (aq.has_objective) {
-    for (const paql::LinearAggTerm& t : aq.objective_terms) {
-      for (size_t i = 0; i < n; ++i) {
-        obj[i] += t.coeff * weights[t.agg_index][i];
-      }
-    }
-  }
 
   // Variables. MAX(e)<=c / MIN(e)>=c constraints fix violating tuples to 0.
   std::vector<double> ub(n, static_cast<double>(aq.max_multiplicity));
@@ -68,8 +50,9 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
          (ec.op == db::BinaryOp::kGe || ec.op == db::BinaryOp::kGt ||
           ec.op == db::BinaryOp::kEq));
     if (!is_upper_side) continue;
+    // One gather per argument; NULLs come back empty.
     PB_ASSIGN_OR_RETURN(auto vals,
-                        EvalExtremeArg(ec.arg, *aq.table, out.candidates));
+                        db::GatherNumeric(*aq.table, ec.arg, out.candidates));
     for (size_t i = 0; i < n; ++i) {
       if (!vals[i]) continue;  // NULLs are invisible to MIN/MAX
       bool violates;
@@ -89,24 +72,23 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
 
   for (size_t i = 0; i < n; ++i) {
     out.model.AddVariable("x" + std::to_string(out.candidates[i]), 0.0, ub[i],
-                          obj[i], /*is_integer=*/true);
+                          aq.has_objective ? weights.back()[i] : 0.0,
+                          /*is_integer=*/true);
   }
   out.model.SetSense(aq.has_objective && !aq.maximize
                          ? solver::ObjectiveSense::kMinimize
                          : solver::ObjectiveSense::kMaximize);
 
-  // Linear global-constraint rows. The translator emits rows (one
-  // span-gather over the candidate weights per constraint) and never
-  // touches column storage: each LP workspace derives its own column view
-  // from these rows (solver::ColumnsOf) when a solve begins.
-  for (const paql::LinearConstraint& lc : aq.linear_constraints) {
+  // Linear global-constraint rows, one per weight column. The translator
+  // emits rows and never touches column storage: each LP workspace derives
+  // its own column view from these rows (solver::ColumnsOf) when a solve
+  // begins.
+  for (size_t c = 0; c < aq.linear_constraints.size(); ++c) {
+    const paql::LinearConstraint& lc = aq.linear_constraints[c];
     std::vector<solver::LinearTerm> terms;
     terms.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      double w = 0.0;
-      for (const paql::LinearAggTerm& t : lc.terms) {
-        w += t.coeff * weights[t.agg_index][i];
-      }
+      const double w = weights[c][i];
       if (w != 0.0) terms.push_back({static_cast<int>(i), w});
     }
     double lo = std::isfinite(lc.lo) ? lc.lo : -solver::kInfinity;
@@ -125,7 +107,7 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
           ec.op == db::BinaryOp::kEq));
     if (!is_lower_side) continue;
     PB_ASSIGN_OR_RETURN(auto vals,
-                        EvalExtremeArg(ec.arg, *aq.table, out.candidates));
+                        db::GatherNumeric(*aq.table, ec.arg, out.candidates));
     std::vector<solver::LinearTerm> terms;
     for (size_t i = 0; i < n; ++i) {
       if (!vals[i]) continue;
@@ -167,23 +149,52 @@ Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
   }
 
   // Redundant-but-tightening cardinality row from §4.1 pruning.
-  if (options.bounds) {
-    const CardinalityBounds& b = *options.bounds;
-    bool tightens = b.lo > 0 || b.hi < static_cast<int64_t>(n) *
-                                            aq.max_multiplicity;
-    if (tightens) {
-      std::vector<solver::LinearTerm> terms;
-      for (size_t i = 0; i < n; ++i) {
-        terms.push_back({static_cast<int>(i), 1.0});
-      }
-      out.model.AddConstraint(
-          "cardinality_pruning", std::move(terms),
-          static_cast<double>(b.lo),
-          b.hi == INT64_MAX ? solver::kInfinity : static_cast<double>(b.hi));
+  if (bounds && Tightens(aq, *bounds, n)) {
+    std::vector<solver::LinearTerm> terms;
+    for (size_t i = 0; i < n; ++i) {
+      terms.push_back({static_cast<int>(i), 1.0});
     }
+    out.model.AddConstraint("cardinality_pruning", std::move(terms),
+                            static_cast<double>(bounds->lo),
+                            bounds->hi == INT64_MAX
+                                ? solver::kInfinity
+                                : static_cast<double>(bounds->hi));
   }
 
   return out;
+}
+
+}  // namespace
+
+Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
+                                      const TranslateOptions& options) {
+  PB_RETURN_IF_ERROR(CheckTranslatable(aq, options.bounds));
+  QueryInputs inputs;
+  PB_ASSIGN_OR_RETURN(inputs.candidates,
+                      db::FilterIndices(*aq.table, aq.query.where));
+  return Translate(aq, &inputs, options.bounds);
+}
+
+Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
+                                      QueryInputs* inputs,
+                                      const CardinalityBounds& bounds) {
+  PB_RETURN_IF_ERROR(CheckTranslatable(aq, &bounds));
+  return Translate(aq, inputs, &bounds);
+}
+
+std::pair<int, int> CountIlpDimensions(const paql::AnalyzedQuery& aq,
+                                       size_t num_candidates,
+                                       const CardinalityBounds& bounds) {
+  // Translate's rows: one per linear constraint, the non-empty row (which
+  // fails without a candidate) and the cardinality row when it tightens.
+  if (!CheckTranslatable(aq, &bounds).ok() ||
+      (aq.requires_nonempty && num_candidates == 0)) {
+    return {};
+  }
+  return {static_cast<int>(num_candidates),
+          static_cast<int>(aq.linear_constraints.size()) +
+              (aq.requires_nonempty ? 1 : 0) +
+              (Tightens(aq, bounds, num_candidates) ? 1 : 0)};
 }
 
 Package DecodeSolution(const IlpTranslation& translation,

@@ -11,6 +11,7 @@
 #ifndef PB_CORE_TRANSLATOR_H_
 #define PB_CORE_TRANSLATOR_H_
 
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -26,13 +27,6 @@ struct TranslateOptions {
   /// redundant-but-tightening constraint (the §4.1 bounds applied to the
   /// solver path). Ignored when `bounds` is null.
   const CardinalityBounds* bounds = nullptr;
-  /// The rows of aq.table that pass the WHERE clause (ascending, as
-  /// FilterIndices returns them), when the caller already filtered: the
-  /// candidates `bounds` came from. TranslateToIlp moves them into
-  /// IlpTranslation::candidates (leaving *candidates moved-from) instead
-  /// of filtering again. Null = filter here. The translation is identical
-  /// either way.
-  std::vector<size_t>* candidates = nullptr;
 };
 
 /// The translated model plus the variable <-> base-row mapping.
@@ -44,11 +38,25 @@ struct IlpTranslation {
   size_t num_fixed_out = 0;
 };
 
-/// Translates an analyzed query. Fails with kUnimplemented when the query
-/// is not ILP-translatable (the caller falls back to search strategies) and
-/// with kInfeasible when pruning bounds already prove emptiness.
+/// Translates an analyzed query, filtering and weighing its table itself.
+/// Fails with kUnimplemented when the query is not ILP-translatable (the
+/// caller falls back to search strategies) and with kInfeasible when
+/// pruning bounds already prove emptiness.
 Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
                                       const TranslateOptions& options = {});
+
+/// The same translation over the `inputs` PrepareQuery derived `bounds`
+/// from: no scan, and the weights are read from (and built in) the inputs.
+Result<IlpTranslation> TranslateToIlp(const paql::AnalyzedQuery& aq,
+                                      QueryInputs* inputs,
+                                      const CardinalityBounds& bounds);
+
+/// TranslateToIlp's {variables, rows} over `num_candidates` and `bounds`
+/// ({0, 0} where it would fail), without building the model: only for
+/// queries without MIN/MAX constraints, whose rows depend on values.
+std::pair<int, int> CountIlpDimensions(const paql::AnalyzedQuery& aq,
+                                       size_t num_candidates,
+                                       const CardinalityBounds& bounds);
 
 /// Converts a solver point back into a package.
 Package DecodeSolution(const IlpTranslation& translation,

@@ -269,7 +269,9 @@ Status Column::Spill(std::shared_ptr<storage::SegmentFile> file,
   PB_DCHECK(cache != nullptr);
 
   const size_t n = size();
-  const size_t blocks = n == 0 ? 0 : (n + block_size - 1) / block_size;
+  // (n - 1) / block_size + 1, not (n + block_size - 1) / block_size, which
+  // wraps to 0 for a block size near SIZE_MAX.
+  const size_t blocks = n == 0 ? 0 : (n - 1) / block_size + 1;
   std::vector<storage::BlockLocator> locators;
   std::vector<storage::ZoneMap> zones;
   locators.reserve(blocks);
@@ -385,7 +387,7 @@ const storage::ZoneMap* Column::ZoneMaps() const {
   if (!zones_built_ || zones_for_size_ != size()) {
     PB_DCHECK(!spilled());  // spill metadata never goes stale (read-only)
     const size_t n = size();
-    const size_t blocks = n == 0 ? 0 : (n + block_size_ - 1) / block_size_;
+    const size_t blocks = n == 0 ? 0 : (n - 1) / block_size_ + 1;
     // Incremental extension: appends never touch sealed rows, so every
     // block that was already complete at the last build is unchanged. Keep
     // those zones and recompute only from the first block the growth

@@ -160,8 +160,7 @@ class NumericColumnView {
 
   size_t block_size() const;
   size_t num_blocks() const {
-    const size_t bs = block_size();
-    return (size_ + bs - 1) / bs;
+    return size_ == 0 ? 0 : (size_ - 1) / block_size() + 1;
   }
 
   /// Zone map of block b — min/max/sum/null counts over the block's rows —
@@ -313,7 +312,7 @@ class Column {
   /// granularity of a resident column (kDefaultBlockSize unless overridden).
   size_t block_size() const { return block_size_; }
   size_t num_blocks() const {
-    return size() == 0 ? 0 : (size() + block_size_ - 1) / block_size_;
+    return size() == 0 ? 0 : (size() - 1) / block_size_ + 1;
   }
 
   /// Overrides the zone-map granularity of a RESIDENT column (test/bench

@@ -7,13 +7,11 @@
 #include "common/stopwatch.h"
 #include "common/strings.h"
 #include "core/enumerator.h"
-#include "core/translator.h"
 #include "datagen/lineitem.h"
 #include "datagen/recipes.h"
 #include "datagen/stocks.h"
 #include "datagen/travel.h"
 #include "db/csv.h"
-#include "db/ops.h"
 #include "paql/analyzer.h"
 #include "storage/storage_budget.h"
 #include "ui/template.h"
@@ -114,6 +112,14 @@ Result<std::string> Engine::RenderTable(const std::string& name,
 
 Status Engine::SpillTable(const std::string& name, const std::string& dir,
                           size_t block_size) {
+  // At most 16 default blocks: a larger block would pin a column's whole
+  // data at once and leave its zone map one entry.
+  constexpr size_t kMaxSpillBlockSize = 16 * storage::kDefaultBlockSize;
+  if (block_size == 0 || block_size > kMaxSpillBlockSize) {
+    return Status::InvalidArgument("spill block size must be in [1, " +
+                                   std::to_string(kMaxSpillBlockSize) +
+                                   "] rows");
+  }
   WriterMutexLock lock(&catalog_mu_);
   PB_ASSIGN_OR_RETURN(db::Table * table, catalog_.GetMutable(name));
   std::error_code ec;
@@ -408,34 +414,25 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
                         const std::string& query_key, QueryResponse* resp) {
   std::shared_ptr<MaintenanceEntry> entry;
   bool kept = false;
-  std::vector<size_t> candidates;
+  core::QueryInputs inputs;
   core::CardinalityBounds bounds;
   if (options_.incremental_maintenance &&
       core::SketchRefineEligible(aq, eo)) {
-    // A maintained query's inputs are state: the refresh filters, weighs
-    // and bounds only the rows appended since its last call, and
-    // SketchRefine reads the candidates from the state. A query without
-    // an entry refreshes a new one, cached below only if it is routed to
-    // SketchRefine: one that pruning proves infeasible takes no slot.
+    // A maintained query's inputs are state, extended over the rows
+    // appended since its last call. A new entry is cached below only if
+    // the plan is SketchRefine: a query pruning refutes takes no slot.
     entry = FindMaintenanceEntry(query_key);
     kept = entry != nullptr;
     if (!kept) entry = std::make_shared<MaintenanceEntry>();
-    MutexLock lock(&entry->mu);
-    if (entry->generation != catalog_generation_) {
-      // Any non-append mutation since the state was built: rebuild from
-      // scratch (appends leave the generation alone on purpose).
-      entry->state = core::SketchRefineState();
-      entry->generation = catalog_generation_;
-    }
-    PB_ASSIGN_OR_RETURN(bounds, core::RefreshCandidates(aq, &entry->state));
-    resp->num_candidates = entry->state.candidates.size();
+    MaintenanceEntry* e = entry.get();
+    MutexLock lock(&e->mu);
+    PB_ASSIGN_OR_RETURN(bounds, PrepareMaintained(aq, e));
+    resp->num_candidates = e->state.inputs.candidates.size();
   } else {
-    PB_ASSIGN_OR_RETURN(candidates,
-                        db::FilterIndices(*aq.table, aq.query.where));
-    resp->num_candidates = candidates.size();
-    PB_ASSIGN_OR_RETURN(bounds, core::DeriveCardinalityBounds(aq, candidates));
-    resp->zone_map_skipped_blocks = bounds.zone_map_skipped_blocks;
+    PB_ASSIGN_OR_RETURN(bounds, core::PrepareQuery(aq, &inputs));
+    resp->num_candidates = inputs.candidates.size();
   }
+  resp->zone_map_skipped_blocks = bounds.zone_map_skipped_blocks;
   PB_ASSIGN_OR_RETURN(
       const core::QueryRoute route,
       core::PlanQuery(aq, bounds, resp->num_candidates, eo,
@@ -445,36 +442,52 @@ Status Engine::Evaluate(const paql::AnalyzedQuery& aq,
     KeepMaintenanceEntry(query_key, entry);
   }
   Status s = RunStep(route.strategy, route, aq, eo, bounds, entry.get(),
-                     &candidates, query_key, resp);
+                     &inputs, query_key, resp);
   if (route.fallback && s.code() == StatusCode::kInfeasible) {
-    s = RunStep(*route.fallback, route, aq, eo, bounds, entry.get(),
-                &candidates, query_key, resp);
+    s = RunStep(*route.fallback, route, aq, eo, bounds, entry.get(), &inputs,
+                query_key, resp);
   }
   return s;
+}
+
+Result<core::CardinalityBounds> Engine::PrepareMaintained(
+    const paql::AnalyzedQuery& aq, MaintenanceEntry* entry) {
+  if (entry->generation != catalog_generation_) {
+    // Any non-append mutation since the state was built: rebuild from
+    // scratch (appends leave the generation alone on purpose).
+    entry->state = core::SketchRefineState();
+    entry->generation = catalog_generation_;
+  }
+  return core::PrepareQuery(aq, &entry->state.inputs);
 }
 
 Status Engine::RunStep(core::Strategy step, const core::QueryRoute& route,
                        const paql::AnalyzedQuery& aq,
                        const core::EvaluationOptions& eo,
                        const core::CardinalityBounds& bounds,
-                       MaintenanceEntry* entry,
-                       std::vector<size_t>* candidates,
+                       MaintenanceEntry* entry, core::QueryInputs* inputs,
                        const std::string& query_key, QueryResponse* resp) {
   resp->strategy = step;
   if (step == core::Strategy::kSketchRefine) {
     return RunSketchRefinePath(aq, eo, entry, resp);
   }
+  core::EvaluationResult r;
   if (step == core::Strategy::kIlpSolver) {
-    if (entry != nullptr) {
-      // SketchRefine's fallback: the solver takes over a copy of the
-      // maintained candidates.
+    // The translation copies what it needs out of the inputs, so a
+    // maintained entry is locked only while it is built, not for the solve.
+    Result<core::IlpTranslation> translation =
+        [&]() -> Result<core::IlpTranslation> {
+      if (entry == nullptr) return core::TranslateToIlp(aq, inputs, bounds);
       MutexLock lock(&entry->mu);
-      *candidates = entry->state.candidates;
-    }
-    return RunIlpPath(aq, eo, bounds, candidates, query_key, resp);
+      return core::TranslateToIlp(aq, &entry->state.inputs, bounds);
+    }();
+    PB_RETURN_IF_ERROR(translation.status());
+    PB_ASSIGN_OR_RETURN(r, RunIlpPath(aq, eo, *translation, query_key, resp));
+  } else {
+    // Rule 4 routes a maintained query to pruning, SketchRefine or the
+    // solver, so the search strategies only ever run on `inputs`.
+    PB_ASSIGN_OR_RETURN(r, core::RunStep(step, route, aq, eo, bounds, inputs));
   }
-  PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
-                      core::RunStep(step, route, aq, eo, bounds, candidates));
   resp->package = std::move(r.package);
   resp->objective = r.objective;
   resp->proven_optimal = r.proven_optimal;
@@ -495,8 +508,8 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
       [&]() -> Result<core::SketchRefineResult> {
     // SketchRefineState, like MilpWarmStart, is not thread-safe; the
     // entry mutex serializes the solves that share this query's state.
-    // Evaluate refreshed it under the same catalog read lock, so no rows
-    // are left to filter.
+    // Evaluate prepared its inputs under the same catalog read lock, so no
+    // rows are left to filter.
     MutexLock lock(&entry->mu);
     sro.state = &entry->state;
     return core::SketchRefine(aq, sro);
@@ -526,17 +539,10 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   return Status::OK();
 }
 
-Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
-                          const core::EvaluationOptions& eo,
-                          const core::CardinalityBounds& bounds,
-                          std::vector<size_t>* candidates,
-                          const std::string& query_key,
-                          QueryResponse* resp) {
-  core::TranslateOptions topts;
-  topts.bounds = &bounds;
-  topts.candidates = candidates;
-  PB_ASSIGN_OR_RETURN(const core::IlpTranslation translation,
-                      core::TranslateToIlp(aq, topts));
+Result<core::EvaluationResult> Engine::RunIlpPath(
+    const paql::AnalyzedQuery& aq, const core::EvaluationOptions& eo,
+    const core::IlpTranslation& translation, const std::string& query_key,
+    QueryResponse* resp) {
   const uint64_t signature = translation.model.StructuralSignature();
   resp->model_signature = signature;
 
@@ -575,18 +581,34 @@ Status Engine::RunIlpPath(const paql::AnalyzedQuery& aq,
   resp->cancelled = r.cancelled;
   resp->nodes = r.nodes;
   resp->lp_iterations = r.lp_iterations;
-  PB_RETURN_IF_ERROR(core::MilpResultStatus(r));
-  resp->package = core::DecodeSolution(translation, r.x);
-  resp->objective = aq.has_objective ? r.objective : 0.0;
-  resp->proven_optimal = r.status == solver::MilpStatus::kOptimal;
-  return Status::OK();
+  return core::FinishIlpStep(aq, translation, r);
 }
 
 // --------------------------------------------------------- facade wrappers
 
-Result<core::QueryPlan> Engine::Explain(const std::string& paql) const {
-  ReaderMutexLock lock(&catalog_mu_);
-  return core::ExplainQuery(paql, catalog_, options_.defaults,
+Result<core::QueryPlan> Engine::Explain(const std::string& paql) {
+  ReaderMutexLock catalog_lock(&catalog_mu_);
+  PB_ASSIGN_OR_RETURN(const paql::AnalyzedQuery aq,
+                      paql::ParseAndAnalyze(paql, catalog_));
+  if (options_.incremental_maintenance &&
+      core::SketchRefineEligible(aq, options_.defaults)) {
+    // Its entry's inputs, extended in place as the query itself would; the
+    // lookup leaves the entry's recency alone.
+    const std::string key(StripAsciiWhitespace(paql));
+    std::shared_ptr<MaintenanceEntry> entry;
+    {
+      MutexLock lock(&maint_mu_);
+      if (const auto* kept = maint_cache_.Peek(key)) entry = *kept;
+    }
+    if (MaintenanceEntry* e = entry.get()) {
+      MutexLock lock(&e->mu);
+      PB_ASSIGN_OR_RETURN(const core::CardinalityBounds bounds,
+                          PrepareMaintained(aq, e));
+      return core::ExplainQuery(aq, &e->state.inputs, bounds,
+                                options_.defaults, true);
+    }
+  }
+  return core::ExplainQuery(aq, options_.defaults,
                             options_.incremental_maintenance);
 }
 
@@ -597,13 +619,10 @@ Result<std::vector<core::Package>> Engine::Enumerate(const std::string& paql,
   PB_ASSIGN_OR_RETURN(paql::AnalyzedQuery aq,
                       paql::ParseAndAnalyze(paql, catalog_));
   if (diverse) return core::EnumerateDiverse(aq, k);
-  if (aq.TranslatesToIlp() && aq.max_multiplicity == 1) {
-    core::EnumerateOptions opts;
-    opts.max_packages = k;
-    opts.milp = options_.defaults.milp;
-    return core::EnumerateViaSolver(aq, opts);
-  }
-  return core::EnumerateExhaustively(aq, k, options_.defaults.brute_force);
+  core::EnumerateOptions opts;
+  opts.max_packages = k;
+  opts.milp = options_.defaults.milp;
+  return core::EnumeratePackages(aq, opts, options_.defaults.brute_force);
 }
 
 Status Engine::WritePackageCsv(const std::string& table,

@@ -161,8 +161,8 @@ struct QueryResponse {
   /// Blocks this call skipped by answering pruning's weight bounds or
   /// SketchRefine's partition build from zone-map metadata instead of a
   /// value scan (deterministic per query, table and call history). A
-  /// maintained query's refresh reads only the appended rows' weights, so
-  /// its pruning part skips none.
+  /// maintained query's extension reads the appended rows' weights, so its
+  /// pruning part skips none.
   int64_t zone_map_skipped_blocks = 0;
   // -- incremental maintenance (populated on the SketchRefine path) -------
   /// A stale-by-append cached result was refreshed through the maintained
@@ -223,7 +223,8 @@ class Engine {
   /// blocks through the process block cache instead of resident vectors —
   /// results are bit-identical, memory is bounded by the cache budget. The
   /// segment file lives next to `dir` (defaults to the system temp dir) and
-  /// is unlinked when the table is dropped or the engine shuts down.
+  /// is unlinked when the table is dropped or the engine shuts down. A
+  /// block size outside [1, 2^20] rows is InvalidArgument.
   Status SpillTable(const std::string& name, const std::string& dir = "",
                     size_t block_size = storage::kDefaultBlockSize);
 
@@ -272,8 +273,9 @@ class Engine {
                    std::function<void(QueryResponse)> done);
 
   /// Plans a query without executing it (EXPLAIN): the route ExecuteQuery
-  /// takes, fallback included.
-  Result<core::QueryPlan> Explain(const std::string& paql) const;
+  /// takes, fallback included. A maintained query's cached entry is read
+  /// and extended in place, never added, dropped or reordered.
+  Result<core::QueryPlan> Explain(const std::string& paql);
 
   /// Enumerates up to `k` packages, best first; `diverse` trades objective
   /// quality for pairwise Jaccard distance.
@@ -321,8 +323,8 @@ class Engine {
     solver::MilpResult solved PB_GUARDED_BY(mu);
   };
   /// One maintained query's state (its inputs and its partition), keyed
-  /// on normalized query text. The entry mutex serializes the refreshes
-  /// and solves that share the state (SketchRefineState, like
+  /// on normalized query text. The entry mutex serializes the refreshes,
+  /// translations and solves that share the state (SketchRefineState, like
   /// MilpWarmStart, is not thread-safe). The state is valid only while
   /// `generation` matches the catalog: appends leave the generation alone
   /// (the state absorbs them incrementally); any other mutation bumps it
@@ -336,34 +338,32 @@ class Engine {
   /// The synchronous query pipeline body (takes the catalog read lock).
   QueryResponse Run(const std::string& paql, const QueryBudget& budget,
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
-  /// Filters once, plans with core::PlanQuery, and runs the plan's
-  /// strategy, then its fallback when the strategy ends kInfeasible.
-  /// A query rule 4 can route to SketchRefine (core::SketchRefineEligible)
-  /// takes its candidates and bounds from its maintained state instead,
-  /// refreshed over the rows appended since its last call; its state is
-  /// cached once a plan routes it to SketchRefine.
+  /// core::PrepareQuery, core::PlanQuery, then the plan's strategy and its
+  /// fallback when it ends kInfeasible. A query rule 4 can maintain
+  /// prepares its state's inputs, cached once the plan is SketchRefine.
   Status Evaluate(const paql::AnalyzedQuery& aq,
                   const core::EvaluationOptions& eo,
                   const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// Runs one step of `route` (see core::RunStep) into `resp`. `bounds`
-  /// came from `candidates`, the WHERE survivors, or from `entry`'s
-  /// maintained state when `entry` is set; an ILP step takes the
-  /// candidates over (a copy of the state's when `entry` is set).
+  /// core::PrepareQuery over `entry`'s inputs, the whole state started over
+  /// first if the catalog's generation moved.
+  Result<core::CardinalityBounds> PrepareMaintained(
+      const paql::AnalyzedQuery& aq, MaintenanceEntry* entry)
+      PB_REQUIRES_SHARED(catalog_mu_) PB_REQUIRES(entry->mu);
+  /// Runs one step of `route` (see core::RunStep) into `resp` over the
+  /// inputs of `entry` when set, else `inputs`.
   Status RunStep(core::Strategy step, const core::QueryRoute& route,
                  const paql::AnalyzedQuery& aq,
                  const core::EvaluationOptions& eo,
                  const core::CardinalityBounds& bounds,
-                 MaintenanceEntry* entry, std::vector<size_t>* candidates,
+                 MaintenanceEntry* entry, core::QueryInputs* inputs,
                  const std::string& query_key, QueryResponse* resp)
       PB_REQUIRES_SHARED(catalog_mu_);
-  /// ILP route with the warm-start cache.
-  Status RunIlpPath(const paql::AnalyzedQuery& aq,
-                    const core::EvaluationOptions& eo,
-                    const core::CardinalityBounds& bounds,
-                    std::vector<size_t>* candidates,
-                    const std::string& query_key, QueryResponse* resp)
-      PB_REQUIRES_SHARED(catalog_mu_);
+  /// Solves `translation` through the warm-start cache and solved memo.
+  Result<core::EvaluationResult> RunIlpPath(
+      const paql::AnalyzedQuery& aq, const core::EvaluationOptions& eo,
+      const core::IlpTranslation& translation, const std::string& query_key,
+      QueryResponse* resp) PB_REQUIRES_SHARED(catalog_mu_);
   /// Maintained SketchRefine route (incremental_maintenance on): solves
   /// through `entry`'s state so repeat queries after appends re-solve only
   /// dirty groups. kInfeasible when it comes back empty-handed

@@ -329,5 +329,18 @@ TEST(LruCacheTest, HitsAndOverwritesMarkMostRecentlyUsed) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
+TEST(LruCacheTest, PeekLeavesRecencyAlone) {
+  LruCache<std::string, int> cache(2);
+  cache.Put("a", 1);
+  cache.Put("b", 2);
+  ASSERT_NE(cache.Peek("a"), nullptr);  // not a hit: a stays least recent
+  EXPECT_EQ(*cache.Peek("a"), 1);
+  EXPECT_EQ(cache.Peek("z"), nullptr);
+  cache.Put("c", 3);
+  EXPECT_EQ(cache.Peek("a"), nullptr);
+  ASSERT_NE(cache.Peek("b"), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+}
+
 }  // namespace
 }  // namespace pb

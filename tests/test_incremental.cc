@@ -15,6 +15,7 @@
 #include "common/random.h"
 #include "core/evaluator.h"
 #include "core/sketch_refine.h"
+#include "core/translator.h"
 #include "datagen/recipes.h"
 #include "db/catalog.h"
 #include "db/ops.h"
@@ -296,11 +297,11 @@ TEST(IncrementalTest, CleanRepeatReusesEveryGroup) {
   EXPECT_EQ(r2->objective, r1->objective);
 }
 
-TEST(IncrementalTest, RefreshStartsOverOnAShrunkTableOrAnotherLayout) {
-  // Cached inputs describe one query over one append-only table. A state
-  // that covers more rows than the table holds, or whose weight columns
-  // belong to another query, is rebuilt: its arrays must equal a fresh
-  // state's.
+TEST(IncrementalTest, InputsStartOverOnAShrunkTableOrAnotherLayout) {
+  // Kept inputs describe one query over one append-only table. Inputs that
+  // cover more rows than the table holds, or whose weight columns belong
+  // to another query, are rebuilt and must equal fresh ones; SketchRefine
+  // drops the partition built over them.
   db::Catalog big, small;
   big.RegisterOrReplace(datagen::GenerateRecipes(400, 17));
   small.RegisterOrReplace(datagen::GenerateRecipes(300, 23));
@@ -311,15 +312,14 @@ TEST(IncrementalTest, RefreshStartsOverOnAShrunkTableOrAnotherLayout) {
       "SUM(calories) <= 3600 AND SUM(calories) + SUM(protein) >= 100 "
       "MAXIMIZE SUM(protein)";
   auto expect_fresh = [](const paql::AnalyzedQuery& aq,
-                         SketchRefineState* state) {
-    auto bounds = RefreshCandidates(aq, state);
-    ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
-    SketchRefineState fresh;
-    ASSERT_TRUE(RefreshCandidates(aq, &fresh).ok());
-    EXPECT_EQ(state->rows_scanned, aq.table->num_rows());
-    EXPECT_EQ(state->candidates, fresh.candidates);
-    EXPECT_EQ(state->weights, fresh.weights);
-    EXPECT_EQ(state->ranges.size(), fresh.ranges.size());
+                         const QueryInputs& inputs) {
+    QueryInputs fresh;
+    ASSERT_TRUE(PrepareQuery(aq, &fresh).ok());
+    ASSERT_TRUE(fresh.Weigh(aq).ok());
+    EXPECT_EQ(inputs.rows_scanned, aq.table->num_rows());
+    EXPECT_EQ(inputs.candidates, fresh.candidates);
+    EXPECT_EQ(inputs.weights, fresh.weights);
+    EXPECT_EQ(inputs.ranges.size(), fresh.ranges.size());
   };
 
   SketchRefineState state;
@@ -328,10 +328,18 @@ TEST(IncrementalTest, RefreshStartsOverOnAShrunkTableOrAnotherLayout) {
   opts.state = &state;
   ASSERT_TRUE(SketchRefine(Analyzed(big, kRecipesQuery), opts).ok());
   ASSERT_FALSE(state.groups.empty());
-  expect_fresh(Analyzed(small, kRecipesQuery), &state);
-  EXPECT_TRUE(state.groups.empty()) << "the partition of the old table stayed";
+  const paql::AnalyzedQuery shrunk = Analyzed(small, kRecipesQuery);
+  EXPECT_FALSE(state.inputs.Fits(shrunk));
+  auto r = SketchRefine(shrunk, opts);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r->state_reused) << "the partition of the old table stayed";
+  expect_fresh(shrunk, state.inputs);
 
-  expect_fresh(Analyzed(small, wider), &state);
+  const paql::AnalyzedQuery other = Analyzed(small, wider);
+  EXPECT_FALSE(state.inputs.Fits(other));
+  ASSERT_TRUE(PrepareQuery(other, &state.inputs).ok());
+  ASSERT_TRUE(state.inputs.Weigh(other).ok());
+  expect_fresh(other, state.inputs);
 }
 
 }  // namespace
@@ -478,6 +486,45 @@ TEST(EngineIncrementalTest, PrunedQueriesTakeNoMaintenanceSlot) {
   EXPECT_GT(reval.groups_reused, 0);
 }
 
+TEST(EngineIncrementalTest, ExplainLeavesTheMaintenanceCacheAlone) {
+  // EXPLAIN reads a maintained query's entry but never adds, drops or
+  // reorders one. With room for one state, explaining another eligible
+  // query must not evict the answered query's; with room for two, an
+  // explained entry must not become the most recently used.
+  const std::string other =
+      "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 4 AND "
+      "SUM(calories) <= 3000 MAXIMIZE SUM(protein)";
+  const std::string third =
+      "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 5 AND "
+      "SUM(calories) <= 3000 MAXIMIZE SUM(protein)";
+  EngineOptions o = IncrementalOptions(true);
+  o.maintenance_cache_capacity = 1;
+  Engine one(o);
+  ASSERT_TRUE(one.GenerateDataset("recipes", 400, 7).ok());
+  ASSERT_EQ(one.ExecuteQuery(0, kEngineQuery).strategy,
+            core::Strategy::kSketchRefine);
+  auto plan = one.Explain(other);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan->chosen_strategy, core::Strategy::kSketchRefine);
+  ASSERT_TRUE(one.AppendRows("recipes", DuplicateRows(400, 7, 4)).ok());
+  QueryResponse reval = one.ExecuteQuery(0, kEngineQuery);
+  ASSERT_TRUE(reval.ok()) << reval.status.ToString();
+  EXPECT_TRUE(reval.revalidated);
+  EXPECT_TRUE(reval.warm_start_hit) << "EXPLAIN evicted the answered state";
+
+  o.maintenance_cache_capacity = 2;
+  Engine two(o);
+  ASSERT_TRUE(two.GenerateDataset("recipes", 400, 7).ok());
+  ASSERT_TRUE(two.ExecuteQuery(0, kEngineQuery).ok());
+  ASSERT_TRUE(two.ExecuteQuery(0, other).ok());
+  ASSERT_TRUE(two.Explain(kEngineQuery).ok());
+  ASSERT_TRUE(two.ExecuteQuery(0, third).ok());  // evicts the least recent
+  ASSERT_TRUE(two.AppendRows("recipes", DuplicateRows(400, 7, 4)).ok());
+  reval = two.ExecuteQuery(0, other);
+  ASSERT_TRUE(reval.ok()) << reval.status.ToString();
+  EXPECT_TRUE(reval.warm_start_hit) << "EXPLAIN made its entry most recent";
+}
+
 TEST(EngineIncrementalTest, AppendBatchIsAllOrNothing) {
   Engine e(IncrementalOptions(true));
   ASSERT_TRUE(e.GenerateDataset("recipes", 50, 3).ok());
@@ -525,10 +572,11 @@ TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
   // An incremental Engine answers each query after every append of a
   // seeded sequence. Its candidate count, strategy and EXPLAIN plan must
   // equal a fresh FilterIndices + DeriveCardinalityBounds + PlanQuery pass
-  // over the same table. A mirror state fed the same calls must hold the
-  // candidates, weights and ranges a from-scratch refresh computes, and
-  // SketchRefine over it must answer as a copy with its inputs dropped
-  // (same partition, full recompute) does, and as the engine did.
+  // over the same table, and the plan's model dimensions the translation
+  // over it. A mirror state fed the same calls must hold the candidates,
+  // weights and ranges fresh inputs hold, and SketchRefine over it must
+  // answer as a copy with its inputs dropped (same partition, full
+  // recompute) does, and as the engine did.
   constexpr size_t kTau = 8;  // a group past 2 * tau = 16 members splits
   const std::vector<std::string> queries = {
       // WHERE filter: rows of cat 'y' never become candidates.
@@ -617,19 +665,35 @@ TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
       EXPECT_EQ(plan->fallback, route->fallback);
       EXPECT_EQ(plan->candidates, candidates->size());
       EXPECT_EQ(plan->bounds.ToString(), bounds->ToString());
+      // EXPLAIN counts the model's dimensions from the inputs; the
+      // translator builds them over the fresh pass's candidates.
+      if (route->strategy == core::Strategy::kPruning) {
+        EXPECT_EQ(plan->model_variables, 0);
+        EXPECT_EQ(plan->model_rows, 0);
+      } else {
+        core::TranslateOptions topts;
+        topts.bounds = &*bounds;
+        auto model = core::TranslateToIlp(aq, topts);
+        ASSERT_TRUE(model.ok()) << model.status().ToString();
+        EXPECT_EQ(model->candidates, *candidates);
+        EXPECT_EQ(plan->model_variables, model->model.num_variables());
+        EXPECT_EQ(plan->model_rows, model->model.num_constraints());
+      }
 
-      // The mirror's refresh against a from-scratch one.
+      // The mirror's extended inputs against fresh ones.
       core::SketchRefineState& mirror = mirrors[q];
-      auto refreshed = core::RefreshCandidates(aq, &mirror);
+      auto refreshed = core::PrepareQuery(aq, &mirror.inputs);
       ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
-      core::SketchRefineState scratch;
-      ASSERT_TRUE(core::RefreshCandidates(aq, &scratch).ok());
-      EXPECT_EQ(mirror.candidates, *candidates);
-      EXPECT_EQ(mirror.weights, scratch.weights);
-      ASSERT_EQ(mirror.ranges.size(), scratch.ranges.size());
-      for (size_t c = 0; c < mirror.ranges.size(); ++c) {
-        EXPECT_EQ(mirror.ranges[c].min, scratch.ranges[c].min);
-        EXPECT_EQ(mirror.ranges[c].max, scratch.ranges[c].max);
+      ASSERT_TRUE(mirror.inputs.Weigh(aq).ok());
+      core::QueryInputs scratch;
+      ASSERT_TRUE(core::PrepareQuery(aq, &scratch).ok());
+      ASSERT_TRUE(scratch.Weigh(aq).ok());
+      EXPECT_EQ(mirror.inputs.candidates, *candidates);
+      EXPECT_EQ(mirror.inputs.weights, scratch.weights);
+      ASSERT_EQ(mirror.inputs.ranges.size(), scratch.ranges.size());
+      for (size_t c = 0; c < mirror.inputs.ranges.size(); ++c) {
+        EXPECT_EQ(mirror.inputs.ranges[c].min, scratch.ranges[c].min);
+        EXPECT_EQ(mirror.inputs.ranges[c].max, scratch.ranges[c].max);
       }
       EXPECT_EQ(refreshed->lo, bounds->lo);
       EXPECT_EQ(refreshed->hi, bounds->hi);
@@ -647,7 +711,7 @@ TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
       // rows_scanned == 0 makes the copy filter and weigh the whole table
       // again over the same partition: the full recompute.
       core::SketchRefineState recompute = mirror;
-      recompute.rows_scanned = 0;
+      recompute.inputs.rows_scanned = 0;
       core::SketchRefineOptions sro;
       sro.partition_size = kTau;
       sro.state = &mirror;
@@ -659,8 +723,8 @@ TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
       EXPECT_EQ(delta->package, full->package);
       EXPECT_EQ(delta->objective, full->objective);
       EXPECT_EQ(delta->lp_iterations, full->lp_iterations);
-      EXPECT_EQ(mirror.candidates, recompute.candidates);
-      EXPECT_EQ(mirror.weights, recompute.weights);
+      EXPECT_EQ(mirror.inputs.candidates, recompute.inputs.candidates);
+      EXPECT_EQ(mirror.inputs.weights, recompute.inputs.weights);
       splits += delta->groups_split;
       if (!delta->found) {
         EXPECT_EQ(r.strategy, core::Strategy::kIlpSolver);

@@ -233,6 +233,24 @@ TEST(ProtocolTest, GenRejectsOversizedTables) {
             "InvalidArgument");
 }
 
+TEST(ProtocolTest, SpillRejectsOversizedBlocks) {
+  auto engine = MakeEngine(30);
+  // 1e300 saturates to INT64_MAX; 1048577 is one row past the 2^20 cap. A
+  // rejected request spills nothing: a spilled table refuses a second
+  // spill, so the valid one that follows proves it.
+  for (const std::string size : {"1e300", "1048577", "0", "-1"}) {
+    const std::string request =
+        R"js({"op":"spill","table":"recipes","block_size":)js";
+    EXPECT_EQ(ErrorCode(Call(engine.get(), request + size + "}")),
+              "InvalidArgument")
+        << "block_size=" << size;
+  }
+  const json::Value spilled = Call(
+      engine.get(),
+      R"js({"op":"spill","table":"recipes","block_size":1048576})js");
+  EXPECT_TRUE(spilled.GetBool("ok")) << spilled.Dump();
+}
+
 TEST(ProtocolTest, BudgetThreadsKeyIsIgnored) {
   // Older clients still send a "threads" budget key; it is ignored like
   // any unknown key. Each request gets its own maintained engine, so both

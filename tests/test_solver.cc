@@ -404,13 +404,18 @@ TEST(MilpTest, EqualityConstrainedCount) {
 }
 
 TEST(MilpTest, ResultStatusMapsEveryStatus) {
-  // core::MilpResultStatus is how every query route turns a finished solve
+  // core::FinishIlpStep is how every ILP route turns a finished solve
   // into the Status clients see.
-  auto mapped = [](MilpStatus status, bool cancelled) {
+  auto finish = [](const MilpResult& r) {
+    return core::FinishIlpStep(paql::AnalyzedQuery(), core::IlpTranslation(),
+                               r)
+        .status();
+  };
+  auto mapped = [&](MilpStatus status, bool cancelled) {
     MilpResult r;
     r.status = status;
     r.cancelled = cancelled;
-    return core::MilpResultStatus(r);
+    return finish(r);
   };
   EXPECT_TRUE(mapped(MilpStatus::kOptimal, false).ok());
   EXPECT_TRUE(mapped(MilpStatus::kFeasible, false).ok());
@@ -434,14 +439,14 @@ TEST(MilpTest, ResultStatusMapsEveryStatus) {
   inf.AddConstraint("c", {{x, 1.0}}, 0.4, 0.6);
   auto r_inf = SolveMilp(inf);
   ASSERT_TRUE(r_inf.ok());
-  EXPECT_EQ(core::MilpResultStatus(*r_inf).code(), StatusCode::kInfeasible);
+  EXPECT_EQ(finish(*r_inf).code(), StatusCode::kInfeasible);
 
   LpModel unb;
   unb.AddVariable("x", 0, kInfinity, 1, true);
   unb.SetSense(ObjectiveSense::kMaximize);
   auto r_unb = SolveMilp(unb);
   ASSERT_TRUE(r_unb.ok());
-  EXPECT_EQ(core::MilpResultStatus(*r_unb).code(), StatusCode::kUnbounded);
+  EXPECT_EQ(finish(*r_unb).code(), StatusCode::kUnbounded);
 }
 
 /// Every feasible package scores the same: 34 unit-objective binaries, pick

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -308,6 +309,28 @@ TEST(ColumnSpillTest, ZoneMapsMatchResidentBaseline) {
       EXPECT_EQ(rz[b].min, sz[b].min) << "block " << b;
       EXPECT_EQ(rz[b].max, sz[b].max) << "block " << b;
       EXPECT_EQ(rz[b].sum, sz[b].sum) << "block " << b;
+    }
+  }
+}
+
+TEST(ColumnSpillTest, HugeBlockSizeSpillsOneBlock) {
+  // A block size near SIZE_MAX used to wrap the block count to 0: the
+  // columns freed their values and the next read pinned a block that did
+  // not exist. Each spills as one block and reads back every value.
+  const db::Table resident = datagen::GenerateLineitems(100, 3);
+  db::Table table = datagen::GenerateLineitems(100, 3);
+  storage::BlockCache cache(0);
+  ASSERT_TRUE(table
+                  .SpillToDisk(TempPath("seg_huge_block.seg"),
+                               std::numeric_limits<size_t>::max(), &cache)
+                  .ok());
+  ASSERT_TRUE(table.spilled());
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    const db::Column& col = table.column_data(c);
+    if (col.spilled()) EXPECT_EQ(col.num_blocks(), 1u) << "column " << c;
+    for (size_t i = 0; i < table.num_rows(); ++i) {
+      EXPECT_TRUE(col.GetValue(i) == resident.column_data(c).GetValue(i))
+          << "column " << c << " row " << i;
     }
   }
 }
@@ -673,9 +696,10 @@ TEST(OutOfCoreEngineTest, EveryRouteScansTheWhereClauseOnce) {
             scan);
 }
 
-TEST(OutOfCoreEngineTest, BorrowedCandidatesSkipTheScan) {
-  // TranslateToIlp given the candidates saves exactly one scan and builds
-  // the same model.
+TEST(OutOfCoreEngineTest, PreparedInputsSkipTheScanAndWeighOnce) {
+  // TranslateToIlp over prepared inputs saves exactly the scan, builds the
+  // same model, and weighs the candidates once: a second translation over
+  // the same inputs reads nothing.
   const std::string paql =
       "SELECT PACKAGE(L) FROM lineitem L WHERE L.discount <= 0.05 "
       "SUCH THAT COUNT(*) = 4 AND SUM(quantity) <= 100 MAXIMIZE SUM(revenue)";
@@ -689,26 +713,33 @@ TEST(OutOfCoreEngineTest, BorrowedCandidatesSkipTheScan) {
   }
   auto aq = paql::ParseAndAnalyze(paql, catalog);
   ASSERT_TRUE(aq.ok()) << aq.status().ToString();
-  auto filtered = db::FilterIndices(*aq->table, aq->query.where);
-  ASSERT_TRUE(filtered.ok());
   const uint64_t scan = PinsOf(cache, [&] {
     ASSERT_TRUE(db::FilterIndices(*aq->table, aq->query.where).ok());
   });
+  core::QueryInputs inputs;
+  auto bounds = core::PrepareQuery(*aq, &inputs);
+  ASSERT_TRUE(bounds.ok()) << bounds.status().ToString();
+  ASSERT_FALSE(inputs.weighed) << "zone maps did not bound the constraints";
 
   Result<core::IlpTranslation> own = Status::Internal("not run");
   Result<core::IlpTranslation> given = Status::Internal("not run");
-  const uint64_t own_pins =
-      PinsOf(cache, [&] { own = core::TranslateToIlp(*aq); });
-  std::vector<size_t> candidates = *filtered;
   core::TranslateOptions topts;
-  topts.candidates = &candidates;
-  const uint64_t given_pins =
-      PinsOf(cache, [&] { given = core::TranslateToIlp(*aq, topts); });
+  topts.bounds = &*bounds;
+  const uint64_t own_pins =
+      PinsOf(cache, [&] { own = core::TranslateToIlp(*aq, topts); });
+  const uint64_t given_pins = PinsOf(
+      cache, [&] { given = core::TranslateToIlp(*aq, &inputs, *bounds); });
   ASSERT_TRUE(own.ok() && given.ok());
   EXPECT_EQ(given_pins + scan, own_pins);
   EXPECT_EQ(given->candidates, own->candidates);
   EXPECT_EQ(given->model.StructuralSignature(),
             own->model.StructuralSignature());
+  EXPECT_EQ(PinsOf(cache,
+                   [&] {
+                     ASSERT_TRUE(
+                         core::TranslateToIlp(*aq, &inputs, *bounds).ok());
+                   }),
+            0u);
 }
 
 TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
@@ -745,7 +776,7 @@ TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
   const uint64_t first_pins =
       PinsOf(cache, [&] { first = core::SketchRefine(*aq, sro); });
   ASSERT_TRUE(first.ok() && first->found) << first.status().ToString();
-  ASSERT_EQ(state.rows_scanned, 300u);
+  ASSERT_EQ(state.inputs.rows_scanned, 300u);
 
   ASSERT_TRUE(
       grown.SpillToDisk(TempPath("lineitem_state_grown.seg"), 32, &cache).ok());
@@ -755,7 +786,7 @@ TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
   // rows_scanned == 0 makes the copy filter and weigh the whole table
   // again over the same partition: the full recompute.
   core::SketchRefineState recompute = state;
-  recompute.rows_scanned = 0;
+  recompute.inputs.rows_scanned = 0;
 
   Result<core::SketchRefineResult> second = Status::Internal("not run");
   const uint64_t second_pins =
@@ -763,7 +794,7 @@ TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
   ASSERT_TRUE(second.ok() && second->found) << second.status().ToString();
   ASSERT_EQ(second->repair_passes, 0) << "one validation is subtracted below";
   EXPECT_TRUE(second->state_reused);
-  EXPECT_EQ(state.rows_scanned, 340u);
+  EXPECT_EQ(state.inputs.rows_scanned, 340u);
 
   // What the appended rows alone cost to filter and weigh, and what
   // validating the answer costs.
@@ -792,8 +823,8 @@ TEST(OutOfCoreEngineTest, SecondStatefulCallPinsOnlyTheAppendedRowsBlocks) {
   EXPECT_EQ(second->package, recomputed->package);
   EXPECT_EQ(second->objective, recomputed->objective);
   EXPECT_EQ(second->lp_iterations, recomputed->lp_iterations);
-  EXPECT_EQ(state.candidates, recompute.candidates);
-  EXPECT_EQ(state.weights, recompute.weights);
+  EXPECT_EQ(state.inputs.candidates, recompute.inputs.candidates);
+  EXPECT_EQ(state.inputs.weights, recompute.inputs.weights);
 }
 
 }  // namespace
