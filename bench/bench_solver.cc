@@ -507,7 +507,6 @@ void BM_IncrementalAppend(benchmark::State& state) {
     if (!incremental) maintained.InvalidateSolutions();
     pb::core::SketchRefineOptions run = opts;
     run.state = &maintained;
-    run.reuse_group_solutions = incremental;
     state.ResumeTiming();
     auto r = pb::core::SketchRefine(*aq, run);
     if (!r.ok() || !r->found) {

@@ -4,8 +4,8 @@
 // replacements that reduce constraint violation, then — once feasible —
 // replacements that improve the objective. The paper implements the 1-tuple
 // scan as a single SQL query over P0 x R; this module provides both that
-// literal formulation (FindSingleTupleReplacementsViaJoin, used by the E2
-// bench and by adaptive exploration) and an optimized in-memory scan with
+// literal formulation (FindSingleTupleReplacementsViaJoin, which only the
+// E2 bench and test_strategies call) and an optimized in-memory scan with
 // incremental aggregate maintenance.
 //
 // As the paper notes, k simultaneous replacements correspond to a 2k-way

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <tuple>
 #include <utility>
 
 #include "common/budget.h"
@@ -62,15 +61,14 @@ class QueryWeights {
   const SketchRefineState& state_;
 };
 
-/// Feature d of candidate i in the state's frozen normalization, computed
-/// where it is read: the same (v - lo) / span the full build applies to a
-/// whole column.
+/// Feature d of candidate i in the state's frozen normalization,
+/// (v - lo) / span, computed where it is read.
 class FeatureSpace {
  public:
   FeatureSpace(const QueryWeights& w, const SketchRefineState& state)
       : w_(w), state_(state) {}
 
-  size_t dims() const { return state_.dims; }
+  size_t dims() const { return state_.feat_lo.size(); }
   double operator()(size_t d, size_t i) const {
     const double span = state_.feat_span[d];
     return span > 0 ? (w_.Feature(d, i) - state_.feat_lo[d]) / span : 0.0;
@@ -81,84 +79,13 @@ class FeatureSpace {
   const SketchRefineState& state_;
 };
 
-/// Zone granularity of the partitioner's spread index. Independent of the
-/// table's storage block size: the index lives over candidate positions
-/// (post-filter, post-normalization), not table rows.
-constexpr size_t kSpreadBlock = 4096;
-
-/// Per-block min/max over every feature column, built once per partition
-/// call. Identity-ordered ranges answer their spread scans from this index
-/// block-at-a-time instead of re-reading the values.
-struct SpreadIndex {
-  size_t n = 0;
-  std::vector<std::vector<double>> mins;  // mins[d][b]
-  std::vector<std::vector<double>> maxs;
-  int64_t skipped_blocks = 0;
-
-  static SpreadIndex Build(const std::vector<std::vector<double>>& cols,
-                           size_t n) {
-    SpreadIndex idx;
-    idx.n = n;
-    const size_t blocks = (n + kSpreadBlock - 1) / kSpreadBlock;
-    idx.mins.resize(cols.size());
-    idx.maxs.resize(cols.size());
-    for (size_t d = 0; d < cols.size(); ++d) {
-      idx.mins[d].resize(blocks);
-      idx.maxs[d].resize(blocks);
-      const double* f = cols[d].data();
-      for (size_t b = 0; b < blocks; ++b) {
-        const size_t lo = b * kSpreadBlock;
-        const size_t hi = std::min(n, lo + kSpreadBlock);
-        double mn = kInf, mx = -kInf;
-        for (size_t i = lo; i < hi; ++i) {
-          mn = std::min(mn, f[i]);
-          mx = std::max(mx, f[i]);
-        }
-        idx.mins[d][b] = mn;
-        idx.maxs[d][b] = mx;
-      }
-    }
-    return idx;
-  }
-
-  /// Spread bounds of dimension d over the contiguous candidate range
-  /// [begin, end): zone entries for fully covered blocks, value scans for
-  /// the ragged edges.
-  std::pair<double, double> MinMax(size_t d, const double* f, size_t begin,
-                                   size_t end) {
-    double mn = kInf, mx = -kInf;
-    size_t i = begin;
-    while (i < end) {
-      const size_t b = i / kSpreadBlock;
-      const size_t block_lo = b * kSpreadBlock;
-      const size_t block_hi = std::min(n, block_lo + kSpreadBlock);
-      if (i == block_lo && block_hi <= end) {
-        mn = std::min(mn, mins[d][b]);
-        mx = std::max(mx, maxs[d][b]);
-        ++skipped_blocks;
-        i = block_hi;
-      } else {
-        const size_t stop = std::min(end, block_hi);
-        for (; i < stop; ++i) {
-          mn = std::min(mn, f[i]);
-          mx = std::max(mx, f[i]);
-        }
-      }
-    }
-    return {mn, mx};
-  }
-};
-
 /// Recursive median split over one index range [begin, end) of `order`.
 /// `feature_cols` is column-major: feature_cols[d][i] is dimension d of
 /// candidate i, so each spread scan and the split comparator walk one
-/// contiguous span. `aligned` records that order[i] == i throughout the
-/// range (true at the top level and preserved by positional splits, lost
-/// after an nth_element); aligned ranges take their spread bounds from the
-/// zone index.
+/// contiguous span.
 void SplitRange(const std::vector<std::vector<double>>& feature_cols,
                 std::vector<size_t>& order, size_t begin, size_t end,
-                size_t partition_size, bool aligned, SpreadIndex* index,
+                size_t partition_size,
                 std::vector<std::vector<size_t>>* groups) {
   size_t count = end - begin;
   if (count <= partition_size) {
@@ -172,14 +99,10 @@ void SplitRange(const std::vector<std::vector<double>>& feature_cols,
   for (size_t d = 0; d < dims; ++d) {
     const double* f = feature_cols[d].data();
     double mn = kInf, mx = -kInf;
-    if (aligned) {
-      std::tie(mn, mx) = index->MinMax(d, f, begin, end);
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        double v = f[order[i]];
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
+    for (size_t i = begin; i < end; ++i) {
+      double v = f[order[i]];
+      mn = std::min(mn, v);
+      mx = std::max(mx, v);
     }
     if (mx - mn > best_spread) {
       best_spread = mx - mn;
@@ -188,35 +111,31 @@ void SplitRange(const std::vector<std::vector<double>>& feature_cols,
   }
   size_t mid = begin + count / 2;
   if (best_spread <= 0.0 || dims == 0) {
-    // All-identical features: split positionally (alignment survives).
-    SplitRange(feature_cols, order, begin, mid, partition_size, aligned,
-               index, groups);
-    SplitRange(feature_cols, order, mid, end, partition_size, aligned, index,
-               groups);
+    // All-identical features: split positionally.
+    SplitRange(feature_cols, order, begin, mid, partition_size, groups);
+    SplitRange(feature_cols, order, mid, end, partition_size, groups);
     return;
   }
   const double* f = feature_cols[best_dim].data();
   std::nth_element(order.begin() + begin, order.begin() + mid,
                    order.begin() + end,
                    [f](size_t a, size_t b) { return f[a] < f[b]; });
-  SplitRange(feature_cols, order, begin, mid, partition_size, /*aligned=*/false,
-             index, groups);
-  SplitRange(feature_cols, order, mid, end, partition_size, /*aligned=*/false,
-             index, groups);
+  SplitRange(feature_cols, order, begin, mid, partition_size, groups);
+  SplitRange(feature_cols, order, mid, end, partition_size, groups);
 }
 
 /// The member closest to the group's feature centroid (L2, ties to the
-/// earliest member), where f(d, i) is normalized feature d of candidate i.
-/// The same rule serves the full build (over its normalized columns) and
-/// the per-dirty-group recompute of the maintained path (over a
-/// FeatureSpace, the same values), so both produce identical
-/// representatives for identical memberships.
-template <typename Features>
-size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
-                  const Features& f) {
+/// earliest member).
+size_t ComputeRep(const std::vector<size_t>& members, const FeatureSpace& f) {
+  const size_t dims = f.dims();
+  // Each member's features, read once: x[m * dims + d].
+  std::vector<double> x(members.size() * dims);
   std::vector<double> centroid(dims, 0.0);
-  for (size_t d = 0; d < dims; ++d) {
-    for (size_t i : members) centroid[d] += f(d, i);
+  for (size_t m = 0; m < members.size(); ++m) {
+    for (size_t d = 0; d < dims; ++d) {
+      x[m * dims + d] = f(d, members[m]);
+      centroid[d] += x[m * dims + d];
+    }
   }
   for (double& c : centroid) c /= static_cast<double>(members.size());
   size_t rep = members[0];
@@ -224,7 +143,7 @@ size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
   for (size_t m = 0; m < members.size(); ++m) {
     double dist = 0.0;
     for (size_t d = 0; d < dims; ++d) {
-      double delta = f(d, members[m]) - centroid[d];
+      double delta = x[m * dims + d] - centroid[d];
       dist += delta * delta;
     }
     if (dist < best) {
@@ -235,22 +154,55 @@ size_t ComputeRep(const std::vector<size_t>& members, size_t dims,
   return rep;
 }
 
+/// A group whose membership changed: its representative must be recomputed
+/// and its cached sub-solution is gone.
+void MarkDirty(SketchRefineState::Group& g) {
+  g.dirty = true;
+  g.has_solution = false;
+  g.cached_others.clear();
+  g.cached_solution = solver::MilpResult();
+}
+
+/// Splits group gi into parts of at most partition_size members with the
+/// recursive median split over its members' features. The first part
+/// replaces the group in place; the rest append, so untouched group
+/// indices never shift. Every part is dirty.
+void SplitGroup(SketchRefineState* state, size_t gi, const FeatureSpace& f,
+                size_t partition_size) {
+  const size_t dims = f.dims();
+  const std::vector<size_t> members = std::move(state->groups[gi].members);
+  std::vector<std::vector<double>> local(dims,
+                                         std::vector<double>(members.size()));
+  for (size_t d = 0; d < dims; ++d) {
+    for (size_t m = 0; m < members.size(); ++m) {
+      local[d][m] = f(d, members[m]);
+    }
+  }
+  std::vector<std::vector<size_t>> parts =
+      PartitionCandidatesColumnar(local, members.size(), partition_size);
+  for (size_t pi = 0; pi < parts.size(); ++pi) {
+    for (size_t& idx : parts[pi]) idx = members[idx];
+    if (pi == 0) {
+      state->groups[gi].members = std::move(parts[pi]);
+      MarkDirty(state->groups[gi]);
+    } else {
+      SketchRefineState::Group fresh;
+      fresh.members = std::move(parts[pi]);
+      state->groups.push_back(std::move(fresh));
+    }
+  }
+}
+
 /// Incremental partition maintenance over a compatible state: route each
 /// appended candidate [state->n_candidates, n) into the group with the
-/// nearest representative, split groups past the size threshold, and
-/// recompute representatives for every dirty group. Everything here is
-/// deterministic (ties break to the lowest group index), so two states fed
-/// the same appends maintain the same partition and solve alike.
+/// nearest representative, then split groups past the size threshold.
+/// Everything here is deterministic (ties break to the lowest group index),
+/// so two states fed the same appends maintain the same partition and
+/// solve alike.
 void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
-                       size_t n, const SketchRefineOptions& options,
+                       size_t n, size_t partition_size,
                        SketchRefineResult* out) {
   const size_t dims = f.dims();
-  auto mark_dirty = [](SketchRefineState::Group& g) {
-    g.dirty = true;
-    g.has_solution = false;
-    g.cached_others.clear();
-    g.cached_solution = solver::MilpResult();
-  };
 
   // ---- Route appended candidates to the nearest representative.
   std::vector<double> point(dims);
@@ -271,71 +223,32 @@ void MaintainPartition(SketchRefineState* state, const FeatureSpace& f,
       }
     }
     state->groups[best_g].members.push_back(p);
-    mark_dirty(state->groups[best_g]);
+    MarkDirty(state->groups[best_g]);
     ++out->appended_routed;
   }
 
   // ---- Split groups that drifted past twice tau back into tau-bounded
-  // parts (same recursive median split as the full build, scoped to the
-  // group's members). Routing alone never re-partitions, so the threshold
-  // bounds how far a hot group can drift from tau before it is split
-  // back. The first part replaces the group in place; the rest append, so
-  // untouched group indices never shift.
-  const size_t split_threshold = 2 * options.partition_size;
+  // parts. Routing alone never re-partitions, so the threshold bounds how
+  // far a hot group can drift from tau before it is split back.
   const size_t original_groups = state->groups.size();
   for (size_t gi = 0; gi < original_groups; ++gi) {
-    if (state->groups[gi].members.size() <= split_threshold) continue;
-    const std::vector<size_t> members = std::move(state->groups[gi].members);
-    std::vector<std::vector<double>> local(
-        dims, std::vector<double>(members.size()));
-    for (size_t d = 0; d < dims; ++d) {
-      for (size_t m = 0; m < members.size(); ++m) {
-        local[d][m] = f(d, members[m]);
-      }
-    }
-    std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
-        local, members.size(), options.partition_size);
-    for (size_t pi = 0; pi < parts.size(); ++pi) {
-      std::vector<size_t> part;
-      part.reserve(parts[pi].size());
-      for (size_t local_idx : parts[pi]) part.push_back(members[local_idx]);
-      if (pi == 0) {
-        state->groups[gi].members = std::move(part);
-        mark_dirty(state->groups[gi]);
-      } else {
-        SketchRefineState::Group fresh;
-        fresh.members = std::move(part);
-        mark_dirty(fresh);
-        state->groups.push_back(std::move(fresh));
-      }
-    }
+    if (state->groups[gi].members.size() <= 2 * partition_size) continue;
+    SplitGroup(state, gi, f, partition_size);
     ++out->groups_split;
   }
-
-  // ---- Dirty groups get fresh representatives; clean ones keep theirs
-  // (same membership => ComputeRep would return the same answer anyway).
-  for (SketchRefineState::Group& g : state->groups) {
-    if (g.dirty) g.rep = ComputeRep(g.members, dims, f);
-  }
-  state->n_candidates = n;
 }
 
 }  // namespace
 
 std::vector<std::vector<size_t>> PartitionCandidatesColumnar(
     const std::vector<std::vector<double>>& feature_cols, size_t n,
-    size_t partition_size, int64_t* zone_map_skipped_blocks) {
+    size_t partition_size) {
   std::vector<std::vector<size_t>> groups;
   if (n == 0) return groups;
   partition_size = std::max<size_t>(partition_size, 1);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
-  SpreadIndex index = SpreadIndex::Build(feature_cols, n);
-  SplitRange(feature_cols, order, 0, order.size(), partition_size,
-             /*aligned=*/true, &index, &groups);
-  if (zone_map_skipped_blocks != nullptr) {
-    *zone_map_skipped_blocks += index.skipped_blocks;
-  }
+  SplitRange(feature_cols, order, 0, order.size(), partition_size, &groups);
   return groups;
 }
 
@@ -352,7 +265,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   }
 
   SketchRefineResult out;
-  Stopwatch phase_timer;
   // Interruption plumbing: milp.cancel is polled between phases and
   // sub-solves (each solve also polls it per node), and milp.time_limit_s
   // bounds the WHOLE call — every sub-solve's own limit is clamped to the
@@ -408,48 +320,41 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
   // same-query/append-only discipline is the caller's contract (see
   // SketchRefineState).
   const size_t dims = weights.dims();
-  const bool incremental = !state->groups.empty() && state->dims == dims &&
-                           state->n_candidates <= n &&
-                           state->feat_lo.size() == dims;
-  if (incremental) {
+  const FeatureSpace features(weights, *state);
+  if (!state->groups.empty() && state->feat_lo.size() == dims &&
+      state->n_candidates <= n) {
     out.state_reused = true;
-    MaintainPartition(state, FeatureSpace(weights, *state), n, options,
-                      &out);
+    MaintainPartition(state, features, n, options.partition_size, &out);
   } else {
-    // The full build splits column-major features (one contiguous span
-    // per dimension) and freezes their normalization into the state.
-    state->dims = dims;
+    // A full build freezes each dimension's normalization into the state,
+    // puts every candidate in one group and splits it.
     state->feat_lo.assign(dims, 0.0);
     state->feat_span.assign(dims, 0.0);
     state->sketch_warm = solver::MilpWarmStart();
-    std::vector<std::vector<double>> feature_cols(dims, std::vector<double>(n));
+    std::vector<double> col(n);
     for (size_t d = 0; d < dims; ++d) {
-      std::vector<double>& col = feature_cols[d];
       for (size_t i = 0; i < n; ++i) col[i] = weights.Feature(d, i);
       auto [mn, mx] = std::minmax_element(col.begin(), col.end());
-      const double lo = *mn, span = *mx - *mn;
-      state->feat_lo[d] = lo;
-      state->feat_span[d] = span;
-      // FeatureSpace's map, applied to the whole column at once.
-      for (double& v : col) v = span > 0 ? (v - lo) / span : 0.0;
+      state->feat_lo[d] = *mn;
+      state->feat_span[d] = *mx - *mn;
     }
-    std::vector<std::vector<size_t>> parts = PartitionCandidatesColumnar(
-        feature_cols, n, options.partition_size, &out.zone_map_skipped_blocks);
-    auto built = [&feature_cols](size_t d, size_t i) {
-      return feature_cols[d][i];
-    };
-    state->groups.assign(parts.size(), SketchRefineState::Group());
-    for (size_t g = 0; g < parts.size(); ++g) {
-      state->groups[g].members = std::move(parts[g]);
-      state->groups[g].rep = ComputeRep(state->groups[g].members, dims, built);
-    }
-    state->n_candidates = n;
+    state->groups.assign(1, SketchRefineState::Group());
+    state->groups[0].members.resize(n);
+    std::iota(state->groups[0].members.begin(),
+              state->groups[0].members.end(), 0);
+    SplitGroup(state, 0, features, options.partition_size);
   }
+  // Dirty groups get fresh representatives; clean ones keep theirs (same
+  // membership => ComputeRep would return the same answer anyway).
+  for (SketchRefineState::Group& g : state->groups) {
+    if (g.dirty) g.rep = ComputeRep(g.members, features);
+  }
+  state->n_candidates = n;
   const std::vector<SketchRefineState::Group>& groups = state->groups;
   out.num_partitions = groups.size();
-  out.partition_seconds = phase_timer.ElapsedSeconds();
 
   // ---- Sketch (+ refine, with backtracking over excluded groups).
+  Stopwatch phase_timer;
   std::vector<bool> excluded(groups.size(), false);
   // Sketch-phase warm state: the state's, so it survives across calls —
   // never options.milp.warm, which would be consumed (and so clobbered) by
@@ -584,7 +489,7 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
                                            static_cast<double>(group_mult[g]);
       }
       SketchRefineState::Group& sg = state->groups[g];
-      if (options.reuse_group_solutions && !sg.dirty && sg.has_solution &&
+      if (!sg.dirty && sg.has_solution &&
           tasks[t].others == sg.cached_others) {
         // Clean group, identical residual: the cached sub-solution IS what
         // a re-solve would return (same model bit-for-bit, deterministic
@@ -720,7 +625,6 @@ Result<SketchRefineResult> SketchRefine(const paql::AnalyzedQuery& aq,
 
     if (failed_group) {
       excluded[failed_g] = true;
-      ++out.backtracks;
       continue;
     }
     if (!valid) {

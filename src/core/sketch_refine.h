@@ -7,7 +7,10 @@
 //
 //   Offline  PARTITION the candidate tuples into groups of at most tau
 //            tuples that are similar on the attributes the query
-//            aggregates; pick one representative per group.
+//            aggregates; pick one representative per group. A fresh
+//            partition is one group holding every candidate, split by the
+//            same recursive median split that maintenance applies to a
+//            group grown past 2 * tau (see below), with no zone index.
 //   Sketch   Solve the package query over the representatives only, where
 //            a representative may repeat up to its group's size — an ILP
 //            with n/tau variables instead of n.
@@ -111,12 +114,11 @@ struct SketchRefineState {
   /// Candidates covered by `groups` (positions [0, n_candidates) of
   /// `inputs.candidates`).
   size_t n_candidates = 0;
-  size_t dims = 0;  ///< feature dimensionality the state was built with
-  /// Frozen per-dimension normalization captured at build time. Routing
-  /// and centroid geometry must live in the space the partition was built
-  /// in, so the affine map is state — appended values are mapped with it,
-  /// not re-normalized. Features are normalized where they are read, never
-  /// stored.
+  /// Frozen per-dimension normalization captured at build time, one entry
+  /// per feature dimension. Routing and centroid geometry must live in the
+  /// space the partition was built in, so the affine map is state —
+  /// appended values are mapped with it, not re-normalized. Features are
+  /// normalized where they are read, never stored.
   std::vector<double> feat_lo;
   std::vector<double> feat_span;
   std::vector<Group> groups;
@@ -127,7 +129,7 @@ struct SketchRefineState {
   /// Drops every cached sub-solution and warm start while keeping the
   /// partition itself — the "cold re-solve over the same partition"
   /// baseline the incremental path is benchmarked (and bit-compared)
-  /// against.
+  /// against: with no cached sub-solution, every refined group re-solves.
   void InvalidateSolutions() {
     for (Group& g : groups) {
       g.warm = solver::MilpWarmStart();
@@ -162,10 +164,6 @@ struct SketchRefineOptions {
   /// prepared the inputs finds nothing left to do). A maintained group
   /// larger than 2 * partition_size re-splits into tau-bounded parts.
   SketchRefineState* state = nullptr;
-  /// Reuse cached sub-solutions of clean groups whose residuals repeat
-  /// exactly. Off = re-solve every refined group (the cold baseline; the
-  /// result is bit-identical either way, only the work differs).
-  bool reuse_group_solutions = true;
 };
 
 struct SketchRefineResult {
@@ -174,7 +172,6 @@ struct SketchRefineResult {
   double objective = 0.0;
   size_t num_partitions = 0;
   size_t sketch_variables = 0;
-  int backtracks = 0;
   /// True when the run stopped early because milp.cancel requested it or
   /// the milp.time_limit_s whole-call budget ran out (found is then false).
   bool cancelled = false;
@@ -190,13 +187,8 @@ struct SketchRefineResult {
   /// Basis refactorizations across every MILP solved — the factorization-
   /// layer cost metric the engine benchmarks gate alongside iterations.
   int64_t lp_refactorizations = 0;
-  double partition_seconds = 0.0;
   double sketch_seconds = 0.0;
   double refine_seconds = 0.0;
-  /// Feature blocks whose spread bounds came from the partitioner's zone
-  /// index instead of a value scan (identity-ordered ranges only; see
-  /// PartitionCandidatesColumnar). Deterministic for a given query + table.
-  int64_t zone_map_skipped_blocks = 0;
   // ----- Incremental maintenance counters (0 without options.state) -------
   /// The partition came from options.state (incremental maintenance ran
   /// instead of a full build).
@@ -205,7 +197,7 @@ struct SketchRefineResult {
   /// representative.
   int64_t appended_routed = 0;
   /// Refined groups re-solved this call (dirty membership, moved residual,
-  /// or reuse disabled).
+  /// or no cached sub-solution).
   int64_t dirty_groups = 0;
   /// Refined groups answered from the state's cached sub-solutions with
   /// zero solver work.
@@ -215,21 +207,13 @@ struct SketchRefineResult {
 
 /// Offline partitioning, exposed for reuse across queries on the same
 /// table (the 2016 paper's "offline" phase), over `n` candidates:
-/// feature_cols[d] is one contiguous span of dimension d (length n) — e.g.
-/// a per-candidate gather of a table column. Groups have at most
-/// `partition_size` members.
-///
-/// The recursive median split scans every dimension of a range to find the
-/// widest spread. For ranges still in identity order (no reordering has
-/// touched them yet — always true for the top-level range and for ranges
-/// produced by positional splits), those scans are answered from a zone
-/// index built once per call: per-block min/max over each feature column,
-/// so fully covered blocks never re-read their values. When
-/// `zone_map_skipped_blocks` is non-null it accumulates one count per
-/// (dimension, block) answered from the index.
+/// feature_cols[d] is one contiguous span of dimension d (length n).
+/// Groups have at most `partition_size` members: a recursive median split
+/// cuts each larger range at the median of its widest-spread dimension,
+/// and positionally when every dimension is constant over it.
 std::vector<std::vector<size_t>> PartitionCandidatesColumnar(
     const std::vector<std::vector<double>>& feature_cols, size_t n,
-    size_t partition_size, int64_t* zone_map_skipped_blocks = nullptr);
+    size_t partition_size);
 
 /// Runs Sketch + Refine for an ILP-translatable query.
 Result<SketchRefineResult> SketchRefine(

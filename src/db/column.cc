@@ -67,22 +67,17 @@ Column& Column::operator=(Column&& other) noexcept {
 
 // ----- Cell access -----------------------------------------------------------
 
-Value Column::GetValue(size_t i) const {
+Result<Value> Column::ReadValue(size_t i) const {
   PB_DCHECK(i < size());
   if (storage_ != ValueType::kNull && nulls_.Test(i)) return Value::Null();
   if (spilled()) {
     // Per-cell compat path: pin the cell's block without budget charging
-    // (see header). Pin failures here mean IO corruption, which DCHECKs;
-    // release builds degrade to NULL rather than crash.
-    auto handle = PinBlock(i / block_size_, /*charge_budget=*/false);
-    if (!handle.ok()) {
-      PB_DCHECK(false) << "spilled block read failed: "
-                       << handle.status().ToString();
-      return Value::Null();
-    }
+    // (see header).
+    PB_ASSIGN_OR_RETURN(storage::BlockHandle handle,
+                        PinBlock(i / block_size_, /*charge_budget=*/false));
     const size_t k = i % block_size_;
-    return storage_ == ValueType::kInt ? Value::Int((*handle)->ints[k])
-                                       : Value::Double((*handle)->doubles[k]);
+    return storage_ == ValueType::kInt ? Value::Int(handle->ints[k])
+                                       : Value::Double(handle->doubles[k]);
   }
   switch (storage_) {
     case ValueType::kInt:
@@ -97,6 +92,15 @@ Value Column::GetValue(size_t i) const {
       return values_[i];
   }
   return Value::Null();
+}
+
+Value Column::GetValue(size_t i) const {
+  Result<Value> v = ReadValue(i);
+  if (!v.ok()) {
+    PB_DCHECK(false) << "spilled block read failed: " << v.status().ToString();
+    return Value::Null();
+  }
+  return std::move(v).value();
 }
 
 // ----- Appends ---------------------------------------------------------------

@@ -243,7 +243,11 @@ class Column {
   /// Materializes the cell as a Value (copies strings). For spilled
   /// columns this faults the cell's block through the cache (uncounted by
   /// any StorageBudget: per-cell compat access is correctness, the budget
-  /// polices the bulk gather paths).
+  /// polices the bulk gather paths); a failed pin (an IO error, a corrupt
+  /// block) is the returned error.
+  Result<Value> ReadValue(size_t i) const;
+  /// ReadValue for callers that cannot return an error (Table::row, at,
+  /// ToString): a failed read DCHECKs, and release builds read NULL.
   Value GetValue(size_t i) const;
 
   // ----- Typed appends (the column-wise hot path) --------------------------

@@ -186,7 +186,7 @@ struct TableRow {
     if (static_cast<size_t>(i) >= table->schema().num_columns()) {
       return Status::OutOfRange("column index out of range");
     }
-    return table->column_data(i).GetValue(row);
+    return table->column_data(i).ReadValue(row);
   }
 };
 

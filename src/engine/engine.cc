@@ -501,7 +501,6 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   core::SketchRefineOptions sro;
   sro.partition_size = options_.sketch_partition_size;
   sro.milp = eo.milp;
-  sro.reuse_group_solutions = options_.maintenance_reuse_solutions;
 
   Stopwatch maintenance_timer;
   Result<core::SketchRefineResult> r_or =
@@ -518,7 +517,6 @@ Status Engine::RunSketchRefinePath(const paql::AnalyzedQuery& aq,
   const core::SketchRefineResult& r = *r_or;
   resp->cancelled = r.cancelled;
   resp->lp_iterations = r.lp_iterations;
-  resp->zone_map_skipped_blocks += r.zone_map_skipped_blocks;
   resp->dirty_groups = r.dirty_groups;
   resp->groups_reused = r.groups_reused;
   resp->warm_start_hit = r.state_reused;

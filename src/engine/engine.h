@@ -97,10 +97,6 @@ struct EngineOptions {
   /// appended-but-compatible cached results are revalidated rather than
   /// invalidated. Off (the default) = the classic exact pipeline only.
   bool incremental_maintenance = false;
-  /// Reuse cached per-group sub-solutions of clean groups (the ablation
-  /// knob the incremental bench flips off for its cold baseline; results
-  /// are bit-identical either way, only the solver work differs).
-  bool maintenance_reuse_solutions = true;
   /// Maintained partition states kept, one per distinct query text (LRU
   /// beyond this; at least one is kept).
   size_t maintenance_cache_capacity = 16;
@@ -158,11 +154,10 @@ struct QueryResponse {
   int64_t nodes = 0;                ///< branch-and-bound nodes solved
   int64_t lp_iterations = 0;        ///< simplex iterations
   size_t num_candidates = 0;        ///< rows surviving the WHERE clause
-  /// Blocks this call skipped by answering pruning's weight bounds or
-  /// SketchRefine's partition build from zone-map metadata instead of a
-  /// value scan (deterministic per query, table and call history). A
-  /// maintained query's extension reads the appended rows' weights, so its
-  /// pruning part skips none.
+  /// Blocks this call skipped by answering pruning's weight bounds from
+  /// zone-map metadata instead of a value scan (deterministic per query,
+  /// table and call history). A maintained query's extension reads the
+  /// appended rows' weights, so it skips none.
   int64_t zone_map_skipped_blocks = 0;
   // -- incremental maintenance (populated on the SketchRefine path) -------
   /// A stale-by-append cached result was refreshed through the maintained

@@ -220,7 +220,6 @@ TEST_F(ThresholdTest, FarAppendJoinsNearestGroup) {
   for (auto& g : cold_state.groups) g.dirty = true;
   SketchRefineOptions cold_opts = opts;
   cold_opts.state = &cold_state;
-  cold_opts.reuse_group_solutions = false;
   auto cold = SketchRefine(aq, cold_opts);
   ASSERT_TRUE(cold.ok() && cold->found) << cold.status().ToString();
   EXPECT_EQ(r2->package, cold->package)
@@ -258,7 +257,6 @@ TEST(IncrementalTest, IncrementalSolveBitIdenticalToColdOverSamePartition) {
   for (auto& g : cold_state.groups) g.dirty = true;
   SketchRefineOptions cold_opts = opts;
   cold_opts.state = &cold_state;
-  cold_opts.reuse_group_solutions = false;
   auto cold = SketchRefine(aq, cold_opts);
   ASSERT_TRUE(cold.ok() && cold->found) << cold.status().ToString();
 
@@ -348,11 +346,10 @@ TEST(IncrementalTest, InputsStartOverOnAShrunkTableOrAnotherLayout) {
 namespace pb::engine {
 namespace {
 
-EngineOptions IncrementalOptions(bool reuse) {
+EngineOptions IncrementalOptions() {
   EngineOptions o;
   o.num_threads = 2;
   o.incremental_maintenance = true;
-  o.maintenance_reuse_solutions = reuse;
   o.sketch_partition_size = 50;
   return o;
 }
@@ -371,35 +368,43 @@ std::vector<db::Tuple> DuplicateRows(size_t n, uint64_t seed, size_t count) {
 }
 
 TEST(EngineIncrementalTest, RevalidatedCacheBitIdenticalToColdReSolve) {
-  // Engine A: maintained path with reuse. Engine B: identical history with
-  // reuse off (every group re-solved cold). The revalidated answer after an
-  // append must match B's bit-for-bit, with counters proving A skipped
-  // solver work.
-  Engine a(IncrementalOptions(/*reuse=*/true));
-  Engine b(IncrementalOptions(/*reuse=*/false));
-  for (Engine* e : {&a, &b}) {
-    ASSERT_TRUE(e->GenerateDataset("recipes", 400, 7).ok());
-    QueryResponse first = e->ExecuteQuery(0, kEngineQuery);
-    ASSERT_TRUE(first.ok()) << first.status.ToString();
-    EXPECT_EQ(first.strategy, core::Strategy::kSketchRefine);
-    EXPECT_EQ(first.table_rows, 400u);
-  }
+  // The engine answers on its maintained path; the same history run
+  // through a core SketchRefineState, with every cached sub-solution and
+  // warm start dropped before the post-append call, re-solves every group
+  // cold. The revalidated answer after an append must match the cold one
+  // bit-for-bit, with counters proving the engine skipped solver work.
+  Engine engine(IncrementalOptions());
+  ASSERT_TRUE(engine.GenerateDataset("recipes", 400, 7).ok());
+  QueryResponse first = engine.ExecuteQuery(0, kEngineQuery);
+  ASSERT_TRUE(first.ok()) << first.status.ToString();
+  EXPECT_EQ(first.strategy, core::Strategy::kSketchRefine);
+  EXPECT_EQ(first.table_rows, 400u);
+
+  db::Catalog catalog;
+  catalog.RegisterOrReplace(datagen::GenerateRecipes(400, 7));
+  core::SketchRefineState state;
+  core::SketchRefineOptions sro;
+  sro.partition_size = 50;
+  sro.state = &state;
+  auto built = core::SketchRefine(core::Analyzed(catalog, kEngineQuery), sro);
+  ASSERT_TRUE(built.ok() && built->found) << built.status().ToString();
 
   // Unchanged catalog: the cached result replays without any solve.
-  QueryResponse cached = a.ExecuteQuery(0, kEngineQuery);
+  QueryResponse cached = engine.ExecuteQuery(0, kEngineQuery);
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached.result_cache_hit);
   EXPECT_FALSE(cached.revalidated);
 
-  for (Engine* e : {&a, &b}) {
-    auto outcome = e->AppendRows("recipes", DuplicateRows(400, 7, 4));
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome->rows, 4u);
-    EXPECT_EQ(outcome->table_rows, 404u);
-    EXPECT_FALSE(outcome->full_invalidation);
-  }
+  auto outcome = engine.AppendRows("recipes", DuplicateRows(400, 7, 4));
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->rows, 4u);
+  EXPECT_EQ(outcome->table_rows, 404u);
+  EXPECT_FALSE(outcome->full_invalidation);
+  auto table = catalog.GetMutable("recipes");
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->AppendRows(DuplicateRows(400, 7, 4)).ok());
 
-  QueryResponse reval = a.ExecuteQuery(0, kEngineQuery);
+  QueryResponse reval = engine.ExecuteQuery(0, kEngineQuery);
   ASSERT_TRUE(reval.ok()) << reval.status.ToString();
   EXPECT_FALSE(reval.result_cache_hit);
   EXPECT_TRUE(reval.revalidated);
@@ -408,34 +413,35 @@ TEST(EngineIncrementalTest, RevalidatedCacheBitIdenticalToColdReSolve) {
   EXPECT_GT(reval.dirty_groups, 0);
   EXPECT_GE(reval.maintenance_ms, 0.0);
 
-  QueryResponse cold = b.ExecuteQuery(0, kEngineQuery);
-  ASSERT_TRUE(cold.ok()) << cold.status.ToString();
-  EXPECT_EQ(cold.groups_reused, 0);
-  EXPECT_EQ(reval.package, cold.package)
-      << reval.package.Fingerprint() << " vs " << cold.package.Fingerprint();
-  EXPECT_EQ(reval.objective, cold.objective);
+  state.InvalidateSolutions();
+  auto cold = core::SketchRefine(core::Analyzed(catalog, kEngineQuery), sro);
+  ASSERT_TRUE(cold.ok() && cold->found) << cold.status().ToString();
+  EXPECT_EQ(cold->groups_reused, 0);
+  EXPECT_EQ(reval.package, cold->package)
+      << reval.package.Fingerprint() << " vs " << cold->package.Fingerprint();
+  EXPECT_EQ(reval.objective, cold->objective);
   // Reuse elides solver work: the revalidation must be cheaper than the
   // cold re-solve on the substrate-cost metric.
-  EXPECT_LT(reval.lp_iterations, cold.lp_iterations);
+  EXPECT_LT(reval.lp_iterations, cold->lp_iterations);
 
-  EXPECT_EQ(a.stats().revalidations, 1);
-  EXPECT_EQ(a.stats().appends, 1);
-  EXPECT_EQ(a.stats().rows_appended, 4);
+  EXPECT_EQ(engine.stats().revalidations, 1);
+  EXPECT_EQ(engine.stats().appends, 1);
+  EXPECT_EQ(engine.stats().rows_appended, 4);
 
   // The refreshed entry is cached again: an immediate repeat is a plain
   // hit that replays the revalidated package.
-  QueryResponse again = a.ExecuteQuery(0, kEngineQuery);
+  QueryResponse again = engine.ExecuteQuery(0, kEngineQuery);
   ASSERT_TRUE(again.ok());
   EXPECT_TRUE(again.result_cache_hit);
   EXPECT_EQ(again.package, reval.package);
   // The hit describes this call: it did no revalidation of its own.
   EXPECT_FALSE(again.revalidated);
   EXPECT_EQ(again.maintenance_ms, 0.0);
-  EXPECT_EQ(a.stats().revalidations, 1);
+  EXPECT_EQ(engine.stats().revalidations, 1);
 }
 
 TEST(EngineIncrementalTest, SpilledAppendFallsBackToFullInvalidation) {
-  Engine e(IncrementalOptions(true));
+  Engine e(IncrementalOptions());
   ASSERT_TRUE(e.GenerateDataset("recipes", 300, 23).ok());
   QueryResponse before = e.ExecuteQuery(0, kEngineQuery);
   ASSERT_TRUE(before.ok()) << before.status.ToString();
@@ -461,7 +467,7 @@ TEST(EngineIncrementalTest, PrunedQueriesTakeNoMaintenanceSlot) {
   // With room for one maintained state, distinct queries that pruning
   // proves infeasible must not evict the hot query's: after an append its
   // revalidation still maintains the partition it built.
-  EngineOptions o = IncrementalOptions(true);
+  EngineOptions o = IncrementalOptions();
   o.maintenance_cache_capacity = 1;
   Engine e(o);
   ASSERT_TRUE(e.GenerateDataset("recipes", 400, 7).ok());
@@ -497,7 +503,7 @@ TEST(EngineIncrementalTest, ExplainLeavesTheMaintenanceCacheAlone) {
   const std::string third =
       "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 5 AND "
       "SUM(calories) <= 3000 MAXIMIZE SUM(protein)";
-  EngineOptions o = IncrementalOptions(true);
+  EngineOptions o = IncrementalOptions();
   o.maintenance_cache_capacity = 1;
   Engine one(o);
   ASSERT_TRUE(one.GenerateDataset("recipes", 400, 7).ok());
@@ -526,7 +532,7 @@ TEST(EngineIncrementalTest, ExplainLeavesTheMaintenanceCacheAlone) {
 }
 
 TEST(EngineIncrementalTest, AppendBatchIsAllOrNothing) {
-  Engine e(IncrementalOptions(true));
+  Engine e(IncrementalOptions());
   ASSERT_TRUE(e.GenerateDataset("recipes", 50, 3).ok());
   std::vector<db::Tuple> rows = DuplicateRows(50, 3, 2);
   rows.push_back({db::Value::Int(1)});  // wrong arity
@@ -656,6 +662,11 @@ TEST(EngineIncrementalTest, DeltaRevalidationMatchesAFreshPass) {
       auto route = core::PlanQuery(aq, *bounds, candidates->size(), {}, true);
       ASSERT_TRUE(route.ok());
       EXPECT_EQ(r.num_candidates, candidates->size());
+      // Only pruning counts zone-map blocks: before any append every
+      // answer is a fresh pass whose pruning reads the whole table.
+      if (step == 0) {
+        EXPECT_EQ(r.zone_map_skipped_blocks, bounds->zone_map_skipped_blocks);
+      }
       EXPECT_TRUE(r.strategy == route->strategy ||
                   (route->fallback && r.strategy == *route->fallback))
           << core::StrategyToString(r.strategy);

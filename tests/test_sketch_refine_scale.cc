@@ -1,14 +1,9 @@
-// Large-instance SketchRefine suite — the original benchmark-scale
-// randomized workloads that used to dominate the tier-1 wall clock. They
-// are CTest-registered under the "slow" label and DISABLED by default;
-// opt in with:
-//
-//   cmake -B build -S . -DPB_RUN_SLOW_TESTS=ON
-//   cd build && ctest -L slow --output-on-failure
-//
-// The fast suite (tests/test_sketch_refine.cc) keeps full code-path
-// coverage on smaller instances; this one re-checks the same invariants at
-// the scale the E6 benchmarks run.
+// SketchRefine at benchmark scale: the randomized lineitem workloads the
+// E6 benchmarks run (up to 20,000 candidates), with the BM_RefineWarmStart
+// package and objective pinned bit for bit. The fast suite
+// (tests/test_sketch_refine.cc) keeps full code-path coverage on smaller
+// instances; this one re-checks the same invariants at the scale where a
+// change to the partition or the refine order would move the answer.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +22,7 @@ constexpr const char* kTightQuery =
     "SUM(extendedprice) BETWEEN 50000 AND 51000 "
     "MAXIMIZE SUM(revenue)";
 
-class SketchRefineSlowTest : public ::testing::Test {
+class SketchRefineScaleTest : public ::testing::Test {
  protected:
   paql::AnalyzedQuery Analyzed(const db::Catalog& c, const std::string& t) {
     auto aq = paql::ParseAndAnalyze(t, c);
@@ -36,7 +31,7 @@ class SketchRefineSlowTest : public ::testing::Test {
   }
 };
 
-TEST_F(SketchRefineSlowTest, WarmColdIdentityAtBenchmarkScale) {
+TEST_F(SketchRefineScaleTest, WarmColdIdentityAtBenchmarkScale) {
   // Every sub-ILP solves to proven optimality: warm starting changes the
   // path, never the answer. The pinned package and objective are what
   // cold slack-basis solves of every node LP gave (the BM_RefineWarmStart
@@ -57,7 +52,7 @@ TEST_F(SketchRefineSlowTest, WarmColdIdentityAtBenchmarkScale) {
   EXPECT_EQ(warm->objective, 0x1.8db5333333333p+15);
 }
 
-TEST_F(SketchRefineSlowTest, PartitionSizeSweepAtBenchmarkScale) {
+TEST_F(SketchRefineScaleTest, PartitionSizeSweepAtBenchmarkScale) {
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateLineitems(10000, 5));
   auto aq = Analyzed(c,
@@ -76,7 +71,7 @@ TEST_F(SketchRefineSlowTest, PartitionSizeSweepAtBenchmarkScale) {
   }
 }
 
-TEST_F(SketchRefineSlowTest, ApproximationWithinReasonOfDirectAtScale) {
+TEST_F(SketchRefineScaleTest, ApproximationWithinReasonOfDirectAtScale) {
   db::Catalog c;
   c.RegisterOrReplace(datagen::GenerateLineitems(5000, 3));
   auto aq = Analyzed(c,

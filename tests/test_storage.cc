@@ -581,11 +581,17 @@ TEST(OutOfCoreEngineTest, CorruptWhereBlockIsAnErrorNotInfeasible) {
   }
   engine::Engine engine;
   ASSERT_TRUE(engine.RegisterTable(std::move(table)).ok());
-  engine::QueryResponse r = engine.ExecuteQuery(
-      0, "SELECT PACKAGE(I) FROM items I WHERE I.a <= 4 SUCH THAT COUNT(*) = 3");
-  // The unreadable block must not read as "no row matches".
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+  // The compiled block scan, then two shapes the row-at-a-time path
+  // evaluates one cell at a time.
+  for (const char* where : {"I.a <= 4", "I.a + 0 <= 4", "I.a IN (1, 2, 3)"}) {
+    SCOPED_TRACE(where);
+    engine::QueryResponse r = engine.ExecuteQuery(
+        0, std::string("SELECT PACKAGE(I) FROM items I WHERE ") + where +
+               " SUCH THAT COUNT(*) = 3");
+    // The unreadable block must not read as "no row matches".
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+  }
 }
 
 TEST(OutOfCoreEngineTest, WhereScanIsChargedToTheQueryBudget) {
