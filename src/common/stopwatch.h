@@ -8,8 +8,8 @@
 
 namespace pb {
 
-/// Starts on construction; Elapsed* report time since construction or the
-/// last Restart().
+/// Starts on construction; ElapsedSeconds() reports time since construction
+/// or the last Restart().
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
@@ -19,8 +19,6 @@ class Stopwatch {
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
-
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   using Clock = std::chrono::steady_clock;

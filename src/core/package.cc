@@ -196,7 +196,7 @@ Result<bool> SatisfiesBaseConstraints(const paql::AnalyzedQuery& aq,
       return Status::OutOfRange("package references row " +
                                 std::to_string(row) + " beyond table size");
     }
-    PB_ASSIGN_OR_RETURN(bool ok, bound->Matches(aq.table->row(row)));
+    PB_ASSIGN_OR_RETURN(bool ok, bound->Matches(*aq.table, row));
     if (!ok) return false;
   }
   return true;

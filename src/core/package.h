@@ -67,7 +67,9 @@ Result<db::Value> EvalGExpr(const paql::GExpr& e, const db::Table& table,
 Result<bool> SatisfiesGlobalConstraints(const paql::AnalyzedQuery& aq,
                                         const Package& pkg);
 
-/// True iff every member tuple satisfies the WHERE clause.
+/// True iff every member tuple satisfies the WHERE clause. Reads each
+/// member's cells from the table, so a failed spilled-block read is the
+/// returned error, not a verdict.
 Result<bool> SatisfiesBaseConstraints(const paql::AnalyzedQuery& aq,
                                       const Package& pkg);
 

@@ -17,54 +17,6 @@ inline void AddNumeric(ColumnStats* s, double d) {
 
 }  // namespace
 
-// ----- Copy / move (manual because of the zone-cache mutex) ------------------
-
-Column& Column::operator=(const Column& other) {
-  if (this == &other) return *this;
-  storage_ = other.storage_;
-  nulls_ = other.nulls_;
-  stats_ = other.stats_;
-  ints_ = other.ints_;
-  doubles_ = other.doubles_;
-  bools_ = other.bools_;
-  strings_ = other.strings_;
-  values_ = other.values_;
-  file_ = other.file_;
-  cache_ = other.cache_;
-  locators_ = other.locators_;
-  block_size_ = other.block_size_;
-  {
-    MutexLock lock(&other.zone_mu_);
-    zones_ = other.zones_;
-    zones_built_ = other.zones_built_;
-    zones_for_size_ = other.zones_for_size_;
-  }
-  return *this;
-}
-
-Column& Column::operator=(Column&& other) noexcept {
-  if (this == &other) return *this;
-  storage_ = other.storage_;
-  nulls_ = std::move(other.nulls_);
-  stats_ = other.stats_;
-  ints_ = std::move(other.ints_);
-  doubles_ = std::move(other.doubles_);
-  bools_ = std::move(other.bools_);
-  strings_ = std::move(other.strings_);
-  values_ = std::move(other.values_);
-  file_ = std::move(other.file_);
-  cache_ = other.cache_;
-  locators_ = std::move(other.locators_);
-  block_size_ = other.block_size_;
-  {
-    MutexLock lock(&other.zone_mu_);
-    zones_ = std::move(other.zones_);
-    zones_built_ = other.zones_built_;
-    zones_for_size_ = other.zones_for_size_;
-  }
-  return *this;
-}
-
 // ----- Cell access -----------------------------------------------------------
 
 Result<Value> Column::ReadValue(size_t i) const {
@@ -107,6 +59,7 @@ Value Column::GetValue(size_t i) const {
 
 void Column::AppendNull() {
   PB_DCHECK(!spilled()) << "append to a spilled (read-only) column";
+  if (numeric_storage()) NextZone().AddNull();
   // The only place a null is recorded: stats_.null_count (the public stats
   // mirror) and the bitmap stay in sync by construction.
   nulls_.Append(true);
@@ -127,6 +80,7 @@ void Column::AppendInt(int64_t v) {
   }
   PB_DCHECK(storage_ == ValueType::kInt);
   PB_DCHECK(!spilled()) << "append to a spilled (read-only) column";
+  NextZone().Add(static_cast<double>(v));
   nulls_.Append(false);
   ints_.push_back(v);
   AddNumeric(&stats_, static_cast<double>(v));
@@ -135,6 +89,7 @@ void Column::AppendInt(int64_t v) {
 void Column::AppendDouble(double v) {
   PB_DCHECK(storage_ == ValueType::kDouble);
   PB_DCHECK(!spilled()) << "append to a spilled (read-only) column";
+  NextZone().Add(v);
   nulls_.Append(false);
   doubles_.push_back(v);
   AddNumeric(&stats_, v);
@@ -236,29 +191,6 @@ void Column::Reserve(size_t n) {
   }
 }
 
-int Column::Compare(size_t a, size_t b) const {
-  PB_DCHECK(a < size() && b < size());
-  if (storage_ == ValueType::kNull) return values_[a].Compare(values_[b]);
-  bool an = nulls_.Test(a), bn = nulls_.Test(b);
-  if (an || bn) return an == bn ? 0 : (an ? -1 : 1);  // NULL sorts first
-  if (spilled()) return GetValue(a).Compare(GetValue(b));
-  switch (storage_) {
-    case ValueType::kInt:
-      return ints_[a] < ints_[b] ? -1 : (ints_[a] > ints_[b] ? 1 : 0);
-    case ValueType::kDouble:
-      return doubles_[a] < doubles_[b] ? -1
-                                       : (doubles_[a] > doubles_[b] ? 1 : 0);
-    case ValueType::kBool:
-      return bools_[a] < bools_[b] ? -1 : (bools_[a] > bools_[b] ? 1 : 0);
-    case ValueType::kString: {
-      int c = strings_[a].compare(strings_[b]);
-      return c < 0 ? -1 : (c > 0 ? 1 : 0);
-    }
-    default:
-      return 0;
-  }
-}
-
 // ----- Out-of-core -----------------------------------------------------------
 
 Status Column::Spill(std::shared_ptr<storage::SegmentFile> file,
@@ -319,12 +251,7 @@ Status Column::Spill(std::shared_ptr<storage::SegmentFile> file,
   cache_ = cache;
   locators_ = std::move(locators);
   block_size_ = block_size;
-  {
-    MutexLock lock(&zone_mu_);
-    zones_ = std::move(zones);
-    zones_built_ = true;
-    zones_for_size_ = n;
-  }
+  zones_ = std::move(zones);
   return Status::OK();
 }
 
@@ -364,9 +291,9 @@ Status Column::Unspill() {
     return Status::Internal("unspill restored " + std::to_string(restored) +
                             " of " + std::to_string(n) + " values");
   }
-  // Commit: flip back to the resident representation. The zone cache is
-  // untouched — the values and block granularity are unchanged, so the
-  // zones built at spill time keep serving the resident column.
+  // Commit: flip back to the resident representation. The zone maps are
+  // untouched: the values and block granularity are unchanged, so the
+  // spill's zones stay current, and appends extend them.
   ints_ = std::move(ints);
   doubles_ = std::move(doubles);
   file_.reset();
@@ -379,45 +306,18 @@ void Column::SetBlockSize(size_t block_size) {
   PB_DCHECK(!spilled()) << "block size of a spilled column is fixed at spill";
   PB_DCHECK(block_size > 0);
   block_size_ = block_size;
-  MutexLock lock(&zone_mu_);
   zones_.clear();
-  zones_built_ = false;
-  zones_for_size_ = 0;
-}
-
-const storage::ZoneMap* Column::ZoneMaps() const {
-  if (!numeric_storage()) return nullptr;
-  MutexLock lock(&zone_mu_);
-  if (!zones_built_ || zones_for_size_ != size()) {
-    PB_DCHECK(!spilled());  // spill metadata never goes stale (read-only)
-    const size_t n = size();
-    const size_t blocks = n == 0 ? 0 : (n - 1) / block_size_ + 1;
-    // Incremental extension: appends never touch sealed rows, so every
-    // block that was already complete at the last build is unchanged. Keep
-    // those zones and recompute only from the first block the growth
-    // touched (the previously-partial tail, plus anything new).
-    size_t keep = 0;
-    if (zones_built_ && zones_for_size_ < n) {
-      keep = std::min(zones_for_size_ / block_size_, zones_.size());
+  if (!numeric_storage()) return;
+  // The appends' steps, replayed in row order at the new granularity.
+  const NumericColumnView view = NumericView();
+  for (size_t i = 0; i < size(); ++i) {
+    if (i % block_size_ == 0) zones_.emplace_back();
+    if (view.IsNull(i)) {
+      zones_.back().AddNull();
+    } else {
+      zones_.back().Add(view[i]);
     }
-    zones_.resize(keep);
-    zones_.reserve(blocks);
-    const bool is_int = storage_ == ValueType::kInt;
-    for (size_t b = keep; b < blocks; ++b) {
-      const size_t begin = b * block_size_;
-      const size_t count = std::min(block_size_, n - begin);
-      zones_.push_back(storage::ComputeZoneMap(
-          count,
-          [&](size_t k) {
-            return is_int ? static_cast<double>(ints_[begin + k])
-                          : doubles_[begin + k];
-          },
-          [&](size_t k) { return nulls_.Test(begin + k); }));
-    }
-    zones_built_ = true;
-    zones_for_size_ = n;
   }
-  return zones_.data();
 }
 
 Result<storage::BlockHandle> Column::PinBlock(size_t b,
@@ -432,12 +332,6 @@ Result<storage::BlockHandle> Column::PinBlock(size_t b,
 }
 
 // ----- NumericColumnView (spilled paths) -------------------------------------
-
-const storage::ZoneMap& NumericColumnView::zone(size_t b) const {
-  PB_DCHECK(col_ != nullptr && b < num_blocks());
-  if (zones_ == nullptr) zones_ = col_->ZoneMaps();
-  return zones_[b];
-}
 
 NumericColumnView::BlockSpan NumericColumnView::block(size_t b) const {
   PB_DCHECK(col_ != nullptr && b < num_blocks());

@@ -7,18 +7,17 @@
 // bool / string) plus a word-packed null bitmap, so numeric consumers can
 // run one tight pass over a contiguous span instead of dispatching per
 // cell. Columns whose declared type is kNull ("untyped / any") fall back to
-// per-cell Value storage, which is what heterogeneous outputs like GroupBy
-// aggregates need.
+// per-cell Value storage.
 //
 // Out-of-core storage: a numeric column can be Spill()ed — its values are
 // sealed into fixed-size zone-mapped blocks (storage/block.h), appended to
 // a SegmentFile, and the RAM vectors freed. A spilled column is read-only;
 // reads fault blocks through the BlockCache. The whole-column null bitmap
 // and ColumnStats always stay resident, so IsNull / COUNT never touch
-// disk. Resident numeric columns expose the same logical block structure
-// (zone maps are built lazily at the same granularity), which keeps
-// zone-map-consuming algorithms — and their skip counters — independent of
-// where the bytes live.
+// disk. Resident numeric columns expose the same logical block structure:
+// the typed appends keep one zone map per block current, as they keep the
+// stats, so zone-map-consuming algorithms — and their skip counters — are
+// independent of where the bytes live. A read writes nothing.
 
 #ifndef PB_DB_COLUMN_H_
 #define PB_DB_COLUMN_H_
@@ -29,7 +28,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/logging.h"
 #include "common/status.h"
 #include "db/value.h"
@@ -94,8 +92,9 @@ class Column;
 ///    resident, nullptr when it is spilled. Existing single-pass consumers
 ///    keep their tight loops and add a block-iterating branch for the
 ///    spilled case.
-///  - Blocks: num_blocks()/block_size()/zone(b) describe the logical block
-///    structure of BOTH layouts without any IO; block(b) returns the values
+///  - Blocks: num_blocks()/block_size() describe the logical block
+///    structure of BOTH layouts without any IO (Column::ZoneMaps() has
+///    each block's zone map); block(b) returns the values
 ///    of one block, pinning it through the BlockCache when spilled. The
 ///    span returned by block(b) stays valid until the next block() call on
 ///    this view (one pin is cached), so iterate blocks in order and finish
@@ -119,7 +118,6 @@ class NumericColumnView {
       int_ = other.int_;
       nulls_ = other.nulls_;
       size_ = other.size_;
-      zones_ = nullptr;
       cur_block_ = kNoBlock;
       cur_handle_ = storage::BlockHandle();
       status_ = Status::OK();
@@ -163,11 +161,6 @@ class NumericColumnView {
     return size_ == 0 ? 0 : (size_ - 1) / block_size() + 1;
   }
 
-  /// Zone map of block b — min/max/sum/null counts over the block's rows —
-  /// served from metadata for spilled columns and from a lazily built (and
-  /// cached) scan for resident ones. Never reads block data.
-  const storage::ZoneMap& zone(size_t b) const;
-
   // ----- Block data ---------------------------------------------------------
 
   /// One block's values. `offset` is the global row index of slot 0; test
@@ -208,8 +201,7 @@ class NumericColumnView {
   const NullBitmap* nulls_ = nullptr;
   size_t size_ = 0;
 
-  mutable const storage::ZoneMap* zones_ = nullptr;  // fetched on first use
-  mutable size_t cur_block_ = kNoBlock;              // cached spilled pin
+  mutable size_t cur_block_ = kNoBlock;  // cached spilled pin
   mutable storage::BlockHandle cur_handle_;
   mutable Status status_;
 };
@@ -219,14 +211,6 @@ class Column {
  public:
   Column() : Column(ValueType::kNull) {}
   explicit Column(ValueType storage) : storage_(storage) {}
-
-  // Copyable (SelectColumns copies columns wholesale). Copies share the
-  // segment file of a spilled column and drop nothing; the lazy zone-map
-  // cache is copied under the source's lock.
-  Column(const Column& other) { *this = other; }
-  Column& operator=(const Column& other);
-  Column(Column&& other) noexcept { *this = std::move(other); }
-  Column& operator=(Column&& other) noexcept;
 
   /// The storage layout: kInt/kDouble/kBool/kString are typed vectors;
   /// kNull is the per-cell Value fallback for untyped columns.
@@ -251,9 +235,10 @@ class Column {
   Value GetValue(size_t i) const;
 
   // ----- Typed appends (the column-wise hot path) --------------------------
-  // Each appends one slot and updates the stats. AppendInt widens into
-  // DOUBLE storage; the other typed appends require matching storage.
-  // Appending to a spilled column is a programming error (DCHECK).
+  // Each appends one slot and updates the stats and, for a numeric column,
+  // the zone map of the slot's block. AppendInt widens into DOUBLE storage;
+  // the other typed appends require matching storage. Appending to a
+  // spilled column is a programming error (DCHECK).
 
   void AppendNull();
   void AppendInt(int64_t v);
@@ -288,10 +273,6 @@ class Column {
     return NumericColumnView(this);
   }
 
-  /// Three-way compare of two slots, matching Value::Compare semantics
-  /// (NULL sorts before everything).
-  int Compare(size_t a, size_t b) const;
-
   // ----- Out-of-core --------------------------------------------------------
 
   /// Seals this numeric column's values into zone-mapped blocks of
@@ -308,8 +289,8 @@ class Column {
   /// Reads every block back into the RAM vector and clears the spill
   /// state, making the column appendable again — the inverse of Spill().
   /// Values round-trip bit-exactly (blocks store the raw vector slices,
-  /// NULL placeholders included). The zone-map cache stays valid: same
-  /// values, same block granularity. No-op when resident.
+  /// NULL placeholders included). The zone maps are kept: same values,
+  /// same block granularity. No-op when resident.
   Status Unspill();
 
   /// Logical block granularity: the spill block size, or the zone-map
@@ -321,15 +302,17 @@ class Column {
 
   /// Overrides the zone-map granularity of a RESIDENT column (test/bench
   /// hook so small datasets exercise multi-block paths and so a resident
-  /// baseline reproduces a spilled run's zone counters). Resets the lazy
-  /// zone cache.
+  /// baseline reproduces a spilled run's zone counters). Recomputes the
+  /// zone maps at the new granularity.
   void SetBlockSize(size_t block_size);
 
-  /// Zone maps for all blocks (num_blocks() entries), built lazily for
-  /// resident numeric columns and served from spill metadata otherwise.
-  /// Returns nullptr for non-numeric columns. The pointer stays valid
-  /// until the column is appended to or destroyed.
-  const storage::ZoneMap* ZoneMaps() const;
+  /// Zone maps for all blocks (num_blocks() entries): kept by the appends
+  /// for resident numeric columns, taken from the blocks at spill. Returns
+  /// nullptr for non-numeric columns. The pointer stays valid until the
+  /// column is appended to or destroyed.
+  const storage::ZoneMap* ZoneMaps() const {
+    return numeric_storage() ? zones_.data() : nullptr;
+  }
 
   /// The spill cache (nullptr when resident); stats live here.
   storage::BlockCache* cache() const { return cache_; }
@@ -341,6 +324,13 @@ class Column {
   /// calling thread's StorageBudget is charged (bulk view access) or not
   /// (per-cell compat access).
   Result<storage::BlockHandle> PinBlock(size_t b, bool charge_budget) const;
+
+  /// The zone map of the block the next appended slot falls in, opening a
+  /// block when the last one is full.
+  storage::ZoneMap& NextZone() {
+    if (size() % block_size_ == 0) zones_.emplace_back();
+    return zones_.back();
+  }
 
   ValueType storage_;
   NullBitmap nulls_;
@@ -359,14 +349,8 @@ class Column {
   std::vector<storage::BlockLocator> locators_;
   size_t block_size_ = storage::kDefaultBlockSize;
 
-  // Zone maps: eager (spill metadata) for spilled columns, built lazily
-  // for resident numeric ones; when the column has grown since the last
-  // build, zones of still-complete blocks are kept and only the tail is
-  // recomputed (appends never touch sealed blocks).
-  mutable Mutex zone_mu_;
-  mutable std::vector<storage::ZoneMap> zones_ PB_GUARDED_BY(zone_mu_);
-  mutable bool zones_built_ PB_GUARDED_BY(zone_mu_) = false;
-  mutable size_t zones_for_size_ PB_GUARDED_BY(zone_mu_) = 0;
+  // One zone map per block of block_size_ slots; numeric columns only.
+  std::vector<storage::ZoneMap> zones_;
 };
 
 inline NumericColumnView::NumericColumnView(const Column* col)

@@ -234,7 +234,8 @@ Status WriteCsv(const Table& table, std::ostream& out,
     }
     out << "\n";
   }
-  for (const Tuple& row : table.rows()) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    const Tuple row = table.row(r);
     for (size_t c = 0; c < row.size(); ++c) {
       if (c > 0) out << options.separator;
       if (!row[c].is_null()) out << quote(row[c].ToString());

@@ -1,7 +1,5 @@
 #include "db/ops.h"
 
-#include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "common/logging.h"
@@ -34,21 +32,6 @@ const char* AggFuncToString(AggFunc f) {
   return "?";
 }
 
-Result<Table> Select(const Table& table, const ExprPtr& pred,
-                     const std::string& result_name) {
-  if (!pred) {
-    // All rows qualify: copy the column vectors wholesale.
-    std::vector<size_t> all(table.schema().num_columns());
-    for (size_t c = 0; c < all.size(); ++c) all[c] = c;
-    return table.SelectColumns(all, result_name);
-  }
-  PB_ASSIGN_OR_RETURN(std::vector<size_t> rows, FilterIndices(table, pred));
-  Table out(result_name, table.schema());
-  out.Reserve(rows.size());
-  for (size_t i : rows) out.AppendRowFrom(table, i);
-  return out;
-}
-
 Result<std::vector<size_t>> FilterIndices(const Table& table,
                                           const ExprPtr& pred,
                                           size_t first_row) {
@@ -71,45 +54,6 @@ Result<std::vector<size_t>> FilterIndices(const Table& table,
   for (size_t i = first_row; i < table.num_rows(); ++i) {
     PB_ASSIGN_OR_RETURN(bool keep, bound->Matches(table, i));
     if (keep) out.push_back(i);
-  }
-  return out;
-}
-
-Result<Table> Project(const Table& table,
-                      const std::vector<std::string>& columns,
-                      const std::string& result_name) {
-  std::vector<size_t> indices;
-  for (const std::string& name : columns) {
-    PB_ASSIGN_OR_RETURN(size_t idx, table.schema().IndexOf(name));
-    indices.push_back(idx);
-  }
-  // Column vectors are copied wholesale; SelectColumns validates the
-  // projection (duplicates) and fails cleanly.
-  return table.SelectColumns(indices, result_name);
-}
-
-Result<Table> OrderBy(const Table& table, const std::string& column,
-                      bool ascending) {
-  PB_ASSIGN_OR_RETURN(size_t idx, table.schema().IndexOf(column));
-  const Column& key = table.column_data(idx);
-  std::vector<size_t> order(table.num_rows());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    int c = key.Compare(a, b);
-    return ascending ? c < 0 : c > 0;
-  });
-  Table out(table.name() + "_sorted", table.schema());
-  out.Reserve(order.size());
-  for (size_t i : order) out.AppendRowFrom(table, i);
-  return out;
-}
-
-Table Limit(const Table& table, size_t n) {
-  Table out(table.name() + "_limit", table.schema());
-  size_t shown = std::min(n, table.num_rows());
-  out.Reserve(shown);
-  for (size_t i = 0; i < shown; ++i) {
-    out.AppendRowFrom(table, i);
   }
   return out;
 }
@@ -237,54 +181,6 @@ Result<Value> AggregateColumnRows(const Table& table, AggFunc func, int column,
 
 }  // namespace
 
-Result<Value> Aggregate(const Table& table, AggFunc func, const ExprPtr& arg) {
-  ExprPtr bound;
-  if (arg) {
-    bound = arg->Clone();
-    PB_RETURN_IF_ERROR(bound->Bind(table.schema()));
-  } else if (func != AggFunc::kCount) {
-    return Status::InvalidArgument(
-        std::string(AggFuncToString(func)) + " requires an argument");
-  }
-  if (!bound) return Value::Int(static_cast<int64_t>(table.num_rows()));
-  // Whole-column aggregates of a bare column reference come straight from
-  // the incrementally-maintained column statistics: O(1).
-  if (bound->kind == ExprKind::kColumnRef && bound->column_index >= 0 &&
-      static_cast<size_t>(bound->column_index) < table.schema().num_columns()) {
-    const Column& col = table.column_data(bound->column_index);
-    const ColumnStats& s = col.stats();
-    if (func == AggFunc::kCount && col.storage_type() != ValueType::kNull) {
-      return Value::Int(s.non_null_count);
-    }
-    if (col.numeric_storage()) {
-      const bool int_storage = col.storage_type() == ValueType::kInt;
-      switch (func) {
-        case AggFunc::kSum:
-          if (s.non_null_count == 0) return Value::Null();
-          return int_storage ? Value::Int(static_cast<int64_t>(s.sum))
-                             : Value::Double(s.sum);
-        case AggFunc::kAvg:
-          if (s.non_null_count == 0) return Value::Null();
-          return Value::Double(s.mean());
-        case AggFunc::kMin:
-        case AggFunc::kMax: {
-          const std::optional<double>& e = func == AggFunc::kMin ? s.min
-                                                                 : s.max;
-          if (!e) return Value::Null();
-          return int_storage ? Value::Int(static_cast<int64_t>(*e))
-                             : Value::Double(*e);
-        }
-        default:
-          break;
-      }
-    }
-  }
-  std::vector<size_t> all(table.num_rows());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  std::vector<int64_t> ones(all.size(), 1);
-  return AggregateRows(table, func, arg, all, ones);
-}
-
 Result<Value> AggregateRows(const Table& table, AggFunc func,
                             const ExprPtr& arg,
                             const std::vector<size_t>& rows,
@@ -322,58 +218,6 @@ Result<Value> AggregateRows(const Table& table, AggFunc func,
     PB_RETURN_IF_ERROR(acc.Add(v, multiplicities[k]));
   }
   return acc.Finish();
-}
-
-Result<Table> GroupBy(const Table& table, const std::string& group_column,
-                      const std::vector<AggSpec>& aggs,
-                      const std::string& result_name) {
-  PB_ASSIGN_OR_RETURN(size_t gidx, table.schema().IndexOf(group_column));
-  // Bind aggregate arguments once.
-  std::vector<ExprPtr> bound(aggs.size());
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].arg) {
-      bound[i] = aggs[i].arg->Clone();
-      PB_RETURN_IF_ERROR(bound[i]->Bind(table.schema()));
-    } else if (aggs[i].func != AggFunc::kCount) {
-      return Status::InvalidArgument(
-          std::string(AggFuncToString(aggs[i].func)) + " requires an argument");
-    }
-  }
-  const Column& gcol = table.column_data(gidx);
-  // Group rows (std::map gives deterministic output order via
-  // Value::operator<).
-  std::map<Value, std::vector<AggAccumulator>> groups;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    Value key = gcol.GetValue(r);
-    auto it = groups.find(key);
-    if (it == groups.end()) {
-      std::vector<AggAccumulator> accs;
-      accs.reserve(aggs.size());
-      for (const auto& spec : aggs) accs.emplace_back(spec.func);
-      it = groups.emplace(std::move(key), std::move(accs)).first;
-    }
-    for (size_t i = 0; i < aggs.size(); ++i) {
-      Value v = Value::Int(1);
-      if (bound[i]) {
-        PB_ASSIGN_OR_RETURN(v, bound[i]->Eval(table, r));
-      }
-      PB_RETURN_IF_ERROR(it->second[i].Add(v));
-    }
-  }
-  Schema out_schema;
-  PB_RETURN_IF_ERROR(out_schema.AddColumn(table.schema().column(gidx)));
-  for (const auto& spec : aggs) {
-    PB_RETURN_IF_ERROR(
-        out_schema.AddColumn({spec.output_name, ValueType::kNull}));
-  }
-  Table out(result_name, std::move(out_schema));
-  for (const auto& [key, accs] : groups) {
-    Tuple row;
-    row.push_back(key);
-    for (const auto& acc : accs) row.push_back(acc.Finish());
-    out.AppendUnchecked(std::move(row));
-  }
-  return out;
 }
 
 Result<Table> CrossJoin(const Table& left, const Table& right,
@@ -432,19 +276,9 @@ Result<std::vector<std::optional<double>>> GatherNumericBound(
     const NumericColumnView view =
         table.column_data(expr.column_index).NumericView();
     const size_t n = view.size();
-    if (view.spilled()) {
-      // Spilled column: values fault in block-at-a-time through the view's
-      // cached pin. Filter row lists are ascending, so each block is
-      // pinned once per gather.
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i] >= n) return Status::OutOfRange("row index out of range");
-        if (!view.IsNull(rows[i])) out[i] = view[rows[i]];
-      }
-      PB_RETURN_IF_ERROR(view.status());
-      return out;
-    }
-    if (!view.has_nulls()) {
-      // Null-free spans: a straight gather over the contiguous data.
+    if (!view.spilled() && !view.has_nulls()) {
+      // Null-free resident spans: a straight gather over the contiguous
+      // data.
       if (const double* d = view.doubles()) {
         for (size_t i = 0; i < rows.size(); ++i) {
           if (rows[i] >= n) return Status::OutOfRange("row index out of range");
@@ -457,12 +291,16 @@ Result<std::vector<std::optional<double>>> GatherNumericBound(
           out[i] = static_cast<double>(p[rows[i]]);
         }
       }
-    } else {
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i] >= n) return Status::OutOfRange("row index out of range");
-        if (!view.IsNull(rows[i])) out[i] = view[rows[i]];
-      }
+      return out;
     }
+    // NULLs or a spilled column: a spilled column's values fault in
+    // block-at-a-time through the view's cached pin. Filter row lists are
+    // ascending, so each block is pinned once per gather.
+    for (size_t i = 0; i < rows.size(); ++i) {
+      if (rows[i] >= n) return Status::OutOfRange("row index out of range");
+      if (!view.IsNull(rows[i])) out[i] = view[rows[i]];
+    }
+    PB_RETURN_IF_ERROR(view.status());
     return out;
   }
   for (size_t i = 0; i < rows.size(); ++i) {

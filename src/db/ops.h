@@ -1,9 +1,12 @@
-// Relational operators over Tables: selection, projection, ordering,
-// aggregation, and joins. These are exactly the operations the paper's
-// evaluation strategies issue "via SQL" against the DBMS:
-//   - base constraints  -> Select / FilterIndices
-//   - package validation -> Aggregate
-//   - local-search replacement queries (§4.2) -> CrossJoin + Select
+// The relational operators package queries run against a Table: the
+// requests the paper's evaluation strategies send "via SQL" to the DBMS.
+//   - base constraints (the WHERE scan) -> FilterIndices
+//   - per-tuple weights of an aggregate -> GatherNumeric[Bound]
+//   - package aggregates (SUCH THAT, objective) -> AggregateRows
+//   - §4.2's literal replacement join -> CrossJoin
+// No PaQL clause projects, sorts or groups a relation, so none of those
+// operators is here. Packages reference base tuples by row index, so every
+// operator but CrossJoin answers in row indices or values, not tables.
 
 #ifndef PB_DB_OPS_H_
 #define PB_DB_OPS_H_
@@ -17,11 +20,6 @@
 #include "db/table.h"
 
 namespace pb::db {
-
-/// Rows of `table` satisfying `pred` (a bound or bindable predicate),
-/// as a new table. `pred` may be null: all rows qualify.
-Result<Table> Select(const Table& table, const ExprPtr& pred,
-                     const std::string& result_name = "select");
 
 /// Indices of rows from `first_row` on satisfying `pred` (null = all
 /// rows), ascending. This is the form the package engine uses: packages
@@ -37,44 +35,19 @@ Result<std::vector<size_t>> FilterIndices(const Table& table,
                                           const ExprPtr& pred,
                                           size_t first_row = 0);
 
-/// Keeps the named columns, in the given order.
-Result<Table> Project(const Table& table,
-                      const std::vector<std::string>& columns,
-                      const std::string& result_name = "project");
-
-/// Stable sort by one column.
-Result<Table> OrderBy(const Table& table, const std::string& column,
-                      bool ascending = true);
-
-/// First `n` rows.
-Table Limit(const Table& table, size_t n);
-
 enum class AggFunc { kCount, kSum, kAvg, kMin, kMax };
 
 const char* AggFuncToString(AggFunc f);
 
-/// Aggregates `arg` over all rows. For kCount, `arg` may be null (COUNT(*)).
-/// SQL semantics: NULL inputs are skipped; empty input yields NULL for
-/// SUM/AVG/MIN/MAX and 0 for COUNT.
-Result<Value> Aggregate(const Table& table, AggFunc func, const ExprPtr& arg);
-
-/// Aggregate over a subset of row indices (with multiplicities), used to
-/// validate packages without materializing them.
+/// Aggregates `arg` over a subset of row indices (with multiplicities),
+/// used to validate packages without materializing them. For kCount, `arg`
+/// may be null (COUNT(*)). SQL semantics: NULL inputs are skipped; empty
+/// input yields NULL for SUM/AVG/MIN/MAX and 0 for COUNT. MIN/MAX ignore
+/// multiplicities; SUM/AVG/COUNT scale by them.
 Result<Value> AggregateRows(const Table& table, AggFunc func,
                             const ExprPtr& arg,
                             const std::vector<size_t>& rows,
                             const std::vector<int64_t>& multiplicities);
-
-/// Group-by with a single grouping column and a list of (func, arg, name)
-/// aggregate outputs.
-struct AggSpec {
-  AggFunc func;
-  ExprPtr arg;  // may be null for COUNT(*)
-  std::string output_name;
-};
-Result<Table> GroupBy(const Table& table, const std::string& group_column,
-                      const std::vector<AggSpec>& aggs,
-                      const std::string& result_name = "groupby");
 
 /// Cartesian product with an optional theta predicate evaluated over the
 /// concatenated row. Columns are prefixed "left.x" / "right.x" when names

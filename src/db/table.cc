@@ -107,24 +107,6 @@ Result<NumericColumnView> Table::NumericView(const std::string& column) const {
   return NumericView(idx);
 }
 
-Result<Table> Table::SelectColumns(const std::vector<size_t>& indices,
-                                   const std::string& result_name) const {
-  Schema out_schema;
-  for (size_t idx : indices) {
-    if (idx >= columns_.size()) {
-      return Status::OutOfRange("column index " + std::to_string(idx) +
-                                " out of range for table '" + name_ + "'");
-    }
-    PB_RETURN_IF_ERROR(out_schema.AddColumn(schema_.column(idx)));
-  }
-  Table out(result_name, std::move(out_schema));
-  for (size_t k = 0; k < indices.size(); ++k) {
-    out.columns_[k] = columns_[indices[k]];
-  }
-  out.num_rows_ = num_rows_;
-  return out;
-}
-
 // ----- Out-of-core ---------------------------------------------------------
 
 Status Table::SpillToDisk(const std::string& path, size_t block_size,

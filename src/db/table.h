@@ -3,7 +3,7 @@
 // Storage is column-major: one typed Column (contiguous vector + null
 // bitmap, see db/column.h) per schema attribute. Numeric consumers read
 // whole columns through NumericView() in one contiguous pass; row-oriented
-// call sites keep working through the compatibility adapters row()/rows()/
+// call sites keep working through the compatibility adapters row() and
 // at(), which materialize Values on demand.
 //
 // The statistics (count / min / max / sum over non-null numeric cells) are
@@ -15,7 +15,6 @@
 #define PB_DB_TABLE_H_
 
 #include <cstddef>
-#include <iterator>
 #include <optional>
 #include <string>
 #include <utility>
@@ -29,44 +28,6 @@
 namespace pb::db {
 
 class Table;
-
-/// Lazily-materializing view of a table's rows: the compatibility adapter
-/// that lets row-oriented loops (`for (const Tuple& row : table.rows())`)
-/// keep working over columnar storage. Dereferencing builds the Tuple.
-class RowRange {
- public:
-  class iterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Tuple;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Tuple*;
-    using reference = Tuple;
-
-    iterator(const Table* table, size_t i) : table_(table), i_(i) {}
-    Tuple operator*() const;
-    iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const Table* table_;
-    size_t i_;
-  };
-
-  explicit RowRange(const Table* table) : table_(table) {}
-  iterator begin() const { return iterator(table_, 0); }
-  iterator end() const;
-  size_t size() const;
-  bool empty() const { return size() == 0; }
-  Tuple operator[](size_t i) const;
-
- private:
-  const Table* table_;
-};
 
 /// Column-wise single-row appender: generators push typed values straight
 /// into the column vectors, skipping Tuple/Value materialization entirely.
@@ -110,9 +71,6 @@ class Table {
   /// Materializes row `i` as a Tuple (copies every cell).
   Tuple row(size_t i) const;
 
-  /// Iterable row view; each dereference materializes one Tuple.
-  RowRange rows() const { return RowRange(this); }
-
   /// Value at (row, column), materialized from the column — returned by
   /// value, so chaining a reference out of it (e.g. binding AsString() to a
   /// long-lived const std::string&) is a lifetime bug. Bounds-checked in
@@ -136,9 +94,8 @@ class Table {
   /// same rules as Append) before any is committed, so a failed batch never
   /// leaves the table half-grown. Fails with InvalidArgument on a spilled
   /// (append-frozen) table — callers that must grow a spilled table go
-  /// through Unspill() first. Column stats and zone maps extend
-  /// incrementally: zones of blocks that were complete before the append
-  /// are reused as-is (see Column::ZoneMaps).
+  /// through Unspill() first. Each column's stats and zone maps are kept
+  /// current by its appends (see Column::ZoneMaps).
   Status AppendRows(std::vector<Tuple> rows);
 
   /// Appends without checks (compatibility hot path). Arity must match;
@@ -171,12 +128,6 @@ class Table {
     PB_DCHECK(column < columns_.size());
     return columns_[column].stats();
   }
-
-  /// New table with the given columns of this one (column vectors copied
-  /// wholesale — no per-row work). Fails on an out-of-range index or a
-  /// duplicated column name.
-  Result<Table> SelectColumns(const std::vector<size_t>& indices,
-                              const std::string& result_name) const;
 
   // ----- Out-of-core --------------------------------------------------------
 
@@ -218,13 +169,6 @@ class Table {
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
 };
-
-inline RowRange::iterator RowRange::end() const {
-  return iterator(table_, table_->num_rows());
-}
-inline size_t RowRange::size() const { return table_->num_rows(); }
-inline Tuple RowRange::operator[](size_t i) const { return table_->row(i); }
-inline Tuple RowRange::iterator::operator*() const { return table_->row(i_); }
 
 }  // namespace pb::db
 

@@ -422,15 +422,6 @@ class Analyzer {
 
 }  // namespace
 
-int AnalyzedQuery::FindCountStar() const {
-  for (size_t i = 0; i < aggs.size(); ++i) {
-    if (aggs[i].func == db::AggFunc::kCount && !aggs[i].arg) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
 Result<AnalyzedQuery> Analyze(const Query& query, const db::Catalog& catalog) {
   Analyzer analyzer(query, catalog);
   return analyzer.Run();

@@ -95,10 +95,6 @@ struct AnalyzedQuery {
   bool TranslatesToIlp() const {
     return ilp_translatable && (!has_objective || objective_linear);
   }
-
-  /// Index of COUNT(*) in `aggs`, creating it if absent (mutating helper
-  /// used by translator extensions; const queries use FindCountStar).
-  int FindCountStar() const;
 };
 
 /// Analyzes `query` against `catalog`. Fails on unknown tables/columns and

@@ -23,7 +23,7 @@
 // deterministic: the same model and options give the same package, bounds
 // and counters on every run (unless time_limit_s or cancellation stops
 // it mid-search). Callers that want parallelism solve independent models
-// concurrently, as SketchRefine's refine phase does.
+// concurrently, as the engine's pool does with separate queries.
 
 #ifndef PB_SOLVER_MILP_H_
 #define PB_SOLVER_MILP_H_

@@ -44,6 +44,19 @@ struct ZoneMap {
   bool all_null() const { return non_null_count == 0; }
   /// True when every non-null value equals min (single-value block).
   bool constant() const { return non_null_count > 0 && min == max; }
+
+  /// Folds in the block's next row: a value, or a NULL.
+  void Add(double v) {
+    if (non_null_count == 0) {
+      min = max = v;
+    } else {
+      if (v < min) min = v;
+      if (v > max) max = v;
+    }
+    sum += v;
+    ++non_null_count;
+  }
+  void AddNull() { ++null_count; }
 };
 
 /// Payload type of a block. Matches db::Column's two numeric layouts.
@@ -78,27 +91,19 @@ struct NumericBlock {
   }
 };
 
-/// Computes the zone map of `count` values starting at `values`, with
-/// nulls read from `is_null(i)`. Accumulation is in index order, matching
-/// ColumnStats, so zone sums are bit-identical to incremental append sums
-/// over the same slice.
+/// Computes the zone map of `count` values read from `value_at(i)`, with
+/// nulls read from `is_null(i)`. Accumulation is in index order, one
+/// ZoneMap::Add per row, so the zone equals the one db::Column keeps
+/// current on append over the same slice, bit for bit.
 template <typename ValueFn, typename NullFn>
 ZoneMap ComputeZoneMap(size_t count, ValueFn value_at, NullFn is_null) {
   ZoneMap z;
   for (size_t i = 0; i < count; ++i) {
     if (is_null(i)) {
-      ++z.null_count;
-      continue;
-    }
-    const double v = value_at(i);
-    if (z.non_null_count == 0) {
-      z.min = z.max = v;
+      z.AddNull();
     } else {
-      if (v < z.min) z.min = v;
-      if (v > z.max) z.max = v;
+      z.Add(value_at(i));
     }
-    z.sum += v;
-    ++z.non_null_count;
   }
   return z;
 }

@@ -6,10 +6,10 @@
 // versioned and checksummed; docs/adr/0002-segment-format.md is the
 // authoritative layout description.
 //
-// Lifetime: spilled Columns hold shared_ptr<SegmentFile>, so column copies
-// (SelectColumns, table moves) stay valid for as long as any column needs
-// the file. The file is unlinked in the destructor by default — segment
-// files are caches of data the engine can regenerate, not durable storage.
+// Lifetime: spilled Columns hold shared_ptr<SegmentFile>, so column and
+// table copies stay valid for as long as any column needs the file. The
+// file is unlinked in the destructor by default — segment files are
+// caches of data the engine can regenerate, not durable storage.
 
 #ifndef PB_STORAGE_SEGMENT_FILE_H_
 #define PB_STORAGE_SEGMENT_FILE_H_

@@ -23,7 +23,6 @@ Status ExplorationSession::Start() {
   PB_ASSIGN_OR_RETURN(core::EvaluationResult r,
                       evaluator.Evaluate(*aq_, options_.evaluation));
   sample_ = std::move(r.package);
-  history_.push_back(sample_.Fingerprint());
   rounds_ = 1;
   return Status::OK();
 }
@@ -69,11 +68,10 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
             "locked row no longer satisfies the base constraints");
       }
     }
-    // No-good cuts: exclude recent samples (binary case only; with REPEAT
-    // the solver may legitimately return a multiplicity variant).
+    // No-good cut on the current sample, the requirement being "replace
+    // the unselected tuples with something new" (binary case only; with
+    // REPEAT the solver may legitimately return a multiplicity variant).
     if (aq.max_multiplicity == 1) {
-      // Cut the current sample directly (the requirement is "replace the
-      // unselected tuples with something new").
       std::vector<solver::LinearTerm> terms;
       double rhs = -1.0;
       for (size_t j = 0; j < translation.candidates.size(); ++j) {
@@ -119,11 +117,6 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
 Status ExplorationSession::Resample() {
   PB_ASSIGN_OR_RETURN(core::Package pkg, SolveWithLocks());
   sample_ = std::move(pkg);
-  history_.push_back(sample_.Fingerprint());
-  if (history_.size() > options_.history_window * 2) {
-    history_.erase(history_.begin(),
-                   history_.end() - options_.history_window);
-  }
   ++rounds_;
   return Status::OK();
 }

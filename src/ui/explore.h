@@ -6,12 +6,15 @@
 // the search space as well as to identify additional package constraints."
 //
 // The session keeps the current sample and the set of locked (user-
-// selected) tuples. Resample() finds a fresh valid package that (a) keeps
-// every locked tuple and (b) differs from the current sample — implemented
-// with lower-bound fixings plus a no-good cut on the solver path, and with
-// a locked-core local search otherwise. InferConstraints() turns the locked
-// tuples into suggested base constraints (the "identify additional package
-// constraints" half).
+// selected) tuples. Resample() finds a fresh valid package that keeps
+// every locked tuple and differs from the current sample: on the solver
+// path through lower-bound fixings plus a no-good cut on the current
+// sample (added only without REPEAT, so with REPEAT the solver may return
+// the sample again), and otherwise through a locked-core local search that
+// rejects the current sample's fingerprint. Earlier samples are not
+// remembered, so a resample may return one of them. InferConstraints()
+// turns the locked tuples into suggested base constraints (the "identify
+// additional package constraints" half).
 
 #ifndef PB_UI_EXPLORE_H_
 #define PB_UI_EXPLORE_H_
@@ -29,8 +32,6 @@ namespace pb::ui {
 struct ExploreOptions {
   uint64_t seed = 42;
   core::EvaluationOptions evaluation;
-  /// Resample() rejects packages identical to any previous sample.
-  size_t history_window = 16;
 };
 
 /// One trial-and-error query-building session.
@@ -51,8 +52,8 @@ class ExplorationSession {
   Status Unlock(size_t base_row);
 
   /// Replaces the unselected tuples: finds a valid package containing all
-  /// locked tuples and differing from every recent sample. Returns
-  /// kInfeasible when no such package exists.
+  /// locked tuples and differing from the current sample (see the file
+  /// comment for how). Returns kInfeasible when none is found.
   Status Resample();
 
   /// Suggested base constraints generalizing the locked tuples: numeric
@@ -67,7 +68,6 @@ class ExplorationSession {
   ExploreOptions options_;
   core::Package sample_;
   std::set<size_t> locked_;
-  std::vector<std::string> history_;  // fingerprints of past samples
   size_t rounds_ = 0;
   uint64_t next_seed_;
 };

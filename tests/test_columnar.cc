@@ -88,18 +88,6 @@ TEST(ColumnTest, UntypedStorageKeepsHeterogeneousValues) {
   EXPECT_DOUBLE_EQ(*c.stats().min, 7.0);
 }
 
-TEST(ColumnTest, CompareMatchesValueCompare) {
-  Column c(ValueType::kDouble);
-  c.AppendDouble(2.0);
-  c.AppendNull();
-  c.AppendDouble(-1.0);
-  c.AppendDouble(2.0);
-  EXPECT_GT(c.Compare(0, 2), 0);
-  EXPECT_EQ(c.Compare(0, 3), 0);
-  EXPECT_LT(c.Compare(1, 2), 0);  // NULL sorts first
-  EXPECT_EQ(c.Compare(1, 1), 0);
-}
-
 // ----- NumericColumnView -----------------------------------------------------
 
 TEST(NumericColumnViewTest, DoubleSpanWithNullMask) {
@@ -149,19 +137,6 @@ TEST(NumericColumnViewTest, ViewMatchesAtForEveryCell) {
 }
 
 // ----- Row-view compatibility adapters ---------------------------------------
-
-TEST(RowViewTest, RowRangeIteratesAllRows) {
-  Table t = MakeMixedTable();
-  size_t i = 0;
-  for (const Tuple& row : t.rows()) {
-    ASSERT_EQ(row.size(), 3u);
-    EXPECT_EQ(row, t.row(i));
-    ++i;
-  }
-  EXPECT_EQ(i, t.num_rows());
-  EXPECT_EQ(t.rows().size(), t.num_rows());
-  EXPECT_EQ(t.rows()[2], t.row(2));
-}
 
 TEST(RowViewTest, MaterializedRowMatchesAt) {
   Table t = MakeMixedTable();
@@ -329,16 +304,6 @@ TEST(FastPathTest, GatherNumericRejectsOutOfRangeRows) {
           .ok());
 }
 
-TEST(ColumnarOpsTest, SelectColumnsRejectsDuplicatesAndBadIndices) {
-  Table t = MakeMixedTable();
-  EXPECT_FALSE(t.SelectColumns({0, 0}, "dup").ok());
-  EXPECT_FALSE(t.SelectColumns({0, 42}, "oob").ok());
-  auto ok = t.SelectColumns({2, 0}, "ok");
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok->schema().column(0).name, "name");
-  EXPECT_EQ(ok->num_rows(), t.num_rows());
-}
-
 TEST(FastPathTest, AggregateRowsColumnFastPathMatchesExprPath) {
   Table t = MakeMixedTable();
   std::vector<size_t> rows = {0, 1, 2, 3};
@@ -353,20 +318,6 @@ TEST(FastPathTest, AggregateRowsColumnFastPathMatchesExprPath) {
     ASSERT_TRUE(generic.ok()) << AggFuncToString(f);
     EXPECT_EQ(fast->Compare(*generic), 0) << AggFuncToString(f);
   }
-}
-
-TEST(FastPathTest, WholeTableAggregateComesFromStats) {
-  Table t = MakeMixedTable();
-  auto sum = Aggregate(t, AggFunc::kSum, Col("price"));
-  ASSERT_TRUE(sum.ok());
-  EXPECT_DOUBLE_EQ(*sum->ToDouble(), 10.5 + 20.0 - 2.25);
-  auto mn = Aggregate(t, AggFunc::kMin, Col("id"));
-  ASSERT_TRUE(mn.ok());
-  EXPECT_TRUE(mn->is_int());
-  EXPECT_EQ(mn->AsInt(), 1);
-  auto cnt = Aggregate(t, AggFunc::kCount, Col("name"));
-  ASSERT_TRUE(cnt.ok());
-  EXPECT_EQ(cnt->AsInt(), 3);
 }
 
 // ----- CSV round-trips over the columnar path --------------------------------
@@ -422,31 +373,6 @@ TEST(CsvColumnarTest, RoundTripWidensIntsReadIntoDoubleColumns) {
   ASSERT_NE(view->doubles(), nullptr);
   EXPECT_DOUBLE_EQ((*view)[0], 1.0);
   EXPECT_DOUBLE_EQ((*view)[1], 2.5);
-}
-
-// ----- Columnar relational ops ----------------------------------------------
-
-TEST(ColumnarOpsTest, ProjectSharesNoPerRowWork) {
-  Table t = MakeMixedTable();
-  auto p = Project(t, {"name", "id"});
-  ASSERT_TRUE(p.ok());
-  ASSERT_EQ(p->num_rows(), t.num_rows());
-  EXPECT_EQ(p->schema().column(0).name, "name");
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    EXPECT_EQ(p->at(r, 0).Compare(t.at(r, 2)), 0);
-    EXPECT_EQ(p->at(r, 1).Compare(t.at(r, 0)), 0);
-  }
-  EXPECT_EQ(p->stats(1).non_null_count, t.stats(0).non_null_count);
-}
-
-TEST(ColumnarOpsTest, OrderByUsesColumnCompare) {
-  Table t = MakeMixedTable();
-  auto sorted = OrderBy(t, "price");
-  ASSERT_TRUE(sorted.ok());
-  // NULL first, then ascending doubles.
-  EXPECT_TRUE(sorted->at(0, 1).is_null());
-  EXPECT_DOUBLE_EQ(sorted->at(1, 1).AsDoubleExact(), -2.25);
-  EXPECT_DOUBLE_EQ(sorted->at(3, 1).AsDoubleExact(), 20.0);
 }
 
 }  // namespace

@@ -285,21 +285,7 @@ TEST(ExprTest, CloneIsDeep) {
 
 // ----- Ops -------------------------------------------------------------------
 
-TEST(OpsTest, SelectFiltersRows) {
-  Table t = MakeMeals();
-  auto r = Select(t, Binary(BinaryOp::kEq, Col("gluten"), LitString("free")));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->num_rows(), 3u);
-}
-
-TEST(OpsTest, SelectNullPredicateKeepsAll) {
-  Table t = MakeMeals();
-  auto r = Select(t, nullptr);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->num_rows(), 5u);
-}
-
-TEST(OpsTest, FilterIndicesMatchesSelect) {
+TEST(OpsTest, FilterIndicesKeepsMatchingRows) {
   Table t = MakeMeals();
   ExprPtr pred = Binary(BinaryOp::kGt, Col("calories"), LitDouble(400));
   auto idx = FilterIndices(t, pred);
@@ -308,50 +294,50 @@ TEST(OpsTest, FilterIndicesMatchesSelect) {
   EXPECT_EQ(*idx, expect);
 }
 
-TEST(OpsTest, ProjectReordersColumns) {
-  Table t = MakeMeals();
-  auto r = Project(t, {"name", "id"});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->schema().num_columns(), 2u);
-  EXPECT_EQ(r->schema().column(0).name, "name");
-  EXPECT_EQ(r->at(0, 1).AsInt(), 0);
-  EXPECT_FALSE(Project(t, {"nope"}).ok());
+/// AggregateRows over every row of `t`, each once: a whole-table aggregate.
+Result<Value> AggregateAll(const Table& t, AggFunc func, const ExprPtr& arg) {
+  std::vector<size_t> rows(t.num_rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  return AggregateRows(t, func, arg, rows,
+                       std::vector<int64_t>(rows.size(), 1));
 }
 
-TEST(OpsTest, OrderByAscendingAndDescending) {
-  Table t = MakeMeals();
-  auto asc = OrderBy(t, "calories", true);
-  ASSERT_TRUE(asc.ok());
-  EXPECT_DOUBLE_EQ(asc->at(0, 2).AsDoubleExact(), 250.0);
-  auto desc = OrderBy(t, "calories", false);
-  ASSERT_TRUE(desc.ok());
-  EXPECT_DOUBLE_EQ(desc->at(0, 2).AsDoubleExact(), 900.0);
-}
-
-TEST(OpsTest, LimitTruncates) {
-  Table t = MakeMeals();
-  EXPECT_EQ(Limit(t, 2).num_rows(), 2u);
-  EXPECT_EQ(Limit(t, 100).num_rows(), 5u);
+/// The argument forms AggregateRows evaluates differently: a bare numeric
+/// column reference takes the column-span pass, and any other expression
+/// (`column + 0`, the same values) the per-row accumulator.
+std::vector<ExprPtr> BothPaths(const std::string& column) {
+  std::vector<ExprPtr> out;
+  out.push_back(Col(column));
+  out.push_back(Binary(BinaryOp::kAdd, Col(column), LitInt(0)));
+  return out;
 }
 
 TEST(OpsTest, AggregateCountSumAvgMinMax) {
   Table t = MakeMeals();
-  EXPECT_EQ(Aggregate(t, AggFunc::kCount, nullptr)->AsInt(), 5);
-  EXPECT_DOUBLE_EQ(*Aggregate(t, AggFunc::kSum, Col("calories"))->ToDouble(),
-                   2700.0);
-  EXPECT_DOUBLE_EQ(
-      Aggregate(t, AggFunc::kAvg, Col("calories"))->AsDoubleExact(), 540.0);
-  EXPECT_DOUBLE_EQ(*Aggregate(t, AggFunc::kMin, Col("calories"))->ToDouble(),
-                   250.0);
-  EXPECT_DOUBLE_EQ(*Aggregate(t, AggFunc::kMax, Col("calories"))->ToDouble(),
-                   900.0);
+  EXPECT_EQ(AggregateAll(t, AggFunc::kCount, nullptr)->AsInt(), 5);
+  for (const ExprPtr& arg : BothPaths("calories")) {
+    SCOPED_TRACE(arg->ToString());
+    EXPECT_EQ(AggregateAll(t, AggFunc::kCount, arg)->AsInt(), 5);
+    EXPECT_DOUBLE_EQ(*AggregateAll(t, AggFunc::kSum, arg)->ToDouble(),
+                     2700.0);
+    EXPECT_DOUBLE_EQ(AggregateAll(t, AggFunc::kAvg, arg)->AsDoubleExact(),
+                     540.0);
+    EXPECT_DOUBLE_EQ(*AggregateAll(t, AggFunc::kMin, arg)->ToDouble(), 250.0);
+    EXPECT_DOUBLE_EQ(*AggregateAll(t, AggFunc::kMax, arg)->ToDouble(), 900.0);
+  }
 }
 
 TEST(OpsTest, AggregateEmptyInput) {
   Table t("t", Schema({{"x", ValueType::kInt}}));
-  EXPECT_EQ(Aggregate(t, AggFunc::kCount, nullptr)->AsInt(), 0);
-  EXPECT_TRUE(Aggregate(t, AggFunc::kSum, Col("x"))->is_null());
-  EXPECT_TRUE(Aggregate(t, AggFunc::kMax, Col("x"))->is_null());
+  EXPECT_EQ(AggregateAll(t, AggFunc::kCount, nullptr)->AsInt(), 0);
+  for (const ExprPtr& arg : BothPaths("x")) {
+    SCOPED_TRACE(arg->ToString());
+    EXPECT_EQ(AggregateAll(t, AggFunc::kCount, arg)->AsInt(), 0);
+    EXPECT_TRUE(AggregateAll(t, AggFunc::kSum, arg)->is_null());
+    EXPECT_TRUE(AggregateAll(t, AggFunc::kAvg, arg)->is_null());
+    EXPECT_TRUE(AggregateAll(t, AggFunc::kMin, arg)->is_null());
+    EXPECT_TRUE(AggregateAll(t, AggFunc::kMax, arg)->is_null());
+  }
 }
 
 TEST(OpsTest, AggregateSkipsNulls) {
@@ -359,11 +345,20 @@ TEST(OpsTest, AggregateSkipsNulls) {
   ASSERT_TRUE(t.Append({Value::Int(5)}).ok());
   ASSERT_TRUE(t.Append({Value::Null()}).ok());
   ASSERT_TRUE(t.Append({Value::Int(7)}).ok());
-  EXPECT_EQ(Aggregate(t, AggFunc::kCount, Col("x"))->AsInt(), 2);
-  EXPECT_EQ(Aggregate(t, AggFunc::kCount, nullptr)->AsInt(), 3);
-  EXPECT_DOUBLE_EQ(*Aggregate(t, AggFunc::kSum, Col("x"))->ToDouble(), 12.0);
-  EXPECT_DOUBLE_EQ(
-      Aggregate(t, AggFunc::kAvg, Col("x"))->AsDoubleExact(), 6.0);
+  EXPECT_EQ(AggregateAll(t, AggFunc::kCount, nullptr)->AsInt(), 3);
+  for (const ExprPtr& arg : BothPaths("x")) {
+    SCOPED_TRACE(arg->ToString());
+    EXPECT_EQ(AggregateAll(t, AggFunc::kCount, arg)->AsInt(), 2);
+    // An INT column's SUM, MIN and MAX stay INT on both paths.
+    Result<Value> sum = AggregateAll(t, AggFunc::kSum, arg);
+    ASSERT_TRUE(sum.ok());
+    EXPECT_TRUE(sum->is_int());
+    EXPECT_EQ(sum->AsInt(), 12);
+    EXPECT_DOUBLE_EQ(AggregateAll(t, AggFunc::kAvg, arg)->AsDoubleExact(),
+                     6.0);
+    EXPECT_EQ(AggregateAll(t, AggFunc::kMin, arg)->AsInt(), 5);
+    EXPECT_EQ(AggregateAll(t, AggFunc::kMax, arg)->AsInt(), 7);
+  }
 }
 
 TEST(OpsTest, AggregateRowsWithMultiplicities) {
@@ -386,21 +381,6 @@ TEST(OpsTest, AggregateRowsValidation) {
       AggregateRows(t, AggFunc::kSum, Col("calories"), {99}, {1}).ok());
   EXPECT_FALSE(
       AggregateRows(t, AggFunc::kSum, Col("calories"), {1}, {-1}).ok());
-}
-
-TEST(OpsTest, GroupByCountsPerGroup) {
-  Table t = MakeMeals();
-  auto r = GroupBy(t, "gluten",
-                   {{AggFunc::kCount, nullptr, "n"},
-                    {AggFunc::kSum, Col("calories"), "total"}});
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->num_rows(), 2u);
-  // Deterministic order: 'free' < 'full'.
-  EXPECT_EQ(r->at(0, 0).AsString(), "free");
-  EXPECT_EQ(r->at(0, 1).AsInt(), 3);
-  EXPECT_DOUBLE_EQ(*r->at(0, 2).ToDouble(), 1450.0);
-  EXPECT_EQ(r->at(1, 0).AsString(), "full");
-  EXPECT_EQ(r->at(1, 1).AsInt(), 2);
 }
 
 TEST(OpsTest, CrossJoinCartesianSize) {

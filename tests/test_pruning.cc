@@ -1,10 +1,13 @@
 // Unit tests for cardinality-based pruning (§4.1), including the paper's
-// exact example formulas l = ceil(L / MAX(attr)), u = floor(U / MIN(attr))
-// and the generalizations to negative weights and infeasibility proofs.
+// exact example formulas l = ceil(L / MAX(attr)), u = floor(U / MIN(attr)),
+// the generalizations to negative weights and infeasibility proofs, and
+// concurrent bounding over one shared table.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <thread>
 
 #include "core/pruning.h"
 #include "db/catalog.h"
@@ -279,9 +282,9 @@ TEST(AggWeightsTest, CountOnAllNullColumnZeroFills) {
 }
 
 TEST(AggWeightsTest, CountOnUntypedColumnWithValuesUsesNullMask) {
-  // kNull storage is the per-cell Value fallback and may hold real values
-  // (GroupBy aggregate outputs do); the null bitmap is maintained for it
-  // like any other layout, so COUNT(col) weights come from the mask.
+  // kNull storage is the per-cell Value fallback and may hold values of
+  // any type; the null bitmap is maintained for it like any other layout,
+  // so COUNT(col) weights come from the mask.
   db::Table t("mixed", db::Schema({{"id", db::ValueType::kInt},
                                    {"any", db::ValueType::kNull}}));
   ASSERT_TRUE(t.Append({db::Value::Int(0), db::Value::Int(7)}).ok());
@@ -291,6 +294,61 @@ TEST(AggWeightsTest, CountOnUntypedColumnWithValuesUsesNullMask) {
   auto w = ComputeAggWeights(cnt, t, {0, 1, 2});
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   EXPECT_EQ(*w, (std::vector<double>{1, 0, 1}));
+}
+
+TEST(PruningConcurrencyTest, ThreadsBoundingOneResidentTableAgree) {
+  // Bounding SUM(col) reads the columns' zone maps, which the appends keep
+  // as column data: a read writes nothing, so four threads that are the
+  // table's first readers agree with each other and with a serial pass.
+  constexpr size_t kRows = 4096;
+  db::Table t("items", db::Schema({{"w", db::ValueType::kDouble},
+                                   {"q", db::ValueType::kInt}}));
+  t.SetBlockSize(64);
+  for (size_t i = 0; i < kRows; ++i) {
+    db::RowAppender row = t.StartRow();
+    if (i % 97 == 0) {
+      row.Null();
+    } else {
+      row.Double(1.0 + static_cast<double>((i * 37) % 101) / 4.0);
+    }
+    row.Int(static_cast<int64_t>(1 + (i * 13) % 29)).Finish();
+  }
+  db::Catalog catalog;
+  catalog.RegisterOrReplace(std::move(t));
+  auto aq = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(I) FROM items I SUCH THAT SUM(w) BETWEEN 300 AND 900 "
+      "AND SUM(q) <= 400",
+      catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  std::vector<size_t> all(kRows);
+  std::iota(all.begin(), all.end(), size_t{0});
+
+  constexpr int kThreads = 4;
+  std::vector<CardinalityBounds> bounds(kThreads);
+  std::vector<Status> status(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      Result<CardinalityBounds> b = DeriveCardinalityBounds(*aq, all);
+      status[k] = b.status();
+      if (b.ok()) bounds[k] = *b;
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  auto serial = DeriveCardinalityBounds(*aq, all);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  // Every block of both columns is fully covered and bounded from its zone.
+  EXPECT_EQ(serial->zone_map_skipped_blocks, 2 * 64);
+  for (int k = 0; k < kThreads; ++k) {
+    SCOPED_TRACE(k);
+    ASSERT_TRUE(status[k].ok()) << status[k].ToString();
+    EXPECT_EQ(bounds[k].lo, serial->lo);
+    EXPECT_EQ(bounds[k].hi, serial->hi);
+    EXPECT_EQ(bounds[k].infeasible, serial->infeasible);
+    EXPECT_EQ(bounds[k].zone_map_skipped_blocks,
+              serial->zone_map_skipped_blocks);
+  }
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Tests for the out-of-core storage subsystem: zone maps, segment-file
-// round trips, spilled-column bit-identity, block-cache eviction, storage
-// budgets, the end-to-end out-of-core engine acceptance scenario
-// (spilled lineitem under a cache smaller than the data solves
-// bit-identically to the resident baseline, with zone-map skips observed),
-// and the WHERE scan over spilled tables: a corrupt block is an error, the
-// scan is charged to the query budget, and every route scans once.
+// Tests for the out-of-core storage subsystem: zone maps (kept by the
+// appends, equal to a batch build), segment-file round trips,
+// spilled-column bit-identity, block-cache eviction, storage budgets, the
+// end-to-end out-of-core engine acceptance scenario (spilled lineitem
+// under a cache smaller than the data solves bit-identically to the
+// resident baseline, with zone-map skips observed), and the WHERE scan
+// over spilled tables: a corrupt block is an error (in package validation
+// too), the scan is charged to the query budget, and every route scans
+// once.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -18,6 +22,7 @@
 #include "core/enumerator.h"
 #include "core/evaluator.h"
 #include "core/explain.h"
+#include "core/package.h"
 #include "core/sketch_refine.h"
 #include "core/translator.h"
 #include "datagen/lineitem.h"
@@ -313,6 +318,69 @@ TEST(ColumnSpillTest, ZoneMapsMatchResidentBaseline) {
   }
 }
 
+/// Requires `col`'s zone maps to equal ComputeZoneMap over each of its
+/// blocks' resident values, bit for bit.
+void ExpectZonesMatchBlocks(const db::Column& col) {
+  ASSERT_FALSE(col.spilled());
+  const storage::ZoneMap* zones = col.ZoneMaps();
+  const db::NumericColumnView view = col.NumericView();
+  const size_t bs = col.block_size();
+  for (size_t b = 0; b < col.num_blocks(); ++b) {
+    const size_t begin = b * bs;
+    const storage::ZoneMap want = storage::ComputeZoneMap(
+        std::min(bs, col.size() - begin),
+        [&](size_t k) { return view[begin + k]; },
+        [&](size_t k) { return view.IsNull(begin + k); });
+    const storage::ZoneMap& got = zones[b];
+    EXPECT_EQ(got.null_count, want.null_count) << "block " << b;
+    EXPECT_EQ(got.non_null_count, want.non_null_count) << "block " << b;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.min),
+              std::bit_cast<uint64_t>(want.min)) << "block " << b;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.max),
+              std::bit_cast<uint64_t>(want.max)) << "block " << b;
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.sum),
+              std::bit_cast<uint64_t>(want.sum)) << "block " << b;
+  }
+}
+
+TEST(ColumnZoneMapTest, AppendsKeepZonesEqualToABatchBuild) {
+  for (db::ValueType type : {db::ValueType::kInt, db::ValueType::kDouble}) {
+    SCOPED_TRACE(db::ValueTypeToString(type));
+    db::Column col(type);
+    col.SetBlockSize(8);
+    // NULLs on both sides of every block boundary; every append is checked.
+    for (int64_t i = 0; i < 40; ++i) {
+      if (i % 8 == 7 || i % 8 == 0) {
+        col.AppendNull();
+      } else if (type == db::ValueType::kInt || i % 3 == 0) {
+        col.AppendValue(db::Value::Int(i * 7 % 23 - 11));  // widens in DOUBLE
+      } else {
+        col.AppendDouble(static_cast<double>(i) * 0.1 - 1.7);
+      }
+      ExpectZonesMatchBlocks(col);
+    }
+    // Another granularity recomputes them.
+    col.SetBlockSize(5);
+    ExpectZonesMatchBlocks(col);
+    // A spill at a third size keeps its blocks' zones through Unspill, and
+    // appends extend them across the next boundary (40 % 6 == 4).
+    auto file_or = storage::SegmentFile::Create(TempPath(
+        std::string("seg_zone_appends_") + db::ValueTypeToString(type) +
+        ".seg"));
+    ASSERT_TRUE(file_or.ok());
+    storage::BlockCache cache(0);
+    ASSERT_TRUE(col.Spill(*file_or, &cache, /*block_size=*/6).ok());
+    ASSERT_TRUE(col.Unspill().ok());
+    EXPECT_EQ(col.block_size(), 6u);
+    ExpectZonesMatchBlocks(col);
+    col.AppendInt(3);
+    col.AppendNull();
+    col.AppendInt(-4);
+    EXPECT_EQ(col.num_blocks(), 8u);
+    ExpectZonesMatchBlocks(col);
+  }
+}
+
 TEST(ColumnSpillTest, HugeBlockSizeSpillsOneBlock) {
   // A block size near SIZE_MAX used to wrap the block count to 0: the
   // columns freed their values and the next read pinned a block that did
@@ -559,28 +627,35 @@ TEST(OutOfCoreEngineTest, QueryBudgetLimitsPinnedBytes) {
 
 // ----- The WHERE scan over spilled tables ------------------------------------
 
-TEST(OutOfCoreEngineTest, CorruptWhereBlockIsAnErrorNotInfeasible) {
-  // 64 rows spilled at block size 64: one block per column, column a's
-  // first. Flip one payload byte of it.
-  const std::string path = TempPath("where_corrupt.seg");
+/// items(a, b): 64 rows spilled to `path` at block size 64, one block per
+/// column, column a's first, with one payload byte of a's block flipped.
+db::Table CorruptSpilledItems(const std::string& path,
+                              storage::BlockCache* cache) {
   db::Table table("items", db::Schema({{"a", db::ValueType::kInt},
                                        {"b", db::ValueType::kInt}}));
   for (int r = 0; r < 64; ++r) {
     table.AppendUnchecked({db::Value::Int(r % 8), db::Value::Int(r)});
   }
-  storage::BlockCache cache(0);
-  ASSERT_TRUE(table.SpillToDisk(path, /*block_size=*/64, &cache).ok());
-  {
-    // A 16-byte file header, then the block's 72-byte header.
-    std::FILE* f = std::fopen(path.c_str(), "r+b");
-    ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fseek(f, 16 + 72, SEEK_SET), 0);
+  EXPECT_TRUE(table.SpillToDisk(path, /*block_size=*/64, cache).ok());
+  // A 16-byte file header, then the block's 72-byte header.
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    EXPECT_EQ(std::fseek(f, 16 + 72, SEEK_SET), 0);
     const char x = 0x5A;
-    ASSERT_EQ(std::fwrite(&x, 1, 1, f), 1u);
+    EXPECT_EQ(std::fwrite(&x, 1, 1, f), 1u);
     std::fclose(f);
   }
+  return table;
+}
+
+TEST(OutOfCoreEngineTest, CorruptWhereBlockIsAnErrorNotInfeasible) {
+  storage::BlockCache cache(0);
   engine::Engine engine;
-  ASSERT_TRUE(engine.RegisterTable(std::move(table)).ok());
+  ASSERT_TRUE(engine
+                  .RegisterTable(CorruptSpilledItems(
+                      TempPath("where_corrupt.seg"), &cache))
+                  .ok());
   // The compiled block scan, then two shapes the row-at-a-time path
   // evaluates one cell at a time.
   for (const char* where : {"I.a <= 4", "I.a + 0 <= 4", "I.a IN (1, 2, 3)"}) {
@@ -592,6 +667,26 @@ TEST(OutOfCoreEngineTest, CorruptWhereBlockIsAnErrorNotInfeasible) {
     EXPECT_FALSE(r.ok());
     EXPECT_EQ(r.status.code(), StatusCode::kInternal) << r.status.ToString();
   }
+}
+
+TEST(OutOfCoreEngineTest, CorruptMemberBlockIsAnErrorInValidation) {
+  // Validating a package reads its members' WHERE cells; each member sits
+  // in the corrupt block, so the read error is the answer, not a verdict.
+  storage::BlockCache cache(0);
+  db::Catalog catalog;
+  catalog.RegisterOrReplace(
+      CorruptSpilledItems(TempPath("member_corrupt.seg"), &cache));
+  auto aq = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(I) FROM items I WHERE I.a <= 4 SUCH THAT COUNT(*) = 3",
+      catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  core::Package pkg;
+  pkg.rows = {0, 1, 2};
+  pkg.multiplicity = {1, 1, 1};
+  Result<bool> valid = core::IsValidPackage(*aq, pkg);
+  EXPECT_FALSE(valid.ok());
+  EXPECT_EQ(valid.status().code(), StatusCode::kInternal)
+      << valid.status().ToString();
 }
 
 TEST(OutOfCoreEngineTest, WhereScanIsChargedToTheQueryBudget) {
