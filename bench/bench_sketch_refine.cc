@@ -4,8 +4,9 @@
 //
 // Reported per n: Direct solve time vs SketchRefine time, plus the
 // approximation ratio (SketchRefine objective / Direct objective — 1.0 is
-// exact). The partition-size sweep is the design-choice ablation from
-// DESIGN.md: smaller tau means finer groups, better quality, bigger sketch.
+// exact). The partition-size sweep ablates SketchRefine's one design
+// choice, the group size tau: smaller tau means finer groups, better
+// quality, bigger sketch.
 
 #include <benchmark/benchmark.h>
 

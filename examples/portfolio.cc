@@ -59,10 +59,14 @@ int main() {
   const auto& table = **catalog.Get("stocks");
   std::printf("expected annual gain: $%.2f  (proven optimal: %s)\n\n",
               r->objective, r->proven_optimal ? "yes" : "no");
-  std::printf("%s\n", pb::core::MaterializePackage(table, r->package,
-                                                   "portfolio")
-                          .ToString(20)
-                          .c_str());
+  auto portfolio = pb::core::MaterializePackage(table, r->package, "portfolio");
+  auto text = portfolio.ok() ? portfolio->ToString(20) : portfolio.status();
+  if (!text.ok()) {
+    std::printf("cannot show the portfolio: %s\n",
+                text.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("%s\n", text->c_str());
 
   // Report the budget/constraint usage.
   auto report = [&](const char* label, const char* col) {

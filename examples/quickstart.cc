@@ -45,9 +45,13 @@ int main() {
   std::printf("cardinality bounds from pruning: %s\n",
               result->bounds.ToString().c_str());
   std::printf("total protein: %.1f g\n\n", result->objective);
-  std::printf("%s\n",
-              pb::core::MaterializePackage(table, result->package, "meal_plan")
-                  .ToString()
-                  .c_str());
+  auto plan = pb::core::MaterializePackage(table, result->package, "meal_plan");
+  auto text = plan.ok() ? plan->ToString() : plan.status();
+  if (!text.ok()) {
+    std::printf("cannot show the plan: %s\n",
+                text.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("%s\n", text->c_str());
   return 0;
 }

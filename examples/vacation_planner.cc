@@ -59,10 +59,14 @@ int main() {
   const auto& table = **catalog.Get("travel_items");
   std::printf("strategy: %s   comfort score: %.1f\n\n",
               pb::core::StrategyToString(r->strategy_used), r->objective);
-  std::printf("%s\n",
-              pb::core::MaterializePackage(table, r->package, "vacation")
-                  .ToString()
-                  .c_str());
+  auto vacation = pb::core::MaterializePackage(table, r->package, "vacation");
+  auto text = vacation.ok() ? vacation->ToString() : vacation.status();
+  if (!text.ok()) {
+    std::printf("cannot show the package: %s\n",
+                text.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("%s\n", text->c_str());
 
   // Show the disjunction's resolution.
   pb::paql::AggCall beach{pb::db::AggFunc::kSum, pb::db::Col("beach_km")};

@@ -29,20 +29,9 @@ Result<std::vector<Package>> EnumerateViaSolver(
     PB_ASSIGN_OR_RETURN(solver::MilpResult r,
                         solver::SolveMilp(translation.model, milp));
     if (!r.has_solution()) break;
-    Package pkg = DecodeSolution(translation, r.x);
-    out.push_back(pkg);
-
-    // No-good cut excluding exactly this 0/1 point.
-    std::vector<solver::LinearTerm> terms;
-    double rhs = -1.0;
-    for (int j = 0; j < translation.model.num_variables(); ++j) {
-      bool in_pkg = pkg.MultiplicityOf(translation.candidates[j]) > 0;
-      terms.push_back({j, in_pkg ? 1.0 : -1.0});
-      if (in_pkg) rhs += 1.0;
-    }
-    translation.model.AddConstraint(
-        "nogood" + std::to_string(out.size()), std::move(terms),
-        -solver::kInfinity, rhs);
+    out.push_back(DecodeSolution(translation, r.x));
+    AddNoGoodCut(out.back(), "nogood" + std::to_string(out.size()),
+                 &translation);
   }
   return out;
 }

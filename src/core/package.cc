@@ -232,12 +232,23 @@ Result<double> PackageObjective(const paql::AnalyzedQuery& aq,
   return v.ToDouble();
 }
 
-db::Table MaterializePackage(const db::Table& table, const Package& pkg,
-                             const std::string& name) {
+Result<db::Table> MaterializePackage(const db::Table& table,
+                                     const Package& pkg,
+                                     const std::string& name) {
   db::Table out(name, table.schema());
+  db::Tuple row(table.schema().num_columns());
   for (size_t i = 0; i < pkg.rows.size(); ++i) {
+    if (pkg.rows[i] >= table.num_rows()) {
+      return Status::OutOfRange("package references row " +
+                                std::to_string(pkg.rows[i]) +
+                                " beyond table size");
+    }
+    for (size_t c = 0; c < row.size(); ++c) {
+      PB_ASSIGN_OR_RETURN(row[c],
+                          table.column_data(c).ReadValue(pkg.rows[i]));
+    }
     for (int64_t m = 0; m < pkg.multiplicity[i]; ++m) {
-      out.AppendRowFrom(table, pkg.rows[i]);
+      out.AppendUnchecked(row);
     }
   }
   return out;

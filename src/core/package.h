@@ -2,7 +2,7 @@
 // tuples, stored as (row index, multiplicity) pairs against the query's
 // base table.
 //
-// Aggregate semantics over packages (documented in DESIGN.md):
+// Aggregate semantics over packages:
 //   COUNT(*)           total multiplicity (0 for the empty package)
 //   COUNT(e)/SUM(e)    NULL cells skipped; SUM of an empty package is 0
 //   AVG/MIN/MAX        NULL over an empty package; a comparison against
@@ -81,9 +81,11 @@ Result<double> PackageObjective(const paql::AnalyzedQuery& aq,
                                 const Package& pkg);
 
 /// Materializes the package as a table (repeated tuples appear repeatedly),
-/// e.g. for display or CSV export.
-db::Table MaterializePackage(const db::Table& table, const Package& pkg,
-                             const std::string& name = "package");
+/// e.g. for display or CSV export. A row past the table is OutOfRange, and
+/// a cell that cannot be read (a failed spilled-block pin) is its error.
+Result<db::Table> MaterializePackage(const db::Table& table,
+                                     const Package& pkg,
+                                     const std::string& name = "package");
 
 }  // namespace pb::core
 

@@ -55,17 +55,6 @@ Result<std::vector<double>> ComputeAggWeights(
             table.schema().num_columns()) {
       const db::Column& col = table.column_data(bound->column_index);
       const db::NullBitmap& nulls = col.nulls();
-      if (nulls.null_count() == static_cast<int64_t>(col.size())) {
-        // All-NULL column (e.g. a kNull-typed attribute that never saw a
-        // value): every weight is zero — validate the indices and return
-        // the zero fill without touching the bitmap.
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (rows[i] >= col.size()) {
-            return Status::OutOfRange("row index out of range");
-          }
-        }
-        return w;
-      }
       for (size_t i = 0; i < rows.size(); ++i) {
         if (rows[i] >= col.size()) {
           return Status::OutOfRange("row index out of range");

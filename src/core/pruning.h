@@ -46,8 +46,8 @@ struct CardinalityBounds {
   /// queries; (1+k)^n with REPEAT k).
   double log2_unpruned = 0.0;
   /// log2 of the pruned count sum_{c=lo..hi} C(n, c) (REPEAT-free queries;
-  /// with REPEAT this is an upper-bound approximation over n*k occurrence
-  /// slots, noted in EXPERIMENTS.md).
+  /// with REPEAT k, an upper bound: it chooses among n*k occurrence slots,
+  /// telling apart copies of one tuple that a package does not).
   double log2_pruned = 0.0;
 
   /// Blocks whose weight bounds came from zone-map metadata instead of a

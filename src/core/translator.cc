@@ -207,4 +207,17 @@ Package DecodeSolution(const IlpTranslation& translation,
   return pkg;
 }
 
+void AddNoGoodCut(const Package& pkg, const std::string& name,
+                  IlpTranslation* translation) {
+  std::vector<solver::LinearTerm> terms;
+  double rhs = -1.0;
+  for (size_t j = 0; j < translation->candidates.size(); ++j) {
+    const bool in_pkg = pkg.MultiplicityOf(translation->candidates[j]) > 0;
+    terms.push_back({static_cast<int>(j), in_pkg ? 1.0 : -1.0});
+    if (in_pkg) rhs += 1.0;
+  }
+  translation->model.AddConstraint(name, std::move(terms), -solver::kInfinity,
+                                   rhs);
+}
+
 }  // namespace pb::core

@@ -11,6 +11,7 @@
 #ifndef PB_CORE_TRANSLATOR_H_
 #define PB_CORE_TRANSLATOR_H_
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -61,6 +62,11 @@ std::pair<int, int> CountIlpDimensions(const paql::AnalyzedQuery& aq,
 /// Converts a solver point back into a package.
 Package DecodeSolution(const IlpTranslation& translation,
                        const std::vector<double>& x);
+
+/// Adds row `name`, the no-good cut that excludes exactly `pkg`'s 0/1
+/// point: sum of x_j over `pkg`'s rows minus the rest <= |pkg| - 1.
+void AddNoGoodCut(const Package& pkg, const std::string& name,
+                  IlpTranslation* translation);
 
 }  // namespace pb::core
 

@@ -1,7 +1,8 @@
 // Recipe dataset generator — the meal-planner workload from the paper's
 // introduction and demo scenario ("Meal planner has a rich recipe data set
 // scrapped from online recipe and nutrition websites"; we substitute a
-// seeded synthetic equivalent with realistic marginals, per DESIGN.md).
+// seeded synthetic equivalent with realistic marginals, so every run and
+// test sees the same rows without shipping scraped data).
 //
 // Schema:
 //   id INT, name STRING, cuisine STRING, gluten STRING('free'|'full'),

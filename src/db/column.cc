@@ -160,26 +160,6 @@ void Column::AppendValue(const Value& v) {
   AppendNull();
 }
 
-void Column::AppendFrom(const Column& src, size_t i) {
-  PB_DCHECK(i < src.size());
-  if (src.storage_ == storage_ && !src.spilled()) {
-    if (src.nulls_.Test(i) && storage_ != ValueType::kNull) {
-      AppendNull();
-      return;
-    }
-    switch (storage_) {
-      case ValueType::kInt:    AppendInt(src.ints_[i]); return;
-      case ValueType::kDouble: AppendDouble(src.doubles_[i]); return;
-      case ValueType::kBool:   AppendBool(src.bools_[i] != 0); return;
-      case ValueType::kString: AppendString(src.strings_[i]); return;
-      case ValueType::kNull:   AppendValue(src.values_[i]); return;
-    }
-  }
-  // Cross-type or spilled source: the Value hop is bit-exact for both
-  // numeric storages (Value::Int / AsDoubleExact round-trip raw payloads).
-  AppendValue(src.GetValue(i));
-}
-
 void Column::Reserve(size_t n) {
   nulls_.Reserve(n);
   switch (storage_) {

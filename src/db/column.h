@@ -230,8 +230,8 @@ class Column {
   /// polices the bulk gather paths); a failed pin (an IO error, a corrupt
   /// block) is the returned error.
   Result<Value> ReadValue(size_t i) const;
-  /// ReadValue for callers that cannot return an error (Table::row, at,
-  /// ToString): a failed read DCHECKs, and release builds read NULL.
+  /// ReadValue for callers that cannot return an error (Table::row, at):
+  /// a failed read DCHECKs, and release builds read NULL.
   Value GetValue(size_t i) const;
 
   // ----- Typed appends (the column-wise hot path) --------------------------
@@ -250,9 +250,6 @@ class Column {
   /// A value that does not fit the storage type is a programming error:
   /// asserted in debug builds, appended as NULL in release.
   void AppendValue(const Value& v);
-
-  /// Appends slot `i` of `src` (same storage type), without a Value hop.
-  void AppendFrom(const Column& src, size_t i);
 
   void Reserve(size_t n);
 

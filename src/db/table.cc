@@ -75,15 +75,6 @@ void Table::AppendUnchecked(Tuple row) {
   ++num_rows_;
 }
 
-void Table::AppendRowFrom(const Table& src, size_t src_row) {
-  PB_DCHECK(src_row < src.num_rows_);
-  PB_DCHECK(src.columns_.size() == columns_.size());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    columns_[i].AppendFrom(src.columns_[i], src_row);
-  }
-  ++num_rows_;
-}
-
 void Table::Reserve(size_t n) {
   for (Column& c : columns_) c.Reserve(n);
 }
@@ -190,7 +181,7 @@ void RowAppender::Finish() {
 
 // ----- Rendering -----------------------------------------------------------
 
-std::string Table::ToString(size_t max_rows) const {
+Result<std::string> Table::ToString(size_t max_rows) const {
   // Compute column widths over the header and shown rows.
   size_t shown = std::min(max_rows, num_rows_);
   std::vector<size_t> width(schema_.num_columns());
@@ -201,7 +192,8 @@ std::string Table::ToString(size_t max_rows) const {
   for (size_t r = 0; r < shown; ++r) {
     cells[r].resize(schema_.num_columns());
     for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      cells[r][c] = columns_[c].GetValue(r).ToString();
+      PB_ASSIGN_OR_RETURN(const Value v, columns_[c].ReadValue(r));
+      cells[r][c] = v.ToString();
       width[c] = std::max(width[c], cells[r][c].size());
     }
   }

@@ -105,9 +105,6 @@ class Table {
   /// Column-wise typed appender — the fastest way to build a table.
   RowAppender StartRow() { return RowAppender(this); }
 
-  /// Copies row `src_row` of `src` (same schema layout) column-wise.
-  void AppendRowFrom(const Table& src, size_t src_row);
-
   /// Reserves capacity in every column.
   void Reserve(size_t n);
 
@@ -155,8 +152,9 @@ class Table {
   /// (test/bench hook; see Column::SetBlockSize).
   void SetBlockSize(size_t block_size);
 
-  /// Renders the first `max_rows` rows as an aligned text table.
-  std::string ToString(size_t max_rows = 20) const;
+  /// Renders the first `max_rows` rows as an aligned text table; a cell
+  /// that cannot be read (a failed spilled-block pin) is the error.
+  Result<std::string> ToString(size_t max_rows = 20) const;
 
  private:
   friend class RowAppender;

@@ -18,20 +18,21 @@
 
 namespace pb::engine {
 
+namespace {
+
+/// Warm-start cache capacity in entries (LRU beyond this).
+constexpr size_t kWarmCacheCapacity = 64;
+
+}  // namespace
+
 Engine::Engine(EngineOptions options)
     : options_(std::move(options)),
       result_cache_(options_.result_cache_capacity),
-      warm_cache_(options_.warm_cache_capacity),
+      warm_cache_(kWarmCacheCapacity),
       maint_cache_(options_.maintenance_cache_capacity) {
   num_threads_ = options_.num_threads > 0
                      ? options_.num_threads
                      : std::max(1u, std::thread::hardware_concurrency());
-  pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_));
-}
-
-Engine::~Engine() {
-  // Drain and join the pool before any member it references goes away.
-  pool_.reset();
 }
 
 // ---------------------------------------------------------------- catalog
@@ -257,65 +258,68 @@ void Engine::KeepMaintenanceEntry(const std::string& query_key,
 
 // ----------------------------------------------------------------- queries
 
+bool Engine::Admit() {
+  MutexLock lock(&admit_mu_);
+  if (next_ticket_ - finished_ >= options_.max_pending_queries) return false;
+  const uint64_t ticket = next_ticket_++;
+  while (ticket >= finished_ + static_cast<uint64_t>(num_threads_)) {
+    admit_cv_.Wait(&admit_mu_);
+  }
+  return true;
+}
+
+void Engine::Leave() {
+  {
+    MutexLock lock(&admit_mu_);
+    ++finished_;
+  }
+  admit_cv_.NotifyAll();
+}
+
 QueryResponse Engine::ExecuteQuery(uint64_t session_id,
                                    const std::string& paql,
                                    const QueryBudget& budget) {
+  QueryResponse resp;
+  if (!Admit()) {
+    resp.status = Status::ResourceExhausted(
+        "server overloaded: admission queue is full");
+    MutexLock lock(&stats_mu_);
+    ++stats_.overload_rejections;
+    return resp;
+  }
   Stopwatch total;
   // Every query gets a live token so CancelSession always has a target.
   CancelToken token =
       budget.cancel.valid() ? budget.cancel : CancelToken::Create();
 
   std::shared_ptr<Session> session;
-  if (session_id != 0) {
-    session = FindSession(session_id);
-    if (!session) {
-      QueryResponse resp;
-      resp.status =
-          Status::NotFound("unknown session " + std::to_string(session_id));
-      resp.total_seconds = total.ElapsedSeconds();
-      MutexLock lock(&stats_mu_);
-      ++stats_.queries;
-      ++stats_.errors;
-      return resp;
+  if (session_id != 0) session = FindSession(session_id);
+  if (session_id != 0 && !session) {
+    resp.status =
+        Status::NotFound("unknown session " + std::to_string(session_id));
+  } else {
+    if (session) {
+      MutexLock lock(&session->mu);
+      session->active = token;
     }
-    MutexLock lock(&session->mu);
-    session->active = token;
-  }
-
-  QueryResponse resp = Run(paql, budget, token);
-
-  if (session) {
-    MutexLock lock(&session->mu);
-    session->active = CancelToken();
+    resp = Run(paql, budget, token);
+    if (session) {
+      MutexLock lock(&session->mu);
+      session->active = CancelToken();
+    }
   }
   resp.total_seconds = total.ElapsedSeconds();
 
-  MutexLock lock(&stats_mu_);
-  ++stats_.queries;
-  if (!resp.status.ok()) ++stats_.errors;
-  if (resp.cancelled) ++stats_.cancelled;
-  if (resp.result_cache_hit) ++stats_.result_cache_hits;
-  if (resp.revalidated) ++stats_.revalidations;
-  return resp;
-}
-
-bool Engine::SubmitQuery(uint64_t session, std::string paql,
-                         QueryBudget budget,
-                         std::function<void(QueryResponse)> done) {
-  const int64_t in_flight = pending_.fetch_add(1, std::memory_order_acq_rel);
-  if (in_flight >= static_cast<int64_t>(options_.max_pending_queries)) {
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
+  {
     MutexLock lock(&stats_mu_);
-    ++stats_.overload_rejections;
-    return false;
+    ++stats_.queries;
+    if (!resp.status.ok()) ++stats_.errors;
+    if (resp.cancelled) ++stats_.cancelled;
+    if (resp.result_cache_hit) ++stats_.result_cache_hits;
+    if (resp.revalidated) ++stats_.revalidations;
   }
-  pool_->Submit([this, session, paql = std::move(paql), budget,
-                 done = std::move(done)]() mutable {
-    QueryResponse resp = ExecuteQuery(session, paql, budget);
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    done(std::move(resp));
-  });
-  return true;
+  Leave();
+  return resp;
 }
 
 QueryResponse Engine::Run(const std::string& paql, const QueryBudget& budget,
@@ -628,8 +632,8 @@ Status Engine::WritePackageCsv(const std::string& table,
                                const std::string& path) const {
   ReaderMutexLock lock(&catalog_mu_);
   PB_ASSIGN_OR_RETURN(const db::Table* base, catalog_.Get(table));
-  db::Table materialized =
-      core::MaterializePackage(*base, package, "package");
+  PB_ASSIGN_OR_RETURN(const db::Table materialized,
+                      core::MaterializePackage(*base, package, "package"));
   return db::WriteCsvFile(materialized, path);
 }
 

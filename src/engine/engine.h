@@ -6,8 +6,10 @@
 //
 //   - the loaded catalog, guarded by a reader/writer lock so any number of
 //     queries run concurrently while table loads are exclusive;
-//   - the shared worker ThreadPool that executes submitted queries, each
-//     on one worker thread from parse to answer;
+//   - admission: every ExecuteQuery call runs on its caller's thread, from
+//     parse to answer, once it holds one of num_threads run slots; at most
+//     max_pending_queries calls wait or run at once, and the rest are
+//     refused as overload;
 //   - a result cache keyed on (normalized query text, catalog generation):
 //     repeating a query against an unchanged catalog returns the cached
 //     package bit-identically with zero solver work;
@@ -17,7 +19,8 @@
 //     entry serialized by its own mutex so concurrent queries never share
 //     mutable solver state.
 //
-// ExecuteQuery() is safe to call from any number of threads. Budgets are
+// ExecuteQuery() is safe to call from any number of threads: the pbserve
+// connection threads, pbshell and tests all call it directly. Budgets are
 // cooperative: QueryBudget carries a wall-clock deadline, node caps, a
 // storage budget, and a CancelToken polled inside the branch-and-bound
 // loop, so a cancelled or over-deadline query returns a structured partial
@@ -26,9 +29,7 @@
 #ifndef PB_ENGINE_ENGINE_H_
 #define PB_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -38,7 +39,6 @@
 #include "common/budget.h"
 #include "common/lru_cache.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/evaluator.h"
 #include "core/explain.h"
 #include "core/package.h"
@@ -70,16 +70,14 @@ struct QueryBudget {
 };
 
 struct EngineOptions {
-  /// Worker threads for the shared pool (0 = hardware concurrency).
+  /// Admitted ExecuteQuery calls that run at once (0 = hardware
+  /// concurrency); later ones wait their turn and start in arrival order.
   int num_threads = 0;
   /// Result-cache capacity in entries (LRU beyond this).
   size_t result_cache_capacity = 64;
-  /// Warm-start cache capacity in entries (LRU beyond this; at least one
-  /// entry is kept).
-  size_t warm_cache_capacity = 64;
-  /// Bounded admission: SubmitQuery() rejects (returns false) when this
-  /// many queries are already queued or running — the server's overload
-  /// backpressure.
+  /// Bounded admission: ExecuteQuery() answers ResourceExhausted, without
+  /// running, when this many calls are already waiting or running — the
+  /// server's overload backpressure.
   size_t max_pending_queries = 32;
   /// Render the package-template screen into QueryResponse::rendered on
   /// success (the pbshell view; servers leave it off and ship rows).
@@ -112,7 +110,7 @@ struct EngineStats {
   int64_t result_cache_hits = 0;   ///< answered from the result cache
   int64_t warm_cache_hits = 0;     ///< solves that reused warm state
   int64_t warm_cache_misses = 0;   ///< solves that started cold
-  int64_t overload_rejections = 0; ///< SubmitQuery admission failures
+  int64_t overload_rejections = 0; ///< calls refused by admission
   // -- incremental maintenance (appends) -----------------------------------
   int64_t appends = 0;             ///< AppendRows calls that committed
   int64_t rows_appended = 0;       ///< rows committed by those calls
@@ -188,7 +186,6 @@ struct QueryResponse {
 class Engine {
  public:
   explicit Engine(EngineOptions options = {});
-  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -256,16 +253,12 @@ class Engine {
 
   // -- queries ------------------------------------------------------------
   /// Parses, plans (core::PlanQuery), and evaluates one PaQL query under
-  /// the budget.
-  /// Re-entrant: any number of threads may call this concurrently.
+  /// the budget, on the calling thread. Re-entrant: any number of threads
+  /// may call this concurrently. A call first takes its admission slot
+  /// (see EngineOptions::max_pending_queries and num_threads); a refused
+  /// call is ResourceExhausted and counts only in overload_rejections.
   QueryResponse ExecuteQuery(uint64_t session, const std::string& paql,
                              const QueryBudget& budget = {});
-
-  /// Asynchronous ExecuteQuery on the shared pool. Returns false — without
-  /// enqueueing — when max_pending_queries are already queued or running;
-  /// otherwise `done` is invoked (on a pool thread) with the response.
-  bool SubmitQuery(uint64_t session, std::string paql, QueryBudget budget,
-                   std::function<void(QueryResponse)> done);
 
   /// Plans a query without executing it (EXPLAIN): the route ExecuteQuery
   /// takes, fallback included. A maintained query's cached entry is read
@@ -293,7 +286,6 @@ class Engine {
   // -- introspection ------------------------------------------------------
   EngineStats stats() const;
   int num_threads() const { return num_threads_; }
-  ThreadPool* pool() { return pool_.get(); }
 
  private:
   struct Session {
@@ -330,6 +322,12 @@ class Engine {
     core::SketchRefineState state PB_GUARDED_BY(mu);
   };
 
+  /// Admits a call: false when max_pending_queries calls are already
+  /// admitted, otherwise true once fewer than num_threads earlier admitted
+  /// calls are unfinished.
+  bool Admit() PB_EXCLUDES(admit_mu_);
+  /// Ends an admitted call, letting the next one start.
+  void Leave() PB_EXCLUDES(admit_mu_);
   /// The synchronous query pipeline body (takes the catalog read lock).
   QueryResponse Run(const std::string& paql, const QueryBudget& budget,
                     const CancelToken& token) PB_EXCLUDES(catalog_mu_);
@@ -383,17 +381,24 @@ class Engine {
 
   EngineOptions options_;
   int num_threads_ = 1;
-  std::unique_ptr<ThreadPool> pool_;
 
-  // Lock hierarchy (outermost first): catalog_mu_ → {sessions_mu_ →
-  // Session::mu, result_mu_, warm_mu_, WarmEntry::mu, maint_mu_,
-  // MaintenanceEntry::mu, stats_mu_}. The leaf mutexes are never held
-  // together, except that CloseSession takes a Session::mu under
-  // sessions_mu_; see docs/adr/0003-concurrency-invariants.md.
+  // Lock hierarchy (outermost first): catalog_mu_ → {admit_mu_,
+  // sessions_mu_ → Session::mu, result_mu_, warm_mu_, WarmEntry::mu,
+  // maint_mu_, MaintenanceEntry::mu, stats_mu_}. The leaf mutexes are
+  // never held together, except that CloseSession takes a Session::mu
+  // under sessions_mu_; see docs/adr/0003-concurrency-invariants.md.
   mutable SharedMutex catalog_mu_;
   db::Catalog catalog_ PB_GUARDED_BY(catalog_mu_);
   /// Bumped on every mutation.
   uint64_t catalog_generation_ PB_GUARDED_BY(catalog_mu_) = 0;
+
+  // Admission tickets, handed out in arrival order: ticket t runs once
+  // t < finished_ + num_threads_, and next_ticket_ - finished_ calls are
+  // admitted (waiting or running).
+  Mutex admit_mu_;
+  CondVar admit_cv_;
+  uint64_t next_ticket_ PB_GUARDED_BY(admit_mu_) = 0;
+  uint64_t finished_ PB_GUARDED_BY(admit_mu_) = 0;
 
   Mutex sessions_mu_;
   uint64_t next_session_ PB_GUARDED_BY(sessions_mu_) = 1;
@@ -411,8 +416,6 @@ class Engine {
   Mutex maint_mu_;
   LruCache<std::string, std::shared_ptr<MaintenanceEntry>> maint_cache_
       PB_GUARDED_BY(maint_mu_);
-
-  std::atomic<int64_t> pending_{0};
 
   mutable Mutex stats_mu_;
   EngineStats stats_ PB_GUARDED_BY(stats_mu_);

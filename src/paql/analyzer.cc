@@ -11,9 +11,9 @@ namespace pb::paql {
 namespace {
 
 /// Strict-inequality slack: '<' and '>' against continuous data are encoded
-/// as non-strict bounds nudged by this relative epsilon (documented in
-/// DESIGN.md; exact strictness is preserved by the search-based strategies,
-/// which evaluate the original GExpr).
+/// as non-strict bounds nudged by this relative epsilon, since an LP has no
+/// strict rows; exact strictness is preserved by the search-based
+/// strategies, which evaluate the original GExpr.
 constexpr double kStrictEps = 1e-9;
 
 /// A linear combination of canonical aggregates plus a constant, or

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "common/annotations.h"
-
 namespace pb::server {
 
 json::Value OkEnvelope(json::Value result) {
@@ -140,27 +138,10 @@ json::Value HandleQuery(engine::Engine* engine, const json::Value& request) {
       static_cast<uint64_t>(request.GetInt("session", 0));
   const engine::QueryBudget budget = ParseBudget(request);
 
-  // Bounded admission: SubmitQuery refuses when the engine's pending limit
-  // is reached; otherwise this connection thread waits for its turn on the
-  // shared pool (the admission queue).
-  Mutex mu;
-  CondVar done_cv;
-  bool done = false;
-  engine::QueryResponse resp;
-  const bool admitted = engine->SubmitQuery(
-      session, paql, budget, [&](engine::QueryResponse r) {
-        MutexLock lock(&mu);
-        resp = std::move(r);
-        done = true;
-        done_cv.NotifyOne();
-      });
-  if (!admitted) {
-    return ErrorEnvelope(StatusCode::kResourceExhausted,
-                         "server overloaded: admission queue is full");
-  }
-  MutexLock lock(&mu);
-  while (!done) done_cv.Wait(&mu);
-
+  // The query runs on this connection's thread. An overloaded engine
+  // refuses it with ResourceExhausted, which is the overload envelope.
+  const engine::QueryResponse resp =
+      engine->ExecuteQuery(session, paql, budget);
   if (!resp.status.ok()) {
     json::Value envelope = ErrorEnvelope(resp.status);
     if (resp.cancelled) {

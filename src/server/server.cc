@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <utility>
 
@@ -16,6 +17,10 @@
 namespace pb::server {
 
 namespace {
+
+/// Per-request size cap; a longer line poisons the connection (one error
+/// envelope, then close).
+constexpr size_t kMaxLineBytes = 1 << 20;
 
 /// Writes the whole buffer, absorbing partial sends. MSG_NOSIGNAL keeps a
 /// dead peer from killing the process with SIGPIPE.
@@ -171,7 +176,7 @@ void Server::ServeConnection(Connection* conn) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // peer closed or Stop() shut the socket down
     pending.append(buf, static_cast<size_t>(n));
-    if (pending.size() > options_.max_line_bytes &&
+    if (pending.size() > kMaxLineBytes &&
         pending.find('\n') == std::string::npos) {
       SendLine(conn->fd, ErrorEnvelope(StatusCode::kInvalidArgument,
                                        "request line exceeds the size limit")
@@ -185,7 +190,7 @@ void Server::ServeConnection(Connection* conn) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      if (line.size() > options_.max_line_bytes) {
+      if (line.size() > kMaxLineBytes) {
         SendLine(conn->fd, ErrorEnvelope(StatusCode::kInvalidArgument,
                                          "request line exceeds the size "
                                          "limit")

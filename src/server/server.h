@@ -1,12 +1,12 @@
 // Framed-TCP front end for pb::Engine (the pbserve transport).
 //
 // One accept thread plus one thread per connection; each connection reads
-// newline-framed JSON requests, dispatches them through the protocol layer
-// (which applies the engine's bounded admission queue), and writes back
-// one envelope per line. Connections beyond max_connections receive an
-// overload envelope and are closed instead of queued — the transport-level
-// half of the server's backpressure, mirroring the engine's
-// max_pending_queries on the query level.
+// newline-framed JSON requests of at most 1 MiB, runs them through the
+// protocol layer on its own thread (the engine admits each query), and
+// writes back one envelope per line. Connections beyond max_connections
+// receive an overload envelope and are closed instead of queued — the
+// transport-level half of the server's backpressure, mirroring the
+// engine's max_pending_queries on the query level.
 //
 // Sessions opened on a connection (op "hello") are closed — cancelling any
 // in-flight query — when the peer disconnects.
@@ -15,7 +15,6 @@
 #define PB_SERVER_SERVER_H_
 
 #include <atomic>
-#include <cstddef>
 #include <memory>
 #include <string>
 #include <thread>
@@ -36,9 +35,6 @@ struct ServerOptions {
   /// Concurrent-connection cap; excess connections get an overload
   /// envelope and an immediate close.
   int max_connections = 32;
-  /// Per-request size cap; longer lines poison the connection (one error
-  /// envelope, then close).
-  size_t max_line_bytes = 1 << 20;
 };
 
 class Server {

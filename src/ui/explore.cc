@@ -72,15 +72,7 @@ Result<core::Package> ExplorationSession::SolveWithLocks() {
     // the unselected tuples with something new" (binary case only; with
     // REPEAT the solver may legitimately return a multiplicity variant).
     if (aq.max_multiplicity == 1) {
-      std::vector<solver::LinearTerm> terms;
-      double rhs = -1.0;
-      for (size_t j = 0; j < translation.candidates.size(); ++j) {
-        bool in_pkg = sample_.MultiplicityOf(translation.candidates[j]) > 0;
-        terms.push_back({static_cast<int>(j), in_pkg ? 1.0 : -1.0});
-        if (in_pkg) rhs += 1.0;
-      }
-      translation.model.AddConstraint("exclude_current", std::move(terms),
-                                      -kInf, rhs);
+      core::AddNoGoodCut(sample_, "exclude_current", &translation);
     }
     PB_ASSIGN_OR_RETURN(
         solver::MilpResult r,

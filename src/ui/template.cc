@@ -50,9 +50,11 @@ Result<std::string> RenderPackageTemplate(const paql::AnalyzedQuery& aq,
 
   out += "\nSample package (" + std::to_string(sample.TotalCount()) +
          " tuples):\n";
-  db::Table materialized =
-      core::MaterializePackage(*aq.table, sample, "sample");
-  out += materialized.ToString(options.max_sample_rows);
+  PB_ASSIGN_OR_RETURN(const db::Table materialized,
+                      core::MaterializePackage(*aq.table, sample, "sample"));
+  PB_ASSIGN_OR_RETURN(const std::string rendered,
+                      materialized.ToString(options.max_sample_rows));
+  out += rendered;
 
   // Live aggregate readout for every aggregate the query mentions.
   if (!aq.aggs.empty()) {

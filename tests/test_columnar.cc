@@ -240,17 +240,6 @@ TEST(AppendTest, RowAppenderMatchesAppendUnchecked) {
   }
 }
 
-TEST(AppendTest, AppendRowFromCopiesColumnWise) {
-  Table src = MakeMixedTable();
-  Table dst("dst", src.schema());
-  dst.AppendRowFrom(src, 2);
-  dst.AppendRowFrom(src, 0);
-  ASSERT_EQ(dst.num_rows(), 2u);
-  EXPECT_EQ(dst.row(0), src.row(2));
-  EXPECT_EQ(dst.row(1), src.row(0));
-  EXPECT_EQ(dst.stats(1).null_count, 1);
-}
-
 TEST(AppendTest, SingleRowAppendsGrowColumnsGeometrically) {
   // The served append path adds one row per AppendRows call, under the
   // catalog writer lock. Reserving exactly the new size on each call

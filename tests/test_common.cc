@@ -1,9 +1,8 @@
 // Unit tests for the common substrate: Status/Result, strings, math, random,
-// the thread pool and the LRU cache.
+// the stopwatch and the LRU cache.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -15,7 +14,6 @@
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 
 namespace pb {
 namespace {
@@ -240,44 +238,6 @@ TEST(StopwatchTest, MeasuresElapsed) {
   EXPECT_GE(sw.ElapsedSeconds(), t1);
   sw.Restart();
   EXPECT_LT(sw.ElapsedSeconds(), 1.0);
-}
-
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  for (int i = 1; i <= 100; ++i) pool.Submit([&sum, i] { sum += i; });
-  pool.Wait();
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPoolTest, WaitIsReusableAcrossBatches) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.Submit([&calls] { ++calls; });
-  pool.Wait();
-  EXPECT_EQ(calls.load(), 1);
-  pool.Submit([&calls] { ++calls; });
-  pool.Submit([&calls] { ++calls; });
-  pool.Wait();
-  EXPECT_EQ(calls.load(), 3);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsOutstandingWork) {
-  std::atomic<int> calls{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) pool.Submit([&calls] { ++calls; });
-  }
-  EXPECT_EQ(calls.load(), 50);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
 }
 
 // ----- LruCache --------------------------------------------------------------

@@ -147,10 +147,11 @@ TEST(TableTest, StatsTrackMinMaxSumAndNulls) {
 
 TEST(TableTest, ToStringShowsHeaderAndRows) {
   Table t = MakeMeals();
-  std::string s = t.ToString(2);
-  EXPECT_NE(s.find("calories"), std::string::npos);
-  EXPECT_NE(s.find("pasta"), std::string::npos);
-  EXPECT_NE(s.find("more rows"), std::string::npos);
+  auto s = t.ToString(2);
+  ASSERT_TRUE(s.ok()) << s.status().ToString();
+  EXPECT_NE(s->find("calories"), std::string::npos);
+  EXPECT_NE(s->find("pasta"), std::string::npos);
+  EXPECT_NE(s->find("more rows"), std::string::npos);
 }
 
 // ----- Expr ------------------------------------------------------------------

@@ -29,9 +29,19 @@ constexpr char kOptQuery[] =
     "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 3 AND "
     "SUM(calories) BETWEEN 2000 AND 2500 MAXIMIZE SUM(protein)";
 
-std::unique_ptr<Engine> MakeRecipesEngine(size_t rows = 200) {
+/// Over GenerateDataset("stocks", 4000, 3), a solve that runs until it is
+/// cancelled or its time limit ends it (8,002 nodes in 5 s, unproven, on a
+/// 4-vCPU Release build). Without the gain cap it proves its optimum in
+/// about 0.15 s, too soon for a cancel at 0.1 s to be sure of landing.
+constexpr char kLongStocksQuery[] =
+    "SELECT PACKAGE(S) FROM stocks S SUCH THAT COUNT(*) = 12 AND "
+    "SUM(price) BETWEEN 5000 AND 5010 AND SUM(expected_gain) <= 400 "
+    "MAXIMIZE SUM(expected_gain)";
+
+std::unique_ptr<Engine> MakeRecipesEngine(size_t rows = 200,
+                                          int num_threads = 2) {
   EngineOptions options;
-  options.num_threads = 2;
+  options.num_threads = num_threads;
   auto engine = std::make_unique<Engine>(options);
   auto generated = engine->GenerateDataset("recipes", rows, 42);
   EXPECT_TRUE(generated.ok()) << generated.status().ToString();
@@ -163,10 +173,7 @@ TEST(EngineTest, CancelSessionInterruptsAnInFlightQuery) {
   QueryResponse r;
   std::thread client([&] {
     started.store(true);
-    r = engine->ExecuteQuery(
-        session,
-        "SELECT PACKAGE(S) FROM stocks S SUCH THAT COUNT(*) = 12 AND "
-        "SUM(price) BETWEEN 5000 AND 5010 MAXIMIZE SUM(expected_gain)");
+    r = engine->ExecuteQuery(session, kLongStocksQuery);
   });
   while (!started.load()) std::this_thread::yield();
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
@@ -188,8 +195,9 @@ TEST(EngineTest, CancelSessionInterruptsAnInFlightQuery) {
 }
 
 TEST(EngineTest, ConcurrentSessionsRepeatQueriesBitIdentically) {
-  auto engine = MakeRecipesEngine(150);
   const int num_clients = std::max(2, EnvInt("PB_TEST_THREADS", 4));
+  // A run slot per client, so every client's queries run at once.
+  auto engine = MakeRecipesEngine(150, num_clients);
   const int rounds = 4;
   const std::vector<std::string> queries = {
       "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 3 AND "
@@ -283,26 +291,73 @@ TEST(EngineTest, RepeatsPastTheResultCacheReplayTheSolve) {
   }
 }
 
-TEST(EngineTest, SubmitQueryRunsOnThePoolAndHonorsAdmission) {
+TEST(EngineTest, ExecuteQueryHonorsAdmission) {
   EngineOptions options;
   options.num_threads = 2;
   options.max_pending_queries = 0;  // reject everything: deterministic
   Engine rejecting(options);
   ASSERT_TRUE(rejecting.GenerateDataset("recipes", 30, 42).ok());
-  EXPECT_FALSE(rejecting.SubmitQuery(0, kOptQuery, {},
-                                     [](QueryResponse) {}));
-  EXPECT_EQ(rejecting.stats().overload_rejections, 1);
+  QueryResponse r = rejecting.ExecuteQuery(0, kOptQuery);
+  EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(r.status.message(), "server overloaded: admission queue is full");
+  const EngineStats stats = rejecting.stats();
+  EXPECT_EQ(stats.overload_rejections, 1);
+  EXPECT_EQ(stats.queries, 0);
+  EXPECT_EQ(stats.errors, 0);
+}
 
-  auto engine = MakeRecipesEngine(50);
-  std::atomic<bool> done{false};
-  QueryResponse async;
-  ASSERT_TRUE(engine->SubmitQuery(0, kOptQuery, {}, [&](QueryResponse r) {
-    async = std::move(r);
-    done.store(true, std::memory_order_release);
-  }));
-  engine->pool()->Wait();
-  ASSERT_TRUE(done.load(std::memory_order_acquire));
-  EXPECT_TRUE(async.ok()) << async.status.ToString();
+TEST(EngineTest, OneRunSlotQueuesOrRefusesASecondQuery) {
+  // With one run slot held by the long stocks query, a second call waits
+  // its turn when admission has room for two calls and is refused when it
+  // has room for one.
+  for (const size_t max_pending : {size_t{2}, size_t{1}}) {
+    SCOPED_TRACE(max_pending);
+    EngineOptions options;
+    options.num_threads = 1;
+    options.max_pending_queries = max_pending;
+    Engine engine(options);
+    ASSERT_TRUE(engine.GenerateDataset("stocks", 4000, 3).ok());
+    const uint64_t session = engine.OpenSession();
+
+    std::atomic<bool> started{false};
+    std::thread first([&] {
+      started.store(true);
+      engine.ExecuteQuery(session, kLongStocksQuery);
+    });
+    while (!started.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    std::atomic<bool> second_done{false};
+    QueryResponse second;
+    int64_t queries_when_answered = 0;
+    std::thread client([&] {
+      second = engine.ExecuteQuery(
+          0, "SELECT PACKAGE(S) FROM stocks S SUCH THAT COUNT(*) = 2 "
+             "MINIMIZE SUM(price)");
+      queries_when_answered = engine.stats().queries;
+      second_done.store(true);
+    });
+    if (max_pending == 1) client.join();  // refused without waiting
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    // The first query still holds the slot: nothing has finished yet, and
+    // a refused call counts only as a rejection.
+    EXPECT_EQ(engine.stats().queries, 0);
+    EXPECT_EQ(engine.stats().errors, 0);
+    EXPECT_EQ(second_done.load(), max_pending == 1);
+
+    EXPECT_TRUE(engine.CancelSession(session).ok());
+    first.join();
+    if (client.joinable()) client.join();
+    if (max_pending == 2) {
+      ASSERT_TRUE(second.ok()) << second.status.ToString();
+      EXPECT_EQ(queries_when_answered, 2);  // it ran after the first ended
+      EXPECT_EQ(engine.stats().overload_rejections, 0);
+    } else {
+      EXPECT_EQ(second.status.code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(queries_when_answered, 0);
+      EXPECT_EQ(engine.stats().overload_rejections, 1);
+    }
+  }
 }
 
 TEST(EngineTest, FacadeWrappersCoverTheShellSurface) {

@@ -64,9 +64,10 @@ TEST_F(IntegrationTest, PackageExportedAsCsv) {
   ASSERT_TRUE(aq.ok());
   auto r = ev.Evaluate(*aq);
   ASSERT_TRUE(r.ok());
-  db::Table pkg = core::MaterializePackage(*aq->table, r->package, "answer");
+  auto pkg = core::MaterializePackage(*aq->table, r->package, "answer");
+  ASSERT_TRUE(pkg.ok()) << pkg.status().ToString();
   std::string path = ::testing::TempDir() + "/pb_package.csv";
-  ASSERT_TRUE(db::WriteCsvFile(pkg, path).ok());
+  ASSERT_TRUE(db::WriteCsvFile(*pkg, path).ok());
   auto back = db::ReadCsvFile(path, "answer");
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->num_rows(), 4u);

@@ -234,10 +234,20 @@ TEST_F(PackageTest, MaterializeRepeatsTuples) {
   Package p;
   p.Add(1);
   p.Add(3, 2);
-  db::Table m = MaterializePackage(t, p);
-  EXPECT_EQ(m.num_rows(), 3u);
-  EXPECT_EQ(m.at(1, 0).AsInt(), 3);
-  EXPECT_EQ(m.at(2, 0).AsInt(), 3);
+  auto m = MaterializePackage(t, p);
+  ASSERT_TRUE(m.ok()) << m.status().ToString();
+  EXPECT_EQ(m->num_rows(), 3u);
+  EXPECT_EQ(m->at(1, 0).AsInt(), 3);
+  EXPECT_EQ(m->at(2, 0).AsInt(), 3);
+}
+
+TEST_F(PackageTest, MaterializeRejectsARowPastTheTable) {
+  // A package kept from before its table was replaced by a smaller one.
+  db::Table t = MakeMeals();
+  Package p;
+  p.Add(t.num_rows());
+  auto m = MaterializePackage(t, p);
+  EXPECT_EQ(m.status().code(), StatusCode::kOutOfRange);
 }
 
 }  // namespace

@@ -689,6 +689,28 @@ TEST(OutOfCoreEngineTest, CorruptMemberBlockIsAnErrorInValidation) {
       << valid.status().ToString();
 }
 
+TEST(OutOfCoreEngineTest, CorruptBlockIsAnErrorInCsvExportAndPreview) {
+  // Both copy cells out of the table; an unreadable block must not come
+  // out as empty cells.
+  storage::BlockCache cache(0);
+  engine::Engine engine;
+  ASSERT_TRUE(engine
+                  .RegisterTable(CorruptSpilledItems(
+                      TempPath("export_corrupt.seg"), &cache))
+                  .ok());
+  core::Package pkg;
+  pkg.rows = {0, 1, 2};
+  pkg.multiplicity = {1, 1, 1};
+  const std::string csv = TempPath("export_corrupt.csv");
+  Status written = engine.WritePackageCsv("items", pkg, csv);
+  EXPECT_EQ(written.code(), StatusCode::kInternal) << written.ToString();
+  std::remove(csv.c_str());
+  Result<std::string> preview = engine.RenderTable("items", 5);
+  EXPECT_FALSE(preview.ok());
+  EXPECT_EQ(preview.status().code(), StatusCode::kInternal)
+      << preview.status().ToString();
+}
+
 TEST(OutOfCoreEngineTest, WhereScanIsChargedToTheQueryBudget) {
   engine::Engine engine;
   db::Table table = datagen::GenerateLineitems(200, 3);

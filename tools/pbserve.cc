@@ -12,8 +12,9 @@
 // Flags:
 //   --port N               listen port (default 7781; 0 = ephemeral)
 //   --host A               bind address (default 127.0.0.1)
-//   --threads N            engine worker threads (default: hardware)
-//   --max-pending N        query admission-queue bound (default 32)
+//   --threads N            queries that run at once (default: hardware)
+//   --max-pending N        queries waiting or running at once; the rest
+//                          are refused as overload (default 32)
 //   --max-connections N    concurrent-connection cap (default 32)
 //   --time-limit S         default per-query wall-clock budget (seconds)
 //   --preload kind:n:seed  generate a dataset at startup (repeatable);
