@@ -70,6 +70,11 @@ Result<IlpTranslation> Translate(const paql::AnalyzedQuery& aq,
     }
   }
 
+  // At most one row per linear and extreme constraint, the non-empty row
+  // and the cardinality row.
+  out.model.Reserve(static_cast<int>(n),
+                    static_cast<int>(aq.linear_constraints.size() +
+                                     aq.extreme_constraints.size() + 2));
   for (size_t i = 0; i < n; ++i) {
     out.model.AddVariable("x" + std::to_string(out.candidates[i]), 0.0, ub[i],
                           aq.has_objective ? weights.back()[i] : 0.0,

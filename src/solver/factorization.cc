@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 namespace pb::solver {
 
@@ -26,45 +27,46 @@ class DenseFactorization final : public BasisFactorization {
       : BasisFactorization(a, n, m, pivot_tol) {}
 
   bool Refactorize(const std::vector<int>& basis) override {
-    std::vector<double> mat(static_cast<size_t>(m_) * m_, 0.0);  // B
-    std::vector<double> inv(static_cast<size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) inv[i * m_ + i] = 1.0;
+    mat_.assign(static_cast<size_t>(m_) * m_, 0.0);  // B
+    inv_.assign(static_cast<size_t>(m_) * m_, 0.0);
+    for (int i = 0; i < m_; ++i) inv_[i * m_ + i] = 1.0;
     for (int c = 0; c < m_; ++c) {
-      ForEachColumnEntry(basis[c],
-                         [&](int row, double coeff) { mat[row * m_ + c] = coeff; });
+      ForEachColumnEntry(basis[c], [&](int row, double coeff) {
+        mat_[row * m_ + c] = coeff;
+      });
     }
     for (int c = 0; c < m_; ++c) {
       int piv = -1;
       double best = pivot_tol_;
       for (int r = c; r < m_; ++r) {
-        if (std::abs(mat[r * m_ + c]) > best) {
-          best = std::abs(mat[r * m_ + c]);
+        if (std::abs(mat_[r * m_ + c]) > best) {
+          best = std::abs(mat_[r * m_ + c]);
           piv = r;
         }
       }
       if (piv < 0) return false;
       if (piv != c) {
         for (int k = 0; k < m_; ++k) {
-          std::swap(mat[piv * m_ + k], mat[c * m_ + k]);
-          std::swap(inv[piv * m_ + k], inv[c * m_ + k]);
+          std::swap(mat_[piv * m_ + k], mat_[c * m_ + k]);
+          std::swap(inv_[piv * m_ + k], inv_[c * m_ + k]);
         }
       }
-      double d = mat[c * m_ + c];
+      double d = mat_[c * m_ + c];
       for (int k = 0; k < m_; ++k) {
-        mat[c * m_ + k] /= d;
-        inv[c * m_ + k] /= d;
+        mat_[c * m_ + k] /= d;
+        inv_[c * m_ + k] /= d;
       }
       for (int r = 0; r < m_; ++r) {
         if (r == c) continue;
-        double f = mat[r * m_ + c];
+        double f = mat_[r * m_ + c];
         if (f == 0.0) continue;
         for (int k = 0; k < m_; ++k) {
-          mat[r * m_ + k] -= f * mat[c * m_ + k];
-          inv[r * m_ + k] -= f * inv[c * m_ + k];
+          mat_[r * m_ + k] -= f * mat_[c * m_ + k];
+          inv_[r * m_ + k] -= f * inv_[c * m_ + k];
         }
       }
     }
-    binv_ = std::move(inv);
+    std::swap(binv_, inv_);  // the old inverse's storage is next call's
     ++stats_.refactorizations;
     return true;
   }
@@ -120,6 +122,8 @@ class DenseFactorization final : public BasisFactorization {
 
  private:
   std::vector<double> binv_;  // m x m row-major
+  // Workspaces (persist across calls to avoid reallocation).
+  std::vector<double> mat_, inv_;  // Refactorize's B and its inverse
   std::vector<double> work_;
 };
 
@@ -140,13 +144,18 @@ class SparseLuFactorization final : public BasisFactorization {
       : BasisFactorization(a, n, m, pivot_tol) {}
 
   bool Refactorize(const std::vector<int>& basis) override {
-    lcols_.assign(m_, {});
-    ucols_.assign(m_, {});
+    // Every array is cleared or overwritten, never reallocated: after the
+    // first factorizations of a solve their capacity covers the next ones.
+    lents_.clear();
+    uents_.clear();
+    lstart_.assign(m_ + 1, 0);
+    ustart_.assign(m_ + 1, 0);
     udiag_.assign(m_, 0.0);
     pivot_row_.assign(m_, -1);
     row_step_.assign(m_, -1);
     step_pos_.assign(m_, -1);
     etas_.clear();
+    eta_ents_.clear();
     eta_nnz_ = 0;
     lu_nnz_ = 0;
     work_.assign(m_, 0.0);
@@ -157,22 +166,23 @@ class SparseLuFactorization final : public BasisFactorization {
     // Static Markowitz surrogate: process columns sparsest-first, break
     // pivot ties toward the sparsest row. Slacks are singletons, so a
     // package basis factors with its dense-ish COUNT rows last.
-    std::vector<int> colnnz(m_, 0), rownnz(m_, 0);
+    colnnz_.assign(m_, 0);
+    rownnz_.assign(m_, 0);
     for (int p = 0; p < m_; ++p) {
       ForEachColumnEntry(basis[p], [&](int i, double) {
-        ++colnnz[p];
-        ++rownnz[i];
+        ++colnnz_[p];
+        ++rownnz_[i];
       });
     }
-    std::vector<int> order(m_);
-    for (int p = 0; p < m_; ++p) order[p] = p;
-    std::sort(order.begin(), order.end(), [&](int x, int y) {
-      if (colnnz[x] != colnnz[y]) return colnnz[x] < colnnz[y];
+    order_.resize(m_);
+    for (int p = 0; p < m_; ++p) order_[p] = p;
+    std::sort(order_.begin(), order_.end(), [&](int x, int y) {
+      if (colnnz_[x] != colnnz_[y]) return colnnz_[x] < colnnz_[y];
       return x < y;
     });
 
     for (int k = 0; k < m_; ++k) {
-      int pos = order[k];
+      int pos = order_[k];
       // Scatter the basis column into the dense workspace.
       pattern_.clear();
       ForEachColumnEntry(basis[pos], [&](int i, double v) {
@@ -197,7 +207,7 @@ class SparseLuFactorization final : public BasisFactorization {
         while (!dfs_.empty()) {
           int t = dfs_.back();
           dfs_.pop_back();
-          for (const Entry& e : lcols_[t]) {
+          for (const Entry& e : LCol(t)) {
             int ts = row_step_[e.idx];
             if (ts >= 0 && !smark_[ts]) {
               smark_[ts] = 1;
@@ -214,9 +224,9 @@ class SparseLuFactorization final : public BasisFactorization {
         smark_[t] = 0;
         double d = work_[pivot_row_[t]];
         if (d == 0.0) continue;
-        ucols_[k].push_back({t, d});
+        uents_.push_back({t, d});
         work_[pivot_row_[t]] = 0.0;
-        for (const Entry& e : lcols_[t]) {
+        for (const Entry& e : LCol(t)) {
           if (!mark_[e.idx]) {
             mark_[e.idx] = 1;
             pattern_.push_back(e.idx);
@@ -242,8 +252,8 @@ class SparseLuFactorization final : public BasisFactorization {
       int pr = -1;
       for (int i : pattern_) {
         if (row_step_[i] >= 0 || std::abs(work_[i]) < thresh) continue;
-        if (pr < 0 || rownnz[i] < rownnz[pr] ||
-            (rownnz[i] == rownnz[pr] && i < pr)) {
+        if (pr < 0 || rownnz_[i] < rownnz_[pr] ||
+            (rownnz_[i] == rownnz_[pr] && i < pr)) {
           pr = i;
         }
       }
@@ -258,11 +268,13 @@ class SparseLuFactorization final : public BasisFactorization {
         if (i == pr) continue;
         mark_[i] = 0;
         if (row_step_[i] < 0 && work_[i] != 0.0) {
-          lcols_[k].push_back({i, work_[i] / pv});
+          lents_.push_back({i, work_[i] / pv});
         }
         work_[i] = 0.0;
       }
-      lu_nnz_ += static_cast<int64_t>(lcols_[k].size() + ucols_[k].size()) + 1;
+      lstart_[k + 1] = static_cast<int64_t>(lents_.size());
+      ustart_[k + 1] = static_cast<int64_t>(uents_.size());
+      lu_nnz_ += lstart_[k + 1] - lstart_[k] + ustart_[k + 1] - ustart_[k] + 1;
     }
     ++stats_.refactorizations;
     return true;
@@ -275,14 +287,14 @@ class SparseLuFactorization final : public BasisFactorization {
     for (int t = 0; t < m_; ++t) {
       double d = b[pivot_row_[t]];
       if (d == 0.0) continue;
-      for (const Entry& e : lcols_[t]) b[e.idx] -= d * e.val;
+      for (const Entry& e : LCol(t)) b[e.idx] -= d * e.val;
     }
     // Backward U solve, column-oriented.
     for (int k = m_ - 1; k >= 0; --k) {
       double z = b[pivot_row_[k]] / udiag_[k];
       solve_[k] = z;
       if (z != 0.0) {
-        for (const Entry& e : ucols_[k]) b[pivot_row_[e.idx]] -= e.val * z;
+        for (const Entry& e : UCol(k)) b[pivot_row_[e.idx]] -= e.val * z;
       }
     }
     // Undo the column permutation (step k factored basis position
@@ -292,7 +304,7 @@ class SparseLuFactorization final : public BasisFactorization {
       double d = b[eta.r] / eta.diag;
       b[eta.r] = d;
       if (d != 0.0) {
-        for (const Entry& e : eta.ents) b[e.idx] -= e.val * d;
+        for (const Entry& e : EtaEntries(eta)) b[e.idx] -= e.val * d;
       }
     }
   }
@@ -302,19 +314,19 @@ class SparseLuFactorization final : public BasisFactorization {
     // Eta file transposed, newest first.
     for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
       double s = 0.0;
-      for (const Entry& e : it->ents) s += e.val * c[e.idx];
+      for (const Entry& e : EtaEntries(*it)) s += e.val * c[e.idx];
       c[it->r] = (c[it->r] - s) / it->diag;
     }
     // U^T forward solve in step space...
     for (int k = 0; k < m_; ++k) {
       double g = c[step_pos_[k]];
-      for (const Entry& e : ucols_[k]) g -= e.val * solve_[e.idx];
+      for (const Entry& e : UCol(k)) g -= e.val * solve_[e.idx];
       solve_[k] = g / udiag_[k];
     }
-    // ...then L^T backward (unit diagonal; lcols_ rows map to later steps).
+    // ...then L^T backward (unit diagonal; L entries' rows map to later steps).
     for (int t = m_ - 1; t >= 0; --t) {
       double g = solve_[t];
-      for (const Entry& e : lcols_[t]) g -= e.val * solve_[row_step_[e.idx]];
+      for (const Entry& e : LCol(t)) g -= e.val * solve_[row_step_[e.idx]];
       solve_[t] = g;
     }
     for (int t = 0; t < m_; ++t) c[pivot_row_[t]] = solve_[t];
@@ -330,14 +342,12 @@ class SparseLuFactorization final : public BasisFactorization {
               const std::vector<int>& basis) override {
     double piv = alpha[leave_row];
     if (std::abs(piv) < pivot_tol_) return Refactorize(basis);
-    Eta eta;
-    eta.r = leave_row;
-    eta.diag = piv;
+    const size_t begin = eta_ents_.size();
     for (int i = 0; i < m_; ++i) {
-      if (i != leave_row && alpha[i] != 0.0) eta.ents.push_back({i, alpha[i]});
+      if (i != leave_row && alpha[i] != 0.0) eta_ents_.push_back({i, alpha[i]});
     }
-    eta_nnz_ += static_cast<int64_t>(eta.ents.size()) + 1;
-    etas_.push_back(std::move(eta));
+    etas_.push_back({leave_row, piv, begin, eta_ents_.size()});
+    eta_nnz_ += static_cast<int64_t>(eta_ents_.size() - begin) + 1;
     ++stats_.updates;
     return true;
   }
@@ -356,18 +366,33 @@ class SparseLuFactorization final : public BasisFactorization {
     double val;
   };
   struct Eta {
-    int r = -1;        // replaced basis position
-    double diag = 0.0; // alpha[r]
-    std::vector<Entry> ents;  // alpha's other nonzeros (position space)
+    int r = -1;         // replaced basis position
+    double diag = 0.0;  // alpha[r]
+    size_t begin = 0;   // alpha's other nonzeros (position space) are
+    size_t end = 0;     // eta_ents_[begin, end)
   };
 
-  std::vector<std::vector<Entry>> lcols_;  // per step, below-diagonal part
-  std::vector<std::vector<Entry>> ucols_;  // per step, above-diagonal part
+  std::span<const Entry> LCol(int t) const {
+    return {lents_.data() + lstart_[t], lents_.data() + lstart_[t + 1]};
+  }
+  std::span<const Entry> UCol(int k) const {
+    return {uents_.data() + ustart_[k], uents_.data() + ustart_[k + 1]};
+  }
+  std::span<const Entry> EtaEntries(const Eta& eta) const {
+    return {eta_ents_.data() + eta.begin, eta_ents_.data() + eta.end};
+  }
+
+  // L and U by step, each in one array: step k's below-diagonal part is
+  // lents_[lstart_[k], lstart_[k+1]), its above-diagonal part likewise in
+  // uents_. Steps are factored in order, so each array only grows.
+  std::vector<Entry> lents_, uents_;
+  std::vector<int64_t> lstart_, ustart_;
   std::vector<double> udiag_;
   std::vector<int> pivot_row_;  // step -> original row
   std::vector<int> row_step_;   // original row -> step (-1 = unpivoted)
   std::vector<int> step_pos_;   // step -> basis position
   std::vector<Eta> etas_;
+  std::vector<Entry> eta_ents_;
   int64_t lu_nnz_ = 0;
   int64_t eta_nnz_ = 0;
 
@@ -377,6 +402,7 @@ class SparseLuFactorization final : public BasisFactorization {
   std::vector<int> pattern_;
   std::vector<int> reach_;
   std::vector<int> dfs_;
+  std::vector<int> colnnz_, rownnz_, order_;  // Refactorize's column order
   std::vector<unsigned char> mark_;   // row in pattern_
   std::vector<unsigned char> smark_;  // step in reach_
 };

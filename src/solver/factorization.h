@@ -28,6 +28,10 @@
 //              updated between refactorizations by a product-form eta
 //              file. All solves run in O(nnz(L+U) + nnz(etas)).
 //
+// Both backends keep their storage across refactorizations and updates:
+// the factors, the eta file and the scratch arrays are cleared, never
+// freed, so once a few factorizations have sized them neither allocates.
+//
 // Both backends are deterministic: column order, pivot choice, and
 // tie-breaks depend only on the basis and the matrix, never on timing or
 // addresses — the branch-and-bound determinism rule (the same model and

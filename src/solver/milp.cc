@@ -19,13 +19,40 @@ const char* MilpStatusToString(MilpStatus s) {
   return "?";
 }
 
-int MostFractionalVariable(const LpModel& model, const std::vector<double>& x,
-                           double int_tol) {
+std::vector<char> IntegralityMask(const LpModel& model) {
+  std::vector<char> is_integer(model.num_variables());
+  for (int j = 0; j < model.num_variables(); ++j) {
+    is_integer[j] = model.variable(j).is_integer ? 1 : 0;
+  }
+  return is_integer;
+}
+
+namespace {
+
+/// |x - round(x)| without a libm call: x - floor(x) and its complement
+/// 1 - (x - floor(x)) are both exact, so this is that same double.
+double DistanceToInteger(double x) {
+  const double f = x - std::floor(x);
+  return f <= 0.5 ? f : 1.0 - f;
+}
+
+/// std::round(x), calling libm only for a fractional x: an integral x
+/// (most columns of a package LP's point sit on a 0/1 bound) rounds to
+/// itself, signed zero included.
+double RoundToInteger(double x) {
+  return std::floor(x) == x ? x : std::round(x);
+}
+
+}  // namespace
+
+int MostFractionalVariable(const std::vector<char>& is_integer,
+                           const std::vector<double>& x, double int_tol) {
   int best = -1;
   double best_dist = kInfinity;  // distance of the fractional part to 1/2
-  for (int j = 0; j < model.num_variables(); ++j) {
-    if (!model.variable(j).is_integer) continue;
-    double frac = std::abs(x[j] - std::round(x[j]));
+  const int n = static_cast<int>(is_integer.size());
+  for (int j = 0; j < n; ++j) {
+    if (!is_integer[j]) continue;
+    double frac = DistanceToInteger(x[j]);
     if (frac <= int_tol) continue;
     double dist_half = std::abs(frac - 0.5);
     if (dist_half < best_dist) {
@@ -133,9 +160,11 @@ struct PresolveScratch {
 /// beyond the queued ones. `cols` is the model by columns (the LP
 /// workspace's view): a popped variable's rows are queued in its column's
 /// ascending row order. `row_move[r]` is row r's largest single-term move
-/// over the root bounds (see SolveMilp). `scratch` is borrowed and left
-/// with every flag zero and both queues empty.
+/// over the root bounds (see SolveMilp). `is_integer` is the model's
+/// integrality mask. `scratch` is borrowed and left with every flag zero
+/// and both queues empty.
 bool PropagateBoundChanges(const LpModel& model, const CscMatrix& cols,
+                           const std::vector<char>& is_integer,
                            const std::vector<double>& row_move,
                            double int_tol, Bounds* bounds,
                            std::vector<RowActivityBounds>* acts,
@@ -223,7 +252,7 @@ bool PropagateBoundChanges(const LpModel& model, const CscMatrix& cols,
     if (con.hi - ra.min > margin && ra.max - con.lo > margin) continue;
 
     for (const LinearTerm& t : con.terms) {
-      if (!model.variable(t.var).is_integer) continue;
+      if (!is_integer[t.var]) continue;
       double l = (*bounds)[t.var].first, u = (*bounds)[t.var].second;
       if (l == u) continue;
       // Residual row range without this term, against the bounds `acts`
@@ -283,6 +312,7 @@ bool PropagateBoundChanges(const LpModel& model, const CscMatrix& cols,
 /// and implied fixings follow; false means propagation proved the node
 /// empty. Counts into `tallies`.
 bool TightenByReducedCosts(const LpModel& model, const CscMatrix& cols,
+                           const std::vector<char>& is_integer,
                            const LpSolution& lp, double incumbent_obj,
                            double int_tol, const std::vector<double>& row_move,
                            Bounds* bounds, std::vector<RowActivityBounds>* acts,
@@ -320,7 +350,7 @@ bool TightenByReducedCosts(const LpModel& model, const CscMatrix& cols,
 
   const int64_t before = tallies->reduced_cost_tightenings;
   for (int j = 0; j < n; ++j) {
-    if (!model.variable(j).is_integer) continue;
+    if (!is_integer[j]) continue;
     const auto [l, u] = (*bounds)[j];
     if (l == u) continue;
     const double d = sign * lp.reduced_costs[j];
@@ -341,8 +371,9 @@ bool TightenByReducedCosts(const LpModel& model, const CscMatrix& cols,
     ++tallies->reduced_cost_tightenings;
   }
   if (tallies->reduced_cost_tightenings == before) return true;
-  return PropagateBoundChanges(model, cols, row_move, int_tol, bounds, acts,
-                               &tallies->presolve_fixed_bounds, scratch);
+  return PropagateBoundChanges(model, cols, is_integer, row_move, int_tol,
+                               bounds, acts, &tallies->presolve_fixed_bounds,
+                               scratch);
 }
 
 /// Branch-variable selection: pseudocost scoring once any history exists,
@@ -352,10 +383,11 @@ bool TightenByReducedCosts(const LpModel& model, const CscMatrix& cols,
 /// a side borrow the global average (O(1) from the history's running
 /// aggregates). Fully deterministic: ties break to the lowest index via
 /// strict >.
-int SelectBranchVariable(const LpModel& model, const std::vector<double>& x,
-                         double int_tol, const PseudocostHistory& pc,
-                         int fallback) {
-  if (pc.entries.size() != static_cast<size_t>(model.num_variables()) ||
+int SelectBranchVariable(const std::vector<char>& is_integer,
+                         const std::vector<double>& x, double int_tol,
+                         const PseudocostHistory& pc, int fallback) {
+  const int n = static_cast<int>(is_integer.size());
+  if (pc.entries.size() != static_cast<size_t>(n) ||
       !pc.has_observations()) {
     return fallback;
   }
@@ -366,8 +398,8 @@ int SelectBranchVariable(const LpModel& model, const std::vector<double>& x,
   int best = -1;
   double best_score = -1.0;
   constexpr double kEps = 1e-9;
-  for (int j = 0; j < model.num_variables(); ++j) {
-    if (!model.variable(j).is_integer) continue;
+  for (int j = 0; j < n; ++j) {
+    if (!is_integer[j]) continue;
     double frac = x[j] - std::floor(x[j]);
     if (frac <= int_tol || frac >= 1.0 - int_tol) continue;
     const PseudocostHistory::Entry& e = pc.entries[j];
@@ -383,19 +415,29 @@ int SelectBranchVariable(const LpModel& model, const std::vector<double>& x,
   return best;
 }
 
-/// Rounds integer variables to the nearest integer within bounds; returns
-/// true if the rounded point is feasible for the whole model.
-bool TryRound(const LpModel& model, const Bounds& bounds,
-              const std::vector<double>& x, double tol,
+/// Rounds integer variables to the nearest integer within bounds into
+/// `rounded` (the caller's buffer, reused node after node); returns true
+/// if the rounded point is feasible for the whole model.
+bool TryRound(const LpModel& model, const std::vector<char>& is_integer,
+              const Bounds& bounds, const std::vector<double>& x, double tol,
               std::vector<double>* rounded) {
   *rounded = x;
-  for (int j = 0; j < model.num_variables(); ++j) {
-    if (!model.variable(j).is_integer) continue;
-    double r = std::round(x[j]);
+  for (size_t j = 0; j < is_integer.size(); ++j) {
+    if (!is_integer[j]) continue;
+    double r = RoundToInteger(x[j]);
     r = std::min(std::max(r, bounds[j].first), bounds[j].second);
     (*rounded)[j] = r;
   }
   return model.IsFeasible(*rounded, tol);
+}
+
+/// Rounds the integer entries of `x` in place (an integral LP point's
+/// snap before it becomes an incumbent).
+void SnapIntegers(const std::vector<char>& is_integer,
+                  std::vector<double>* x) {
+  for (size_t j = 0; j < is_integer.size(); ++j) {
+    if (is_integer[j]) (*x)[j] = RoundToInteger((*x)[j]);
+  }
 }
 
 /// Diving heuristic: repeatedly fixes the most fractional integer variable
@@ -404,36 +446,35 @@ bool TryRound(const LpModel& model, const Bounds& bounds,
 /// the solver finds its first incumbent without exploring the tree. The
 /// caller's basis `seed` starts the chain (the first dive LP is exactly the
 /// caller's LP, so it prices out immediately) and each step's basis
-/// warm-starts the next. The dive's LPs run through the caller's workspace
-/// with the node LPs' iteration budget `lp_limit`. Returns true with an
-/// integer-feasible point in *out on success.
-bool TryDive(const LpModel& model, Bounds bounds, LpSolver* lp_solver,
-             int64_t lp_limit, double int_tol, const LpBasis& seed,
-             const CancelToken& cancel, MilpResult* tallies,
-             std::vector<double>* out) {
+/// warm-starts the next: every step solves into one LpSolution, warm from
+/// its own previous basis. The dive's LPs run through the caller's
+/// workspace with the node LPs' iteration budget `lp_limit`. Returns true
+/// with an integer-feasible point in *out on success.
+bool TryDive(const LpModel& model, const std::vector<char>& is_integer,
+             Bounds bounds, LpSolver* lp_solver, int64_t lp_limit,
+             double int_tol, const LpBasis& seed, const CancelToken& cancel,
+             MilpResult* tallies, std::vector<double>* out) {
   constexpr int kMaxDepth = 400;
-  LpBasis chain = seed;
+  LpSolution lp;
+  const LpBasis* warm = &seed;
   for (int depth = 0; depth < kMaxDepth; ++depth) {
     // The dive is a chain of up to kMaxDepth LP solves; without this check
     // a cancel issued mid-dive would only take effect at the next node pop.
     if (cancel.cancel_requested()) return false;
-    auto lp = lp_solver->Solve(&bounds, &chain, lp_limit);
-    if (!lp.ok()) return false;
-    tallies->lp_iterations += lp->iterations;
-    tallies->lp_dual_iterations += lp->dual_iterations;
-    tallies->lp_refactorizations += lp->refactorizations;
-    tallies->lp_basis_updates += lp->basis_updates;
-    if (lp->status != LpStatus::kOptimal) return false;
-    chain = std::move(lp->basis);
-    int j = MostFractionalVariable(model, lp->x, int_tol);
+    if (!lp_solver->Solve(&bounds, warm, lp_limit, &lp).ok()) return false;
+    tallies->lp_iterations += lp.iterations;
+    tallies->lp_dual_iterations += lp.dual_iterations;
+    tallies->lp_refactorizations += lp.refactorizations;
+    tallies->lp_basis_updates += lp.basis_updates;
+    if (lp.status != LpStatus::kOptimal) return false;
+    warm = &lp.basis;
+    int j = MostFractionalVariable(is_integer, lp.x, int_tol);
     if (j < 0) {
-      *out = lp->x;
-      for (int v = 0; v < model.num_variables(); ++v) {
-        if (model.variable(v).is_integer) (*out)[v] = std::round((*out)[v]);
-      }
+      *out = std::move(lp.x);
+      SnapIntegers(is_integer, out);
       return model.IsFeasible(*out, int_tol);
     }
-    double fixed = std::round(lp->x[j]);
+    double fixed = RoundToInteger(lp.x[j]);
     fixed = std::min(std::max(fixed, bounds[j].first), bounds[j].second);
     bounds[j] = {fixed, fixed};
   }
@@ -452,6 +493,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
 
   MilpResult result;
   const int n = model.num_variables();
+  // Read by every per-column pass below instead of each Variable record.
+  const std::vector<char> is_integer = IntegralityMask(model);
 
   const int64_t base_lp_limit = EffectiveIterationLimit(model, options.lp);
   // The solve's one LP workspace: every node LP and every dive LP runs
@@ -480,7 +523,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     const Variable& v = model.variable(j);
     double lo = v.lb, hi = v.ub;
     // Integer variables get their bounds tightened to integers up front.
-    if (v.is_integer) {
+    if (is_integer[j]) {
       if (std::isfinite(lo)) lo = std::ceil(lo - options.int_tol);
       if (std::isfinite(hi)) hi = std::floor(hi + options.int_tol);
     }
@@ -499,7 +542,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   std::vector<double> row_move(model.num_constraints(), 0.0);
   for (int i = 0; i < model.num_constraints(); ++i) {
     for (const LinearTerm& t : model.constraint(i).terms) {
-      if (!model.variable(t.var).is_integer) continue;
+      if (!is_integer[t.var]) continue;
       const auto& [lo, hi] = root_bounds[t.var];
       row_move[i] = std::max(row_move[i], std::abs(t.coeff) * (hi - lo));
     }
@@ -546,6 +589,11 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
   // node keeps pathological LPs from stalling the whole solve forever.
   constexpr int kMaxLpLimitBoost = 12;
 
+  // Every node LP solves into `lp`, and every rounding or snap goes through
+  // `point`; both keep their storage from node to node.
+  LpSolution lp;
+  std::vector<double> point;
+
   while (!open.empty()) {
     if (options.cancel.cancel_requested()) {
       // Cooperative cancellation: identical to a limit stop (open stays
@@ -565,9 +613,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
 
     ++result.nodes;
     const LpBasis* start = node.basis.empty() ? nullptr : &node.basis;
-    PB_ASSIGN_OR_RETURN(
-        LpSolution lp, lp_solver.Solve(&node.bounds, start,
-                                       base_lp_limit << node.lp_limit_boost));
+    PB_RETURN_IF_ERROR(lp_solver.Solve(
+        &node.bounds, start, base_lp_limit << node.lp_limit_boost, &lp));
     result.lp_iterations += lp.iterations;
     result.lp_dual_iterations += lp.dual_iterations;
     result.lp_refactorizations += lp.refactorizations;
@@ -590,7 +637,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
       // still reaches the reported best_bound below.
       if (node.lp_limit_boost < kMaxLpLimitBoost) {
         ++node.lp_limit_boost;
-        node.basis = std::move(lp.basis);
+        node.basis = lp.basis;
         push_open(std::move(node));
       } else {
         abandoned_any = true;
@@ -634,17 +681,15 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
 
     if (have_incumbent && !better(node_bound, incumbent_obj)) continue;
 
-    int frac_var = MostFractionalVariable(model, lp.x, options.int_tol);
+    int frac_var = MostFractionalVariable(is_integer, lp.x, options.int_tol);
     if (frac_var < 0) {
       // Integer feasible: snap and accept as incumbent.
-      std::vector<double> snapped = lp.x;
-      for (int j = 0; j < n; ++j) {
-        if (model.variable(j).is_integer) snapped[j] = std::round(snapped[j]);
-      }
-      double obj = model.ObjectiveValue(snapped);
+      point = lp.x;
+      SnapIntegers(is_integer, &point);
+      double obj = model.ObjectiveValue(point);
       if (!have_incumbent || better(obj, incumbent_obj)) {
         have_incumbent = true;
-        incumbent = std::move(snapped);
+        incumbent.swap(point);
         incumbent_obj = obj;
       }
       continue;
@@ -653,12 +698,12 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // Primal heuristics: cheap rounding at every node; one LP dive from the
     // root when rounding produced nothing (package models have equality
     // rows that defeat rounding but dive well).
-    std::vector<double> rounded;
-    if (TryRound(model, node.bounds, lp.x, options.int_tol, &rounded)) {
-      double obj = model.ObjectiveValue(rounded);
+    if (TryRound(model, is_integer, node.bounds, lp.x, options.int_tol,
+                 &point)) {
+      double obj = model.ObjectiveValue(point);
       if (!have_incumbent || better(obj, incumbent_obj)) {
         have_incumbent = true;
-        incumbent = std::move(rounded);
+        incumbent.swap(point);
         incumbent_obj = obj;
       }
     }
@@ -666,7 +711,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // was re-queued after an LP iteration limit).
     if (!have_incumbent && node.branch_var < 0) {
       std::vector<double> dived;
-      if (TryDive(model, node.bounds, &lp_solver, base_lp_limit,
+      if (TryDive(model, is_integer, node.bounds, &lp_solver, base_lp_limit,
                   options.int_tol, lp.basis, options.cancel, &result,
                   &dived)) {
         have_incumbent = true;
@@ -679,9 +724,9 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // improved the incumbent) and before the children copy the node's
     // bounds, so both inherit it.
     if (have_incumbent &&
-        !TightenByReducedCosts(model, cols, lp, incumbent_obj, options.int_tol,
-                               row_move, &node.bounds, &node.acts, &result,
-                               &presolve_scratch)) {
+        !TightenByReducedCosts(model, cols, is_integer, lp, incumbent_obj,
+                               options.int_tol, row_move, &node.bounds,
+                               &node.acts, &result, &presolve_scratch)) {
       continue;  // propagation proved the node empty
     }
 
@@ -692,7 +737,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     // zero LP work, and implied integer fixings ride into the child's
     // bound set, which the dual re-solve picks up directly.
     int branch_var =
-        SelectBranchVariable(model, lp.x, options.int_tol, pc, frac_var);
+        SelectBranchVariable(is_integer, lp.x, options.int_tol, pc, frac_var);
     if (branch_var < 0) branch_var = frac_var;
     double xv = lp.x[branch_var];
     double frac = xv - std::floor(xv);
@@ -712,8 +757,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
         down.bounds[branch_var].first <= down.bounds[branch_var].second;
     if (push_down) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
-      if (!PropagateBoundChanges(model, cols, row_move, options.int_tol,
-                                 &down.bounds, &down.acts,
+      if (!PropagateBoundChanges(model, cols, is_integer, row_move,
+                                 options.int_tol, &down.bounds, &down.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {
         ++result.presolve_infeasible_children;
@@ -723,7 +768,7 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     if (push_down) push_open(std::move(down));
     Node up = std::move(node);
     up.bound = node_bound;
-    up.basis = std::move(lp.basis);
+    up.basis = lp.basis;  // into node.basis's storage; lp keeps its own
     up.branch_var = branch_var;
     up.branch_frac = frac;
     up.branch_up = true;
@@ -733,8 +778,8 @@ Result<MilpResult> SolveMilp(const LpModel& model, const MilpOptions& options) {
     bool push_up = up.bounds[branch_var].first <= up.bounds[branch_var].second;
     if (push_up) {
       presolve_scratch.QueueVar(branch_var, {parent_lb, parent_ub});
-      if (!PropagateBoundChanges(model, cols, row_move, options.int_tol,
-                                 &up.bounds, &up.acts,
+      if (!PropagateBoundChanges(model, cols, is_integer, row_move,
+                                 options.int_tol, &up.bounds, &up.acts,
                                  &result.presolve_fixed_bounds,
                                  &presolve_scratch)) {
         ++result.presolve_infeasible_children;

@@ -145,13 +145,17 @@ struct MilpResult {
   }
 };
 
-/// Index of the integer variable whose fractional part is closest to 1/2
-/// ("most fractional"), ignoring variables within `int_tol` of an integer;
-/// -1 when x is integral. Ties break to the lowest index. Exposed for
-/// testing and reused as the branching fallback before pseudocost history
-/// accumulates.
-int MostFractionalVariable(const LpModel& model, const std::vector<double>& x,
-                           double int_tol);
+/// is_integer[j] != 0 exactly when variable j of `model` is integer: the
+/// integrality mask SolveMilp builds once and every per-column pass reads.
+std::vector<char> IntegralityMask(const LpModel& model);
+
+/// Index of the integer variable (per the mask `is_integer`) whose
+/// fractional part is closest to 1/2 ("most fractional"), ignoring
+/// variables within `int_tol` of an integer; -1 when x is integral. Ties
+/// break to the lowest index. Exposed for testing and reused as the
+/// branching fallback before pseudocost history accumulates.
+int MostFractionalVariable(const std::vector<char>& is_integer,
+                           const std::vector<double>& x, double int_tol);
 
 /// Solves a MILP. Pure-LP models (no integer variables) degrade to a single
 /// simplex solve. Statuses map: LP infeasible -> kInfeasible, LP unbounded ->

@@ -1,7 +1,7 @@
 #include "solver/model.h"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 
 #include "common/strings.h"
@@ -18,15 +18,31 @@ int LpModel::AddVariable(std::string name, double lb, double ub,
 int LpModel::AddConstraint(std::string name, std::vector<LinearTerm> terms,
                            double lo, double hi) {
   if (name.empty()) name = "c" + std::to_string(constraints_.size());
-  // Merge duplicate variables and drop zeros.
-  std::map<int, double> merged;
-  for (const LinearTerm& t : terms) merged[t.var] += t.coeff;
-  std::vector<LinearTerm> clean;
-  clean.reserve(merged.size());
-  for (const auto& [var, coeff] : merged) {
-    if (coeff != 0.0) clean.push_back({var, coeff});
+  // Canonical form: ascending variables, duplicates summed in input order
+  // starting from 0.0, zero sums dropped. Every caller in the library
+  // passes strictly ascending variables already, so the sort is skipped.
+  const bool ascending =
+      std::adjacent_find(terms.begin(), terms.end(),
+                         [](const LinearTerm& a, const LinearTerm& b) {
+                           return a.var >= b.var;
+                         }) == terms.end();
+  if (!ascending) {
+    std::stable_sort(terms.begin(), terms.end(),
+                     [](const LinearTerm& a, const LinearTerm& b) {
+                       return a.var < b.var;
+                     });
   }
-  constraints_.push_back({std::move(name), std::move(clean), lo, hi});
+  size_t kept = 0;
+  for (size_t k = 0; k < terms.size();) {
+    const int var = terms[k].var;
+    double coeff = 0.0;
+    for (; k < terms.size() && terms[k].var == var; ++k) {
+      coeff += terms[k].coeff;
+    }
+    if (coeff != 0.0) terms[kept++] = {var, coeff};
+  }
+  terms.resize(kept);
+  constraints_.push_back({std::move(name), std::move(terms), lo, hi});
   return static_cast<int>(constraints_.size()) - 1;
 }
 

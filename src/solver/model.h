@@ -77,10 +77,21 @@ class LpModel {
   int AddVariable(std::string name, double lb, double ub, double objective,
                   bool is_integer);
 
-  /// Adds a ranged constraint; returns its index. Terms with duplicate
-  /// variables are merged; zero coefficients are dropped.
+  /// Adds a ranged constraint; returns its index. The row keeps `terms`'
+  /// storage, canonicalized: variables ascend, each variable's
+  /// coefficients are summed in input order starting from 0.0, and a zero
+  /// sum drops the term (the doubles a `std::map<int, double>` merge with
+  /// `merged[var] += coeff` gives). Terms that already ascend strictly, as
+  /// every translator row does, are kept in place without a sort.
   int AddConstraint(std::string name, std::vector<LinearTerm> terms, double lo,
                     double hi);
+
+  /// Reserves room for this many variables and constraints in all, so a
+  /// builder that knows its model's size grows each array once.
+  void Reserve(int num_variables, int num_constraints) {
+    variables_.reserve(static_cast<size_t>(num_variables));
+    constraints_.reserve(static_cast<size_t>(num_constraints));
+  }
 
   void SetSense(ObjectiveSense sense) { sense_ = sense; }
   ObjectiveSense sense() const { return sense_; }

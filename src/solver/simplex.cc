@@ -36,14 +36,20 @@ const char* LpStatusToString(LpStatus s) {
 /// selection through the Pricing layer. Reduced costs d_ are maintained
 /// incrementally: each pivot prices its row out of B^{-1} (one sparse
 /// BTRAN plus a walk over the touched rows' terms) and applies the rank-one
-/// update, instead of the dense rebuild-everything scan the solver used to
-/// do per iteration. d_ is rebuilt from fresh duals after every
-/// refactorization, on phase entry, whenever the phase-1 composite cost
-/// vector changes segment, and always before optimality is declared.
+/// update. d_ is rebuilt from fresh duals, row by row over the model's
+/// rows (RecomputeReducedCosts), after every refactorization, on phase
+/// entry, whenever the phase-1 composite cost vector changes segment, and
+/// always before optimality is declared.
 ///
 /// What depends only on the model and the options (costs, slack bounds,
 /// the Bland threshold, the CSC view) is set once. Solve() resets the rest;
 /// every other array is fully written before it is read within a solve.
+/// No array is ever freed or shrunk: each is sized at construction or
+/// grows to the largest size a solve has needed (the pivot-row pattern,
+/// the dual ratio test's breakpoints, the factorization's factors), and
+/// Finish() copies the result into the caller's LpSolution, reusing its
+/// arrays. A solve that needs no more room than an earlier one allocates
+/// nothing.
 class LpSolver::Simplex {
  public:
   Simplex(const LpModel& model, const SimplexOptions& options)
@@ -72,6 +78,9 @@ class LpSolver::Simplex {
     fact_ = MakeFactorization(options.factorization, a_, n_, m_,
                               options.pivot_tol);
 
+    basis_.assign(m_, 0);
+    stat_.assign(total_, VarStat::kAtLower);
+    x_.assign(total_, 0.0);
     d_.assign(total_, 0.0);
     z_.assign(total_, 0.0);
     z_mark_.assign(total_, 0);
@@ -86,24 +95,13 @@ class LpSolver::Simplex {
   int num_variables() const { return n_; }
   const CscMatrix& columns() const { return a_; }
 
-  /// One solve under `bounds` (null: the model's own). Resets every piece
-  /// of state a solve reads before writing, then runs the solve loops.
-  LpSolution Solve(const std::vector<std::pair<double, double>>* bounds,
-                   const LpBasis* warm_start, int64_t max_iterations) {
-    for (int j = 0; j < n_ && bounds == nullptr; ++j) {
-      lb_[j] = model_.variable(j).lb;
-      ub_[j] = model_.variable(j).ub;
-    }
-    for (int j = 0; j < n_ && bounds != nullptr; ++j) {
-      const auto& [lo, hi] = (*bounds)[j];
-      if (lo > hi) {
-        LpSolution empty;
-        empty.status = LpStatus::kInfeasible;
-        return empty;
-      }
-      lb_[j] = lo;
-      ub_[j] = hi;
-    }
+  /// One solve under `bounds` (null: the model's own) into `out`. Resets
+  /// every piece of state a solve reads before writing, then runs the
+  /// solve loops; `out` is written only at the end, so `warm_start` may be
+  /// `&out->basis`.
+  void Solve(const std::vector<std::pair<double, double>>* bounds,
+             const LpBasis* warm_start, int64_t max_iterations,
+             LpSolution* out) {
     max_iter_ = max_iterations;
     iterations_ = 0;
     dual_iterations_ = 0;
@@ -114,16 +112,29 @@ class LpSolver::Simplex {
     c1_nonzero_.clear();
     // The factorization's counters run across solves; report this one's.
     stats_base_ = fact_->stats();
-    return Run(warm_start);
+    for (int j = 0; j < n_ && bounds == nullptr; ++j) {
+      lb_[j] = model_.variable(j).lb;
+      ub_[j] = model_.variable(j).ub;
+    }
+    for (int j = 0; j < n_ && bounds != nullptr; ++j) {
+      const auto& [lo, hi] = (*bounds)[j];
+      if (lo > hi) {
+        Finish(LpStatus::kInfeasible, out);
+        return;
+      }
+      lb_[j] = lo;
+      ub_[j] = hi;
+    }
+    Finish(Run(warm_start), out);
   }
 
  private:
-  LpSolution Run(const LpBasis* warm_start) {
+  LpStatus Run(const LpBasis* warm_start) {
     bool warm_loaded = warm_start != nullptr && !warm_start->empty() &&
                        LoadBasis(*warm_start);
     if (!warm_loaded) InitBasis();
     for (;;) {
-      LpSolution out = RunFromCurrentBasis(warm_loaded);
+      LpStatus status = RunFromCurrentBasis(warm_loaded);
       // Never conclude infeasible/unbounded from a warm start that hit
       // numerical trouble (a singular refactorization aborts a phase
       // early and can fake either verdict on an ill-conditioned inherited
@@ -132,14 +143,14 @@ class LpSolver::Simplex {
       // let the cold primal solve have the final word. Iterations
       // accumulate across the restart, so the accounting stays honest.
       if (warm_loaded && numerical_trouble_ &&
-          (out.status == LpStatus::kInfeasible ||
-           out.status == LpStatus::kUnbounded)) {
+          (status == LpStatus::kInfeasible ||
+           status == LpStatus::kUnbounded)) {
         warm_loaded = false;
         numerical_trouble_ = false;
         InitBasis();
         continue;
       }
-      return out;
+      return status;
     }
   }
 
@@ -150,32 +161,37 @@ class LpSolver::Simplex {
     kLimit,        ///< iteration budget exhausted with work remaining
   };
 
-  /// The single end-of-solve classification point. Every path through
-  /// RunFromCurrentBasis funnels into this so statuses, counters, and basis
-  /// export can never drift apart (they used to be duplicated per exit and
-  /// mislabeled an optimum proven exactly at the iteration limit).
-  LpSolution Finish(LpStatus status) {
-    LpSolution out;
-    out.status = status;
-    out.iterations = iterations_;
-    out.dual_iterations = dual_iterations_;
-    out.refactorizations =
+  /// The single end-of-solve report: every solve writes its LpSolution
+  /// here and only here, so statuses, counters, and basis export can never
+  /// drift apart (they used to be duplicated per exit and mislabeled an
+  /// optimum proven exactly at the iteration limit). Every field of `out`
+  /// is written; its arrays keep their capacity.
+  void Finish(LpStatus status, LpSolution* out) const {
+    out->status = status;
+    out->iterations = iterations_;
+    out->dual_iterations = dual_iterations_;
+    out->refactorizations =
         fact_->stats().refactorizations - stats_base_.refactorizations;
-    out.basis_updates = fact_->stats().updates - stats_base_.updates;
+    out->basis_updates = fact_->stats().updates - stats_base_.updates;
+    out->objective = 0.0;
+    out->x.clear();
+    out->reduced_costs.clear();
     if (status == LpStatus::kOptimal) {
-      out.x.assign(x_.begin(), x_.begin() + n_);
+      out->x.assign(x_.begin(), x_.begin() + n_);
       double obj = 0.0;
       for (int j = 0; j < n_; ++j) obj += cost_[j] * x_[j];
-      out.objective = sign_ * obj;
+      out->objective = sign_ * obj;
       // Phase 2 converges only on freshly recomputed reduced costs.
       PB_DCHECK(d_valid_ && !d_phase1_);
-      out.reduced_costs.resize(total_);
-      for (int j = 0; j < total_; ++j) out.reduced_costs[j] = sign_ * d_[j];
+      out->reduced_costs.resize(total_);
+      for (int j = 0; j < total_; ++j) out->reduced_costs[j] = sign_ * d_[j];
     }
     if (status == LpStatus::kOptimal || status == LpStatus::kIterationLimit) {
-      ExportBasis(&out.basis);
+      out->basis.basic = basis_;
+      out->basis.stat = stat_;
+    } else {
+      out->basis.clear();
     }
-    return out;
   }
 
   /// Solve from whatever basis is currently loaded: dual re-optimization
@@ -183,7 +199,7 @@ class LpSolver::Simplex {
   /// only ever entered on a warm basis: a cold slack basis is not
   /// dual-feasible in general, and the primal phases are the right engine
   /// for it anyway.
-  LpSolution RunFromCurrentBasis(bool warm) {
+  LpStatus RunFromCurrentBasis(bool warm) {
     // ---- Dual simplex: a warm basis whose bounds moved is bound-
     // infeasible but (coming from a parent's optimum) still dual-feasible;
     // restore primal feasibility in a few dual pivots instead of a phase-1
@@ -196,16 +212,16 @@ class LpSolver::Simplex {
           // A violated row with no eligible entering column is a valid
           // infeasibility certificate (unless numerical trouble fired, in
           // which case Run() retries cold before trusting this verdict).
-          return Finish(LpStatus::kInfeasible);
+          return LpStatus::kInfeasible;
         case DualOutcome::kLimit:
-          return Finish(LpStatus::kIterationLimit);
+          return LpStatus::kIterationLimit;
         case DualOutcome::kTrouble:
           // Numerically failed dual run: report infeasible WITH
           // numerical_trouble_ set, which Run() converts into a cold
           // primal restart — the dual path never concludes infeasible on
           // its own after trouble.
           numerical_trouble_ = true;
-          return Finish(LpStatus::kInfeasible);
+          return LpStatus::kInfeasible;
       }
     }
 
@@ -213,22 +229,22 @@ class LpSolver::Simplex {
     // is primal feasible under the current bounds exits immediately; one
     // that inherited now-violated bounds gets repaired here.
     if (SolvePhase(/*phase1=*/true) == PhaseResult::kLimit) {
-      return Finish(LpStatus::kIterationLimit);
+      return LpStatus::kIterationLimit;
     }
     if (TotalInfeasibility() > opts_.feas_tol * (1 + m_)) {
-      return Finish(LpStatus::kInfeasible);
+      return LpStatus::kInfeasible;
     }
 
     // ---- Phase 2: optimize the true objective.
     switch (SolvePhase(/*phase1=*/false)) {
       case PhaseResult::kLimit:
-        return Finish(LpStatus::kIterationLimit);
+        return LpStatus::kIterationLimit;
       case PhaseResult::kNoDirection:
-        return Finish(LpStatus::kUnbounded);
+        return LpStatus::kUnbounded;
       case PhaseResult::kConverged:
         break;
     }
-    return Finish(LpStatus::kOptimal);
+    return LpStatus::kOptimal;
   }
 
   static constexpr double kInf = kInfinity;
@@ -282,9 +298,10 @@ class LpSolver::Simplex {
   /// Restores a prior basis: statuses are adopted, nonbasic variables snap
   /// to the current bounds (which may have moved since the snapshot — the
   /// branch-and-bound case), and the basis is refactorized from scratch.
-  /// Returns false (leaving reinitialization to the caller) when the
-  /// snapshot has the wrong shape, is internally inconsistent, or its
-  /// basis matrix is singular.
+  /// One pass over the statuses checks, adopts and snaps them together.
+  /// Returns false (leaving reinitialization to the caller, which
+  /// overwrites whatever was adopted) when the snapshot has the wrong
+  /// shape, is internally inconsistent, or its basis matrix is singular.
   bool LoadBasis(const LpBasis& b) {
     if (static_cast<int>(b.basic.size()) != m_ ||
         static_cast<int>(b.stat.size()) != total_) {
@@ -292,37 +309,30 @@ class LpSolver::Simplex {
     }
     int basic_count = 0;
     for (int j = 0; j < total_; ++j) {
-      if (b.stat[j] == VarStat::kBasic) ++basic_count;
-    }
-    if (basic_count != m_) return false;
-    for (int j : b.basic) {
-      if (j < 0 || j >= total_ || b.stat[j] != VarStat::kBasic) return false;
-    }
-    basis_ = b.basic;
-    stat_ = b.stat;
-    x_.assign(total_, 0.0);
-    for (int j = 0; j < total_; ++j) {
-      switch (stat_[j]) {
+      VarStat s = b.stat[j];
+      double x = 0.0;  // a basic value is recomputed below
+      switch (s) {
         case VarStat::kBasic:
-          break;  // recomputed below
+          ++basic_count;
+          break;
         case VarStat::kAtLower:
           if (lb_[j] > -kInf) {
-            x_[j] = lb_[j];
+            x = lb_[j];
           } else if (ub_[j] < kInf) {
-            stat_[j] = VarStat::kAtUpper;
-            x_[j] = ub_[j];
+            s = VarStat::kAtUpper;
+            x = ub_[j];
           } else {
-            stat_[j] = VarStat::kFree;
+            s = VarStat::kFree;
           }
           break;
         case VarStat::kAtUpper:
           if (ub_[j] < kInf) {
-            x_[j] = ub_[j];
+            x = ub_[j];
           } else if (lb_[j] > -kInf) {
-            stat_[j] = VarStat::kAtLower;
-            x_[j] = lb_[j];
+            s = VarStat::kAtLower;
+            x = lb_[j];
           } else {
-            stat_[j] = VarStat::kFree;
+            s = VarStat::kFree;
           }
           break;
         case VarStat::kFree:
@@ -331,21 +341,24 @@ class LpSolver::Simplex {
             bool lower =
                 ub_[j] == kInf ||
                 (lb_[j] > -kInf && std::abs(lb_[j]) <= std::abs(ub_[j]));
-            stat_[j] = lower ? VarStat::kAtLower : VarStat::kAtUpper;
-            x_[j] = lower ? lb_[j] : ub_[j];
+            s = lower ? VarStat::kAtLower : VarStat::kAtUpper;
+            x = lower ? lb_[j] : ub_[j];
           }
           break;
       }
+      stat_[j] = s;
+      x_[j] = x;
+    }
+    if (basic_count != m_) return false;
+    for (int i = 0; i < m_; ++i) {
+      const int j = b.basic[i];
+      if (j < 0 || j >= total_ || b.stat[j] != VarStat::kBasic) return false;
+      basis_[i] = j;
     }
     if (!fact_->Refactorize(basis_)) return false;
     d_valid_ = false;
     RecomputeBasicValues();
     return true;
-  }
-
-  void ExportBasis(LpBasis* out) const {
-    out->basic = basis_;
-    out->stat = stat_;
   }
 
   /// x_B = B^{-1} (0 - N x_N).
@@ -408,11 +421,14 @@ class LpSolver::Simplex {
     fact_->Btran(y);
   }
 
-  /// Rebuilds every reduced cost from fresh duals — the expensive O(nnz)
-  /// pass the incremental updates exist to avoid; runs only on phase entry,
-  /// after refactorizations, and to confirm convergence. For phase 1 it
-  /// also snapshots the composite cost vector (c1_) so the loop can detect
-  /// when a segment change invalidates d_.
+  /// Rebuilds every reduced cost from fresh duals, d = c - [A | -I]^T y —
+  /// the O(nnz) pass the incremental updates exist to avoid; runs only on
+  /// phase entry, after refactorizations, and to confirm convergence. The
+  /// product is accumulated row by row over the model's rows, so each
+  /// column's subtractions run in ascending row order, exactly as a walk
+  /// down its column would, and basic entries are then set to 0. For
+  /// phase 1 it also snapshots the composite cost vector (c1_) so the loop
+  /// can detect when a segment change invalidates d_.
   void RecomputeReducedCosts(bool phase1) {
     ComputeDuals(phase1, &y_);
     if (phase1) {
@@ -427,15 +443,19 @@ class LpSolver::Simplex {
         }
       }
     }
-    for (int j = 0; j < total_; ++j) {
-      if (stat_[j] == VarStat::kBasic) {
-        d_[j] = 0.0;
-        continue;
-      }
-      double d = phase1 ? 0.0 : cost_[j];
-      ForEachCol(j, [&](int row, double coeff) { d -= y_[row] * coeff; });
-      d_[j] = d;
+    if (phase1) {
+      std::fill(d_.begin(), d_.end(), 0.0);
+    } else {
+      std::copy(cost_.begin(), cost_.end(), d_.begin());
     }
+    for (int i = 0; i < m_; ++i) {
+      const double yi = y_[i];
+      for (const LinearTerm& t : model_.constraint(i).terms) {
+        d_[t.var] -= yi * t.coeff;
+      }
+      d_[n_ + i] -= yi * -1.0;  // slack column of row i: -e_i
+    }
+    for (int b : basis_) d_[b] = 0.0;
     d_valid_ = true;
     d_phase1_ = phase1;
   }
@@ -540,8 +560,10 @@ class LpSolver::Simplex {
   /// unboundedness are only ever declared off freshly recomputed reduced
   /// costs, never off the incrementally maintained ones.
   PhaseResult SolvePhase(bool phase1) {
-    pricing_.ResetPrimal(total_);
     d_valid_ = false;  // phase entry: the cost vector changed
+    // The devex frame starts fresh on the phase's first pricing; a phase
+    // that exits before pricing (phase 1 on a feasible basis) skips it.
+    bool framed = false;
     int since_refactor = 0;
     for (;;) {
       if (phase1 && TotalInfeasibility() <= opts_.feas_tol) {
@@ -591,6 +613,10 @@ class LpSolver::Simplex {
           }
         }
       };
+      if (!framed) {
+        pricing_.ResetPrimal(total_);
+        framed = true;
+      }
       select();
       if (enter < 0 && !fresh) {
         // Maintained reduced costs say converged: confirm before claiming.
@@ -1019,15 +1045,24 @@ LpSolver::~LpSolver() = default;
 
 const CscMatrix& LpSolver::columns() const { return simplex_->columns(); }
 
-Result<LpSolution> LpSolver::Solve(
-    const std::vector<std::pair<double, double>>* bounds,
-    const LpBasis* warm_start, int64_t max_iterations) {
+Status LpSolver::Solve(const std::vector<std::pair<double, double>>* bounds,
+                       const LpBasis* warm_start, int64_t max_iterations,
+                       LpSolution* out) {
   if (bounds != nullptr &&
       static_cast<int>(bounds->size()) != simplex_->num_variables()) {
     return Status::InvalidArgument(
         "bound_override size does not match variable count");
   }
-  return simplex_->Solve(bounds, warm_start, max_iterations);
+  simplex_->Solve(bounds, warm_start, max_iterations, out);
+  return Status::OK();
+}
+
+Result<LpSolution> LpSolver::Solve(
+    const std::vector<std::pair<double, double>>* bounds,
+    const LpBasis* warm_start, int64_t max_iterations) {
+  LpSolution out;
+  PB_RETURN_IF_ERROR(Solve(bounds, warm_start, max_iterations, &out));
+  return out;
 }
 
 Result<LpSolution> SolveLp(

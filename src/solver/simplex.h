@@ -4,11 +4,13 @@
 //   SolveMilp ── validates the model once; one LpSolver per solve
 //     LpSolver ─ reusable workspace (arrays, factorization, pricing
 //                weights); Solve() resets per-solve state, runs the loops
+//                and overwrites a caller-owned LpSolution
 //   SolveLp ──── validate, then one Solve through a fresh LpSolver
 //
-// A branch-and-bound node LP therefore validates nothing and allocates no
-// simplex state, yet performs the same floating-point operations in the
-// same order as a fresh workspace would.
+// A branch-and-bound node LP therefore validates nothing and, once the
+// first solves have sized the workspace and the LpSolution it fills,
+// allocates nothing, yet performs the same floating-point operations in
+// the same order as a fresh workspace would.
 //
 // This is the LP engine underneath the MILP branch-and-bound. It handles
 // ranged constraints (lo <= ax <= hi) by introducing one slack per row
@@ -172,11 +174,20 @@ class LpSolver {
   LpSolver(const LpSolver&) = delete;
   LpSolver& operator=(const LpSolver&) = delete;
 
-  /// Solves the LP relaxation (integrality is ignored). `bounds`, when
-  /// non-null, replaces the variable bounds (one (lb, ub) pair per
-  /// variable; any lb > ub is reported infeasible without a pivot).
-  /// `warm_start` is as for SolveLp. `max_iterations` is the iteration
-  /// budget; EffectiveIterationLimit gives the one SolveLp would use.
+  /// Solves the LP relaxation (integrality is ignored) into `out`, which
+  /// it overwrites whole; out's arrays keep their capacity, so a caller
+  /// that passes the same LpSolution to every solve of one model makes a
+  /// node LP allocate nothing once the first few solves have sized it.
+  /// `bounds`, when non-null, replaces the variable bounds (one (lb, ub)
+  /// pair per variable; any lb > ub is reported infeasible without a
+  /// pivot). `warm_start` is as for SolveLp and may be `&out->basis`.
+  /// `max_iterations` is the iteration budget; EffectiveIterationLimit
+  /// gives the one SolveLp would use.
+  [[nodiscard]] Status Solve(
+      const std::vector<std::pair<double, double>>* bounds,
+      const LpBasis* warm_start, int64_t max_iterations, LpSolution* out);
+
+  /// The same solve into a fresh LpSolution.
   [[nodiscard]] Result<LpSolution> Solve(
       const std::vector<std::pair<double, double>>* bounds,
       const LpBasis* warm_start, int64_t max_iterations);

@@ -124,11 +124,12 @@ Result<std::vector<Suggestion>> ExplorationSession::InferConstraints() const {
     double mn = kInf, mx = -kInf;
     bool numeric = true;
     bool string_common = true;
-    // at() returns a materialized Value, so the common string is kept by
-    // value rather than by pointer into the table.
+    // A read materializes the Value, so the common string is kept by value
+    // rather than by pointer into the table.
     std::optional<db::Value> common;
     for (size_t row : locked_) {
-      const db::Value v = table.at(row, c);
+      PB_ASSIGN_OR_RETURN(const db::Value v,
+                          table.column_data(c).ReadValue(row));
       if (v.is_numeric()) {
         double d = v.is_int() ? static_cast<double>(v.AsInt())
                               : v.AsDoubleExact();

@@ -113,7 +113,12 @@ Result<std::vector<Suggestion>> SuggestConstraints(
                                 std::to_string(highlight.package_position) +
                                 " exceeds the sample package size");
     }
-    return sample.rows[highlight.package_position];
+    const size_t row = sample.rows[highlight.package_position];
+    if (row >= table.num_rows()) {
+      return Status::OutOfRange("package references row " +
+                                std::to_string(row) + " beyond table size");
+    }
+    return row;
   };
 
   switch (highlight.kind) {
@@ -121,7 +126,8 @@ Result<std::vector<Suggestion>> SuggestConstraints(
       PB_ASSIGN_OR_RETURN(size_t row, resolve_row());
       PB_ASSIGN_OR_RETURN(size_t col_idx,
                           table.schema().IndexOf(highlight.column));
-      const db::Value& v = table.at(row, col_idx);
+      PB_ASSIGN_OR_RETURN(const db::Value v,
+                          table.column_data(col_idx).ReadValue(row));
       if (v.is_numeric()) {
         PB_ASSIGN_OR_RETURN(double d, v.ToDouble());
         SuggestForNumericCell(highlight.column, d, options.range_slack, &out);
@@ -158,7 +164,8 @@ Result<std::vector<Suggestion>> SuggestConstraints(
       PB_ASSIGN_OR_RETURN(size_t row, resolve_row());
       // "More like this": equality on categorical attributes of the row.
       for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-        const db::Value& v = table.at(row, c);
+        PB_ASSIGN_OR_RETURN(const db::Value v,
+                            table.column_data(c).ReadValue(row));
         if (v.is_string()) {
           const std::string& col = table.schema().column(c).name;
           out.push_back(MakeBase(

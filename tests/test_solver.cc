@@ -5,7 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "core/evaluator.h"
@@ -35,6 +43,58 @@ TEST(ModelTest, DuplicateTermsMerge) {
   m.AddConstraint("c", {{x, 1.0}, {x, 2.0}, {x, -3.0}}, 0, 1);
   // 1 + 2 - 3 = 0: the term vanishes.
   EXPECT_TRUE(m.constraint(0).terms.empty());
+}
+
+TEST(ModelTest, AddConstraintCanonicalizesLikeAMapMerge) {
+  // The reference: merged[var] += coeff over a std::map, zero sums dropped.
+  auto reference = [](const std::vector<LinearTerm>& terms) {
+    std::map<int, double> merged;
+    for (const LinearTerm& t : terms) merged[t.var] += t.coeff;
+    std::vector<LinearTerm> out;
+    for (const auto& [var, coeff] : merged) {
+      if (coeff != 0.0) out.push_back({var, coeff});
+    }
+    return out;
+  };
+  // Cancelling magnitudes make the summation order visible in the bits.
+  const double pool[] = {0.0,  -0.0, std::nan(""), 1.5,   -1.5, 0.1,
+                         0.2,  0.3,  1e16,         -1e16, 1.0,  -2.25};
+  Rng rng(4242);
+  LpModel m;
+  for (int j = 0; j < 16; ++j) m.AddVariable("", 0, 1, 0, false);
+  for (int trial = 0; trial < 600; ++trial) {
+    std::vector<LinearTerm> terms;
+    const int k = static_cast<int>(rng.UniformInt(0, 40));
+    for (int t = 0; t < k; ++t) {
+      const double coeff = rng.Bernoulli(0.75)
+                               ? pool[rng.Index(std::size(pool))]
+                               : rng.UniformReal(-10.0, 10.0);
+      terms.push_back({static_cast<int>(rng.UniformInt(0, 15)), coeff});
+    }
+    auto by_var = [](const LinearTerm& a, const LinearTerm& b) {
+      return a.var < b.var;
+    };
+    if (trial % 3 != 2) {  // else shuffled, duplicates anywhere
+      std::stable_sort(terms.begin(), terms.end(), by_var);
+    }
+    if (trial % 3 == 0) {  // strictly ascending, as every translator row is
+      terms.erase(std::unique(terms.begin(), terms.end(),
+                              [](const LinearTerm& a, const LinearTerm& b) {
+                                return a.var == b.var;
+                              }),
+                  terms.end());
+    }
+    const std::vector<LinearTerm> want = reference(terms);
+    const int row = m.AddConstraint("", terms, 0, 1);
+    const std::vector<LinearTerm>& got = m.constraint(row).terms;
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (size_t t = 0; t < want.size(); ++t) {
+      EXPECT_EQ(got[t].var, want[t].var) << "trial " << trial;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[t].coeff),
+                std::bit_cast<uint64_t>(want[t].coeff))
+          << "trial " << trial << " term " << t;
+    }
+  }
 }
 
 TEST(ModelTest, ValidationCatchesBadBounds) {
@@ -262,6 +322,143 @@ double GridOracle(const LpModel& m, int grid_hi) {
   };
   rec(0);
   return best;
+}
+
+/// Checks an optimal solution's reduced costs against c - [A | -I]^T y,
+/// with y from an independent dense solve of B^T y = c_B on the exported
+/// basis (c: the model's own objective; partial-pivoting elimination, no
+/// factorization code). Basic entries must be exactly 0.
+void ExpectReducedCostsMatchDuals(const LpModel& m, const LpSolution& lp,
+                                  const std::string& what) {
+  const int rows = m.num_constraints();
+  const int n = m.num_variables();
+  std::vector<std::vector<double>> a(rows, std::vector<double>(n, 0.0));
+  for (int i = 0; i < rows; ++i) {
+    for (const LinearTerm& t : m.constraint(i).terms) a[i][t.var] = t.coeff;
+  }
+  // Row k of [B^T | c_B]: the basic column of position k, then its cost.
+  std::vector<std::vector<double>> e(rows, std::vector<double>(rows + 1));
+  for (int k = 0; k < rows; ++k) {
+    const int j = lp.basis.basic[k];
+    for (int i = 0; i < rows; ++i) {
+      e[k][i] = j < n ? a[i][j] : (j - n == i ? -1.0 : 0.0);
+    }
+    e[k][rows] = j < n ? m.variable(j).objective : 0.0;
+  }
+  for (int c = 0; c < rows; ++c) {
+    int piv = c;
+    for (int r = c + 1; r < rows; ++r) {
+      if (std::abs(e[r][c]) > std::abs(e[piv][c])) piv = r;
+    }
+    std::swap(e[c], e[piv]);
+    ASSERT_NE(e[c][c], 0.0) << what << ": singular exported basis";
+    for (int r = 0; r < rows; ++r) {
+      if (r == c) continue;
+      const double f = e[r][c] / e[c][c];
+      for (int k = c; k <= rows; ++k) e[r][k] -= f * e[c][k];
+    }
+  }
+  std::vector<double> y(rows);
+  for (int i = 0; i < rows; ++i) y[i] = e[i][rows] / e[i][i];
+
+  ASSERT_EQ(lp.reduced_costs.size(), static_cast<size_t>(n + rows)) << what;
+  for (int j = 0; j < n + rows; ++j) {
+    double want, scale;
+    if (j < n) {
+      want = m.variable(j).objective;
+      scale = std::abs(want);
+      for (int i = 0; i < rows; ++i) {
+        want -= a[i][j] * y[i];
+        scale += std::abs(a[i][j] * y[i]);
+      }
+    } else {
+      want = y[j - n];  // the slack column -e_i prices at 0 - (-y_i)
+      scale = std::abs(want);
+    }
+    if (lp.basis.stat[j] == VarStat::kBasic) {
+      EXPECT_EQ(lp.reduced_costs[j], 0.0) << what << " basic column " << j;
+      continue;
+    }
+    EXPECT_NEAR(lp.reduced_costs[j], want, 1e-9 * std::max(1.0, scale))
+        << what << " column " << j;
+  }
+}
+
+TEST(SimplexTest, ReducedCostsAreCMinusATransposeY) {
+  Rng rng(2718);
+  int checked = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    LpModel m;
+    const int n = static_cast<int>(rng.UniformInt(1, 40));
+    const int rows = static_cast<int>(rng.UniformInt(1, 6));
+    std::vector<double> point(n);  // a point every row is built around
+    for (int j = 0; j < n; ++j) {
+      double lb = 0.0, ub = 1.0;
+      switch (rng.UniformInt(0, 2)) {
+        case 0: ub = static_cast<double>(rng.UniformInt(1, 10)); break;
+        case 1:
+          lb = -static_cast<double>(rng.UniformInt(1, 5));
+          ub = static_cast<double>(rng.UniformInt(1, 5));
+          break;
+        default: break;
+      }
+      const double c = 0.5 * static_cast<double>(rng.UniformInt(-20, 20));
+      m.AddVariable("", lb, ub, c, false);
+      point[j] = rng.UniformReal(lb, ub);
+    }
+    for (int i = 0; i < rows; ++i) {
+      std::vector<LinearTerm> terms;
+      double act = 0.0;
+      for (int j = 0; j < n; ++j) {
+        if (!rng.Bernoulli(0.5)) continue;
+        const double coeff = 0.5 * static_cast<double>(rng.UniformInt(1, 9)) *
+                             (rng.Bernoulli(0.5) ? 1.0 : -1.0);
+        terms.push_back({j, coeff});
+        act += coeff * point[j];
+      }
+      double lo = -kInfinity, hi = kInfinity;
+      switch (rng.UniformInt(0, 4)) {
+        case 0:  // ranged
+          lo = act - rng.UniformReal(0.0, 5.0);
+          hi = act + rng.UniformReal(0.0, 5.0);
+          break;
+        case 1: lo = hi = act; break;  // equality
+        case 2: break;                 // free
+        case 3: hi = act + rng.UniformReal(0.0, 5.0); break;
+        default: lo = act - rng.UniformReal(0.0, 5.0); break;
+      }
+      m.AddConstraint("", terms, lo, hi);
+    }
+    m.SetSense(rng.Bernoulli(0.5) ? ObjectiveSense::kMaximize
+                                  : ObjectiveSense::kMinimize);
+    const std::string what = "trial " + std::to_string(trial);
+    auto cold = SolveLp(m);
+    ASSERT_TRUE(cold.ok()) << what;
+    if (cold->status != LpStatus::kOptimal) continue;
+    ExpectReducedCostsMatchDuals(m, *cold, what + " cold");
+    ++checked;
+
+    // A child's warm re-solve (the dual simplex's path) into a reused
+    // solution: one variable's range halved.
+    std::vector<std::pair<double, double>> bounds;
+    for (int j = 0; j < n; ++j) {
+      bounds.emplace_back(m.variable(j).lb, m.variable(j).ub);
+    }
+    const int pick = static_cast<int>(rng.Index(n));
+    bounds[pick].second = std::floor(0.5 * (bounds[pick].first +
+                                            bounds[pick].second));
+    LpSolver solver(m, {});
+    LpSolution warm = *cold;
+    ASSERT_TRUE(solver
+                    .Solve(&bounds, &warm.basis,
+                           EffectiveIterationLimit(m, {}), &warm)
+                    .ok())
+        << what;
+    if (warm.status == LpStatus::kOptimal) {
+      ExpectReducedCostsMatchDuals(m, warm, what + " warm");
+    }
+  }
+  EXPECT_GE(checked, 150);
 }
 
 TEST(SimplexTest, RandomizedLpsBeatOrMatchIntegerGrid) {
@@ -613,12 +810,13 @@ TEST(BranchingTest, MostFractionalPicksClosestToHalf) {
   for (int j = 0; j < 4; ++j) {
     m.AddVariable("x" + std::to_string(j), 0, 10, 1.0, true);
   }
+  const std::vector<char> is_int = IntegralityMask(m);
   // Fractional parts: 0.3, 0.5, 0.9, 0.0 — index 1 is closest to 1/2.
-  EXPECT_EQ(MostFractionalVariable(m, {2.3, 5.5, 0.9, 4.0}, 1e-6), 1);
+  EXPECT_EQ(MostFractionalVariable(is_int, {2.3, 5.5, 0.9, 4.0}, 1e-6), 1);
   // 0.45 (dist 0.05) beats 0.7 (dist 0.2).
-  EXPECT_EQ(MostFractionalVariable(m, {1.45, 3.0, 2.7, 0.0}, 1e-6), 0);
+  EXPECT_EQ(MostFractionalVariable(is_int, {1.45, 3.0, 2.7, 0.0}, 1e-6), 0);
   // Ties break to the lowest index.
-  EXPECT_EQ(MostFractionalVariable(m, {0.0, 1.25, 2.75, 3.0}, 1e-6), 1);
+  EXPECT_EQ(MostFractionalVariable(is_int, {0.0, 1.25, 2.75, 3.0}, 1e-6), 1);
 }
 
 TEST(BranchingTest, MostFractionalHonorsToleranceAndContinuousVars) {
@@ -626,12 +824,13 @@ TEST(BranchingTest, MostFractionalHonorsToleranceAndContinuousVars) {
   m.AddVariable("i0", 0, 10, 1.0, true);
   m.AddVariable("c1", 0, 10, 1.0, false);  // continuous: never branched
   m.AddVariable("i2", 0, 10, 1.0, true);
+  const std::vector<char> is_int = IntegralityMask(m);
   // i0 is within tolerance of 2; c1 is very fractional but continuous.
-  EXPECT_EQ(MostFractionalVariable(m, {2.0000001, 5.5, 7.2}, 1e-6), 2);
+  EXPECT_EQ(MostFractionalVariable(is_int, {2.0000001, 5.5, 7.2}, 1e-6), 2);
   // Everything integral (within tolerance): -1.
-  EXPECT_EQ(MostFractionalVariable(m, {2.0, 5.5, 7.0}, 1e-6), -1);
+  EXPECT_EQ(MostFractionalVariable(is_int, {2.0, 5.5, 7.0}, 1e-6), -1);
   // A barely-fractional variable is still found when it is all there is.
-  EXPECT_EQ(MostFractionalVariable(m, {2.001, 5.5, 7.0}, 1e-6), 0);
+  EXPECT_EQ(MostFractionalVariable(is_int, {2.001, 5.5, 7.0}, 1e-6), 0);
 }
 
 // ----- Status edges under tight budgets --------------------------------------

@@ -36,6 +36,8 @@
 #include "storage/block_cache.h"
 #include "storage/segment_file.h"
 #include "storage/storage_budget.h"
+#include "ui/explore.h"
+#include "ui/suggest.h"
 
 namespace pb {
 namespace {
@@ -709,6 +711,61 @@ TEST(OutOfCoreEngineTest, CorruptBlockIsAnErrorInCsvExportAndPreview) {
   EXPECT_FALSE(preview.ok());
   EXPECT_EQ(preview.status().code(), StatusCode::kInternal)
       << preview.status().ToString();
+}
+
+TEST(OutOfCoreUiTest, CorruptCellIsAnErrorInSuggestionsAndInference) {
+  // A cell or row highlight and constraint inference each read the corrupt
+  // column's cells; the read error is the answer, not a NULL that quietly
+  // yields no suggestion.
+  storage::BlockCache cache(0);
+  db::Catalog catalog;
+  catalog.RegisterOrReplace(
+      CorruptSpilledItems(TempPath("ui_corrupt.seg"), &cache));
+  auto aq = paql::ParseAndAnalyze(
+      "SELECT PACKAGE(I) FROM items I SUCH THAT COUNT(*) = 3 "
+      "MAXIMIZE SUM(b)",
+      catalog);
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  core::Package sample;
+  sample.rows = {0, 1, 2};
+  sample.multiplicity = {1, 1, 1};
+  ui::Highlight cell;
+  cell.kind = ui::Highlight::Kind::kCell;
+  cell.column = "a";
+  auto by_cell = ui::SuggestConstraints(*aq->table, sample, cell);
+  EXPECT_EQ(by_cell.status().code(), StatusCode::kInternal)
+      << by_cell.status().ToString();
+  ui::Highlight row;
+  row.kind = ui::Highlight::Kind::kRow;
+  auto by_row = ui::SuggestConstraints(*aq->table, sample, row);
+  EXPECT_EQ(by_row.status().code(), StatusCode::kInternal)
+      << by_row.status().ToString();
+
+  // The session's solve reads only b; inferring reads every column.
+  ui::ExplorationSession session(&*aq, {});
+  Status started = session.Start();
+  ASSERT_TRUE(started.ok()) << started.ToString();
+  ASSERT_TRUE(session.Lock(session.sample().rows[0]).ok());
+  auto inferred = session.InferConstraints();
+  EXPECT_EQ(inferred.status().code(), StatusCode::kInternal)
+      << inferred.status().ToString();
+}
+
+TEST(OutOfCoreUiTest, HighlightedRowPastTheTableIsOutOfRange) {
+  storage::BlockCache cache(0);
+  db::Table table = CorruptSpilledItems(TempPath("ui_past.seg"), &cache);
+  core::Package sample;
+  sample.rows = {static_cast<size_t>(table.num_rows())};
+  sample.multiplicity = {1};
+  for (ui::Highlight::Kind kind :
+       {ui::Highlight::Kind::kCell, ui::Highlight::Kind::kRow}) {
+    ui::Highlight h;
+    h.kind = kind;
+    h.column = "b";
+    auto got = ui::SuggestConstraints(table, sample, h);
+    EXPECT_EQ(got.status().code(), StatusCode::kOutOfRange)
+        << got.status().ToString();
+  }
 }
 
 TEST(OutOfCoreEngineTest, WhereScanIsChargedToTheQueryBudget) {

@@ -4,6 +4,7 @@ files and fail on regressions.
 
 Usage:
     tools/check_bench_regression.py BASELINE.json NEW.json [--threshold 0.10]
+    tools/check_bench_regression.py BASELINE.json NEW.json --exact
 
 Run it locally exactly as CI does:
     ./build/bench_solver --benchmark_format=json \
@@ -32,6 +33,13 @@ Benchmarks present in only one file are reported but never fail the gate
 (CI runs a filtered subset of the full checked-in baseline) — except when
 NOTHING overlaps, which fails: a gate that compared zero benchmarks is a
 filter/baseline mismatch, not a pass.
+
+--exact replaces the threshold and the objective tolerance with equality:
+every tracked work counter, canary and objective of each benchmark in both
+files must equal its baseline, and a change either way fails, naming the
+benchmark and the counter. A change that must leave the search untouched
+(a refactor, a speed-up of the same pivots) is checked this way; one
+lp_iteration fewer is then a failure, not an improvement.
 """
 
 import argparse
@@ -119,6 +127,9 @@ def main():
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="relative drift allowed on counters "
                              "(default 0.10 = 10%%)")
+    parser.add_argument("--exact", action="store_true",
+                        help="fail on any change of a tracked counter or "
+                             "objective, either way")
     args = parser.parse_args()
 
     try:
@@ -157,7 +168,10 @@ def main():
             scale = max(abs(bv), 1.0)
             drift = (nv - bv) / scale
             what = f"{name}: {counter} {bv:g} -> {nv:g} ({drift:+.1%})"
-            if counter in WORK_COUNTERS:
+            if args.exact:
+                if nv != bv:
+                    failures.append(what + " changed (--exact)")
+            elif counter in WORK_COUNTERS:
                 if drift > args.threshold:
                     failures.append(what + " REGRESSION")
                 elif drift < -args.threshold:
@@ -178,7 +192,11 @@ def main():
                 except BenchFileError as e:
                     failures.append(str(e))
                 else:
-                    if abs(nv - bv) > OBJECTIVE_REL_TOL * max(abs(bv), 1.0):
+                    if args.exact and nv != bv:
+                        failures.append(
+                            f"{name}: objective {bv!r} -> {nv!r} "
+                            "changed (--exact)")
+                    elif abs(nv - bv) > OBJECTIVE_REL_TOL * max(abs(bv), 1.0):
                         failures.append(
                             f"{name}: objective {bv!r} -> {nv!r} — "
                             "different optimum")
@@ -202,8 +220,12 @@ def main():
         print("\nIf the change is intentional, refresh the checked-in "
               "baseline with the command in this script's docstring.")
         return 1
-    print(f"OK: deterministic counters within {args.threshold:.0%} of "
-          f"{args.baseline} ({len(compared)} benchmarks compared)")
+    if args.exact:
+        print(f"OK: deterministic counters and objectives equal to "
+              f"{args.baseline} ({len(compared)} benchmarks compared)")
+    else:
+        print(f"OK: deterministic counters within {args.threshold:.0%} of "
+              f"{args.baseline} ({len(compared)} benchmarks compared)")
     return 0
 
 

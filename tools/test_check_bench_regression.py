@@ -129,6 +129,40 @@ class CheckerTest(unittest.TestCase):
                                 self.path("new.json", new))
         self.assert_fails_cleanly(proc, "compared", "nothing")
 
+    # ----- --exact: a change that must not move the search ------------------
+
+    def test_exact_fails_on_a_one_count_drop_the_default_gate_passes(self):
+        base = bench_file([entry("BM_X/0", lp_iterations=100)])
+        new = bench_file([entry("BM_X/0", lp_iterations=99)])
+        base_path = self.path("base.json", base)
+        new_path = self.path("new.json", new)
+        proc = self.run_checker(base_path, new_path)
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        proc = self.run_checker(base_path, new_path, "--exact")
+        self.assert_fails_cleanly(proc, "BM_X/0", "lp_iterations", "--exact")
+
+    def test_exact_fails_on_a_canary_rise_and_an_objective_change(self):
+        base = bench_file([entry("BM_X/0", presolve_fixed_bounds=100,
+                                 objective=50.0),
+                           entry("BM_Y/0", objective=7.0)])
+        new = bench_file([entry("BM_X/0", presolve_fixed_bounds=101,
+                                objective=50.0),
+                          entry("BM_Y/0", objective=7.0 + 1e-12)])
+        base_path = self.path("base.json", base)
+        new_path = self.path("new.json", new)
+        self.assertEqual(self.run_checker(base_path, new_path).returncode, 0)
+        proc = self.run_checker(base_path, new_path, "--exact")
+        self.assert_fails_cleanly(proc, "BM_X/0", "presolve_fixed_bounds",
+                                  "BM_Y/0", "objective")
+
+    def test_exact_passes_equal_counters(self):
+        doc = bench_file([entry("BM_X/0", lp_iterations=100, bnb_nodes=7,
+                                objective=5.0)])
+        proc = self.run_checker(self.path("base.json", doc),
+                                self.path("new.json", doc), "--exact")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        self.assertIn("equal", proc.stdout)
+
     # ----- malformed inputs: contextual failures, never tracebacks ---------
 
     def test_counter_in_baseline_missing_from_new_run_fails_with_context(self):
