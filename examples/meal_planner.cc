@@ -68,7 +68,7 @@ int main() {
 
   // ---- Adaptive exploration (§3.3): keep the best tuple, resample twice.
   std::printf("\n-- Adaptive exploration --\n");
-  pb::ui::ExplorationSession session(&*aq, {});
+  pb::ui::ExplorationSession session(&*aq);
   if (auto s = session.Start(); !s.ok()) Fail(s);
   size_t keeper = session.sample().rows[0];
   std::printf("locking recipe row %zu and resampling...\n", keeper);

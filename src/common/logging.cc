@@ -1,44 +1,27 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace pb {
 
 namespace {
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-
 const char* LevelTag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
     case LogLevel::kWarning:
       return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
   }
   return "?";
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-LogLevel GetLogLevel() { return g_level.load(); }
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   stream_ << "[" << LevelTag(level) << " " << file << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= g_level.load()) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-  }
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
 }
 
 FatalMessage::FatalMessage(const char* file, int line, const char* condition) {

@@ -1,8 +1,8 @@
-// Minimal leveled logging and check macros.
+// Minimal logging and check macros.
 //
 // PB_CHECK fires in all builds; PB_DCHECK only when NDEBUG is not defined.
-// Logging goes to stderr; the level is a process-wide setting so tests and
-// benches can silence info output.
+// PB_LOG(Warning) writes one tagged line to stderr. There is no
+// process-wide level: every PB_LOG line prints.
 
 #ifndef PB_COMMON_LOGGING_H_
 #define PB_COMMON_LOGGING_H_
@@ -13,17 +13,8 @@
 
 namespace pb {
 
-enum class LogLevel {
-  kDebug = 0,
-  kInfo = 1,
-  kWarning = 2,
-  kError = 3,
-  kOff = 4
-};
-
-/// Sets the process-wide minimum level that is emitted.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+/// The levels a PB_LOG site may name.
+enum class LogLevel { kWarning };
 
 namespace internal {
 
@@ -40,7 +31,6 @@ class LogMessage {
   }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 

@@ -63,10 +63,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string FormatDouble(double v, int precision) {
   if (std::isfinite(v) && v == std::floor(v) && std::abs(v) < 1e15) {
     char buf[32];

@@ -27,9 +27,6 @@ std::vector<std::string> Split(std::string_view s, char sep);
 /// Joins with a separator.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// Formats a double compactly: integral values without trailing ".0",
 /// otherwise up to `precision` significant digits.
 std::string FormatDouble(double v, int precision = 10);

@@ -5,6 +5,11 @@
 
 namespace pb::core {
 
+namespace {
+/// Wall-clock budget of one EnumerateViaSolver call, all its solves included.
+constexpr double kEnumerateTimeLimitS = 30.0;
+}  // namespace
+
 Result<std::vector<Package>> EnumerateViaSolver(
     const paql::AnalyzedQuery& aq, const EnumerateOptions& options) {
   if (aq.max_multiplicity != 1) {
@@ -21,11 +26,10 @@ Result<std::vector<Package>> EnumerateViaSolver(
 
   std::vector<Package> out;
   while (out.size() < options.max_packages &&
-         timer.ElapsedSeconds() < options.time_limit_s) {
+         timer.ElapsedSeconds() < kEnumerateTimeLimitS) {
     solver::MilpOptions milp = options.milp;
-    milp.time_limit_s =
-        std::min(milp.time_limit_s,
-                 options.time_limit_s - timer.ElapsedSeconds());
+    milp.time_limit_s = std::min(milp.time_limit_s,
+                                 kEnumerateTimeLimitS - timer.ElapsedSeconds());
     PB_ASSIGN_OR_RETURN(solver::MilpResult r,
                         solver::SolveMilp(translation.model, milp));
     if (!r.has_solution()) break;

@@ -22,13 +22,13 @@ namespace pb::core {
 
 struct EnumerateOptions {
   size_t max_packages = 50;
-  double time_limit_s = 30.0;
   solver::MilpOptions milp;
 };
 
 /// Repeatedly solves the translated ILP, excluding each found package with
-/// a no-good cut (sum_{i in P} x_i - sum_{i not in P} x_i <= |P| - 1).
-/// Packages come out in non-increasing objective quality. Requires an
+/// a no-good cut (sum_{i in P} x_i - sum_{i not in P} x_i <= |P| - 1),
+/// until max_packages are found or 30 s have passed (no solve runs past
+/// that). Packages come out in non-increasing objective quality. Requires an
 /// ILP-translatable query with REPEAT absent (binary multiplicities —
 /// no-good cuts for general integers would not exclude single points).
 Result<std::vector<Package>> EnumerateViaSolver(

@@ -16,6 +16,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kFeasTol = 1e-9;
+/// Move scans per restart; each accepts at most one move.
+constexpr int64_t kMaxIterations = 5000;
 
 /// Incremental view of a package over the candidate list: per-linear-row
 /// sums, occurrence count, and objective, all maintained in O(rows) per
@@ -197,7 +199,7 @@ Result<LocalSearchResult> LocalSearch(const paql::AnalyzedQuery& aq,
 
     // ---- Phase 1: reduce violation; Phase 2: improve objective.
     int64_t iterations = 0;
-    while (iterations < options.max_iterations &&
+    while (iterations < kMaxIterations &&
            timer.ElapsedSeconds() <= options.time_limit_s) {
       ++iterations;
       double current_violation = state.Violation();

@@ -1,8 +1,10 @@
 // Heuristic local search (paper §4.2).
 //
-// Starting from a (random or greedy) package P0, the engine scans k-tuple
-// replacements that reduce constraint violation, then — once feasible —
-// replacements that improve the objective. The paper implements the 1-tuple
+// Starting from a random package P0, the engine scans k-tuple replacements
+// that reduce constraint violation, then — once feasible — replacements
+// that improve the objective. Each restart draws a fresh P0 and ends at a
+// local optimum or after 5000 move scans (a constant); the search keeps the
+// best valid package over its restarts. The paper implements the 1-tuple
 // scan as a single SQL query over P0 x R; this module provides both that
 // literal formulation (FindSingleTupleReplacementsViaJoin, which only the
 // E2 bench and test_strategies call) and an optimized in-memory scan with
@@ -29,7 +31,6 @@ namespace pb::core {
 struct LocalSearchOptions {
   uint64_t seed = 42;
   int max_restarts = 8;
-  int64_t max_iterations = 5000;  ///< accepted moves per restart
   double time_limit_s = 10.0;
 };
 

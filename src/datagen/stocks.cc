@@ -6,6 +6,9 @@ namespace pb::datagen {
 
 namespace {
 
+constexpr double kTechFraction = 0.35;
+constexpr double kShortFraction = 0.5;
+
 const std::vector<std::string>& Sectors() {
   static const std::vector<std::string> kSectors = {
       "tech", "health", "energy", "finance", "consumer", "industrial",
@@ -23,7 +26,7 @@ std::string MakeTicker(Rng& rng, size_t i) {
 
 }  // namespace
 
-db::Table GenerateStocks(size_t n, uint64_t seed, const StockOptions& options) {
+db::Table GenerateStocks(size_t n, uint64_t seed) {
   db::Schema schema({{"id", db::ValueType::kInt},
                      {"ticker", db::ValueType::kString},
                      {"sector", db::ValueType::kString},
@@ -39,10 +42,10 @@ db::Table GenerateStocks(size_t n, uint64_t seed, const StockOptions& options) {
   table.Reserve(n);
   Rng rng(seed);
   for (size_t i = 0; i < n; ++i) {
-    bool tech = rng.Bernoulli(options.tech_fraction);
+    bool tech = rng.Bernoulli(kTechFraction);
     std::string sector =
         tech ? "tech" : Sectors()[1 + rng.Index(Sectors().size() - 1)];
-    bool short_term = rng.Bernoulli(options.short_fraction);
+    bool short_term = rng.Bernoulli(kShortFraction);
     // Lot price: a few hundred to a few thousand dollars.
     double price = RoundTo(ClampedLogNormal(rng, std::log(2200.0), 0.8,
                                             200, 20000), 2);

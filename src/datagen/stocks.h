@@ -13,6 +13,8 @@
 //   SUM(price) <= 50000, SUM(tech_value) >= 15000,
 //   SUM(is_short) - SUM(is_long) BETWEEN -2 AND 2,
 //   MAXIMIZE SUM(expected_gain).
+//
+// Each lot is tech with probability 0.35 and short-term with 0.5.
 
 #ifndef PB_DATAGEN_STOCKS_H_
 #define PB_DATAGEN_STOCKS_H_
@@ -23,14 +25,8 @@
 
 namespace pb::datagen {
 
-struct StockOptions {
-  double tech_fraction = 0.35;
-  double short_fraction = 0.5;
-};
-
 /// Generates `n` stock lots with the given seed.
-db::Table GenerateStocks(size_t n, uint64_t seed,
-                         const StockOptions& options = {});
+db::Table GenerateStocks(size_t n, uint64_t seed);
 
 }  // namespace pb::datagen
 

@@ -6,20 +6,21 @@ namespace pb::datagen {
 
 namespace {
 
-const std::vector<std::string>& Destinations(size_t limit) {
-  static const std::vector<std::string> kAll = {
-      "maui",   "cancun",  "bali",     "fiji",
-      "aruba",  "phuket",  "barbados", "maldives",
+/// Item mix. The hotel threshold is their sum as computed, which is not the
+/// double 0.85, and every generated table depends on it.
+constexpr double kFlightFraction = 0.45;
+constexpr double kHotelFraction = 0.40;
+
+const std::vector<std::string>& Destinations() {
+  static const std::vector<std::string> kDestinations = {
+      "maui", "cancun", "bali", "fiji", "aruba", "phuket",
   };
-  static std::vector<std::string> trimmed;
-  trimmed.assign(kAll.begin(), kAll.begin() + std::min(limit, kAll.size()));
-  return trimmed;
+  return kDestinations;
 }
 
 }  // namespace
 
-db::Table GenerateTravelItems(size_t n, uint64_t seed,
-                              const TravelOptions& options) {
+db::Table GenerateTravelItems(size_t n, uint64_t seed) {
   db::Schema schema({{"id", db::ValueType::kInt},
                      {"kind", db::ValueType::kString},
                      {"dest", db::ValueType::kString},
@@ -32,16 +33,16 @@ db::Table GenerateTravelItems(size_t n, uint64_t seed,
   db::Table table("travel_items", std::move(schema));
   table.Reserve(n);
   Rng rng(seed);
-  const auto& dests = Destinations(options.num_destinations);
+  const auto& dests = Destinations();
   for (size_t i = 0; i < n; ++i) {
     double pick = rng.UniformReal(0.0, 1.0);
     std::string kind;
     double price, beach_km = 0.0, comfort;
-    if (pick < options.flight_fraction) {
+    if (pick < kFlightFraction) {
       kind = "flight";
       price = RoundTo(ClampedLogNormal(rng, std::log(420.0), 0.5, 90, 2400), 2);
       comfort = RoundTo(ClampedNormal(rng, 3.2, 0.8, 1, 5), 1);
-    } else if (pick < options.flight_fraction + options.hotel_fraction) {
+    } else if (pick < kFlightFraction + kHotelFraction) {
       kind = "hotel";
       // Price per stay (multi-night bundle). Beach distance correlates
       // inversely with price: beachfront costs more.

@@ -15,6 +15,9 @@
 //   id INT, kind STRING('flight'|'hotel'|'car'), dest STRING,
 //   price DOUBLE, is_flight INT, is_hotel INT, is_car INT,
 //   beach_km DOUBLE (hotels; 0 for others), comfort DOUBLE
+//
+// Each item is a flight with probability 0.45, a hotel with 0.40 and a car
+// otherwise, at one of six destinations.
 
 #ifndef PB_DATAGEN_TRAVEL_H_
 #define PB_DATAGEN_TRAVEL_H_
@@ -25,16 +28,8 @@
 
 namespace pb::datagen {
 
-struct TravelOptions {
-  /// Item mix (flights : hotels : cars).
-  double flight_fraction = 0.45;
-  double hotel_fraction = 0.40;
-  size_t num_destinations = 6;
-};
-
 /// Generates `n` travel items with the given seed.
-db::Table GenerateTravelItems(size_t n, uint64_t seed,
-                              const TravelOptions& options = {});
+db::Table GenerateTravelItems(size_t n, uint64_t seed);
 
 }  // namespace pb::datagen
 

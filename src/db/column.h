@@ -152,7 +152,6 @@ class NumericColumnView {
   /// is the other storage type.
   const double* doubles() const { return dbl_; }
   const int64_t* ints() const { return int_; }
-  const NullBitmap* null_mask() const { return nulls_; }
 
   // ----- Block structure (no IO) -------------------------------------------
 
@@ -260,7 +259,6 @@ class Column {
   /// or go through NumericView().
   const std::vector<int64_t>& ints() const { return ints_; }
   const std::vector<double>& doubles() const { return doubles_; }
-  const std::vector<uint8_t>& bools() const { return bools_; }
   const std::vector<std::string>& strings() const { return strings_; }
   const std::vector<Value>& values() const { return values_; }
 

@@ -1,6 +1,8 @@
 #include "db/csv.h"
 
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -12,7 +14,7 @@ namespace pb::db {
 namespace {
 
 /// Splits one CSV line honoring double-quoted fields with "" escapes.
-std::vector<std::string> SplitCsvLine(const std::string& line, char sep) {
+std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
   std::string current;
   bool in_quotes = false;
@@ -31,7 +33,7 @@ std::vector<std::string> SplitCsvLine(const std::string& line, char sep) {
       }
     } else if (c == '"') {
       in_quotes = true;
-    } else if (c == sep) {
+    } else if (c == ',') {
       fields.push_back(std::move(current));
       current.clear();
     } else {
@@ -57,7 +59,10 @@ bool ParseDouble(const std::string& s, double* out) {
   errno = 0;
   char* end = nullptr;
   double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
+  if (end != s.c_str() + s.size()) return false;
+  // strtod sets ERANGE on a subnormal result too, which is still the
+  // correctly rounded value; only overflow and underflow to zero lose it.
+  if (errno != 0 && (v == 0 || std::isinf(v))) return false;
   *out = v;
   return true;
 }
@@ -71,8 +76,7 @@ bool NextLine(std::istream& in, std::string* line) {
 
 }  // namespace
 
-Result<Table> ReadCsv(std::istream& in, const std::string& table_name,
-                      const CsvOptions& options) {
+Result<Table> ReadCsv(std::istream& in, const std::string& table_name) {
   // Two streaming passes over the input — infer (names, arity, types),
   // rewind, append — so ingest memory is one line plus the table itself,
   // never a parsed copy of the whole file. Non-seekable streams (pipes)
@@ -99,21 +103,16 @@ Result<Table> ReadCsv(std::istream& in, const std::string& table_name,
   while (NextLine(*src, &line)) {
     if (line.empty() && line_no == 0) continue;  // skip leading blank lines
     ++line_no;
-    std::vector<std::string> fields = SplitCsvLine(line, options.separator);
+    std::vector<std::string> fields = SplitCsvLine(line);
     if (line_no == 1) {
       ncols = fields.size();
       all_int.assign(ncols, 1);
       all_num.assign(ncols, 1);
       any_value.assign(ncols, 0);
-      if (options.has_header) {
-        for (const auto& h : fields) {
-          names.emplace_back(StripAsciiWhitespace(h));
-        }
-        continue;
+      for (const auto& h : fields) {
+        names.emplace_back(StripAsciiWhitespace(h));
       }
-      for (size_t i = 0; i < ncols; ++i) {
-        names.push_back("c" + std::to_string(i));
-      }
+      continue;
     }
     if (fields.size() != ncols) {
       return Status::ParseError(
@@ -139,14 +138,12 @@ Result<Table> ReadCsv(std::istream& in, const std::string& table_name,
   }
 
   std::vector<ValueType> types(ncols, ValueType::kString);
-  if (options.infer_types) {
-    for (size_t c = 0; c < ncols; ++c) {
-      if (!any_value[c]) continue;  // all-NULL column stays STRING
-      if (all_int[c]) {
-        types[c] = ValueType::kInt;
-      } else if (all_num[c]) {
-        types[c] = ValueType::kDouble;
-      }
+  for (size_t c = 0; c < ncols; ++c) {
+    if (!any_value[c]) continue;  // all-NULL column stays STRING
+    if (all_int[c]) {
+      types[c] = ValueType::kInt;
+    } else if (all_num[c]) {
+      types[c] = ValueType::kDouble;
     }
   }
 
@@ -162,14 +159,14 @@ Result<Table> ReadCsv(std::istream& in, const std::string& table_name,
   if (!*src) {
     return Status::Internal("cannot rewind CSV stream for the append pass");
   }
-  bool first = true;
+  bool header = true;
   while (NextLine(*src, &line)) {
-    if (line.empty() && first) continue;
-    std::vector<std::string> fields = SplitCsvLine(line, options.separator);
-    if (first) {
-      first = false;
-      if (options.has_header) continue;
+    if (line.empty() && header) continue;
+    if (header) {
+      header = false;
+      continue;
     }
+    std::vector<std::string> fields = SplitCsvLine(line);
     if (fields.size() != ncols) {
       return Status::Internal("CSV input changed between ingest passes");
     }
@@ -203,19 +200,17 @@ Result<Table> ReadCsv(std::istream& in, const std::string& table_name,
 }
 
 Result<Table> ReadCsvFile(const std::string& path,
-                          const std::string& table_name,
-                          const CsvOptions& options) {
+                          const std::string& table_name) {
   std::ifstream in(path);
   if (!in) {
     return Status::NotFound("cannot open CSV file '" + path + "'");
   }
-  return ReadCsv(in, table_name, options);
+  return ReadCsv(in, table_name);
 }
 
-Status WriteCsv(const Table& table, std::ostream& out,
-                const CsvOptions& options) {
+Status WriteCsv(const Table& table, std::ostream& out) {
   auto quote = [&](const std::string& s) {
-    bool needs = s.find(options.separator) != std::string::npos ||
+    bool needs = s.find(',') != std::string::npos ||
                  s.find('"') != std::string::npos ||
                  s.find('\n') != std::string::npos;
     if (!needs) return s;
@@ -227,31 +222,37 @@ Status WriteCsv(const Table& table, std::ostream& out,
     q += "\"";
     return q;
   };
-  if (options.has_header) {
-    for (size_t c = 0; c < table.schema().num_columns(); ++c) {
-      if (c > 0) out << options.separator;
-      out << quote(table.schema().column(c).name);
-    }
-    out << "\n";
+  for (size_t c = 0; c < table.schema().num_columns(); ++c) {
+    if (c > 0) out << ',';
+    out << quote(table.schema().column(c).name);
   }
+  out << "\n";
   for (size_t r = 0; r < table.num_rows(); ++r) {
     const Tuple row = table.row(r);
     for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out << options.separator;
-      if (!row[c].is_null()) out << quote(row[c].ToString());
+      if (c > 0) out << ',';
+      if (row[c].is_double()) {
+        // Value::ToString keeps 10 significant digits, which loses bits;
+        // the shortest round-trip form does not.
+        char buf[32];
+        const auto end =
+            std::to_chars(buf, buf + sizeof(buf), row[c].AsDoubleExact()).ptr;
+        out.write(buf, end - buf);
+      } else if (!row[c].is_null()) {
+        out << quote(row[c].ToString());
+      }
     }
     out << "\n";
   }
   return Status::OK();
 }
 
-Status WriteCsvFile(const Table& table, const std::string& path,
-                    const CsvOptions& options) {
+Status WriteCsvFile(const Table& table, const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     return Status::InvalidArgument("cannot open '" + path + "' for writing");
   }
-  return WriteCsv(table, out, options);
+  return WriteCsv(table, out);
 }
 
 }  // namespace pb::db

@@ -3,7 +3,6 @@
 #ifndef PB_DB_TUPLE_H_
 #define PB_DB_TUPLE_H_
 
-#include <string>
 #include <vector>
 
 #include "db/value.h"
@@ -11,17 +10,6 @@
 namespace pb::db {
 
 using Tuple = std::vector<Value>;
-
-/// Renders "(v1, v2, ...)".
-inline std::string TupleToString(const Tuple& t) {
-  std::string out = "(";
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += t[i].ToString();
-  }
-  out += ")";
-  return out;
-}
 
 }  // namespace pb::db
 

@@ -68,6 +68,14 @@ Result<size_t> Engine::LoadCsv(const std::string& path,
 
 Result<size_t> Engine::GenerateDataset(const std::string& kind, size_t n,
                                        uint64_t seed) {
+  // Ten times the largest table any test, bench or perfbench workload
+  // generates. Clients, pbshell and pbserve's flags pass any size, and the
+  // row reservation for 9e18 rows aborts the process.
+  constexpr size_t kMaxGenRows = 1000000;
+  if (n == 0 || n > kMaxGenRows) {
+    return Status::InvalidArgument("dataset size must be in [1, " +
+                                   std::to_string(kMaxGenRows) + "] rows");
+  }
   db::Table table;
   if (kind == "recipes") {
     table = datagen::GenerateRecipes(n, seed);

@@ -197,7 +197,8 @@ class Engine {
   /// Loads a CSV file into the catalog; returns the row count.
   Result<size_t> LoadCsv(const std::string& path, const std::string& name);
   /// Generates a synthetic dataset (kind: recipes|travel|stocks|lineitem)
-  /// and registers it under the kind's name; returns the row count.
+  /// and registers it under the kind's name; returns the row count. A size
+  /// outside [1, 1,000,000] rows is InvalidArgument and registers nothing.
   Result<size_t> GenerateDataset(const std::string& kind, size_t n,
                                  uint64_t seed);
   std::vector<std::string> TableNames() const;

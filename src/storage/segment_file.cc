@@ -252,9 +252,4 @@ Result<NumericBlock> SegmentFile::ReadBlock(const BlockLocator& loc) const {
   return block;
 }
 
-uint64_t SegmentFile::bytes_written() const {
-  MutexLock lock(&write_mu_);
-  return next_offset_;
-}
-
 }  // namespace pb::storage

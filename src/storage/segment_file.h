@@ -63,7 +63,6 @@ class SegmentFile {
   const std::string& path() const { return path_; }
   /// Process-unique id, used in block-cache keys.
   uint64_t id() const { return id_; }
-  uint64_t bytes_written() const;
 
  private:
   SegmentFile(std::string path, int fd, bool unlink_on_close);
@@ -72,7 +71,7 @@ class SegmentFile {
   int fd_ = -1;
   bool unlink_on_close_ = true;
   uint64_t id_ = 0;
-  mutable Mutex write_mu_;
+  Mutex write_mu_;
   uint64_t next_offset_ PB_GUARDED_BY(write_mu_) = 0;
 };
 

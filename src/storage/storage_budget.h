@@ -33,8 +33,6 @@ class StorageBudget {
     return b;
   }
 
-  bool attached() const { return state_ != nullptr; }
-
   /// Attempts to account `bytes` of newly pinned data. Returns false when
   /// the charge would push pinned bytes past the limit (the caller should
   /// surface ResourceExhausted); detached budgets always succeed.

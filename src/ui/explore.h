@@ -6,15 +6,18 @@
 // the search space as well as to identify additional package constraints."
 //
 // The session keeps the current sample and the set of locked (user-
-// selected) tuples. Resample() finds a fresh valid package that keeps
+// selected) tuples. Start() evaluates the query with the default
+// EvaluationOptions. Resample() finds a fresh valid package that keeps
 // every locked tuple and differs from the current sample: on the solver
 // path through lower-bound fixings plus a no-good cut on the current
 // sample (added only without REPEAT, so with REPEAT the solver may return
-// the sample again), and otherwise through a locked-core local search that
-// rejects the current sample's fingerprint. Earlier samples are not
-// remembered, so a resample may return one of them. InferConstraints()
-// turns the locked tuples into suggested base constraints (the "identify
-// additional package constraints" half).
+// the sample again). Otherwise it runs local search over the whole query,
+// which knows nothing of the locks, up to 8 times, each from the next seed
+// of the session (42, 43, ...), and keeps the first package that holds
+// every locked tuple and differs from the current sample. Earlier samples
+// are not remembered, so a resample may return one of them.
+// InferConstraints() turns the locked tuples into suggested base
+// constraints (the "identify additional package constraints" half).
 
 #ifndef PB_UI_EXPLORE_H_
 #define PB_UI_EXPLORE_H_
@@ -23,22 +26,16 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/evaluator.h"
 #include "core/package.h"
 #include "ui/suggest.h"
 
 namespace pb::ui {
 
-struct ExploreOptions {
-  uint64_t seed = 42;
-  core::EvaluationOptions evaluation;
-};
-
 /// One trial-and-error query-building session.
 class ExplorationSession {
  public:
   /// Binds the session to an analyzed query. `aq` must outlive the session.
-  ExplorationSession(const paql::AnalyzedQuery* aq, ExploreOptions options);
+  explicit ExplorationSession(const paql::AnalyzedQuery* aq);
 
   /// Finds the initial sample package.
   Status Start();
@@ -65,11 +62,10 @@ class ExplorationSession {
   Result<core::Package> SolveWithLocks();
 
   const paql::AnalyzedQuery* aq_;
-  ExploreOptions options_;
   core::Package sample_;
   std::set<size_t> locked_;
   size_t rounds_ = 0;
-  uint64_t next_seed_;
+  uint64_t next_seed_ = 42;
 };
 
 }  // namespace pb::ui

@@ -12,6 +12,10 @@ namespace {
 using core::EvalPackageAgg;
 using core::Package;
 
+/// A proposed range spans the observed value +/- 20%.
+constexpr double kRangeSlack = 0.2;
+constexpr size_t kMaxSuggestions = 12;
+
 Suggestion MakeBase(db::ExprPtr expr, std::string description) {
   Suggestion s;
   s.kind = Suggestion::Kind::kBaseConstraint;
@@ -48,7 +52,7 @@ double RoundNice(double v) {
 /// Suggestions for a numeric cell value v in column `col`: per-tuple caps
 /// and floors around v, plus a range (the paper's "restrict the amount of
 /// fat in each meal").
-void SuggestForNumericCell(const std::string& col, double v, double slack,
+void SuggestForNumericCell(const std::string& col, double v,
                            std::vector<Suggestion>* out) {
   out->push_back(MakeBase(
       db::Binary(db::BinaryOp::kLe, db::Col(col), db::LitDouble(RoundNice(v))),
@@ -58,7 +62,8 @@ void SuggestForNumericCell(const std::string& col, double v, double slack,
       db::Binary(db::BinaryOp::kGe, db::Col(col), db::LitDouble(RoundNice(v))),
       "each tuple's " + col + " must be at least " +
           FormatDouble(RoundNice(v))));
-  double lo = RoundNice(v * (1 - slack)), hi = RoundNice(v * (1 + slack));
+  double lo = RoundNice(v * (1 - kRangeSlack));
+  double hi = RoundNice(v * (1 + kRangeSlack));
   if (lo > hi) std::swap(lo, hi);
   out->push_back(MakeBase(
       db::Between(db::Col(col), db::LitDouble(lo), db::LitDouble(hi)),
@@ -68,7 +73,7 @@ void SuggestForNumericCell(const std::string& col, double v, double slack,
 
 /// Global suggestions around the sample package's current aggregates.
 Status SuggestForColumn(const db::Table& table, const Package& sample,
-                        const std::string& col, double slack,
+                        const std::string& col,
                         std::vector<Suggestion>* out) {
   paql::AggCall sum_call{db::AggFunc::kSum, db::Col(col)};
   PB_RETURN_IF_ERROR(sum_call.arg->Bind(table.schema()));
@@ -84,7 +89,8 @@ Status SuggestForColumn(const db::Table& table, const Package& sample,
     out->push_back(MakeGlobal(paql::GCompare(
         db::BinaryOp::kGe, sum_agg(),
         paql::GLit(db::Value::Double(RoundNice(sum))))));
-    double lo = RoundNice(sum * (1 - slack)), hi = RoundNice(sum * (1 + slack));
+    double lo = RoundNice(sum * (1 - kRangeSlack));
+    double hi = RoundNice(sum * (1 + kRangeSlack));
     if (lo > hi) std::swap(lo, hi);
     out->push_back(MakeGlobal(paql::GBetween(
         sum_agg(), paql::GLit(db::Value::Double(lo)),
@@ -103,7 +109,7 @@ Status SuggestForColumn(const db::Table& table, const Package& sample,
 
 Result<std::vector<Suggestion>> SuggestConstraints(
     const db::Table& table, const core::Package& sample,
-    const Highlight& highlight, const SuggestOptions& options) {
+    const Highlight& highlight) {
   std::vector<Suggestion> out;
 
   // Resolve the package position to a base-table row when needed.
@@ -130,9 +136,9 @@ Result<std::vector<Suggestion>> SuggestConstraints(
                           table.column_data(col_idx).ReadValue(row));
       if (v.is_numeric()) {
         PB_ASSIGN_OR_RETURN(double d, v.ToDouble());
-        SuggestForNumericCell(highlight.column, d, options.range_slack, &out);
-        PB_RETURN_IF_ERROR(SuggestForColumn(table, sample, highlight.column,
-                                            options.range_slack, &out));
+        SuggestForNumericCell(highlight.column, d, &out);
+        PB_RETURN_IF_ERROR(
+            SuggestForColumn(table, sample, highlight.column, &out));
       } else if (v.is_string()) {
         out.push_back(MakeBase(
             db::Binary(db::BinaryOp::kEq, db::Col(highlight.column),
@@ -151,8 +157,8 @@ Result<std::vector<Suggestion>> SuggestConstraints(
       PB_ASSIGN_OR_RETURN(size_t col_idx,
                           table.schema().IndexOf(highlight.column));
       (void)col_idx;
-      PB_RETURN_IF_ERROR(SuggestForColumn(table, sample, highlight.column,
-                                          options.range_slack, &out));
+      PB_RETURN_IF_ERROR(
+          SuggestForColumn(table, sample, highlight.column, &out));
       // Cardinality suggestions always make sense on a whole-column select.
       int64_t count = sample.TotalCount();
       out.push_back(MakeGlobal(paql::GCompare(
@@ -179,9 +185,7 @@ Result<std::vector<Suggestion>> SuggestConstraints(
     }
   }
 
-  if (out.size() > options.max_suggestions) {
-    out.resize(options.max_suggestions);
-  }
+  if (out.size() > kMaxSuggestions) out.resize(kMaxSuggestions);
   return out;
 }
 

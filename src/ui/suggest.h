@@ -8,7 +8,9 @@
 // This module is the backend of that interaction: given a highlight target
 // (cell / column / row) over the current sample package, it produces ranked
 // suggestions — base constraints, global constraints, and objectives — each
-// carrying both its PaQL spelling and a natural-language description.
+// carrying both its PaQL spelling and a natural-language description. A
+// proposed range spans the highlighted value (or the sample's sum) +/- 20%,
+// and a highlight yields at most 12 suggestions, the first 12 produced.
 
 #ifndef PB_UI_SUGGEST_H_
 #define PB_UI_SUGGEST_H_
@@ -48,18 +50,11 @@ struct Suggestion {
   std::optional<paql::Objective> objective;
 };
 
-struct SuggestOptions {
-  /// Slack applied around observed values when proposing ranges (0.2 = the
-  /// BETWEEN suggestion spans value +/- 20%).
-  double range_slack = 0.2;
-  size_t max_suggestions = 12;
-};
-
 /// Produces suggestions for a highlight over `sample` (a package against
 /// `table`). Fails only on unknown columns / invalid positions.
 Result<std::vector<Suggestion>> SuggestConstraints(
     const db::Table& table, const core::Package& sample,
-    const Highlight& highlight, const SuggestOptions& options = {});
+    const Highlight& highlight);
 
 /// Merges a suggestion into a query: base constraints AND-extend WHERE,
 /// global constraints AND-extend SUCH THAT, objectives replace the

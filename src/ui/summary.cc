@@ -10,6 +10,10 @@ namespace pb::ui {
 
 namespace {
 
+/// The glyph grid's size in cells.
+constexpr size_t kGridWidth = 24;
+constexpr size_t kGridHeight = 12;
+
 /// Mean/variance/correlation helpers over per-package dimension values.
 double Mean(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
@@ -95,8 +99,7 @@ std::string PackageSpaceSummary::Render(int highlight_package) const {
 }
 
 Result<PackageSpaceSummary> SummarizePackageSpace(
-    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages,
-    const SummaryOptions& options) {
+    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages) {
   // Candidate dimensions: every canonical aggregate of the query; COUNT(*)
   // is always available as a fallback axis.
   std::vector<SummaryDimension> dims;
@@ -170,9 +173,9 @@ Result<PackageSpaceSummary> SummarizePackageSpace(
   out.y_dim.agg.func = dims[y_dim].agg.func;
   out.y_dim.agg.arg =
       dims[y_dim].agg.arg ? dims[y_dim].agg.arg->Clone() : nullptr;
-  out.grid_width = options.grid_width;
-  out.grid_height = options.grid_height;
-  out.grid.assign(options.grid_width * options.grid_height, 0);
+  out.grid_width = kGridWidth;
+  out.grid_height = kGridHeight;
+  out.grid.assign(kGridWidth * kGridHeight, 0);
 
   out.points.reserve(packages.size());
   for (size_t i = 0; i < packages.size(); ++i) {

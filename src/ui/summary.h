@@ -5,7 +5,8 @@
 //
 // The backend work is (a) scoring candidate dimensions — one per aggregate
 // the query mentions, plus the objective — and picking the most informative
-// uncorrelated pair, and (b) producing the 2-D layout plus a glyph grid.
+// uncorrelated pair, and (b) producing the 2-D layout plus a glyph grid of
+// 24 x 12 cells.
 
 #ifndef PB_UI_SUMMARY_H_
 #define PB_UI_SUMMARY_H_
@@ -22,11 +23,6 @@ namespace pb::ui {
 struct SummaryDimension {
   std::string label;   ///< "SUM(calories)", "COUNT(*)", "objective"
   paql::AggCall agg;
-};
-
-struct SummaryOptions {
-  size_t grid_width = 24;
-  size_t grid_height = 12;
 };
 
 /// The computed layout.
@@ -54,8 +50,7 @@ struct PackageSpaceSummary {
 /// pair is chosen. Requires at least one numeric dimension; with only one,
 /// the y axis falls back to COUNT(*).
 Result<PackageSpaceSummary> SummarizePackageSpace(
-    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages,
-    const SummaryOptions& options = {});
+    const paql::AnalyzedQuery& aq, const std::vector<core::Package>& packages);
 
 }  // namespace pb::ui
 

@@ -6,6 +6,9 @@ namespace pb::ui {
 
 namespace {
 
+/// The sample package table shows at most this many rows.
+constexpr size_t kMaxSampleRows = 12;
+
 /// Flattens the SUCH THAT conjunction into displayable constraints.
 void CollectConjuncts(const paql::GExpr& e,
                       std::vector<const paql::GExpr*>* out) {
@@ -53,7 +56,7 @@ Result<std::string> RenderPackageTemplate(const paql::AnalyzedQuery& aq,
   PB_ASSIGN_OR_RETURN(const db::Table materialized,
                       core::MaterializePackage(*aq.table, sample, "sample"));
   PB_ASSIGN_OR_RETURN(const std::string rendered,
-                      materialized.ToString(options.max_sample_rows));
+                      materialized.ToString(kMaxSampleRows));
   out += rendered;
 
   // Live aggregate readout for every aggregate the query mentions.

@@ -6,8 +6,9 @@
 // package refinements."
 //
 // RenderPackageTemplate produces the text equivalent of that screen: the
-// sample package as a table, each constraint with its natural-language
-// description, and the objective.
+// query's PaQL, the sample package as a table of at most 12 rows, each
+// constraint with its natural-language description, the objective, and
+// the sample's value of every aggregate the query mentions.
 
 #ifndef PB_UI_TEMPLATE_H_
 #define PB_UI_TEMPLATE_H_
@@ -20,7 +21,7 @@
 namespace pb::ui {
 
 struct TemplateOptions {
-  size_t max_sample_rows = 12;
+  /// Print the query's PaQL above the template.
   bool show_paql = true;
 };
 

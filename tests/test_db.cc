@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <sstream>
 
+#include "common/random.h"
 #include "db/catalog.h"
 #include "db/csv.h"
 #include "db/expr.h"
@@ -452,6 +456,43 @@ TEST(CsvTest, RoundTrip) {
       EXPECT_EQ(back->at(r, c).Compare(t.at(r, c)), 0)
           << "cell (" << r << "," << c << ")";
     }
+  }
+}
+
+TEST(CsvTest, DoublesReadBackBitForBit) {
+  // Through Value::ToString's 10 significant digits, 1.0/3 would read back
+  // as 0x1.55555554c2bb5p-2. strtod reports ERANGE on a subnormal, which
+  // must not make the column STRING.
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> xs = {1.0 / 3,
+                            1234.5678901234567,
+                            0.1,
+                            -0.0,
+                            Limits::max(),
+                            Limits::lowest(),
+                            Limits::min(),
+                            Limits::denorm_min(),
+                            -Limits::denorm_min() * 12345};
+  Rng rng(31);
+  while (xs.size() < 1000) {
+    const double sign = rng.Bernoulli(0.5) ? -1.0 : 1.0;
+    xs.push_back(sign * rng.UniformReal(1.0, 10.0) *
+                 std::pow(10.0, static_cast<double>(rng.UniformInt(-300, 300))));
+  }
+  Table t("doubles", Schema({{"x", ValueType::kDouble}}));
+  for (double x : xs) t.StartRow().Double(x).Finish();
+
+  std::ostringstream out;
+  ASSERT_TRUE(WriteCsv(t, out).ok());
+  std::istringstream in(out.str());
+  auto back = ReadCsv(in, "doubles");
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->schema().column(0).type, ValueType::kDouble);
+  ASSERT_EQ(back->num_rows(), xs.size());
+  for (size_t r = 0; r < xs.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(back->at(r, 0).AsDoubleExact()),
+              std::bit_cast<uint64_t>(xs[r]))
+        << "row " << r << ": wrote " << std::hexfloat << xs[r];
   }
 }
 

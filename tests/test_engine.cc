@@ -386,6 +386,20 @@ TEST(EngineTest, FacadeWrappersCoverTheShellSurface) {
   EXPECT_TRUE(objective.ok());
 }
 
+// pbshell's "\gen recipes -1" reads SIZE_MAX, and the row reservation for a
+// table that size aborts the process: a size past the cap is refused before
+// any table is built.
+TEST(EngineTest, GenerateDatasetRejectsSizesOutsideTheCap) {
+  auto engine = MakeRecipesEngine(30);
+  for (const size_t n : {size_t{0}, size_t{1000001}, SIZE_MAX}) {
+    EXPECT_EQ(engine->GenerateDataset("stocks", n, 1).status().code(),
+              StatusCode::kInvalidArgument)
+        << "n=" << n;
+    EXPECT_EQ(engine->TableNames(), std::vector<std::string>{"recipes"})
+        << "n=" << n;
+  }
+}
+
 // A WHERE clause that keeps no row leaves the ILP an empty candidate set.
 // The empty package meets COUNT(*) <= 3, so it is the proven optimum; a
 // lower bound the empty package misses makes the query infeasible.

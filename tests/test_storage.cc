@@ -742,7 +742,7 @@ TEST(OutOfCoreUiTest, CorruptCellIsAnErrorInSuggestionsAndInference) {
       << by_row.status().ToString();
 
   // The session's solve reads only b; inferring reads every column.
-  ui::ExplorationSession session(&*aq, {});
+  ui::ExplorationSession session(&*aq);
   Status started = session.Start();
   ASSERT_TRUE(started.ok()) << started.ToString();
   ASSERT_TRUE(session.Lock(session.sample().rows[0]).ok());

@@ -203,7 +203,7 @@ TEST_F(UiTest, ExplorationLockAndResampleKeepsLockedTuples) {
   auto aq = Analyzed(
       "SELECT PACKAGE(R) FROM recipes R WHERE gluten = 'free' "
       "SUCH THAT COUNT(*) = 3 AND SUM(calories) BETWEEN 1000 AND 2500");
-  ExplorationSession session(&aq, {});
+  ExplorationSession session(&aq);
   ASSERT_TRUE(session.Start().ok());
   ASSERT_EQ(session.sample().TotalCount(), 3);
 
@@ -224,7 +224,7 @@ TEST_F(UiTest, ExplorationLockAndResampleKeepsLockedTuples) {
 TEST_F(UiTest, ExplorationLockValidation) {
   auto aq = Analyzed(
       "SELECT PACKAGE(R) FROM recipes R SUCH THAT COUNT(*) = 2");
-  ExplorationSession session(&aq, {});
+  ExplorationSession session(&aq);
   ASSERT_TRUE(session.Start().ok());
   EXPECT_FALSE(session.Lock(99999).ok());
   EXPECT_FALSE(session.Unlock(12345).ok());
@@ -237,7 +237,7 @@ TEST_F(UiTest, ExplorationInfersConstraintsFromLockedTuples) {
   auto aq = Analyzed(
       "SELECT PACKAGE(R) FROM recipes R WHERE gluten = 'free' "
       "SUCH THAT COUNT(*) = 3");
-  ExplorationSession session(&aq, {});
+  ExplorationSession session(&aq);
   ASSERT_TRUE(session.Start().ok());
   for (size_t row : session.sample().rows) {
     ASSERT_TRUE(session.Lock(row).ok());
@@ -266,7 +266,7 @@ TEST_F(UiTest, ExplorationNoAlternativeIsInfeasible) {
   auto aq = paql::ParseAndAnalyze(
       "SELECT PACKAGE(T) FROM tiny T SUCH THAT SUM(v) BETWEEN 5 AND 20", c);
   ASSERT_TRUE(aq.ok());
-  ExplorationSession session(&*aq, {});
+  ExplorationSession session(&*aq);
   ASSERT_TRUE(session.Start().ok());
   ASSERT_TRUE(session.Lock(session.sample().rows[0]).ok());
   EXPECT_EQ(session.Resample().code(), StatusCode::kInfeasible);
